@@ -30,10 +30,9 @@ def main():
         conn = transport.monopole(args.q[0])
         with open(args.csv, "w") as fh:
             fh.write("s,phase\n")
-            for j in range(args.M + 1):
-                s = j / args.M
-                h = transport.holonomy(conn, family(s), N=args.N)[0, 0]
-                fh.write(f"{s},{cmath.phase(complex(h))}\n")
+            hols = transport.holonomy_sweep(conn, family, args.M, args.N)
+            for j, h in enumerate(hols[:, 0, 0].tolist()):
+                fh.write(f"{j / args.M},{cmath.phase(h)}\n")
         print(f"sweep written to {args.csv}")
 
 

@@ -272,11 +272,10 @@ def cmd_obstruction(cfg):
         "csv": cfg.csv,
     }
     if cfg.csv:
+        hols = transport.holonomy_sweep(conn, family, cfg.M, cfg.N)[:, 0, 0]
         lines = ["s,re,im"]
-        for j in range(cfg.M + 1):
-            s = j / cfg.M
-            h = complex(transport.holonomy(conn, family(s), N=cfg.N)[0, 0])
-            lines.append(f"{s!r},{h.real!r},{h.imag!r}")
+        for j, h in enumerate(hols.tolist()):
+            lines.append(f"{j / cfg.M!r},{h.real!r},{h.imag!r}")
         _write_atomic(cfg.csv, "\n".join(lines) + "\n")
     return _report(cfg, "obstruction", payload), EXIT_OK
 

@@ -11,6 +11,20 @@ Conventions, fixed once for the whole package:
   * the holonomy of a loop is T(1), so an abelian connection gives
     Hol = exp(-loop integral of A).
 
+The ODE is linear, so one RK4 step of size h is a matrix P_i applied to
+T(t_i).  Transport runs as one batched pipeline for every fiber dimension n:
+
+  1. sample -A once at the 2 steps + 1 half-step nodes t0 + j h/2 (a step's
+     endpoint is the next step's start) and check every sample for shape
+     and anti-Hermiticity;
+  2. build every propagator P_i = I + h/6 (k1 + 2 k2 + 2 k3 + k4) with
+     stacked matrix products;
+  3. unitarize each step once, Q_i = polar(P_i); since polar(P T) =
+     polar(P) T for unitary T, this equals re-unitarizing after every step;
+  4. form T(t_i) = Q_{i-1} ... Q_0 and the raw chain P_{i-1} ... P_0 as
+     log-depth prefix products, then re-project T with one more batched
+     polar so the frame stays unitary to roundoff.
+
 Under these conventions the plane preset with form (i B / 2)(x dy - y dx)
 gives Hol = exp(-i B pi r^2) on a counterclockwise radius-r circle, and the
 sphere preset below gives the classical solid-angle holonomy on latitude
@@ -19,12 +33,9 @@ circles.
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NonAntiHermitianSample, PhaseStepTooLarge
 
@@ -39,6 +50,7 @@ __all__ = [
     "parallel_transport",
     "holonomy",
     "transport_reversed",
+    "holonomy_sweep",
     "refinement_delta",
     "rotated_twist",
     "latitude_loop",
@@ -77,6 +89,8 @@ class BaseLoop:
     @classmethod
     def from_samples(cls, points):
         """Periodic cubic interpolation of samples on the uniform grid j/M."""
+        from scipy.interpolate import CubicSpline
+
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 4:
             raise ValueError("need at least 4 sample points, shape (M, d)")
@@ -219,8 +233,11 @@ def su2sample_curvature(x):
 class TransportFrame:
     """Transport matrices T(t_i) on the uniform grid t_i = i/N.
 
-    Ts[i] is unitary (polar corrected); raw_defect is the worst unitarity
-    defect of the never-corrected RK4 chain, and raw_holonomy its endpoint.
+    Ts[i] = polar(Q_{i-1} ... Q_0), where Q_k is the polar factor of step k's
+    RK4 propagator P_k; the outer polar re-projects the prefix product, so
+    Ts[i] is unitary to roundoff.  raw_defect is the worst unitarity defect
+    of the never-corrected chain P_{i-1} ... P_0, and raw_holonomy its
+    endpoint.
     """
 
     loop: BaseLoop
@@ -246,89 +263,63 @@ class TransportFrame:
         return float(np.linalg.norm(G - np.eye(self.n), axis=(1, 2)).max())
 
 
-def _sample_form(conn, xv, t):
-    x, v = xv(t)
-    A = np.asarray(conn.form(x, v), dtype=complex)
-    defect = float(np.linalg.norm(A + A.conj().T))
-    if defect > ANTIHERM_TOL:
-        raise NonAntiHermitianSample(defect, t)
-    return A
+def _polar(P):
+    """Unitary polar factor of each matrix in a stack."""
+    U, _, Vh = np.linalg.svd(P)
+    return U @ Vh
 
 
-def _transport_chain_scalar(conn, xv, t0, t1, steps, keep_chain):
-    """n = 1 fast path with plain complex arithmetic."""
-    h = (t1 - t0) / steps
-    T = 1.0 + 0.0j
-    R = 1.0 + 0.0j
-    chain = [T] if keep_chain else None
-    raw_defect = 0.0
-    form = conn.form
+def _prefix_products(E):
+    """C[i] with I + C[i] = (I + E[i]) ... (I + E[0]), by log-depth doubling.
 
-    def m(t):
+    Products are kept as offsets from I, so factors close to I are never
+    rounded against 1; a uniform loop would otherwise repeat the same
+    rounding at every step.
+    """
+    C = E.copy()
+    d = 1
+    while d < len(C):
+        C[d:] = C[d:] + C[:-d] + C[d:] @ C[:-d]
+        d *= 2
+    return C
+
+
+def _sample_forms(conn, xv, ts):
+    """-A at every node t in ts, checked for shape and anti-Hermiticity."""
+    n, form = conn.n, conn.form
+    A = np.empty((len(ts), n, n), dtype=complex)
+    for j, t in enumerate(ts):
         x, v = xv(t)
-        a = complex(form(x, v)[0][0])
-        defect = 2.0 * abs(a.real)
-        if defect > ANTIHERM_TOL:
-            raise NonAntiHermitianSample(defect, t)
-        return -a
-
-    for i in range(steps):
-        t = t0 + i * h
-        m0, mh, m1 = m(t), m(t + 0.5 * h), m(t + h)
-
-        def step(y):
-            k1 = m0 * y
-            k2 = mh * (y + 0.5 * h * k1)
-            k3 = mh * (y + 0.5 * h * k2)
-            k4 = m1 * (y + h * k3)
-            return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        R = step(R)
-        raw_defect = max(raw_defect, abs(abs(R) ** 2 - 1.0))
-        T = step(T)
-        T /= abs(T)
-        if keep_chain:
-            chain.append(T)
-    Ts = (np.array(chain, dtype=complex).reshape(-1, 1, 1)
-          if keep_chain else np.array([[[T]]], dtype=complex))
-    return Ts, np.array([[R]], dtype=complex), raw_defect
+        a = np.asarray(form(x, v), dtype=complex)
+        if a.shape != (n, n):
+            raise ValueError(f"connection form at t={t!r} has shape "
+                             f"{a.shape}, expected ({n}, {n})")
+        A[j] = a
+    with np.errstate(invalid="ignore"):
+        defect = np.linalg.norm(A + A.conj().transpose(0, 2, 1), axis=(1, 2))
+    # written so that a NaN defect fails the check too
+    bad = np.flatnonzero(~(defect <= ANTIHERM_TOL))
+    if bad.size:
+        raise NonAntiHermitianSample(float(defect[bad[0]]), ts[bad[0]])
+    return -A
 
 
-def _transport_chain(conn, xv, t0, t1, steps, keep_chain=True):
-    if conn.n == 1:
-        return _transport_chain_scalar(conn, xv, t0, t1, steps, keep_chain)
-    n = conn.n
+def _transport_chain(conn, xv, t0, t1, steps):
+    """Frames T(t0 + i h), i = 0..steps, the raw chain's end and its drift."""
     h = (t1 - t0) / steps
-    I = np.eye(n, dtype=complex)
-    T = I.copy()
-    R = I.copy()
-    chain = np.empty((steps + 1, n, n), dtype=complex) if keep_chain else None
-    if keep_chain:
-        chain[0] = T
-    raw_defect = 0.0
-    for i in range(steps):
-        t = t0 + i * h
-        M0 = -_sample_form(conn, xv, t)
-        Mh = -_sample_form(conn, xv, t + 0.5 * h)
-        M1 = -_sample_form(conn, xv, t + h)
-
-        def step(Y):
-            k1 = M0 @ Y
-            k2 = Mh @ (Y + (0.5 * h) * k1)
-            k3 = Mh @ (Y + (0.5 * h) * k2)
-            k4 = M1 @ (Y + h * k3)
-            return Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        R = step(R)
-        raw_defect = max(raw_defect,
-                         float(np.linalg.norm(R.conj().T @ R - I)))
-        U, _, Vh = np.linalg.svd(step(T))
-        T = U @ Vh
-        if keep_chain:
-            chain[i + 1] = T
-    if not keep_chain:
-        chain = T[None]
-    return chain, R, raw_defect
+    I = np.eye(conn.n, dtype=complex)
+    M = _sample_forms(conn, xv, np.linspace(t0, t1, 2 * steps + 1).tolist())
+    M0, Mh, M1 = M[0:-1:2], M[1::2], M[2::2]
+    K2 = Mh + (0.5 * h) * (Mh @ M0)
+    K3 = Mh + (0.5 * h) * (Mh @ K2)
+    K4 = M1 + h * (M1 @ K3)
+    # step i's propagator is P_i = I + D_i
+    D = (h / 6.0) * (M0 + 2.0 * K2 + 2.0 * K3 + K4)
+    E = _prefix_products(D)
+    EH = E.conj().transpose(0, 2, 1)
+    raw_defect = float(np.linalg.norm(E + EH + EH @ E, axis=(1, 2)).max())
+    Ts = _polar(I + _prefix_products(_polar(I + D) - I))
+    return np.concatenate([I[None], Ts]), I + E[-1], raw_defect
 
 
 def parallel_transport(conn, loop, N=2048):
@@ -344,8 +335,7 @@ def parallel_transport(conn, loop, N=2048):
 
 def holonomy(conn, loop, N=2048):
     """Transport once around: Hol = T(1)."""
-    Ts, _, _ = _transport_chain(conn, loop.xv, 0.0, 1.0, N, keep_chain=False)
-    return Ts[-1]
+    return _transport_chain(conn, loop.xv, 0.0, 1.0, N)[0][-1]
 
 
 def transport_reversed(conn, loop, t, N=2048):
@@ -360,8 +350,7 @@ def transport_reversed(conn, loop, t, N=2048):
         x, v = loop.xv(t - s)
         return x, -v
 
-    Ts, _, _ = _transport_chain(conn, xv, 0.0, t, steps, keep_chain=False)
-    return Ts[-1]
+    return _transport_chain(conn, xv, 0.0, t, steps)[0][-1]
 
 
 def refinement_delta(conn, loop, N=2048):
@@ -412,24 +401,12 @@ def latitude_family():
     return family
 
 
-def _worker_count():
-    raw = os.environ.get("LOOPFIBER_THREADS", "")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
+def holonomy_sweep(conn, family, M, N):
+    """Holonomies of family(s) on the family grid s = j/M, j = 0..M.
 
-
-def _holonomy_samples(conn, family, M, N):
-    ss = [j / M for j in range(M + 1)]
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hols = list(pool.map(
-                lambda s: holonomy(conn, family(s), N)[0, 0], ss))
-    else:
-        hols = [holonomy(conn, family(s), N)[0, 0] for s in ss]
-    return np.array(hols)
+    Returns the stack of M + 1 holonomy matrices, each on an N-grid.
+    """
+    return np.array([holonomy(conn, family(j / M), N) for j in range(M + 1)])
 
 
 def chern_winding(conn, family, N=256, M=64, max_family_grid=4096):
@@ -444,7 +421,7 @@ def chern_winding(conn, family, N=256, M=64, max_family_grid=4096):
     if conn.n != 1:
         raise ValueError("winding needs a U(1) connection (n = 1)")
     while True:
-        h = _holonomy_samples(conn, family, M, N)
+        h = holonomy_sweep(conn, family, M, N)[:, 0, 0]
         if np.abs(h).min() < 1e-8:
             raise PhaseStepTooLarge("holonomy sample too close to zero")
         steps = np.angle(h[1:] / h[:-1])

@@ -202,10 +202,8 @@ class TestSegments:
         conn = su2sample()
         loop = BaseLoop.circle(1.3, center=(0.2, -0.1))
         frame = parallel_transport(conn, loop, N=512)
-        first, _, _ = _transport_chain(conn, loop.xv, 0.0, 0.5, 256,
-                                       keep_chain=False)
-        second, _, _ = _transport_chain(conn, loop.xv, 0.5, 1.0, 256,
-                                        keep_chain=False)
+        first, _, _ = _transport_chain(conn, loop.xv, 0.0, 0.5, 256)
+        second, _, _ = _transport_chain(conn, loop.xv, 0.5, 1.0, 256)
         assert np.linalg.norm(second[-1] @ first[-1] - frame.holonomy) < 1e-8
         assert np.linalg.norm(first[-1] - frame.Ts[256]) < 1e-10
 
@@ -266,6 +264,88 @@ class TestValidation:
         with pytest.raises(ValueError, match="dimension mismatch"):
             parallel_transport(abelian2d(1.0), latitude_loop(1.0))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nan_sample_rejected_at_its_node(self, n):
+        # NaN on the lower half of the unit circle; on the N=16 grid the
+        # first half-step node there is t = 17/32
+        def form(x, v):
+            return np.full((n, n), np.nan if x[1] < 0 else 0.0, dtype=complex)
+
+        with pytest.raises(NonAntiHermitianSample) as info:
+            holonomy(ConnectionSpec(n, 2, form), BaseLoop.circle(1.0), N=16)
+        assert info.value.t == 17 / 32
+
+    def test_inf_sample_rejected(self):
+        bad = ConnectionSpec(1, 2, lambda x, v: np.array([[1j * np.inf]]))
+        with pytest.raises(NonAntiHermitianSample):
+            parallel_transport(bad, BaseLoop.circle(1.0), N=16)
+
+    @pytest.mark.parametrize("n, shape", [(1, (2, 2)), (2, (1, 1))])
+    def test_wrong_sample_shape_rejected(self, n, shape):
+        bad = ConnectionSpec(n, 2, lambda x, v: np.zeros(shape, dtype=complex))
+        with pytest.raises(ValueError, match=r"at t=0\.0 has shape"):
+            holonomy(bad, BaseLoop.circle(1.0), N=16)
+
+
+def sequential_transport(conn, loop, N):
+    """Reference: RK4 step by step, polar re-unitarization after each."""
+    I = np.eye(conn.n, dtype=complex)
+    Ts, R, h = [I], I, 1.0 / N
+
+    def step(Y, t):
+        M0, Mh, M1 = (-np.asarray(conn.form(*loop.xv(s)), dtype=complex)
+                      for s in (t, t + 0.5 * h, t + h))
+        k1 = M0 @ Y
+        k2 = Mh @ (Y + (0.5 * h) * k1)
+        k3 = Mh @ (Y + (0.5 * h) * k2)
+        k4 = M1 @ (Y + h * k3)
+        return Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    for i in range(N):
+        R = step(R, i * h)
+        U, _, Vh = np.linalg.svd(step(Ts[-1], i * h))
+        Ts.append(U @ Vh)
+    return np.array(Ts), R
+
+
+REFERENCE_CASES = {
+    "su2sample": (su2sample(), BaseLoop.circle(1.3, center=(0.2, -0.1))),
+    "abelian2d": (abelian2d(1.7), BaseLoop.circle(0.9)),
+    "monopole": (monopole(2), latitude_loop(1.1)),
+}
+
+
+class TestBatchedTransport:
+    """The batched propagator pipeline against the step-by-step reference."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    def test_matches_sequential_reference(self, name):
+        conn, loop = REFERENCE_CASES[name]
+        Ts, R = sequential_transport(conn, loop, 1024)
+        frame = parallel_transport(conn, loop, N=1024)
+        assert np.abs(frame.Ts - Ts).max() < 1e-12
+        assert np.abs(frame.raw_holonomy - R).max() < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    def test_frames_unitary_at_fine_grid(self, name):
+        conn, loop = REFERENCE_CASES[name]
+        assert parallel_transport(conn, loop, N=8192).unitarity_defect() < 1e-13
+
+    def test_form_sampled_once_per_half_step_node(self):
+        conn, loop = REFERENCE_CASES["su2sample"]
+        calls = []
+
+        def counted(x, v):
+            calls.append(x)
+            return conn.form(x, v)
+
+        spec = ConnectionSpec(conn.n, conn.d, counted)
+        for run in (parallel_transport, holonomy):
+            for N in (1, 64):
+                calls.clear()
+                run(spec, loop, N=N)
+                assert len(calls) == 2 * N + 1
+
 
 class TestCsv:
     def test_roundtrip_preserves_holonomy(self, tmp_path):
@@ -300,8 +380,3 @@ class TestCsv:
         with pytest.raises(ValueError, match="uniform"):
             load_loop_csv(path)
 
-
-class TestThreading:
-    def test_winding_same_under_thread_pool(self, monkeypatch):
-        monkeypatch.setenv("LOOPFIBER_THREADS", "4")
-        assert chern_winding(monopole(1), latitude_family(), N=64, M=16) == 1
