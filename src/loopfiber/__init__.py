@@ -3,7 +3,7 @@ reconstruction, parallel transport holonomy, and twisted loop bundles.
 
 The submodules layer bottom-up:
 
-  fourier     sparse coefficient loops, Parseval pairing, the +/- splitting
+  fourier     banded coefficient loops, Parseval pairing, the +/- splitting
   subspaces   orthonormal frames, shift filtrations, principal angles
   loopgroup   unitary matrix loops and the subspace -> loop construction
   transport   base loops, connection presets, RK4 transport, windings

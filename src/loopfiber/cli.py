@@ -105,7 +105,8 @@ def _load_json(path):
 
 
 def _dump(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Standard JSON: a NaN or inf in a report raises ValueError (exit 2)."""
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _write_atomic(path, text):
@@ -480,6 +481,7 @@ def main(argv=None):
     try:
         cfg = _config_from_args(args)
         report, code = HANDLERS[cfg.subcommand](cfg)
+        text = _dump(report)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -498,7 +500,6 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    text = _dump(report)
     sys.stdout.write(text)
     if cfg.output:
         path = cfg.output

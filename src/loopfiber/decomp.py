@@ -123,7 +123,7 @@ class PointAudit:
     dim_above: int
     growth: int
     intersection_dim: int
-    unitarity_defect: float
+    unitarity_defect: float | None  # None when no loop was built
     failure: str
     passed_a: bool
     passed_b: bool
@@ -190,7 +190,7 @@ def _audit_point(x, f):
 
     inter = intersect_shift_complement(frame_p)
     inter_dim = 0 if inter is None else inter.dim
-    defect = float("nan")
+    defect = None
     failure = ""
     passed_c = False
     try:
@@ -291,7 +291,7 @@ def reduction_cocycle(fam, variation_tol=VARIATION_TOL):
         c = fam.transitions[e_idx]
         reduced = multiply(inverse(gammas[j]), multiply(c, gammas[i]))
         var, mean = theta_variation(reduced)
-        if var > variation_tol:
+        if not (var <= variation_tol):
             total = sum(det_winding(t) for t in fam.transitions)
             raise NonConstantReducedTransition((i, j), var, winding_sum=total)
         constants.append(_polar(mean))
@@ -314,7 +314,8 @@ def build_model_decomposition(U_cocycle, depth=3):
     for U in mats:
         if U.shape != (n, n):
             raise ValueError("inconsistent cocycle: mixed matrix shapes")
-        if np.linalg.norm(U.conj().T @ U - np.eye(n)) > COCYCLE_UNITARY_TOL:
+        if not (np.linalg.norm(U.conj().T @ U - np.eye(n))
+                <= COCYCLE_UNITARY_TOL):
             raise ValueError("inconsistent cocycle: transition not unitary")
     m = len(mats)
     gens = [basis_loop(n, component=j, frequency=0) for j in range(n)]

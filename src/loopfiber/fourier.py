@@ -4,7 +4,9 @@ A smooth loop in C^n is approximated by a trigonometric polynomial
 
     a(theta) = sum_k c_k e^{i k theta},      c_k in C^n,
 
-stored sparsely as a map from integer frequency to coefficient vector.
+stored as a dense band: the lowest frequency kmin and one coefficient block
+per frequency of the contiguous window kmin..kmax.  Matrix loops
+(loopgroup.LoopGroupElement) share the same storage with (n, n) blocks.
 The circle carries total measure 1, so the constant loop e_1 has norm 1 and
 the integral pairing becomes the Parseval sum over shared frequencies.  The
 pairing is conjugate-linear in its FIRST argument throughout the package.
@@ -13,7 +15,8 @@ Frequency bands grow exactly under arithmetic (shifts reindex, products
 convolve); nothing is ever silently truncated.
 """
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,60 +39,163 @@ __all__ = [
     "loop_from_dict",
 ]
 
+# Widest band a {frequency: block} dict may span: bands are stored densely, so
+# two far-apart keys in an input file would allocate every block in between.
+MAX_BAND_WIDTH = 2 ** 20
 
-@dataclass(frozen=True, eq=False)
-class TruncatedLoop:
-    """A C^n-valued trigonometric polynomial, stored sparsely by frequency.
 
-    Attributes
-    ----------
-    n : int
-        Ambient vector dimension.
-    coeffs : dict[int, np.ndarray]
-        Maps frequency k to the coefficient vector c_k (shape (n,), complex).
-        Exactly-zero vectors are dropped on construction; instances are
-        treated as immutable.
+class _BandedLoop:
+    """Trigonometric polynomial sum_k data[k - kmin] e^{ik theta}.
+
+    Subclasses fix the coefficient block: (n,) vectors or (n, n) matrices.
+    The band is trimmed (its first and last blocks are nonzero; zero blocks
+    inside it stay), `data` is read-only, and every block is finite.  The
+    zero loop has kmin 0 and no blocks.
     """
 
-    n: int
-    coeffs: dict = field(default_factory=dict)
+    _block_ndim = None  # 1 for vector coefficients, 2 for matrices
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"vector dimension must be >= 1, got {self.n}")
-        clean = {}
-        for k, c in self.coeffs.items():
-            arr = np.array(c, dtype=complex)
-            if arr.shape != (self.n,):
+    def __init__(self, n, coeffs=MappingProxyType({})):
+        """Build from a {frequency: block} dict; absent frequencies are 0."""
+        block = (n,) * self._block_ndim
+        ks = [int(k) for k in coeffs]
+        kmin = min(ks, default=0)
+        width = max(ks, default=kmin - 1) - kmin + 1
+        if width > MAX_BAND_WIDTH:
+            raise ValueError(
+                f"band [{kmin}, {kmin + width - 1}] spans {width} "
+                f"frequencies, more than {MAX_BAND_WIDTH}")
+        data = np.zeros((width,) + block, dtype=complex)
+        for k, c in coeffs.items():
+            arr = np.asarray(c, dtype=complex)
+            if arr.shape != block:
                 raise ValueError(
                     f"coefficient at k={k} has shape {arr.shape}, "
-                    f"expected ({self.n},)")
-            if arr.any():
-                arr.setflags(write=False)
-                clean[int(k)] = arr
-        object.__setattr__(self, "coeffs", clean)
+                    f"expected {block}")
+            data[int(k) - kmin] = arr
+        self._set_band(n, kmin, data)
+
+    @classmethod
+    def from_band(cls, n, kmin, data):
+        """The loop with coefficient data[i] at frequency kmin + i."""
+        loop = cls.__new__(cls)
+        loop._set_band(n, kmin, data)
+        return loop
+
+    @classmethod
+    def _from_spectrum(cls, spec):
+        """The loop of an FFT spectrum divided by its length N: bin m holds
+        frequency m, or m - N from m = (N + 1) // 2 on."""
+        N = len(spec)
+        return cls.from_band(spec.shape[1], -(N // 2),
+                             np.roll(spec, N // 2, axis=0))
+
+    def _set_band(self, n, kmin, data):
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1, got {n}")
+        block = (n,) * self._block_ndim
+        data = np.array(data, dtype=complex)  # a private copy, frozen below
+        if data.shape[1:] != block:
+            raise ValueError(
+                f"coefficient blocks have shape {data.shape[1:]}, "
+                f"expected {block}")
+        if not np.isfinite(data).all():
+            raise ValueError("coefficients must be finite (NaN or inf found)")
+        nonzero = np.flatnonzero(data.any(axis=tuple(range(1, data.ndim))))
+        if nonzero.size:
+            kmin += int(nonzero[0])
+            data = data[nonzero[0]:nonzero[-1] + 1]
+        else:
+            kmin, data = 0, data[:0]
+        data.setflags(write=False)
+        self.n, self.kmin, self.data = n, int(kmin), data
+
+    def _nonzero_blocks(self):
+        """Read-only {frequency: block} mapping of the nonzero blocks."""
+        return MappingProxyType({self.kmin + i: c
+                                 for i, c in enumerate(self.data) if c.any()})
 
     @property
     def band(self):
         """Frequency window (kmin, kmax); (0, 0) for the zero loop."""
-        if not self.coeffs:
-            return (0, 0)
-        ks = self.coeffs.keys()
-        return (min(ks), max(ks))
+        return (self.kmin, self.kmin + max(len(self.data) - 1, 0))
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not len(self.data)
+
+    def evaluate(self, theta):
+        """Values sum_k c_k e^{ik theta} at scalar or array theta, shape
+        theta.shape + block."""
+        th = np.asarray(theta, dtype=float)
+        ks = self.kmin + np.arange(len(self.data))
+        return np.tensordot(np.exp(1j * th[..., None] * ks), self.data, axes=1)
+
+    def grid_samples(self, N):
+        """Exact values at theta_j = 2 pi j / N, shape (N,) + block, by FFT
+        binning: folding frequencies mod N keeps the grid values for any N."""
+        bins = np.zeros((N,) + self.data.shape[1:], dtype=complex)
+        np.add.at(bins, (self.kmin + np.arange(len(self.data))) % N, self.data)
+        return np.fft.ifft(bins, axis=0) * N
+
+
+def _convolve(ka, A, kb, B):
+    """Band (kmin, blocks) of (sum_k A_k z^k)(sum_l B_l z^l), blocks matmul'd.
+
+    Slice-accumulates over the shorter band, with no FFT: each output block
+    is a plain sum of block products, exact up to rounding."""
+    wa, wb = len(A), len(B)
+    out = np.zeros((max(wa + wb - 1, 0), A.shape[1], B.shape[2]),
+                   dtype=complex)
+    if wa <= wb:
+        for i in range(wa):
+            out[i:i + wb] += A[i] @ B
+    else:
+        for j in range(wb):
+            out[j:j + wa] += A @ B[j]
+    return ka + kb, out
+
+
+def union_band(loops):
+    """Hull of the bands of a nonempty list of loops."""
+    kmin = min(a.band[0] for a in loops)
+    kmax = max(a.band[1] for a in loops)
+    return kmin, kmax
+
+
+class BandStack(NamedTuple):
+    """m loops padded into one band: column i of data[k - kmin] is c_k of
+    loop i, so data has shape (width, n, m).  Not trimmed."""
+
+    n: int
+    kmin: int
+    data: np.ndarray
+
+
+def stack_columns(loops, band=None):
+    """The BandStack of loops over `band`, by default the hull of theirs."""
+    kmin, kmax = union_band(loops) if band is None else band
+    data = np.zeros((kmax - kmin + 1, loops[0].n, len(loops)), dtype=complex)
+    for i, a in enumerate(loops):
+        start = a.kmin - kmin
+        data[start:start + len(a.data), :, i] = a.data
+    return BandStack(loops[0].n, kmin, data)
+
+
+class TruncatedLoop(_BandedLoop):
+    """A C^n-valued trigonometric polynomial as a dense band: data has shape
+    (width, n); `coeffs` is a read-only {k: c_k} view of the nonzero c_k."""
+
+    _block_ndim = 1
+    coeffs = property(_BandedLoop._nonzero_blocks)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedLoop):
             return NotImplemented
         if other.n != self.n:
             raise ValueError("dimension mismatch")
-        out = {k: np.array(c) for k, c in self.coeffs.items()}
-        for k, c in other.coeffs.items():
-            out[k] = out[k] + c if k in out else c
-        return TruncatedLoop(self.n, out)
+        both = stack_columns([self, other])
+        return TruncatedLoop.from_band(self.n, both.kmin, both.data.sum(axis=2))
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -97,8 +203,8 @@ class TruncatedLoop:
     def __mul__(self, scalar):
         if isinstance(scalar, TruncatedLoop):
             return NotImplemented
-        s = complex(scalar)
-        return TruncatedLoop(self.n, {k: s * c for k, c in self.coeffs.items()})
+        return TruncatedLoop.from_band(self.n, self.kmin,
+                                       complex(scalar) * self.data)
 
     __rmul__ = __mul__
 
@@ -124,61 +230,43 @@ def basis_loop(n, component=0, frequency=0, amplitude=1.0):
 
 
 def inner_product(a, b):
-    """Parseval pairing sum_k <c_k(a), c_k(b)>, conjugate-linear in `a`."""
+    """Parseval pairing sum_k a_k^H b_k, conjugate-linear in `a`.
+
+    Loops pair to a scalar; a BandStack pairs column by column, so two
+    stacked frames give their cross-Gram matrix.
+    """
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    small, big = (a, b) if len(a.coeffs) <= len(b.coeffs) else (b, a)
-    acc = 0.0 + 0.0j
-    for k in small.coeffs:
-        if k in big.coeffs:
-            acc += np.vdot(a.coeffs[k], b.coeffs[k])
-    return acc
+    lo = max(a.kmin, b.kmin)
+    hi = max(lo, min(a.kmin + len(a.data), b.kmin + len(b.data)))
+    return np.tensordot(a.data[lo - a.kmin:hi - a.kmin].conj(),
+                        b.data[lo - b.kmin:hi - b.kmin],
+                        axes=([0, 1], [0, 1]))[()]
 
 
 def norm(a):
-    return float(np.sqrt(sum(
-        np.linalg.norm(c) ** 2 for c in a.coeffs.values())))
+    return float(np.linalg.norm(a.data))
 
 
 def shift(a, p):
     """Multiply by z^p: coefficients reindex k -> k + p, band shifts by p."""
-    return TruncatedLoop(a.n, {k + p: c for k, c in a.coeffs.items()})
+    return type(a).from_band(a.n, a.kmin + p, a.data)
 
 
 def project_plus(a):
     """Keep frequencies k >= 0 (the Hardy-type nonnegative part)."""
-    return TruncatedLoop(a.n, {k: c for k, c in a.coeffs.items() if k >= 0})
+    cut = max(-a.kmin, 0)
+    return TruncatedLoop.from_band(a.n, a.kmin + cut, a.data[cut:])
 
 
 def project_minus(a):
     """Keep frequencies k < 0, the complement of project_plus."""
-    return TruncatedLoop(a.n, {k: c for k, c in a.coeffs.items() if k < 0})
+    return TruncatedLoop.from_band(a.n, a.kmin, a.data[:max(-a.kmin, 0)])
 
 
-def evaluate(a, theta):
-    """Evaluate a(theta) = sum_k c_k e^{ik theta}.
-
-    theta may be a scalar or an array; the result has shape
-    theta.shape + (n,).
-    """
-    th = np.asarray(theta, dtype=float)
-    out = np.zeros(th.shape + (a.n,), dtype=complex)
-    for k, c in a.coeffs.items():
-        out += np.exp(1j * k * th)[..., None] * c
-    return out
-
-
-def evaluate_grid(a, N):
-    """Evaluate on the uniform grid theta_j = 2 pi j / N, j = 0..N-1.
-
-    Uses FFT binning (frequencies folded mod N), which reproduces the exact
-    trigonometric-polynomial values at the grid points for any N >= 1.
-    Returns shape (N, n).
-    """
-    bins = np.zeros((N, a.n), dtype=complex)
-    for k, c in a.coeffs.items():
-        bins[k % N] += c
-    return np.fft.ifft(bins, axis=0) * N
+# the module-level forms of the shared band methods
+evaluate = _BandedLoop.evaluate
+evaluate_grid = _BandedLoop.grid_samples
 
 
 def from_grid_samples(samples):
@@ -188,14 +276,8 @@ def from_grid_samples(samples):
     [-N/2, N/2-1].  samples has shape (N, n).
     """
     samples = np.asarray(samples, dtype=complex)
-    N, n = samples.shape
-    spec = np.fft.fft(samples, axis=0) / N
-    half = (N + 1) // 2
-    coeffs = {}
-    for m in range(N):
-        k = m if m < half else m - N
-        coeffs[k] = spec[m]
-    return TruncatedLoop(n, coeffs)
+    N, _ = samples.shape
+    return TruncatedLoop._from_spectrum(np.fft.fft(samples, axis=0) / N)
 
 
 def scalar_multiply(f, a):
@@ -205,13 +287,8 @@ def scalar_multiply(f, a):
     """
     if f.n != 1:
         raise ValueError(f"scalar factor must have n=1, got n={f.n}")
-    out = {}
-    for k, fk in f.coeffs.items():
-        s = fk[0]
-        for l, cl in a.coeffs.items():
-            m = k + l
-            out[m] = out[m] + s * cl if m in out else s * cl
-    return TruncatedLoop(a.n, out)
+    kmin, out = _convolve(a.kmin, a.data[..., None], f.kmin, f.data[..., None])
+    return TruncatedLoop.from_band(a.n, kmin, out[..., 0])
 
 
 def loop_allclose(a, b, tol=1e-12):
@@ -219,21 +296,31 @@ def loop_allclose(a, b, tol=1e-12):
     return norm(a - b) <= tol
 
 
+def _to_pairs(blocks):
+    """{k: block} -> {"k": nested [re, im] lists}, bit-exact."""
+    return {str(k): np.stack([c.real, c.imag], axis=-1).tolist()
+            for k, c in blocks.items()}
+
+
+def _from_pairs(pairs):
+    """{"k": nested [re, im] lists} -> {k: complex block}, bit-exact."""
+    if not isinstance(pairs, dict):
+        raise ValueError("coefficients must map frequencies to [re, im] pairs")
+    out = {}
+    for key, value in pairs.items():
+        a = np.ascontiguousarray(value, dtype=float)
+        if a.shape[-1:] != (2,):
+            raise ValueError(f"coefficient at k={key} is not [re, im] pairs")
+        out[int(key)] = a.view(complex)[..., 0]
+    return out
+
+
 def loop_to_dict(a):
     """JSON-ready dict {"n": n, "coeffs": {"k": [[re, im] x n]}}."""
-    return {
-        "n": a.n,
-        "coeffs": {
-            str(k): [[float(z.real), float(z.imag)] for z in a.coeffs[k]]
-            for k in sorted(a.coeffs)
-        },
-    }
+    return {"n": a.n, "coeffs": _to_pairs(a.coeffs)}
 
 
 def loop_from_dict(d):
-    n = int(d["n"])
-    coeffs = {}
-    for key, pairs in d["coeffs"].items():
-        coeffs[int(key)] = np.array(
-            [complex(re, im) for re, im in pairs], dtype=complex)
-    return TruncatedLoop(n, coeffs)
+    """Inverse of loop_to_dict; ValueError on non-finite coefficients or a
+    band wider than MAX_BAND_WIDTH."""
+    return TruncatedLoop(int(d["n"]), _from_pairs(d["coeffs"]))

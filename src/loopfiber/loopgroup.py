@@ -12,12 +12,11 @@ space): the columns of gamma are an orthonormal basis of W cap (zW)^perp,
 and pointwise unitarity of the result certifies the construction.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import IntersectionDimension, PhaseStepTooLarge, UnitarityViolation
-from .fourier import TruncatedLoop
+from .fourier import (TruncatedLoop, _BandedLoop, _convolve, _from_pairs,
+                      _to_pairs, stack_columns)
 from .subspaces import intersect_shift_complement
 
 __all__ = [
@@ -40,53 +39,17 @@ __all__ = [
 UNITARITY_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class LoopGroupElement:
-    """Sparse matrix-coefficient loop sum_k A_k e^{ik theta}."""
+class LoopGroupElement(_BandedLoop):
+    """Matrix-coefficient loop sum_k A_k e^{ik theta} as a dense band: data
+    has shape (width, n, n); `mcoeffs` is a read-only {k: A_k} view of the
+    nonzero A_k."""
 
-    n: int
-    mcoeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"matrix dimension must be >= 1, got {self.n}")
-        clean = {}
-        for k, A in self.mcoeffs.items():
-            arr = np.array(A, dtype=complex)
-            if arr.shape != (self.n, self.n):
-                raise ValueError(
-                    f"coefficient at k={k} has shape {arr.shape}, "
-                    f"expected ({self.n}, {self.n})")
-            if arr.any():
-                arr.setflags(write=False)
-                clean[int(k)] = arr
-        object.__setattr__(self, "mcoeffs", clean)
-
-    @property
-    def band(self):
-        if not self.mcoeffs:
-            return (0, 0)
-        ks = self.mcoeffs.keys()
-        return (min(ks), max(ks))
+    _block_ndim = 2
+    mcoeffs = property(_BandedLoop._nonzero_blocks)
 
     def column(self, j):
         """Column j as a TruncatedLoop (gamma(theta) e_j)."""
-        return TruncatedLoop(
-            self.n, {k: A[:, j] for k, A in self.mcoeffs.items()})
-
-    def evaluate(self, theta):
-        th = np.asarray(theta, dtype=float)
-        out = np.zeros(th.shape + (self.n, self.n), dtype=complex)
-        for k, A in self.mcoeffs.items():
-            out += np.exp(1j * k * th)[..., None, None] * A
-        return out
-
-    def grid_samples(self, N):
-        """Exact values at theta_j = 2 pi j / N via FFT binning, (N, n, n)."""
-        bins = np.zeros((N, self.n, self.n), dtype=complex)
-        for k, A in self.mcoeffs.items():
-            bins[k % N] += A
-        return np.fft.ifft(bins, axis=0) * N
+        return TruncatedLoop.from_band(self.n, self.kmin, self.data[:, :, j])
 
 
 def identity_element(n):
@@ -112,12 +75,8 @@ def multiply(g, h):
     """Pointwise product gamma(theta) eta(theta); coefficients convolve."""
     if g.n != h.n:
         raise ValueError("dimension mismatch")
-    out = {}
-    for k, A in g.mcoeffs.items():
-        for l, B in h.mcoeffs.items():
-            m = k + l
-            out[m] = out[m] + A @ B if m in out else A @ B
-    return LoopGroupElement(g.n, out)
+    return LoopGroupElement.from_band(
+        g.n, *_convolve(g.kmin, g.data, h.kmin, h.data))
 
 
 def inverse(g):
@@ -125,29 +84,33 @@ def inverse(g):
 
     Coefficientwise: the inverse has coefficients A_{-k}^H.
     """
-    return LoopGroupElement(
-        g.n, {-k: A.conj().T for k, A in g.mcoeffs.items()})
+    return LoopGroupElement.from_band(
+        g.n, -g.band[1], g.data[::-1].conj().transpose(0, 2, 1))
 
 
 def apply(g, a):
     """The vector loop gamma(theta) a(theta) by matrix-vector convolution."""
     if g.n != a.n:
         raise ValueError("dimension mismatch")
-    out = {}
-    for k, A in g.mcoeffs.items():
-        for l, c in a.coeffs.items():
-            m = k + l
-            v = A @ c
-            out[m] = out[m] + v if m in out else v
-    return TruncatedLoop(a.n, out)
+    kmin, out = _convolve(g.kmin, g.data, a.kmin, a.data[..., None])
+    return TruncatedLoop.from_band(a.n, kmin, out[..., 0])
 
 
-def unitarity_defect(g, N=256):
-    """Max Frobenius defect ||gamma^H gamma - I|| over an N-point grid.
+def _certificate_samples(g):
+    """(N, grid values) for N the least power of two >= max(256, 4 (kmax -
+    kmin)): gamma^H gamma - I reaches frequency kmax - kmin, and four samples
+    per period of it keep a defect from hiding between grid points."""
+    kmin, kmax = g.band
+    N = 1 << (max(256, 4 * (kmax - kmin)) - 1).bit_length()
+    return N, g.grid_samples(N)
+
+
+def unitarity_defect(g):
+    """Max Frobenius defect ||gamma^H gamma - I|| over a grid sized by the band.
 
     Returns (defect, theta_at_max).
     """
-    S = g.grid_samples(N)
+    N, S = _certificate_samples(g)
     G = np.einsum("tji,tjk->tik", S.conj(), S)
     D = np.linalg.norm(G - np.eye(g.n), axis=(1, 2))
     i = int(np.argmax(D))
@@ -177,7 +140,7 @@ def det_winding(g, start_grid=256, max_grid=2 ** 16):
                 f"band implies phase speed ~{speed}, beyond grid {max_grid}")
     while True:
         d = np.linalg.det(g.grid_samples(N))
-        if np.abs(d).min() < 1e-8:
+        if not (np.abs(d).min() >= 1e-8):
             raise PhaseStepTooLarge(
                 "determinant passes near zero; input is not a unitary loop")
         steps = np.angle(np.roll(d, -1) / d)
@@ -190,13 +153,14 @@ def det_winding(g, start_grid=256, max_grid=2 ** 16):
                 f"phase steps still exceed pi/2 at grid {max_grid}")
 
 
-def theta_variation(g, N=256):
-    """Max Frobenius deviation of gamma(theta) from its grid mean.
+def theta_variation(g):
+    """Max Frobenius deviation of gamma(theta) from its mean on the
+    band-sized grid of unitarity_defect.
 
     Returns (variation, mean_matrix).  Zero exactly when the loop is a
     constant matrix; used to certify theta-independence.
     """
-    S = g.grid_samples(N)
+    _, S = _certificate_samples(g)
     mean = S.mean(axis=0)
     var = float(np.linalg.norm(S - mean, axis=(1, 2)).max())
     return var, mean
@@ -234,36 +198,27 @@ def random_loop(n, band, seed, scale=0.8, grid=512):
         xco[-k] = -Ck.conj().T
 
     # evaluate X on the grid, then exp(X) = U e^{i lam} U^H with H = -iX
-    bins = np.zeros((grid, n, n), dtype=complex)
-    for k, A in xco.items():
-        bins[k % grid] += A
-    X = np.fft.ifft(bins, axis=0) * grid
+    X = LoopGroupElement(n, xco).grid_samples(grid)
     lam, U = np.linalg.eigh(-1j * X)
     S = np.einsum("tij,tj,tkj->tik", U, np.exp(1j * lam), U.conj())
 
     spec = np.fft.fft(S, axis=0) / grid
     mags = np.linalg.norm(spec, axis=(1, 2))
-    keep = mags > 1e-11 * mags.max()
-    bins2 = np.where(keep[:, None, None], spec, 0.0)
-    S_trunc = np.fft.ifft(bins2, axis=0) * grid
+    spec[mags <= 1e-11 * mags.max()] = 0.0
+    S_trunc = np.fft.ifft(spec, axis=0) * grid
 
     S_fixed = _polar_stack(S_trunc)
     spec2 = np.fft.fft(S_fixed, axis=0) / grid
     mags2 = np.linalg.norm(spec2, axis=(1, 2))
-    floor = 1e-14 * mags2.max()
-    half = (grid + 1) // 2
-    mc = {}
-    for m in range(grid):
-        if mags2[m] > floor:
-            mc[m if m < half else m - grid] = spec2[m]
-    g = LoopGroupElement(n, mc)
+    spec2[mags2 <= 1e-14 * mags2.max()] = 0.0
+    g = LoopGroupElement._from_spectrum(spec2)
     defect, theta = unitarity_defect(g)
-    if defect > UNITARITY_TOL:
+    if not (defect <= UNITARITY_TOL):
         raise UnitarityViolation(defect, theta)
     return g
 
 
-def _canonical_basis_rotation(mc, n, sv_tol=1e-8):
+def _canonical_basis_rotation(kmin, blocks, sv_tol=1e-8):
     """Constant unitary fixing the intersection basis ambiguity.
 
     Right-multiplying all blocks by X makes the lowest-frequency invertible
@@ -272,11 +227,12 @@ def _canonical_basis_rotation(mc, n, sv_tol=1e-8):
     constant rotation of it.  Loops with no invertible block (such as
     diag(1, z)) are left untouched.
     """
-    for k in sorted(mc, key=lambda k: (abs(k), k)):
-        U, sv, Vh = np.linalg.svd(mc[k])
+    ks = range(kmin, kmin + len(blocks))
+    for k in sorted(ks, key=lambda k: (abs(k), k)):
+        U, sv, Vh = np.linalg.svd(blocks[k - kmin])
         if sv[-1] > sv_tol:
             return Vh.conj().T @ U.conj().T
-    return np.eye(n, dtype=complex)
+    return np.eye(blocks.shape[1], dtype=complex)
 
 
 def loop_from_subspace(W, tol=UNITARITY_TOL):
@@ -287,9 +243,9 @@ def loop_from_subspace(W, tol=UNITARITY_TOL):
     exactly n (else IntersectionDimension).  Its orthonormal basis loops
     w_1..w_n become the columns of gamma, i.e. the k-th Fourier coefficient
     of w_j is column j of A_k, so gamma(theta) e_j = w_j(theta).  Pointwise
-    unitarity on a 256-point grid certifies the result (UnitarityViolation
-    otherwise); it is equivalent to the w_j forming orthonormal frames of
-    the values for every theta.
+    unitarity on the band-sized grid of unitarity_defect certifies the
+    result (UnitarityViolation otherwise); it is equivalent to the w_j
+    forming orthonormal frames of the values for every theta.
 
     The basis of the intersection is only defined up to a constant unitary;
     it is canonicalized so the lowest-frequency invertible coefficient
@@ -299,38 +255,21 @@ def loop_from_subspace(W, tol=UNITARITY_TOL):
     d = 0 if inter is None else inter.dim
     if d != W.n:
         raise IntersectionDimension(d, W.n)
-    n = W.n
-    mc = {}
-    for j, w in enumerate(inter.columns):
-        for k, c in w.coeffs.items():
-            A = mc.setdefault(k, np.zeros((n, n), dtype=complex))
-            A[:, j] = c
-    X = _canonical_basis_rotation(mc, n)
-    mc = {k: A @ X for k, A in mc.items()}
-    g = LoopGroupElement(n, mc)
+    stack = stack_columns(inter.columns)  # column j of A_k is w_j's c_k
+    blocks = stack.data @ _canonical_basis_rotation(stack.kmin, stack.data)
+    g = LoopGroupElement.from_band(W.n, stack.kmin, blocks)
     defect, theta = unitarity_defect(g)
-    if defect > tol:
+    if not (defect <= tol):
         raise UnitarityViolation(defect, theta)
     return g
 
 
 def element_to_dict(g):
     """JSON-ready dict {"n": n, "mcoeffs": {"k": [[[re, im] x n] x n]}}."""
-    return {
-        "n": g.n,
-        "mcoeffs": {
-            str(k): [[[float(z.real), float(z.imag)] for z in row]
-                     for row in g.mcoeffs[k]]
-            for k in sorted(g.mcoeffs)
-        },
-    }
+    return {"n": g.n, "mcoeffs": _to_pairs(g.mcoeffs)}
 
 
 def element_from_dict(d):
-    n = int(d["n"])
-    mc = {}
-    for key, rows in d["mcoeffs"].items():
-        mc[int(key)] = np.array(
-            [[complex(re, im) for re, im in row] for row in rows],
-            dtype=complex)
-    return LoopGroupElement(n, mc)
+    """Inverse of element_to_dict; ValueError on non-finite coefficients or
+    a band wider than fourier.MAX_BAND_WIDTH."""
+    return LoopGroupElement(int(d["n"]), _from_pairs(d["mcoeffs"]))

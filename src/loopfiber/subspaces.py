@@ -1,9 +1,9 @@
 """Finite-dimensional subspaces of truncated loop space.
 
-Frames are lists of orthonormal TruncatedLoops.  Internally a frame is
-flattened to a complex matrix over its union frequency band, so Gram
-matrices and rank decisions reduce to dense linear algebra on small
-matrices.  Flattening is an isometry for the Parseval pairing.
+Frames are lists of orthonormal TruncatedLoops.  Internally the columns of
+a frame are padded into one common frequency band, so Gram matrices and
+rank decisions reduce to dense linear algebra on small matrices.  Padding
+is an isometry for the Parseval pairing.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import RankDeficiency
 from .fourier import (TruncatedLoop, inner_product, loop_from_dict,
-                      loop_to_dict, shift)
+                      loop_to_dict, shift, stack_columns, union_band)
 
 __all__ = [
     "SubspaceFrame",
@@ -33,49 +33,25 @@ DROP_TOL = 1e-10          # Gram-Schmidt residual drop threshold
 FILTRATION_SV_TOL = 1e-8  # smallest admissible Gram singular value
 
 
-def union_band(loops):
-    """Hull of the bands of a nonempty list of loops."""
-    kmin = min(a.band[0] for a in loops)
-    kmax = max(a.band[1] for a in loops)
-    return kmin, kmax
-
-
 def stack_loops(loops, band=None):
     """Flatten loops to rows of a matrix over a common band.
 
     Row layout: coefficient vectors concatenated frequency by frequency,
     so the Euclidean pairing of rows equals the loop inner product.
     """
-    if band is None:
-        band = union_band(loops)
-    kmin, kmax = band
-    width = kmax - kmin + 1
-    n = loops[0].n
-    rows = np.zeros((len(loops), width * n), dtype=complex)
-    for i, a in enumerate(loops):
-        for k, c in a.coeffs.items():
-            j = (k - kmin) * n
-            rows[i, j:j + n] = c
-    return rows
+    data = stack_columns(loops, band).data
+    return data.transpose(2, 0, 1).reshape(len(loops), -1)
 
 
 def unstack_rows(rows, band, n):
     """Inverse of stack_loops for each row."""
-    kmin, _ = band
-    out = []
-    for row in np.atleast_2d(rows):
-        coeffs = {}
-        for idx in range(row.shape[0] // n):
-            c = row[idx * n:(idx + 1) * n]
-            if c.any():
-                coeffs[kmin + idx] = c
-        out.append(TruncatedLoop(n, coeffs))
-    return out
+    return [TruncatedLoop.from_band(n, band[0], row.reshape(-1, n))
+            for row in np.atleast_2d(rows)]
 
 
 def cross_gram(A, B):
     """Matrix of pairings G[i, j] = <A[i], B[j]> (conjugate-linear in A)."""
-    return np.array([[inner_product(a, b) for b in B] for a in A])
+    return inner_product(stack_columns(A), stack_columns(B))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +71,7 @@ class SubspaceFrame:
             raise ValueError("column dimension mismatch")
         G = cross_gram(self.columns, self.columns)
         defect = np.abs(G - np.eye(len(self.columns))).max()
-        if defect > GRAM_TOL:
+        if not (defect <= GRAM_TOL):
             raise ValueError(
                 f"frame is not orthonormal (Gram defect {defect:.3e})")
 
@@ -175,7 +151,7 @@ def expand_filtration(f, depth=None):
     shifted = [shift(g, p) for p in range(P + 1) for g in f.generators]
     G = cross_gram(shifted, shifted)
     smin = np.linalg.eigvalsh(G)[0]
-    if smin <= FILTRATION_SV_TOL:
+    if not (smin > FILTRATION_SV_TOL):
         raise RankDeficiency(
             f"shifted generator family is rank deficient "
             f"(smallest Gram singular value {smin:.3e})")
@@ -198,18 +174,16 @@ def intersect_shift_complement(W):
     orthonormal frame directly.
     """
     cols = W.columns
-    shifted = [shift(w, 1) for w in cols]
-    M = cross_gram(shifted, cols)
+    stack = stack_columns(cols)
+    M = inner_product(stack._replace(kmin=stack.kmin + 1), stack)  # z w_i
     _, s, Vh = np.linalg.svd(M)
     cutoff = 1e-9 * s[0] if s.size and s[0] > 0 else 0.0
     rank = int(np.sum(s > cutoff))
     if rank == len(cols):
         return None
     null_vecs = Vh[rank:].conj()  # rows x with M x = 0
-    band = W.band
-    rows = stack_loops(cols, band)
-    combo = null_vecs @ rows
-    return SubspaceFrame(W.n, unstack_rows(combo, band, W.n))
+    combo = null_vecs @ stack_loops(cols)
+    return SubspaceFrame(W.n, unstack_rows(combo, W.band, W.n))
 
 
 def principal_angles(A, B):
@@ -225,11 +199,9 @@ def principal_angles(A, B):
 
 def project_onto(frame, a):
     """Orthogonal projection of the loop `a` onto span(frame)."""
-    out = None
-    for w in frame.columns:
-        term = inner_product(w, a) * w
-        out = term if out is None else out + term
-    return out
+    stack = stack_columns(frame.columns)
+    weights = inner_product(stack, a)  # <w_i, a>
+    return TruncatedLoop.from_band(a.n, stack.kmin, stack.data @ weights)
 
 
 def frame_to_dict(fr):

@@ -112,6 +112,24 @@ class TestProject:
         src = write_json(tmp_path / "notloop.json", {"foo": 1})
         assert cli.main(["project", src, "--no-meta"]) == 2
 
+    def test_non_finite_coefficient_exit2(self, capsys, tmp_path):
+        src = tmp_path / "nan.json"
+        src.write_text('{"n": 1, "coeffs": {"0": [[NaN, 0.0]]}}')
+        assert cli.main(["project", str(src), "--no-meta"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_coefficient_list_exit2(self, capsys, tmp_path):
+        src = write_json(tmp_path / "list.json",
+                         {"n": 1, "coeffs": [[1.0, 0.0]]})
+        assert cli.main(["project", src, "--no-meta"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_band_too_wide_exit2(self, capsys, tmp_path):
+        src = write_json(tmp_path / "wide.json", {"n": 1, "coeffs": {
+            "-1000000000000": [[1.0, 0.0]], "1000000000000": [[1.0, 0.0]]}})
+        assert cli.main(["project", src, "--no-meta"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_missing_file_exit2(self, capsys, tmp_path):
         assert cli.main(["project", str(tmp_path / "gone.json"),
                          "--no-meta"]) == 2

@@ -11,6 +11,8 @@ from loopfiber.fourier import (TruncatedLoop, basis_loop, constant_loop,
                                loop_to_dict, norm, project_minus,
                                project_plus, scalar_multiply, shift,
                                zero_loop)
+from loopfiber.loopgroup import LoopGroupElement, apply, multiply
+from loopfiber.subspaces import cross_gram
 
 finite = st.floats(min_value=-2.0, max_value=2.0,
                    allow_nan=False, allow_infinity=False)
@@ -55,6 +57,17 @@ class TestBasics:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TruncatedLoop(2, {0: [1.0, 0.0, 0.0]})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            TruncatedLoop(1, {0: [bad]})
+
+    def test_cancellation_trims_to_zero_loop(self):
+        a = TruncatedLoop(2, {-3: [1.0, 2j], 4: [0.5, 0.0]})
+        zero = a + (-a)
+        assert zero.is_zero
+        assert zero.band == (0, 0)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -199,3 +212,61 @@ class TestSerialization:
         # entries are [re, im] pairs, one per vector component
         d = loop_to_dict(constant_loop([1.0, 2.0j]))
         assert d == {"n": 2, "coeffs": {"0": [[1.0, 0.0], [0.0, 2.0]]}}
+
+    def test_gap_frequencies_not_written(self):
+        a = TruncatedLoop(2, {-3: [1.0, 0.0], 3: [0.0, 1j]})
+        assert list(loop_to_dict(a)["coeffs"]) == ["-3", "3"]
+
+
+def dict_convolve(a, b, pair):
+    """Reference: sum_{k+l=m} pair(a_k, b_l) over two coefficient dicts."""
+    out = {}
+    for k, x in a.items():
+        for l, y in b.items():
+            out[k + l] = out.get(k + l, 0) + pair(x, y)
+    return out
+
+
+def dict_pairing(a, b):
+    """Reference: Parseval sum over the keys two coefficient dicts share."""
+    return sum((np.vdot(a[k], b[k]) for k in a.keys() & b.keys()), 0j)
+
+
+def assert_same_coeffs(got, want):
+    for k in got.keys() | want.keys():
+        assert np.abs(got.get(k, 0) - want.get(k, 0)).max() <= 1e-12
+
+
+def element(cols):
+    """The matrix loop whose column j is the loop cols[j]."""
+    n = len(cols)
+    keys = set().union(*(c.coeffs for c in cols))
+    return LoopGroupElement(n, {k: np.column_stack(
+        [c.coeffs.get(k, np.zeros(n)) for c in cols]) for k in keys})
+
+
+class TestDictReference:
+    """Dense band arithmetic against per-frequency dict reference code."""
+
+    @given(loops(n=2), loops(n=2), loops(n=2), loops(n=2), loops(n=2))
+    def test_multiply_and_apply(self, c0, c1, d0, d1, a):
+        g, h = element([c0, c1]), element([d0, d1])
+        assert_same_coeffs(multiply(g, h).mcoeffs,
+                           dict_convolve(g.mcoeffs, h.mcoeffs, np.matmul))
+        assert_same_coeffs(apply(g, a).coeffs,
+                           dict_convolve(g.mcoeffs, a.coeffs, np.matmul))
+
+    @given(loops(n=1), loops(n=3))
+    def test_scalar_multiply(self, f, a):
+        assert_same_coeffs(scalar_multiply(f, a).coeffs,
+                           dict_convolve(f.coeffs, a.coeffs, np.multiply))
+
+    @given(st.lists(loops(n=2), min_size=1, max_size=4),
+           st.lists(loops(n=2), min_size=1, max_size=4))
+    def test_pairings(self, A, B):
+        want = np.array([[dict_pairing(a.coeffs, b.coeffs) for b in B]
+                         for a in A])
+        assert np.abs(cross_gram(A, B) - want).max() <= 1e-12
+        assert abs(inner_product(A[0], B[0]) - want[0, 0]) <= 1e-12
+        assert abs(norm(A[0]) - np.sqrt(
+            dict_pairing(A[0].coeffs, A[0].coeffs).real)) <= 1e-12

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from loopfiber import loopgroup
 from loopfiber.errors import (IntersectionDimension, PhaseStepTooLarge,
                               UnitarityViolation)
 from loopfiber.fourier import (TruncatedLoop, basis_loop, inner_product,
@@ -65,6 +66,14 @@ class TestAlgebra:
                               2: rng.standard_normal(3) * (1 + 0j)})
         lhs = inner_product(apply(g, a), apply(g, b))
         assert lhs == pytest.approx(inner_product(a, b), abs=1e-9)
+
+    def test_cancelling_top_coefficient_trims_band(self):
+        # (P z + I)(Q z + I) = I + z I: the z^2 block P Q vanishes exactly
+        P, Q = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        g = LoopGroupElement(2, {0: np.eye(2), 1: P})
+        h = LoopGroupElement(2, {0: np.eye(2), 1: Q})
+        assert multiply(g, h).band == (0, 1)
+        assert apply(g, basis_loop(2, component=1, frequency=1)).band == (1, 1)
 
     def test_column_extraction(self):
         g = diag_zpowers([1, 0])
@@ -133,12 +142,22 @@ class TestRandomLoop:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_unitary_on_and_off_grid(self, n):
         g = random_loop(n, 4, seed=100 + n)
-        assert unitarity_defect(g, 256)[0] <= 1e-8
-        assert unitarity_defect(g, 384)[0] <= 1e-8  # off the build grid
+        for N in (256, 384):  # 384 points lie off the build grid
+            S = g.evaluate(2 * np.pi * np.arange(N) / N)
+            G = np.einsum("tji,tjk->tik", S.conj(), S)
+            assert np.linalg.norm(G - np.eye(n), axis=(1, 2)).max() <= 1e-8
 
     def test_band_parameter_validated(self):
         with pytest.raises(ValueError):
             random_loop(2, 0, seed=1)
+
+
+class TestCertificateGrid:
+    def test_grid_resolves_the_band(self):
+        # gamma = 1 + i sin(256 theta) equals 1 at every point of a 256-grid
+        g = LoopGroupElement(1, {0: [[1.0]], 256: [[0.5]], -256: [[-0.5]]})
+        assert unitarity_defect(g)[0] == pytest.approx(1.0, abs=1e-12)
+        assert theta_variation(g)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLoopFromSubspace:
@@ -204,6 +223,13 @@ class TestLoopFromSubspace:
         # six columns, the shift map pairs up only two of them: rank 2
         assert ei.value.got == 4 and ei.value.expected == 2
 
+    def test_nan_defect_fails_closed(self, monkeypatch):
+        W = expand_filtration(FiltrationSubspace([basis_loop(1)], 2))
+        monkeypatch.setattr(loopgroup, "unitarity_defect",
+                            lambda g: (float("nan"), 0.0))
+        with pytest.raises(UnitarityViolation):
+            loop_from_subspace(W)
+
     def test_nonunimodular_member_rejected(self):
         # W = span{(1 + z^2)/sqrt 2}: meets (zW)^perp in itself, but the
         # loop values vanish at theta = pi/2, so no unitary loop exists
@@ -221,6 +247,13 @@ class TestSerialization:
         assert set(g.mcoeffs) == set(h.mcoeffs)
         for k in g.mcoeffs:
             assert np.array_equal(g.mcoeffs[k], h.mcoeffs[k])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        d = element_to_dict(identity_element(2))
+        d["mcoeffs"]["0"][1][1] = [bad, 0.0]
+        with pytest.raises(ValueError):
+            element_from_dict(d)
 
     def test_schema_shape(self):
         g = diag_zpowers([1])
