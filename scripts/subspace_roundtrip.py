@@ -8,15 +8,6 @@ measures how far g^-1 times the reconstruction is from a constant.
 import argparse
 
 from loopfiber import loopgroup
-from loopfiber.fourier import basis_loop
-from loopfiber.loopgroup import apply
-from loopfiber.subspaces import orthonormalize
-
-
-def window_frame(g, depth):
-    cols = [apply(g, basis_loop(g.n, component=j, frequency=p))
-            for p in range(depth + 1) for j in range(g.n)]
-    return orthonormalize(cols)
 
 
 def main():
@@ -32,7 +23,8 @@ def main():
           f"  {'winding':>7}")
     for i in range(args.trials):
         g = loopgroup.random_loop(args.n, args.band, seed=args.seed + i)
-        ghat = loopgroup.loop_from_subspace(window_frame(g, args.depth))
+        ghat = loopgroup.loop_from_subspace(
+            loopgroup.window_frame(g, args.depth))
         defect = loopgroup.unitarity_defect(ghat)[0]
         residue = loopgroup.multiply(loopgroup.inverse(ghat), g)
         variation = loopgroup.theta_variation(residue)[0]

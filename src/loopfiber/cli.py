@@ -263,7 +263,7 @@ def cmd_obstruction(cfg):
         raise InputError("obstruction sweeps are defined for --preset monopole")
     conn = transport.monopole(cfg.q)
     family = transport.latitude_family()
-    winding = transport.chern_winding(conn, family, N=cfg.N, M=cfg.M)
+    winding, hols = transport.chern_sweep(conn, family, N=cfg.N, M=cfg.M)
     payload = {
         "preset": conn.name,
         "q": cfg.q,
@@ -273,10 +273,11 @@ def cmd_obstruction(cfg):
         "csv": cfg.csv,
     }
     if cfg.csv:
-        hols = transport.holonomy_sweep(conn, family, cfg.M, cfg.N)[:, 0, 0]
+        # the sweep the winding was read from, on its refined grid if any
+        M = len(hols) - 1
         lines = ["s,re,im"]
         for j, h in enumerate(hols.tolist()):
-            lines.append(f"{j / cfg.M!r},{h.real!r},{h.imag!r}")
+            lines.append(f"{j / M!r},{h.real!r},{h.imag!r}")
         _write_atomic(cfg.csv, "\n".join(lines) + "\n")
     return _report(cfg, "obstruction", payload), EXIT_OK
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import IntersectionDimension, PhaseStepTooLarge, UnitarityViolation
 from .fourier import (TruncatedLoop, _BandedLoop, _convolve, _from_pairs,
-                      _to_pairs, stack_columns)
-from .subspaces import intersect_shift_complement
+                      _to_pairs, basis_loop, stack_columns)
+from .subspaces import intersect_shift_complement, orthonormalize
 
 __all__ = [
     "LoopGroupElement",
@@ -31,6 +31,7 @@ __all__ = [
     "theta_variation",
     "det_winding",
     "random_loop",
+    "window_frame",
     "loop_from_subspace",
     "element_to_dict",
     "element_from_dict",
@@ -233,6 +234,14 @@ def _canonical_basis_rotation(kmin, blocks, sv_tol=1e-8):
         if sv[-1] > sv_tol:
             return Vh.conj().T @ U.conj().T
     return np.eye(blocks.shape[1], dtype=complex)
+
+
+def window_frame(g, depth):
+    """Orthonormal frame of the window g . span{z^p e_j : 0 <= p <= depth},
+    the subspace `loop_from_subspace` rebuilds g from."""
+    cols = [apply(g, basis_loop(g.n, component=j, frequency=p))
+            for p in range(depth + 1) for j in range(g.n)]
+    return orthonormalize(cols)
 
 
 def loop_from_subspace(W, tol=UNITARITY_TOL):

@@ -11,12 +11,17 @@ Conventions, fixed once for the whole package:
   * the holonomy of a loop is T(1), so an abelian connection gives
     Hol = exp(-loop integral of A).
 
+Loops and forms take arrays: a loop's `fn(t)` maps a float array t to
+positions and velocities of shape t.shape + (d,), and a connection's
+`form(x, v)` maps (..., d) arrays to (..., n, n) matrices.  Transport never
+calls either per point.
+
 The ODE is linear, so one RK4 step of size h is a matrix P_i applied to
 T(t_i).  Transport runs as one batched pipeline for every fiber dimension n:
 
-  1. sample -A once at the 2 steps + 1 half-step nodes t0 + j h/2 (a step's
-     endpoint is the next step's start) and check every sample for shape
-     and anti-Hermiticity;
+  1. sample the loop and -A in one call each on all 2 steps + 1 half-step
+     nodes t0 + j h/2 (a step's endpoint is the next step's start) and check
+     every sample for shape and anti-Hermiticity;
   2. build every propagator P_i = I + h/6 (k1 + 2 k2 + 2 k3 + k4) with
      stacked matrix products;
   3. unitarize each step once, Q_i = polar(P_i); since polar(P T) =
@@ -24,6 +29,10 @@ T(t_i).  Transport runs as one batched pipeline for every fiber dimension n:
   4. form T(t_i) = Q_{i-1} ... Q_0 and the raw chain P_{i-1} ... P_0 as
      log-depth prefix products, then re-project T with one more batched
      polar so the frame stays unitary to roundoff.
+
+A holonomy alone needs only T(1): `holonomy` multiplies the Q_i with a
+pairwise tree product and takes one final polar, skipping the prefix
+products and the raw chain.
 
 Under these conventions the plane preset with form (i B / 2)(x dy - y dx)
 gives Hol = exp(-i B pi r^2) on a counterclockwise radius-r circle, and the
@@ -55,6 +64,7 @@ __all__ = [
     "rotated_twist",
     "latitude_loop",
     "latitude_family",
+    "chern_sweep",
     "chern_winding",
     "save_loop_csv",
     "load_loop_csv",
@@ -68,8 +78,9 @@ ANTIHERM_TOL = 1e-10
 class BaseLoop:
     """A closed parametrized curve t -> x(t) in R^d with period 1.
 
-    Wraps a callback returning (position, velocity); sampled curves are
-    interpolated with a periodic cubic spline.
+    `fn(t)` takes a float array t and returns (position, velocity), both of
+    shape t.shape + (d,); sampled curves are interpolated with a periodic
+    cubic spline.
     """
 
     d: int
@@ -79,9 +90,8 @@ class BaseLoop:
     def from_function(cls, d, fn, check_closure=True):
         loop = cls(d, fn)
         if check_closure:
-            x0, _ = loop.xv(0.0)
-            x1, _ = loop.xv(1.0)
-            gap = float(np.linalg.norm(x1 - x0))
+            x, _ = loop.xv(np.array([0.0, 1.0]))
+            gap = float(np.linalg.norm(x[1] - x[0]))
             if gap > CLOSURE_TOL:
                 raise ValueError(f"loop does not close: |x(1)-x(0)| = {gap:.3e}")
         return loop
@@ -111,16 +121,23 @@ class BaseLoop:
         w = 2.0 * math.pi
 
         def fn(t):
-            c, s = math.cos(w * t), math.sin(w * t)
-            x = np.array([cx + radius * c, cy + radius * s])
-            v = np.array([-w * radius * s, w * radius * c])
+            c, s = np.cos(w * t), np.sin(w * t)
+            x = np.stack([cx + radius * c, cy + radius * s], axis=-1)
+            v = np.stack([-w * radius * s, w * radius * c], axis=-1)
             return x, v
 
         return cls(2, fn)
 
     def xv(self, t):
-        x, v = self.fn(t % 1.0 if t != 1.0 else 1.0)
-        return np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+        """Positions and velocities at the times t, of shape t.shape + (d,)."""
+        t = np.asarray(t, dtype=float)
+        x, v = self.fn(np.where(t == 1.0, 1.0, t % 1.0))
+        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+        expected = t.shape + (self.d,)
+        if x.shape != expected or v.shape != expected:
+            raise ValueError(f"loop samples have shapes {x.shape} and "
+                             f"{v.shape}, expected {expected}")
+        return x, v
 
     def point(self, t):
         return self.xv(t)[0]
@@ -139,8 +156,10 @@ class BaseLoop:
 class ConnectionSpec:
     """An anti-Hermitian n x n matrix 1-form on a d-dimensional chart.
 
-    `form(x, v)` must be linear in v and anti-Hermitian to 1e-10 at every
-    sampled point; transport verifies the latter sample by sample.
+    `form(x, v)` takes positions and velocities as (..., d) arrays and
+    returns the (..., n, n) stack of matrices A(x, v).  It must be linear in
+    v and anti-Hermitian to 1e-10 at every sampled point; transport verifies
+    the latter sample by sample.
     """
 
     n: int
@@ -150,10 +169,8 @@ class ConnectionSpec:
 
 
 def flat(n=1, d=2):
-    Z = np.zeros((n, n), dtype=complex)
-
     def form(x, v):
-        return Z
+        return np.zeros(x.shape[:-1] + (n, n), dtype=complex)
 
     return ConnectionSpec(n, d, form, name="flat")
 
@@ -167,7 +184,8 @@ def abelian2d(B=1.0):
     """
 
     def form(x, v):
-        return np.array([[-0.5j * B * (x[0] * v[1] - x[1] * v[0])]])
+        num = x[..., 0] * v[..., 1] - x[..., 1] * v[..., 0]
+        return (-0.5j * B * num)[..., None, None]
 
     return ConnectionSpec(1, 2, form, name="abelian2d")
 
@@ -187,14 +205,17 @@ def monopole(q):
     """
 
     def form(x, v):
-        num = x[0] * v[1] - x[1] * v[0]
-        if num == 0.0:
-            # exactly radial or stationary: d phi term vanishes (this also
-            # covers v = 0 sitting on the axis, where A . 0 = 0 by linearity)
-            return np.zeros((1, 1), dtype=complex)
-        rho2 = x[0] * x[0] + x[1] * x[1]
-        r = math.sqrt(rho2 + x[2] * x[2])
-        return np.array([[0.5j * q * (1.0 - x[2] / r) * num / rho2]])
+        num = x[..., 0] * v[..., 1] - x[..., 1] * v[..., 0]
+        # where num is exactly 0 the motion is radial or stationary and the
+        # d phi term vanishes (this also covers v = 0 sitting on the axis,
+        # where A . 0 = 0 by linearity); elsewhere rho2 and r are positive
+        moving = num != 0.0
+        rho2 = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
+        r = np.sqrt(rho2 + x[..., 2] * x[..., 2])
+        cos_u = np.divide(x[..., 2], r, out=np.zeros_like(r), where=moving)
+        coef = np.divide(0.5 * q * (1.0 - cos_u) * num, rho2,
+                         out=np.zeros_like(r), where=moving)
+        return (1j * coef)[..., None, None]
 
     return ConnectionSpec(1, 3, form, name="monopole")
 
@@ -213,9 +234,11 @@ def su2sample():
     """
 
     def form(x, v):
-        A0 = 1j * (0.3 * _S1 + 0.2 * x[1] * _S3)
-        A1 = 1j * (0.4 * _S2 - 0.1 * x[0] * _S1 + 0.15 * _S3)
-        return v[0] * A0 + v[1] * A1
+        x0, x1 = x[..., 0, None, None], x[..., 1, None, None]
+        v0, v1 = v[..., 0, None, None], v[..., 1, None, None]
+        A0 = 1j * (0.3 * _S1 + 0.2 * x1 * _S3)
+        A1 = 1j * (0.4 * _S2 - 0.1 * x0 * _S1 + 0.15 * _S3)
+        return v0 * A0 + v1 * A1
 
     return ConnectionSpec(2, 2, form, name="su2sample")
 
@@ -284,37 +307,51 @@ def _prefix_products(E):
     return C
 
 
+def _tree_product(E):
+    """C with I + C = (I + E[-1]) ... (I + E[0]), by pairwise products.
+
+    Offsets from I as in `_prefix_products`.  Pairs are formed from the last
+    factor down, which groups the factors exactly as the last entry of
+    `_prefix_products` does, so both give the same bits.
+    """
+    while len(E) > 1:
+        odd = len(E) % 2
+        later, earlier = E[odd + 1::2], E[odd::2]
+        E = np.concatenate([E[:odd], later + earlier + later @ earlier])
+    return E[0]
+
+
 def _sample_forms(conn, xv, ts):
     """-A at every node t in ts, checked for shape and anti-Hermiticity."""
-    n, form = conn.n, conn.form
-    A = np.empty((len(ts), n, n), dtype=complex)
-    for j, t in enumerate(ts):
-        x, v = xv(t)
-        a = np.asarray(form(x, v), dtype=complex)
-        if a.shape != (n, n):
-            raise ValueError(f"connection form at t={t!r} has shape "
-                             f"{a.shape}, expected ({n}, {n})")
-        A[j] = a
+    n = conn.n
+    A = np.asarray(conn.form(*xv(ts)), dtype=complex)
+    if A.shape != (len(ts), n, n):
+        raise ValueError(f"connection form on {len(ts)} nodes has shape "
+                         f"{A.shape}, expected ({len(ts)}, {n}, {n})")
     with np.errstate(invalid="ignore"):
         defect = np.linalg.norm(A + A.conj().transpose(0, 2, 1), axis=(1, 2))
     # written so that a NaN defect fails the check too
     bad = np.flatnonzero(~(defect <= ANTIHERM_TOL))
     if bad.size:
-        raise NonAntiHermitianSample(float(defect[bad[0]]), ts[bad[0]])
+        raise NonAntiHermitianSample(float(defect[bad[0]]), float(ts[bad[0]]))
     return -A
 
 
-def _transport_chain(conn, xv, t0, t1, steps):
-    """Frames T(t0 + i h), i = 0..steps, the raw chain's end and its drift."""
+def _step_offsets(conn, xv, t0, t1, steps):
+    """D_i with P_i = I + D_i the RK4 propagator of step i, i < steps."""
     h = (t1 - t0) / steps
-    I = np.eye(conn.n, dtype=complex)
-    M = _sample_forms(conn, xv, np.linspace(t0, t1, 2 * steps + 1).tolist())
+    M = _sample_forms(conn, xv, np.linspace(t0, t1, 2 * steps + 1))
     M0, Mh, M1 = M[0:-1:2], M[1::2], M[2::2]
     K2 = Mh + (0.5 * h) * (Mh @ M0)
     K3 = Mh + (0.5 * h) * (Mh @ K2)
     K4 = M1 + h * (M1 @ K3)
-    # step i's propagator is P_i = I + D_i
-    D = (h / 6.0) * (M0 + 2.0 * K2 + 2.0 * K3 + K4)
+    return (h / 6.0) * (M0 + 2.0 * K2 + 2.0 * K3 + K4)
+
+
+def _transport_chain(conn, xv, t0, t1, steps):
+    """Frames T(t0 + i h), i = 0..steps, the raw chain's end and its drift."""
+    I = np.eye(conn.n, dtype=complex)
+    D = _step_offsets(conn, xv, t0, t1, steps)
     E = _prefix_products(D)
     EH = E.conj().transpose(0, 2, 1)
     raw_defect = float(np.linalg.norm(E + EH + EH @ E, axis=(1, 2)).max())
@@ -322,20 +359,32 @@ def _transport_chain(conn, xv, t0, t1, steps):
     return np.concatenate([I[None], Ts]), I + E[-1], raw_defect
 
 
-def parallel_transport(conn, loop, N=2048):
-    """Integrate the transport frame over the whole loop on an N-grid."""
+def _end_transport(conn, xv, t0, t1, steps):
+    """T(t1) alone: the polar of the tree product of the step polar factors."""
+    I = np.eye(conn.n, dtype=complex)
+    D = _step_offsets(conn, xv, t0, t1, steps)
+    return _polar(I + _tree_product(_polar(I + D) - I))
+
+
+def _check_grid(conn, loop, N):
     if conn.d != loop.d:
         raise ValueError(
             f"chart dimension mismatch: connection d={conn.d}, loop d={loop.d}")
     if N < 1:
         raise ValueError("N must be >= 1")
+
+
+def parallel_transport(conn, loop, N=2048):
+    """Integrate the transport frame over the whole loop on an N-grid."""
+    _check_grid(conn, loop, N)
     Ts, R, raw = _transport_chain(conn, loop.xv, 0.0, 1.0, N)
     return TransportFrame(loop, conn, N, Ts, raw, R)
 
 
 def holonomy(conn, loop, N=2048):
     """Transport once around: Hol = T(1)."""
-    return _transport_chain(conn, loop.xv, 0.0, 1.0, N)[0][-1]
+    _check_grid(conn, loop, N)
+    return _end_transport(conn, loop.xv, 0.0, 1.0, N)
 
 
 def transport_reversed(conn, loop, t, N=2048):
@@ -350,7 +399,7 @@ def transport_reversed(conn, loop, t, N=2048):
         x, v = loop.xv(t - s)
         return x, -v
 
-    return _transport_chain(conn, xv, 0.0, t, steps)[0][-1]
+    return _end_transport(conn, xv, 0.0, t, steps)
 
 
 def refinement_delta(conn, loop, N=2048):
@@ -378,9 +427,9 @@ def latitude_loop(u):
     w = 2.0 * math.pi
 
     def fn(t):
-        c, sn = math.cos(w * t), math.sin(w * t)
-        x = np.array([su * c, su * sn, cu])
-        v = np.array([-w * su * sn, w * su * c, 0.0])
+        c, sn = np.cos(w * t), np.sin(w * t)
+        x = np.stack([su * c, su * sn, np.full_like(c, cu)], axis=-1)
+        v = np.stack([-w * su * sn, w * su * c, np.zeros_like(c)], axis=-1)
         return x, v
 
     return BaseLoop(3, fn)
@@ -409,39 +458,58 @@ def holonomy_sweep(conn, family, M, N):
     return np.array([holonomy(conn, family(j / M), N) for j in range(M + 1)])
 
 
-def chern_winding(conn, family, N=256, M=64, max_family_grid=4096):
-    """Winding number of s -> holonomy(family(s)) for a U(1) connection.
+def _sweep_winding(h):
+    """Winding number of the closed U(1) path h[0], ..., h[M] of holonomies.
+
+    Returns None when a phase step between neighbours is not below pi/2,
+    i.e. when the grid is too coarse to tell the winding.
+    """
+    if np.abs(h).min() < 1e-8:
+        raise PhaseStepTooLarge("holonomy sample too close to zero")
+    steps = np.angle(h[1:] / h[:-1])
+    if np.abs(steps).max() < np.pi / 2:
+        return int(round(steps.sum() / (2.0 * np.pi)))
+    return None
+
+
+def chern_sweep(conn, family, N=256, M=64, max_family_grid=4096):
+    """Winding number of s -> holonomy(family(s)) for a U(1) connection,
+    with the sweep it was read from.
 
     The family grid M doubles until successive phase steps are below
     pi/2; PhaseStepTooLarge is raised beyond `max_family_grid`.  For a
     closed family (constant endpoint loops) the sum of steps is a whole
     number of turns, which is the first Chern number of the bundle the
-    family sweeps out.
+    family sweeps out.  Returns (winding, h) with h[j] the holonomy of
+    family(j / (len(h) - 1)).
     """
     if conn.n != 1:
         raise ValueError("winding needs a U(1) connection (n = 1)")
     while True:
         h = holonomy_sweep(conn, family, M, N)[:, 0, 0]
-        if np.abs(h).min() < 1e-8:
-            raise PhaseStepTooLarge("holonomy sample too close to zero")
-        steps = np.angle(h[1:] / h[:-1])
-        if np.abs(steps).max() < np.pi / 2:
-            return int(round(steps.sum() / (2.0 * np.pi)))
+        winding = _sweep_winding(h)
+        if winding is not None:
+            return winding, h
         M *= 2
         if M > max_family_grid:
             raise PhaseStepTooLarge(
                 f"family phase steps still exceed pi/2 at grid {max_family_grid}")
 
 
+def chern_winding(conn, family, N=256, M=64, max_family_grid=4096):
+    """The winding number of `chern_sweep`, without the sweep."""
+    return chern_sweep(conn, family, N, M, max_family_grid)[0]
+
+
 def save_loop_csv(loop, path, M=256):
     """Write samples t, x1, ..., xd at t = j/M, j = 0..M-1."""
+    ts = np.arange(M) / M
+    xs = loop.point(ts)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t"] + [f"x{i + 1}" for i in range(loop.d)])
-        for j in range(M):
-            t = j / M
-            x = loop.point(t)
-            w.writerow([repr(t)] + [repr(float(c)) for c in x])
+        w.writerows([repr(c) for c in [t] + x]
+                    for t, x in zip(ts.tolist(), xs.tolist()))
 
 
 def load_loop_csv(path):

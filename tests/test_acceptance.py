@@ -20,7 +20,7 @@ from loopfiber.decomp import (
 )
 from loopfiber.errors import NonConstantReducedTransition
 
-from util import haar_unitary, twisted_plus_frame
+from util import haar_unitary
 
 _S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 _S3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -41,7 +41,7 @@ def test_criterion_1_subspace_loop_roundtrip():
         n = (1, 2, 3)[i % 3]
         band = 1 + (i % 4)
         g = loopgroup.random_loop(n, band, seed=100 + i)
-        frame = twisted_plus_frame(g, depth=6)
+        frame = loopgroup.window_frame(g, depth=6)
         ghat = loopgroup.loop_from_subspace(frame)
         defect = loopgroup.unitarity_defect(ghat)[0]
         residue = loopgroup.multiply(loopgroup.inverse(ghat), g)
@@ -81,8 +81,8 @@ def test_criterion_2_frequency_splitting_counts():
             upper = subspaces.expand_filtration(filt, depth + 1)
         else:
             g = loopgroup.random_loop(n, 2, seed=300 + i)
-            lower = twisted_plus_frame(g, depth)
-            upper = twisted_plus_frame(g, depth + 1)
+            lower = loopgroup.window_frame(g, depth)
+            upper = loopgroup.window_frame(g, depth + 1)
         assert lower.dim == n * (depth + 1)
         assert upper.dim - lower.dim == n
 
@@ -142,11 +142,11 @@ def test_criterion_4_winding_obstruction_integers():
 def _five_plane_loops():
     def wobble(t):
         th = 2.0 * math.pi * t
-        x = np.array([1.1 * math.cos(th) + 0.2 * math.cos(2 * th),
-                      1.1 * math.sin(th) - 0.15 * math.sin(2 * th)])
-        v = 2.0 * math.pi * np.array(
-            [-1.1 * math.sin(th) - 0.4 * math.sin(2 * th),
-             1.1 * math.cos(th) - 0.3 * math.cos(2 * th)])
+        x = np.stack([1.1 * np.cos(th) + 0.2 * np.cos(2 * th),
+                      1.1 * np.sin(th) - 0.15 * np.sin(2 * th)], axis=-1)
+        v = 2.0 * math.pi * np.stack(
+            [-1.1 * np.sin(th) - 0.4 * np.sin(2 * th),
+             1.1 * np.cos(th) - 0.3 * np.cos(2 * th)], axis=-1)
         return x, v
 
     return [
@@ -301,6 +301,7 @@ def _perturbed_su2():
     base = transport.su2sample()
 
     def form(x, v):
-        return base.form(x, v) + 0.1j * (v[0] * _S3 + v[1] * _S1)
+        v0, v1 = v[..., 0, None, None], v[..., 1, None, None]
+        return base.form(x, v) + 0.1j * (v0 * _S3 + v1 * _S1)
 
     return transport.ConnectionSpec(2, 2, form, name="su2perturbed")

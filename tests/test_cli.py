@@ -273,6 +273,33 @@ class TestObstruction:
         assert s_end == 1.0
         assert abs(complex(re_end, im_end) - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("M, grid, sweeps", [(32, 32, 33), (2, 8, 3 + 5 + 9)])
+    def test_csv_is_the_winding_sweep(self, capsys, tmp_path, monkeypatch,
+                                      M, grid, sweeps):
+        # each holonomy is computed once, and the CSV holds those the winding
+        # was read from, on the grid where the refinement stopped
+        real, hols = transport.holonomy, []
+
+        def counted(*args, **kwargs):
+            h = real(*args, **kwargs)
+            hols.append(complex(h[0, 0]))
+            return h
+
+        monkeypatch.setattr(transport, "holonomy", counted)
+        csv = str(tmp_path / "sweep.csv")
+        code, rep = run_cli(capsys,
+                            ["obstruction", "--preset", "monopole", "--q", "1",
+                             "--N", "64", "--M", str(M), "--csv", csv,
+                             "--no-meta"])
+        assert code == 0
+        assert rep["winding"] == 1 and rep["M"] == M
+        assert len(hols) == sweeps
+        rows = [line.split(",") for line in open(csv).read().splitlines()[1:]]
+        assert [float(s) for s, _, _ in rows] == [j / grid
+                                                  for j in range(grid + 1)]
+        assert [complex(float(re), float(im)) for _, re, im in rows] \
+            == hols[-(grid + 1):]
+
     def test_higher_charge(self, capsys):
         code, rep = run_cli(capsys,
                             ["obstruction", "--preset", "monopole", "--q", "2",
@@ -284,7 +311,7 @@ class TestObstruction:
         def blow_up(*args, **kwargs):
             raise PhaseStepTooLarge("phase step stuck above pi/2")
 
-        monkeypatch.setattr(cli.transport, "chern_winding", blow_up)
+        monkeypatch.setattr(cli.transport, "chern_sweep", blow_up)
         code = cli.main(["obstruction", "--preset", "monopole",
                          "--no-meta"])
         assert code == 4

@@ -12,11 +12,12 @@ from loopfiber.loopgroup import (LoopGroupElement, apply, constant_element,
                                  det_winding, diag_zpowers, element_from_dict,
                                  element_to_dict, identity_element, inverse,
                                  loop_from_subspace, multiply, random_loop,
-                                 theta_variation, unitarity_defect)
+                                 theta_variation, unitarity_defect,
+                                 window_frame)
 from loopfiber.subspaces import (FiltrationSubspace, SubspaceFrame,
                                  expand_filtration, orthonormalize)
 
-from util import haar_unitary, twisted_plus_frame
+from util import haar_unitary
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -180,7 +181,7 @@ class TestLoopFromSubspace:
 
     def test_columns_span_the_intersection(self):
         g = random_loop(2, 2, seed=55)
-        W = twisted_plus_frame(g, 4)
+        W = window_frame(g, 4)
         ghat = loop_from_subspace(W)
         # each rebuilt column must lie in W and be orthogonal to zW
         for j in range(2):
@@ -192,7 +193,7 @@ class TestLoopFromSubspace:
     @pytest.mark.parametrize("n,seed", [(1, 7), (2, 8), (3, 9)])
     def test_roundtrip_recovers_up_to_constant(self, n, seed):
         g = random_loop(n, 3, seed=seed)
-        W = twisted_plus_frame(g, 5)
+        W = window_frame(g, 5)
         ghat = loop_from_subspace(W)
         resid = multiply(inverse(ghat), g)
         var, mean = theta_variation(resid)
@@ -201,7 +202,7 @@ class TestLoopFromSubspace:
 
     def test_winding_detected_through_subspace(self):
         g = diag_zpowers([1, 0])
-        W = twisted_plus_frame(g, 3)
+        W = window_frame(g, 3)
         ghat = loop_from_subspace(W)
         assert det_winding(ghat) == 1
 

@@ -7,6 +7,7 @@ solid angle, the small-loop expansion from a hand-computed curvature.
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -48,8 +49,9 @@ def latitude_loop(u):
     w = 2.0 * math.pi
 
     def fn(t):
-        c, s = math.cos(w * t), math.sin(w * t)
-        return np.array([su * c, su * s, cu]), np.array([-w * su * s, w * su * c, 0.0])
+        c, s = np.cos(w * t), np.sin(w * t)
+        return (np.stack([su * c, su * s, np.full_like(c, cu)], axis=-1),
+                np.stack([-w * su * s, w * su * c, np.zeros_like(c)], axis=-1))
 
     return BaseLoop(3, fn)
 
@@ -64,8 +66,9 @@ class TestBaseLoop:
 
     def test_open_curve_rejected(self):
         with pytest.raises(ValueError, match="does not close"):
-            BaseLoop.from_function(2, lambda t: (np.array([t, 0.0]),
-                                                 np.array([1.0, 0.0])))
+            BaseLoop.from_function(2, lambda t: (
+                np.stack([t, np.zeros_like(t)], axis=-1),
+                np.stack([np.ones_like(t), np.zeros_like(t)], axis=-1)))
 
     def test_rotation_shifts_parameter(self):
         loop = BaseLoop.circle(1.0)
@@ -134,9 +137,27 @@ class TestMonopole:
 
     def test_constant_loop_at_pole(self):
         north = BaseLoop.from_function(
-            3, lambda t: (np.array([0.0, 0.0, 1.0]), np.zeros(3)))
+            3, lambda t: (np.zeros(t.shape + (3,)) + [0.0, 0.0, 1.0],
+                          np.zeros(t.shape + (3,))))
         h = holonomy(monopole(1), north, N=16)[0, 0]
         assert abs(h - 1.0) < 1e-14
+
+    def test_form_vanishes_on_pole_loop(self):
+        # the north pole loop of the latitude family is exactly constant: no
+        # d phi term, and the masked divide must not touch rho2 = 0 there
+        # (no warning)
+        conn = monopole(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            A = conn.form(*latitude_family()(1.0).xv(np.linspace(0.0, 1.0, 9)))
+            assert A.shape == (9, 1, 1)
+            assert np.all(A == 0.0)
+            # an equatorial node in the same batch is not masked
+            x = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+            v = np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+            A = conn.form(x, v)[:, 0, 0]
+        # (i q / 2)(1 - cos u) d phi with q = 1, cos u = 0, d phi = 2
+        assert list(A) == [0.0, 1j, 0.0]
 
     @pytest.mark.parametrize("q", [1, 2, -1])
     def test_family_winding_equals_charge(self, q):
@@ -148,7 +169,8 @@ class TestMonopole:
         def flat3_family(s):
             return fam(s)
 
-        conn = ConnectionSpec(1, 3, lambda x, v: np.zeros((1, 1)), name="flat3")
+        conn = ConnectionSpec(1, 3, lambda x, v: np.zeros(x.shape[:-1] + (1, 1)),
+                              name="flat3")
         assert chern_winding(conn, flat3_family, N=32, M=16) == 0
 
     def test_winding_rejects_matrix_connection(self):
@@ -250,41 +272,63 @@ class TestRotatedTwist:
 
 class TestValidation:
     def test_hermitian_sample_rejected(self):
-        bad = ConnectionSpec(2, 2, lambda x, v: v[0] * S3, name="bad")
+        bad = ConnectionSpec(2, 2, lambda x, v: v[..., 0, None, None] * S3,
+                             name="bad")
         with pytest.raises(NonAntiHermitianSample) as info:
             parallel_transport(bad, BaseLoop.circle(1.0), N=16)
         assert info.value.defect > 1.0
 
     def test_scalar_hermitian_sample_rejected(self):
-        bad = ConnectionSpec(1, 2, lambda x, v: np.array([[v[0]]]), name="bad")
+        bad = ConnectionSpec(1, 2, lambda x, v: v[..., 0, None, None],
+                             name="bad")
         with pytest.raises(NonAntiHermitianSample):
             holonomy(bad, BaseLoop.circle(1.0), N=16)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            parallel_transport(abelian2d(1.0), latitude_loop(1.0))
+        for run in (parallel_transport, holonomy):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                run(abelian2d(1.0), latitude_loop(1.0))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_nan_sample_rejected_at_its_node(self, n):
         # NaN on the lower half of the unit circle; on the N=16 grid the
         # first half-step node there is t = 17/32
         def form(x, v):
-            return np.full((n, n), np.nan if x[1] < 0 else 0.0, dtype=complex)
+            lower = (x[..., 1] < 0)[..., None, None]
+            return np.where(lower, np.nan, 0.0) * np.ones((n, n), dtype=complex)
 
         with pytest.raises(NonAntiHermitianSample) as info:
             holonomy(ConnectionSpec(n, 2, form), BaseLoop.circle(1.0), N=16)
         assert info.value.t == 17 / 32
 
     def test_inf_sample_rejected(self):
-        bad = ConnectionSpec(1, 2, lambda x, v: np.array([[1j * np.inf]]))
+        bad = ConnectionSpec(
+            1, 2, lambda x, v: np.full(x.shape[:-1] + (1, 1), 1j * np.inf))
         with pytest.raises(NonAntiHermitianSample):
             parallel_transport(bad, BaseLoop.circle(1.0), N=16)
 
     @pytest.mark.parametrize("n, shape", [(1, (2, 2)), (2, (1, 1))])
     def test_wrong_sample_shape_rejected(self, n, shape):
-        bad = ConnectionSpec(n, 2, lambda x, v: np.zeros(shape, dtype=complex))
-        with pytest.raises(ValueError, match=r"at t=0\.0 has shape"):
+        bad = ConnectionSpec(
+            n, 2, lambda x, v: np.zeros(x.shape[:-1] + shape, dtype=complex))
+        with pytest.raises(ValueError, match=rf"expected \(33, {n}, {n}\)"):
             holonomy(bad, BaseLoop.circle(1.0), N=16)
+
+    @pytest.mark.parametrize("run", [parallel_transport, holonomy])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_per_point_form_rejected(self, run, n):
+        # a form written for one point returns (n, n) for the whole batch
+        per_point = ConnectionSpec(
+            n, 2, lambda x, v: np.zeros((n, n), dtype=complex))
+        with pytest.raises(ValueError,
+                           match=rf"shape \({n}, {n}\), expected \(33, {n}, {n}\)"):
+            run(per_point, BaseLoop.circle(1.0), N=16)
+
+    def test_misshapen_loop_samples_rejected(self):
+        # a loop written for one point returns (d,) for the whole batch
+        loop = BaseLoop(2, lambda t: (np.array([1.0, 0.0]), np.zeros(2)))
+        with pytest.raises(ValueError, match=r"expected \(33, 2\)"):
+            holonomy(flat(n=1), loop, N=16)
 
 
 def sequential_transport(conn, loop, N):
@@ -293,7 +337,8 @@ def sequential_transport(conn, loop, N):
     Ts, R, h = [I], I, 1.0 / N
 
     def step(Y, t):
-        M0, Mh, M1 = (-np.asarray(conn.form(*loop.xv(s)), dtype=complex)
+        M0, Mh, M1 = (-np.asarray(conn.form(*loop.xv(np.array([s]))),
+                                  dtype=complex)[0]
                       for s in (t, t + 0.5 * h, t + h))
         k1 = M0 @ Y
         k2 = Mh @ (Y + (0.5 * h) * k1)
@@ -336,7 +381,7 @@ class TestBatchedTransport:
         calls = []
 
         def counted(x, v):
-            calls.append(x)
+            calls.append(x.shape)
             return conn.form(x, v)
 
         spec = ConnectionSpec(conn.n, conn.d, counted)
@@ -344,7 +389,14 @@ class TestBatchedTransport:
             for N in (1, 64):
                 calls.clear()
                 run(spec, loop, N=N)
-                assert len(calls) == 2 * N + 1
+                assert calls == [(2 * N + 1, conn.d)]
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    @pytest.mark.parametrize("N", [1, 7, 1024])
+    def test_tree_holonomy_matches_frame(self, name, N):
+        conn, loop = REFERENCE_CASES[name]
+        frame = parallel_transport(conn, loop, N=N)
+        assert np.abs(holonomy(conn, loop, N=N) - frame.holonomy).max() < 1e-13
 
 
 class TestCsv:

@@ -2,17 +2,6 @@
 
 import numpy as np
 
-from loopfiber.fourier import basis_loop
-from loopfiber.loopgroup import apply
-from loopfiber.subspaces import orthonormalize
-
-
-def twisted_plus_frame(g, depth):
-    """Frame for g . span{ z^p e_j : 0 <= p <= depth }."""
-    cols = [apply(g, basis_loop(g.n, component=j, frequency=p))
-            for p in range(depth + 1) for j in range(g.n)]
-    return orthonormalize(cols)
-
 
 def haar_unitary(n, rng):
     """Haar-distributed unitary via QR of a Ginibre matrix."""
