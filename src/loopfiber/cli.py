@@ -3,7 +3,8 @@ twist checks, and family audits from data files.
 
 Exit codes are a stable contract:
   0  success
-  2  malformed input or bad parameters
+  2  malformed input or bad parameters, including a connection form that
+     turns non-finite or non-anti-Hermitian on the loop
   3  subspace-to-loop failure (wrong intersection dimension or unitarity)
   4  numerical refinement failure (phase steps cannot be resolved)
   5  audit or reduction failure
@@ -28,6 +29,7 @@ import numpy as np
 from . import decomp, fourier, loopgroup, subspaces, transport, twistbundle
 from .errors import (
     IntersectionDimension,
+    NonAntiHermitianSample,
     NonConstantReducedTransition,
     PeriodicityDefect,
     PhaseStepTooLarge,
@@ -42,6 +44,16 @@ EXIT_INPUT = 2
 EXIT_SUBSPACE = 3
 EXIT_REFINEMENT = 4
 EXIT_AUDIT = 5
+
+# The exit code of each error a command may raise; InputError and
+# json.JSONDecodeError are ValueErrors.
+_EXIT_CODES = {
+    ValueError: EXIT_INPUT, OSError: EXIT_INPUT,
+    RankDeficiency: EXIT_INPUT, NonAntiHermitianSample: EXIT_INPUT,
+    IntersectionDimension: EXIT_SUBSPACE, UnitarityViolation: EXIT_SUBSPACE,
+    PhaseStepTooLarge: EXIT_REFINEMENT,
+    PeriodicityDefect: EXIT_AUDIT, NonConstantReducedTransition: EXIT_AUDIT,
+}
 
 
 class InputError(ValueError):
@@ -94,14 +106,19 @@ class RunConfig:
                 raise InputError(f"{name.replace('_', '-')} must be positive")
 
 
-def _load_json(path):
+def _load_input(path, parse, what):
+    """parse(the JSON in path); InputError naming `what` on any failure."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return parse(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"not a {what}: {exc}") from exc
 
 
 def _dump(report):
@@ -120,10 +137,6 @@ def _write_atomic(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _matrix_json(M):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M)]
 
 
 def _report(cfg, command, payload):
@@ -167,11 +180,8 @@ def _base_loop(cfg, conn):
 
 
 def cmd_project(cfg):
-    data = _load_json(cfg.input)
-    try:
-        loop = fourier.loop_from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"not a coefficient loop file: {exc}") from exc
+    loop = _load_input(cfg.input, fourier.loop_from_dict,
+                       "coefficient loop file")
     plus = fourier.project_plus(loop)
     minus = fourier.project_minus(loop)
     payload = {
@@ -205,22 +215,17 @@ def cmd_project(cfg):
 
 
 def cmd_subspace_loop(cfg):
-    data = _load_json(cfg.input)
-    try:
+    def parse(data):
         if "generators" in data:
             filt = subspaces.filtration_from_dict(data)
             depth = cfg.depth if cfg.depth is not None else filt.depth
-            frame = subspaces.expand_filtration(filt, depth)
-        elif "columns" in data:
-            frame = subspaces.frame_from_dict(data)
-        else:
-            raise InputError(
-                "expected a filtration file (generators/depth) or a frame "
-                "file (n/columns)")
-    except InputError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"not a subspace file: {exc}") from exc
+            return subspaces.expand_filtration(filt, depth)
+        if "columns" in data:
+            return subspaces.frame_from_dict(data)
+        raise ValueError("expected a filtration file (generators/depth) or "
+                         "a frame file (n/columns)")
+
+    frame = _load_input(cfg.input, parse, "subspace file")
 
     tol = cfg.unitarity_tol if cfg.unitarity_tol else loopgroup.UNITARITY_TOL
     payload = {"input": cfg.input, "n": frame.n, "subspace_dim": frame.dim}
@@ -251,7 +256,7 @@ def cmd_holonomy(cfg):
     payload = {
         "preset": conn.name,
         "N": cfg.N,
-        "holonomy": _matrix_json(frame.holonomy),
+        "holonomy": fourier._to_pairs(frame.holonomy),
         "unitarity_defect": frame.raw_defect,
         "refinement_delta": float(np.linalg.norm(frame.holonomy - again)),
     }
@@ -359,11 +364,7 @@ def cmd_twistcheck(cfg):
 
 
 def cmd_audit(cfg):
-    data = _load_json(cfg.input)
-    try:
-        fam = decomp.family_from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"not a family file: {exc}") from exc
+    fam = _load_input(cfg.input, decomp.family_from_dict, "family file")
     report = decomp.audit_family(fam)
     payload = {"input": cfg.input, "audit": report.to_dict()}
     code = EXIT_OK if report.all_ok else EXIT_AUDIT
@@ -421,8 +422,7 @@ def _build_parser():
                    help="override the filtration depth")
     p.add_argument("--unitarity-tol", type=float, default=None)
 
-    p = sub.add_parser("holonomy", parents=[common],
-                       help="transport around a loop and report the holonomy")
+    p = loop_options = argparse.ArgumentParser(add_help=False)
     p.add_argument("--preset", required=True,
                    choices=["flat", "abelian2d", "monopole", "su2sample"])
     p.add_argument("--B", type=float, default=1.0, help="curvature of abelian2d")
@@ -436,6 +436,9 @@ def _build_parser():
                    help="CSV loop file instead of a built-in loop")
     p.add_argument("--N", type=int, default=2048, help="transport grid")
 
+    sub.add_parser("holonomy", parents=[common, loop_options],
+                   help="transport around a loop and report the holonomy")
+
     p = sub.add_parser("obstruction", parents=[common],
                        help="winding of the holonomy over the latitude sweep")
     p.add_argument("--preset", required=True, choices=["monopole"])
@@ -445,18 +448,9 @@ def _build_parser():
     p.add_argument("--csv", default=None,
                    help="write the per-parameter holonomy sweep here")
 
-    p = sub.add_parser("twistcheck", parents=[common],
+    p = sub.add_parser("twistcheck", parents=[common, loop_options],
                        help="round-trip and equivariance checks for twisted "
                             "sections")
-    p.add_argument("--preset", required=True,
-                   choices=["flat", "abelian2d", "monopole", "su2sample"])
-    p.add_argument("--B", type=float, default=1.0)
-    p.add_argument("--q", type=int, default=1)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--circle", dest="radius", type=float, default=1.0)
-    p.add_argument("--latitude", type=float, default=None)
-    p.add_argument("--loop", dest="input", default=None)
-    p.add_argument("--N", type=int, default=2048)
     p.add_argument("--band", type=int, default=4,
                    help="frequency band of the random test data")
     p.add_argument("--seed", type=int, default=0)
@@ -483,24 +477,9 @@ def main(argv=None):
         cfg = _config_from_args(args)
         report, code = HANDLERS[cfg.subcommand](cfg)
         text = _dump(report)
-    except InputError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, json.JSONDecodeError, RankDeficiency) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (IntersectionDimension, UnitarityViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SUBSPACE
-    except PhaseStepTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REFINEMENT
-    except (PeriodicityDefect, NonConstantReducedTransition) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AUDIT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(c for t, c in _EXIT_CODES.items() if isinstance(exc, t))
     sys.stdout.write(text)
     if cfg.output:
         path = cfg.output

@@ -26,8 +26,9 @@ from .errors import (
     NonConstantReducedTransition,
     UnitarityViolation,
 )
-from .fourier import basis_loop, shift
+from .fourier import _to_pairs, basis_loop, shift
 from .loopgroup import (
+    _polar,
     constant_element,
     det_winding,
     element_from_dict,
@@ -43,7 +44,6 @@ from .subspaces import (
     filtration_from_dict,
     filtration_to_dict,
     FiltrationSubspace,
-    intersect_shift_complement,
     orthonormalize,
     principal_angles,
     stack_loops,
@@ -188,20 +188,23 @@ def _audit_point(x, f):
     residual = _shift_residual(frame_p, frame_p1)
     growth = frame_p1.dim - frame_p.dim
 
-    inter = intersect_shift_complement(frame_p)
-    inter_dim = 0 if inter is None else inter.dim
+    # loop_from_subspace raises IntersectionDimension unless the
+    # intersection has dimension n
+    inter_dim = n
     defect = None
     failure = ""
     passed_c = False
     try:
         gamma = loop_from_subspace(frame_p)
-    except (IntersectionDimension, UnitarityViolation) as exc:
+    except IntersectionDimension as exc:
         failure = str(exc)
-        if isinstance(exc, UnitarityViolation):
-            defect = exc.defect
+        inter_dim = exc.got
+    except UnitarityViolation as exc:
+        failure = str(exc)
+        defect = exc.defect
     else:
         defect = unitarity_defect(gamma)[0]
-        passed_c = inter_dim == n
+        passed_c = True
     return PointAudit(
         point=x,
         shift_residual=residual,
@@ -225,11 +228,9 @@ def audit_family(fam):
     plus per-edge continuity cosines between neighbouring generator spans.
     """
     point_audits = tuple(_audit_point(x, f) for x, f in enumerate(fam.psi))
-    cosines = []
-    for (i, j) in fam.edges:
-        a = orthonormalize(fam.psi[i].generators)
-        b = orthonormalize(fam.psi[j].generators)
-        cosines.append(float(principal_angles(a, b).min()))
+    spans = [orthonormalize(f.generators) for f in fam.psi]
+    cosines = [float(principal_angles(spans[i], spans[j]).min())
+               for i, j in fam.edges]
     continuity_ok = all(c >= CONTINUITY_COS for c in cosines)
     return AuditReport(point_audits, tuple(cosines), continuity_ok)
 
@@ -257,17 +258,11 @@ class ReductionCertificate:
     def to_dict(self):
         return {
             "edges": [list(e) for e in self.edges],
-            "constants": [[[[float(z.real), float(z.imag)] for z in row]
-                           for row in U] for U in self.constants],
+            "constants": _to_pairs(self.constants),
             "variations": list(self.variations),
             "gamma_windings": list(self.gamma_windings),
             "max_variation": self.max_variation,
         }
-
-
-def _polar(M):
-    U, _, Vh = np.linalg.svd(M)
-    return U @ Vh
 
 
 def reduction_cocycle(fam, variation_tol=VARIATION_TOL):

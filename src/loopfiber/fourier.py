@@ -296,31 +296,40 @@ def loop_allclose(a, b, tol=1e-12):
     return norm(a - b) <= tol
 
 
-def _to_pairs(blocks):
+def _to_pairs(a):
+    """Complex array -> nested lists ending in [re, im] pairs, bit-exact."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _from_pairs(value, what):
+    """Inverse of _to_pairs, bit-exact; ValueError naming `what` unless the
+    innermost lists are [re, im] pairs."""
+    a = np.ascontiguousarray(value, dtype=float)
+    if a.shape[-1:] != (2,):
+        raise ValueError(f"{what} is not [re, im] pairs")
+    return a.view(complex)[..., 0]
+
+
+def _blocks_to_pairs(blocks):
     """{k: block} -> {"k": nested [re, im] lists}, bit-exact."""
-    return {str(k): np.stack([c.real, c.imag], axis=-1).tolist()
-            for k, c in blocks.items()}
+    return {str(k): _to_pairs(c) for k, c in blocks.items()}
 
 
-def _from_pairs(pairs):
+def _blocks_from_pairs(pairs):
     """{"k": nested [re, im] lists} -> {k: complex block}, bit-exact."""
     if not isinstance(pairs, dict):
         raise ValueError("coefficients must map frequencies to [re, im] pairs")
-    out = {}
-    for key, value in pairs.items():
-        a = np.ascontiguousarray(value, dtype=float)
-        if a.shape[-1:] != (2,):
-            raise ValueError(f"coefficient at k={key} is not [re, im] pairs")
-        out[int(key)] = a.view(complex)[..., 0]
-    return out
+    return {int(k): _from_pairs(v, f"coefficient at k={k}")
+            for k, v in pairs.items()}
 
 
 def loop_to_dict(a):
     """JSON-ready dict {"n": n, "coeffs": {"k": [[re, im] x n]}}."""
-    return {"n": a.n, "coeffs": _to_pairs(a.coeffs)}
+    return {"n": a.n, "coeffs": _blocks_to_pairs(a.coeffs)}
 
 
 def loop_from_dict(d):
     """Inverse of loop_to_dict; ValueError on non-finite coefficients or a
     band wider than MAX_BAND_WIDTH."""
-    return TruncatedLoop(int(d["n"]), _from_pairs(d["coeffs"]))
+    return TruncatedLoop(int(d["n"]), _blocks_from_pairs(d["coeffs"]))

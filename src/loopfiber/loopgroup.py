@@ -15,8 +15,8 @@ and pointwise unitarity of the result certifies the construction.
 import numpy as np
 
 from .errors import IntersectionDimension, PhaseStepTooLarge, UnitarityViolation
-from .fourier import (TruncatedLoop, _BandedLoop, _convolve, _from_pairs,
-                      _to_pairs, basis_loop, stack_columns)
+from .fourier import (TruncatedLoop, _BandedLoop, _blocks_from_pairs,
+                      _blocks_to_pairs, _convolve, basis_loop, stack_columns)
 from .subspaces import intersect_shift_complement, orthonormalize
 
 __all__ = [
@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 UNITARITY_TOL = 1e-8
+WINDING_START_GRID = 256     # det_winding's first grid
+WINDING_MAX_GRID = 2 ** 16   # det_winding's largest grid
+CANONICAL_SV_TOL = 1e-8      # least singular value of an invertible block
+RANDOM_LOOP_SCALE = 0.8      # random_loop's generator amplitude
+RANDOM_LOOP_GRID = 512       # random_loop's exponentiation grid
 
 
 class LoopGroupElement(_BandedLoop):
@@ -106,23 +111,52 @@ def _certificate_samples(g):
     return N, g.grid_samples(N)
 
 
+def _polar(S):
+    """Closest unitary to each matrix in a stack, via batched SVD."""
+    U, _, Vh = np.linalg.svd(S)
+    return U @ Vh
+
+
+def _stack_defect(S):
+    """(max over t of ||S_t^H S_t - I||, the first t attaining it) for a
+    stack S of square matrices; a NaN defect is the max."""
+    G = np.einsum("tji,tjk->tik", S.conj(), S)
+    D = np.linalg.norm(G - np.eye(S.shape[-1]), axis=(1, 2))
+    i = int(np.argmax(D))
+    return float(D[i]), i
+
+
+def _phase_winding(z, near_zero):
+    """Turns of the phase along the closed path z[0], ..., z[-1] ~ z[0].
+
+    Sums the phase steps between neighbours and rounds to whole turns, or
+    returns None when a step is not below pi/2 (the grid is too coarse to
+    tell the winding).  Raises PhaseStepTooLarge(near_zero) when some |z|
+    is below 1e-8 or NaN, where the phase means nothing.
+    """
+    if not (np.abs(z).min() >= 1e-8):
+        raise PhaseStepTooLarge(near_zero)
+    steps = np.angle(z[1:] / z[:-1])
+    if np.abs(steps).max() < np.pi / 2:
+        return int(round(steps.sum() / (2.0 * np.pi)))
+    return None
+
+
 def unitarity_defect(g):
     """Max Frobenius defect ||gamma^H gamma - I|| over a grid sized by the band.
 
     Returns (defect, theta_at_max).
     """
     N, S = _certificate_samples(g)
-    G = np.einsum("tji,tjk->tik", S.conj(), S)
-    D = np.linalg.norm(G - np.eye(g.n), axis=(1, 2))
-    i = int(np.argmax(D))
-    return float(D[i]), 2.0 * np.pi * i / N
+    defect, i = _stack_defect(S)
+    return defect, 2.0 * np.pi * i / N
 
 
-def det_winding(g, start_grid=256, max_grid=2 ** 16):
+def det_winding(g):
     """Winding number of theta -> det gamma(theta) by phase accumulation.
 
     The grid doubles until every successive phase step is below pi/2;
-    PhaseStepTooLarge is raised past `max_grid`, or when |det| falls
+    PhaseStepTooLarge is raised past WINDING_MAX_GRID, or when |det| falls
     below 1e-8 (impossible for genuinely unitary values, so it signals a
     corrupt input rather than insufficient resolution).
 
@@ -133,25 +167,23 @@ def det_winding(g, start_grid=256, max_grid=2 ** 16):
     """
     kmin, kmax = g.band
     speed = g.n * max(abs(kmin), abs(kmax), 1)
-    N = start_grid
+    N = WINDING_START_GRID
     while N < 8 * speed:
         N *= 2
-        if N > max_grid:
-            raise PhaseStepTooLarge(
-                f"band implies phase speed ~{speed}, beyond grid {max_grid}")
+        if N > WINDING_MAX_GRID:
+            raise PhaseStepTooLarge(f"band implies phase speed ~{speed}, "
+                                    f"beyond grid {WINDING_MAX_GRID}")
     while True:
         d = np.linalg.det(g.grid_samples(N))
-        if not (np.abs(d).min() >= 1e-8):
-            raise PhaseStepTooLarge(
-                "determinant passes near zero; input is not a unitary loop")
-        steps = np.angle(np.roll(d, -1) / d)
-        if np.abs(steps).max() < np.pi / 2:
-            total = steps.sum()
-            return int(round(total / (2.0 * np.pi)))
+        winding = _phase_winding(
+            np.append(d, d[:1]),
+            "determinant passes near zero; input is not a unitary loop")
+        if winding is not None:
+            return winding
         N *= 2
-        if N > max_grid:
+        if N > WINDING_MAX_GRID:
             raise PhaseStepTooLarge(
-                f"phase steps still exceed pi/2 at grid {max_grid}")
+                f"phase steps still exceed pi/2 at grid {WINDING_MAX_GRID}")
 
 
 def theta_variation(g):
@@ -167,25 +199,20 @@ def theta_variation(g):
     return var, mean
 
 
-def _polar_stack(S):
-    """Closest unitary to each matrix in a stack, via batched SVD."""
-    U, _, Vh = np.linalg.svd(S)
-    return U @ Vh
-
-
-def random_loop(n, band, seed, scale=0.8, grid=512):
+def random_loop(n, band, seed):
     """A reproducible random element of the unitary loop group.
 
     Draws an anti-Hermitian trigonometric polynomial X with generator band
-    [-band, band], exponentiates it pointwise on a `grid`-point circle,
-    truncates the resulting Fourier tail, and re-unitarizes the truncated
-    samples by polar projection.  The returned element carries the (fast
-    decaying) band of the projected samples, so `band` controls how wiggly
-    the loop is rather than the literal final band.
+    [-band, band], exponentiates it pointwise on a RANDOM_LOOP_GRID-point
+    circle, truncates the resulting Fourier tail, and re-unitarizes the
+    truncated samples by polar projection.  The returned element carries the
+    (fast decaying) band of the projected samples, so `band` controls how
+    wiggly the loop is rather than the literal final band.
     """
     if band < 1:
         raise ValueError("band must be >= 1")
     rng = np.random.default_rng(seed)
+    scale, grid = RANDOM_LOOP_SCALE, RANDOM_LOOP_GRID
 
     def draw():
         return (rng.standard_normal((n, n))
@@ -208,7 +235,7 @@ def random_loop(n, band, seed, scale=0.8, grid=512):
     spec[mags <= 1e-11 * mags.max()] = 0.0
     S_trunc = np.fft.ifft(spec, axis=0) * grid
 
-    S_fixed = _polar_stack(S_trunc)
+    S_fixed = _polar(S_trunc)
     spec2 = np.fft.fft(S_fixed, axis=0) / grid
     mags2 = np.linalg.norm(spec2, axis=(1, 2))
     spec2[mags2 <= 1e-14 * mags2.max()] = 0.0
@@ -219,7 +246,7 @@ def random_loop(n, band, seed, scale=0.8, grid=512):
     return g
 
 
-def _canonical_basis_rotation(kmin, blocks, sv_tol=1e-8):
+def _canonical_basis_rotation(kmin, blocks):
     """Constant unitary fixing the intersection basis ambiguity.
 
     Right-multiplying all blocks by X makes the lowest-frequency invertible
@@ -231,7 +258,7 @@ def _canonical_basis_rotation(kmin, blocks, sv_tol=1e-8):
     ks = range(kmin, kmin + len(blocks))
     for k in sorted(ks, key=lambda k: (abs(k), k)):
         U, sv, Vh = np.linalg.svd(blocks[k - kmin])
-        if sv[-1] > sv_tol:
+        if sv[-1] > CANONICAL_SV_TOL:
             return Vh.conj().T @ U.conj().T
     return np.eye(blocks.shape[1], dtype=complex)
 
@@ -275,10 +302,10 @@ def loop_from_subspace(W, tol=UNITARITY_TOL):
 
 def element_to_dict(g):
     """JSON-ready dict {"n": n, "mcoeffs": {"k": [[[re, im] x n] x n]}}."""
-    return {"n": g.n, "mcoeffs": _to_pairs(g.mcoeffs)}
+    return {"n": g.n, "mcoeffs": _blocks_to_pairs(g.mcoeffs)}
 
 
 def element_from_dict(d):
     """Inverse of element_to_dict; ValueError on non-finite coefficients or
     a band wider than fourier.MAX_BAND_WIDTH."""
-    return LoopGroupElement(int(d["n"]), _from_pairs(d["mcoeffs"]))
+    return LoopGroupElement(int(d["n"]), _blocks_from_pairs(d["mcoeffs"]))

@@ -113,10 +113,10 @@ class FiltrationSubspace:
         return self.generators[0].n
 
 
-def orthonormalize(vectors, drop_tol=DROP_TOL):
+def orthonormalize(vectors):
     """Orthonormalize loops by modified Gram-Schmidt with reorthogonalization.
 
-    Vectors whose residual after projection falls below `drop_tol` are
+    Vectors whose residual after projection falls below DROP_TOL are
     dropped, so the returned frame's dimension is the retained rank.
     Raises ValueError when nothing survives (all-zero input).
     """
@@ -131,10 +131,11 @@ def orthonormalize(vectors, drop_tol=DROP_TOL):
             for q in kept:
                 w -= q * np.vdot(q, w)
         r = np.linalg.norm(w)
-        if r > drop_tol:
+        if r > DROP_TOL:
             kept.append(w / r)
     if not kept:
-        raise ValueError("all input vectors are zero (or dependent to drop_tol)")
+        raise ValueError(
+            "all input vectors are zero (or dependent to DROP_TOL)")
     n = vectors[0].n
     return SubspaceFrame(n, unstack_rows(np.array(kept), band, n))
 

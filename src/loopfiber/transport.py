@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonAntiHermitianSample, PhaseStepTooLarge
+from .loopgroup import _phase_winding, _polar, _stack_defect
 
 __all__ = [
     "BaseLoop",
@@ -87,13 +88,12 @@ class BaseLoop:
     fn: object
 
     @classmethod
-    def from_function(cls, d, fn, check_closure=True):
+    def from_function(cls, d, fn):
         loop = cls(d, fn)
-        if check_closure:
-            x, _ = loop.xv(np.array([0.0, 1.0]))
-            gap = float(np.linalg.norm(x[1] - x[0]))
-            if gap > CLOSURE_TOL:
-                raise ValueError(f"loop does not close: |x(1)-x(0)| = {gap:.3e}")
+        x, _ = loop.xv(np.array([0.0, 1.0]))
+        gap = float(np.linalg.norm(x[1] - x[0]))
+        if not (gap <= CLOSURE_TOL):
+            raise ValueError(f"loop does not close: |x(1)-x(0)| = {gap:.3e}")
         return loop
 
     @classmethod
@@ -278,18 +278,8 @@ class TransportFrame:
     def holonomy(self):
         return self.Ts[-1]
 
-    def T(self, i):
-        return self.Ts[i]
-
     def unitarity_defect(self):
-        G = np.einsum("tji,tjk->tik", self.Ts.conj(), self.Ts)
-        return float(np.linalg.norm(G - np.eye(self.n), axis=(1, 2)).max())
-
-
-def _polar(P):
-    """Unitary polar factor of each matrix in a stack."""
-    U, _, Vh = np.linalg.svd(P)
-    return U @ Vh
+        return _stack_defect(self.Ts)[0]
 
 
 def _prefix_products(E):
@@ -458,20 +448,6 @@ def holonomy_sweep(conn, family, M, N):
     return np.array([holonomy(conn, family(j / M), N) for j in range(M + 1)])
 
 
-def _sweep_winding(h):
-    """Winding number of the closed U(1) path h[0], ..., h[M] of holonomies.
-
-    Returns None when a phase step between neighbours is not below pi/2,
-    i.e. when the grid is too coarse to tell the winding.
-    """
-    if np.abs(h).min() < 1e-8:
-        raise PhaseStepTooLarge("holonomy sample too close to zero")
-    steps = np.angle(h[1:] / h[:-1])
-    if np.abs(steps).max() < np.pi / 2:
-        return int(round(steps.sum() / (2.0 * np.pi)))
-    return None
-
-
 def chern_sweep(conn, family, N=256, M=64, max_family_grid=4096):
     """Winding number of s -> holonomy(family(s)) for a U(1) connection,
     with the sweep it was read from.
@@ -487,7 +463,7 @@ def chern_sweep(conn, family, N=256, M=64, max_family_grid=4096):
         raise ValueError("winding needs a U(1) connection (n = 1)")
     while True:
         h = holonomy_sweep(conn, family, M, N)[:, 0, 0]
-        winding = _sweep_winding(h)
+        winding = _phase_winding(h, "holonomy sample too close to zero")
         if winding is not None:
             return winding, h
         M *= 2

@@ -18,7 +18,9 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import PeriodicityDefect
-from .fourier import evaluate_grid, from_grid_samples, project_minus, project_plus
+from .fourier import (_from_pairs, _to_pairs, evaluate_grid, from_grid_samples,
+                      project_minus, project_plus)
+from .loopgroup import _stack_defect
 
 __all__ = [
     "GaugeTwist",
@@ -61,9 +63,8 @@ class GaugeTwist:
             raise ValueError(
                 f"twist values must have shape {(self.N, self.n, self.n)}, "
                 f"got {vals.shape}")
-        gram = np.einsum("tji,tjk->tik", vals.conj(), vals)
-        defect = float(np.linalg.norm(gram - np.eye(self.n), axis=(1, 2)).max())
-        if defect > TWIST_UNITARY_TOL:
+        defect = _stack_defect(vals)[0]
+        if not (defect <= TWIST_UNITARY_TOL):
             raise ValueError(f"twist values not unitary: defect {defect:.3e}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -105,14 +106,15 @@ class TwistedSection:
         arr = np.array(self.samples, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] < 2:
             raise ValueError("samples must have shape (N + 1, n) with N >= 1")
+        if not np.isfinite(arr).all():
+            raise ValueError("samples must be finite (NaN or inf found)")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         if self.twist is not None:
-            if (self.twist.n, self.twist.N) != (self.n, self.N):
-                raise ValueError("twist grid does not match section grid")
+            _require_match(self.twist, self)
         if validate:
             residual = self.seam_residual()
-            if residual is not None and residual > SEAM_TOL:
+            if residual is not None and not (residual <= SEAM_TOL):
                 raise PeriodicityDefect(residual)
 
     @property
@@ -134,11 +136,18 @@ class TwistedSection:
         return float(np.linalg.norm(self.samples[-1] - tau0 @ self.samples[0]))
 
 
-def _require_match(frame, section):
-    if frame.N != section.N or frame.n != section.n:
-        raise ValueError(
-            f"frame grid ({frame.N}, n={frame.n}) does not match "
-            f"section grid ({section.N}, n={section.n})")
+def _require_match(a, b):
+    """Refuse two grids (frames, sections or twists) that differ in N or n."""
+    if (a.N, a.n) != (b.N, b.n):
+        raise ValueError(f"grid (N={a.N}, n={a.n}) does not match "
+                         f"grid (N={b.N}, n={b.n})")
+
+
+def _closed_grid(loop, N):
+    """Values of a loop at t_i = i/N, i = 0..N; the last repeats the first,
+    so a section built from them keeps its seam exact."""
+    vals = evaluate_grid(loop, N)
+    return np.vstack([vals, vals[:1]])
 
 
 def j_embed(frame, v):
@@ -151,16 +160,11 @@ def j_embed(frame, v):
 
 
 def j_extend(frame, f, v):
-    """sigma(t) = f(t) T(t) v for a scalar loop f: the module structure.
-
-    The closing sample reuses f(0) = f(1), keeping the seam exact.
-    """
+    """sigma(t) = f(t) T(t) v for a scalar loop f: the module structure."""
     if f.n != 1:
         raise ValueError(f"scalar loop must have n=1, got n={f.n}")
     v = np.asarray(v, dtype=complex)
-    fvals = evaluate_grid(f, frame.N)[:, 0]
-    fext = np.append(fvals, fvals[0])
-    samples = fext[:, None] * np.einsum("tij,j->ti", frame.Ts, v)
+    samples = _closed_grid(f, frame.N) * np.einsum("tij,j->ti", frame.Ts, v)
     return TwistedSection(samples, "holonomy", holonomy_twist(frame))
 
 
@@ -172,9 +176,7 @@ def section_from_loop(frame, p):
     """
     if p.n != frame.n:
         raise ValueError(f"loop dimension {p.n} != fiber dimension {frame.n}")
-    pvals = evaluate_grid(p, frame.N)
-    pext = np.vstack([pvals, pvals[:1]])
-    samples = np.einsum("tij,tj->ti", frame.Ts, pext)
+    samples = np.einsum("tij,tj->ti", frame.Ts, _closed_grid(p, frame.N))
     return TwistedSection(samples, "holonomy", holonomy_twist(frame))
 
 
@@ -182,9 +184,7 @@ def module_scale(f, section):
     """Multiply a section pointwise by a scalar loop, twist unchanged."""
     if f.n != 1:
         raise ValueError(f"scalar loop must have n=1, got n={f.n}")
-    fvals = evaluate_grid(f, section.N)[:, 0]
-    fext = np.append(fvals, fvals[0])
-    return TwistedSection(fext[:, None] * section.samples,
+    return TwistedSection(_closed_grid(f, section.N) * section.samples,
                           section.twist_kind, section.twist)
 
 
@@ -199,7 +199,7 @@ def phi_inverse(frame, section, check=True):
     _require_match(frame, section)
     p = np.einsum("tji,tj->ti", frame.Ts.conj(), section.samples)
     residual = float(np.linalg.norm(p[-1] - p[0]))
-    if check and residual > SEAM_TOL:
+    if check and not (residual <= SEAM_TOL):
         raise PeriodicityDefect(residual)
     return from_grid_samples(p[:-1])
 
@@ -233,18 +233,15 @@ def rotate(section, steps):
     else:
         raise ValueError("cannot rotate a section with unknown twist values")
     old = section.samples
-    if steps >= 0:
-        ext = list(old)
-        for j in range(N + 1, N + steps + 1):
-            ext.append(tau[(j - N) % N] @ ext[j - N])
-        new = np.array(ext[steps:steps + N + 1])
-    else:
-        below = {}
-        for j in range(-1, steps - 1, -1):
-            upper = old[j + N] if j + N >= 0 else below[j + N]
-            below[j] = tau[j % N].conj().T @ upper
-        new = np.array([below[i + steps] if i + steps < 0 else old[i + steps]
-                        for i in range(N + 1)])
+    if steps >= 0:  # sigma_{N + j} = tau(j) sigma_j for j = 1..steps
+        js = np.arange(1, steps + 1)
+        above = (tau[js % N] @ old[js, :, None])[..., 0]
+        new = np.concatenate([old[steps:], above])
+    else:  # sigma_j = tau(j)^* sigma_{N + j} for j = steps..-1
+        js = np.arange(steps, 0)
+        tau_inv = tau[js % N].conj().transpose(0, 2, 1)
+        below = (tau_inv @ old[js + N, :, None])[..., 0]
+        new = np.concatenate([below, old[:N + 1 + steps]])
     twist = (shifted_twist(section.twist, steps)
              if section.twist is not None else None)
     return TwistedSection(new, section.twist_kind, twist)
@@ -257,8 +254,7 @@ def untwisted_comparison(frame0, frame1):
     agree: the seam gap ||H_N - H_0|| equals ||Hol1 - Hol0||, which is the
     obstruction to comparing the two twisted bundles by a plain loop map.
     """
-    if frame0.N != frame1.N or frame0.n != frame1.n:
-        raise ValueError("frames must share grid and fiber dimension")
+    _require_match(frame0, frame1)
     return np.einsum("tji,tjk->tik", frame1.Ts.conj(), frame0.Ts)
 
 
@@ -268,26 +264,22 @@ def fiber_intertwiner(frame0, frame1):
     Continued through the seam (G(t + 1) = T1 Hol1 (T0 Hol0)^*), it
     satisfies G(t + 1) tau0(t) = tau1(t) G(t).
     """
-    if frame0.N != frame1.N or frame0.n != frame1.n:
-        raise ValueError("frames must share grid and fiber dimension")
+    _require_match(frame0, frame1)
     return np.einsum("tij,tkj->tik", frame1.Ts, frame0.Ts.conj())
 
 
 def section_to_dict(section):
     """JSON form: twist recorded by kind only, values are not embedded."""
-    arr = section.samples
     return {
         "n": section.n,
         "N": section.N,
         "twist_kind": section.twist_kind,
-        "samples": [[[float(c.real), float(c.imag)] for c in row]
-                    for row in arr],
+        "samples": _to_pairs(section.samples),
     }
 
 
 def section_from_dict(d, twist=None):
-    samples = np.array([[complex(re, im) for re, im in row]
-                        for row in d["samples"]])
+    samples = _from_pairs(d["samples"], "samples")
     if samples.shape != (d["N"] + 1, d["n"]):
         raise ValueError("sample array does not match declared shape")
     validate = twist is not None or d["twist_kind"] == "identity"

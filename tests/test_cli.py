@@ -14,7 +14,8 @@ import pytest
 
 from loopfiber import cli, decomp, fourier, subspaces, transport
 from loopfiber.errors import PhaseStepTooLarge
-from loopfiber.loopgroup import diag_zpowers, multiply
+from loopfiber.loopgroup import (diag_zpowers, identity_element, multiply,
+                                 random_loop, window_frame)
 
 from util import haar_unitary
 
@@ -198,6 +199,21 @@ class TestSubspaceLoop:
         assert code == 0
         assert rep["subspace_dim"] == 6
 
+    def test_unitarity_tol(self, capsys, tmp_path):
+        # a rebuilt loop is unitary only to roundoff, so a tolerance far
+        # below it fails the certificate; a nonpositive one is refused
+        frame = window_frame(random_loop(2, 2, seed=4), 3)
+        src = write_json(tmp_path / "frame.json",
+                         subspaces.frame_to_dict(frame))
+        code, rep = run_cli(capsys, ["subspace-loop", src, "--no-meta",
+                                     "--unitarity-tol", "1e-300"])
+        assert code == 3
+        assert rep["status"] == "failed"
+        assert "unitarity defect" in rep["diagnostic"]
+        for bad in ("0", "-1e-8"):
+            assert cli.main(["subspace-loop", src, "--no-meta",
+                             f"--unitarity-tol={bad}"]) == 2
+
 
 class TestHolonomy:
     def test_abelian_circle_phase(self, capsys):
@@ -246,6 +262,22 @@ class TestHolonomy:
     def test_bad_grid_exit2(self, capsys):
         assert cli.main(["holonomy", "--preset", "flat", "--N", "0",
                          "--no-meta"]) == 2
+
+    def test_overflowing_form_exit2(self, capsys, tmp_path):
+        # a finite loop so large that the abelian2d form overflows: the
+        # non-finite samples are refused as input, not left to a traceback
+        path = tmp_path / "big.csv"
+        rows = ["t,x1,x2"] + [
+            f"{j / 8!r},{1e300 * math.cos(j * math.pi / 4)!r},"
+            f"{1e300 * math.sin(j * math.pi / 4)!r}" for j in range(8)]
+        path.write_text("\n".join(rows) + "\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["holonomy", "--preset", "abelian2d",
+                             "--loop", str(path), "--N", "16"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err
+        assert captured.out == ""
 
     def test_report_file_matches_stdout(self, capsys, tmp_path):
         out = str(tmp_path / "rep.json")
@@ -400,6 +432,26 @@ class TestAudit:
         assert code == 5
         assert not rep["audit"]["axioms_ok"]
         assert rep["reduction"] is None
+
+    def test_variation_tol(self, capsys, tmp_path):
+        # over windows twisted by a random loop the reduced transitions
+        # vary by roundoff, far above 1e-300; a nonpositive tolerance is
+        # refused
+        g = random_loop(2, 2, seed=23)
+        window = subspaces.FiltrationSubspace(
+            [g.column(j) for j in range(2)], 3)
+        fam = decomp.SubspaceFamily((0, 1), ((0, 1), (1, 0)), (window,) * 2,
+                                    (identity_element(2),) * 2)
+        src = write_json(tmp_path / "fam.json", decomp.family_to_dict(fam))
+        code, rep = run_cli(capsys, ["audit", src, "--no-meta",
+                                     "--variation-tol", "1e-300"])
+        assert code == 5
+        assert rep["audit"]["axioms_ok"]
+        assert "failed" in rep["reduction"]
+        assert not rep["all_ok"]
+        for bad in ("0", "-1e-6"):
+            assert cli.main(["audit", src, "--no-meta",
+                             f"--variation-tol={bad}"]) == 2
 
     def test_not_a_family_exit2(self, capsys, tmp_path):
         src = write_json(tmp_path / "junk.json", {"points": "nope"})

@@ -4,6 +4,9 @@ The frames come from actual transported connections so the twists are
 genuine holonomy conjugates, not synthetic unitaries.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -129,6 +132,32 @@ class TestValidation:
         with pytest.raises(ValueError, match="shape"):
             GaugeTwist(2, 8, "custom", np.stack([np.eye(3)] * 8))
 
+    def test_nan_twist_rejected(self):
+        with pytest.raises(ValueError, match="unitary"):
+            GaugeTwist(1, 4, "x", np.full((4, 1, 1), np.nan))
+
+    @pytest.mark.parametrize("row", [0, 1, -1])
+    def test_nan_samples_rejected(self, row):
+        samples = np.ones((3, 1), dtype=complex)
+        samples[row] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            TwistedSection(samples, "identity")
+        with pytest.raises(ValueError, match="finite"):
+            TwistedSection(samples, "holonomy", validate=False)
+
+    def test_nan_samples_from_json_rejected(self):
+        d = json.loads('{"n": 1, "N": 2, "twist_kind": "identity", '
+                       '"samples": [[[NaN, 0]], [[1, 0]], [[NaN, 0]]]}')
+        with pytest.raises(ValueError, match="finite"):
+            section_from_dict(d)
+
+    def test_nan_frame_fails_periodicity(self, su2_frame):
+        sec = j_embed(su2_frame, np.array([1.0, 0.0]))
+        nan_frame = dataclasses.replace(
+            su2_frame, Ts=np.full_like(su2_frame.Ts, np.nan))
+        with pytest.raises(PeriodicityDefect):
+            phi_inverse(nan_frame, sec)
+
     def test_grid_mismatch_rejected(self, su2_frame, u1_frame):
         sec = j_embed(u1_frame, np.array([1.0]))
         with pytest.raises(ValueError, match="match"):
@@ -178,7 +207,28 @@ class TestDecomposition:
         assert np.linalg.norm(minus.samples) < 1e-11
 
 
+def seam_reference(section, steps):
+    """sigma_{i + steps}, i = 0..N, continued one sample at a time through
+    the seam rule sigma(t + 1) = tau(t) sigma(t)."""
+    N, tau = section.N, section.twist.values
+    ext = dict(enumerate(section.samples))
+    for j in range(N + 1, N + steps + 1):
+        ext[j] = tau[(j - N) % N] @ ext[j - N]
+    for j in range(-1, steps - 1, -1):
+        ext[j] = tau[j % N].conj().T @ ext[j + N]
+    return np.array([ext[i + steps] for i in range(N + 1)])
+
+
 class TestRotation:
+    @pytest.mark.parametrize("steps", [-N, -N // 4, -1, 0, 1, N // 4,
+                                       N - 1, N])
+    def test_matches_sequential_seam_steps(self, su2_frame, u1_frame, steps):
+        rng = np.random.default_rng(6)
+        for frame in (u1_frame, su2_frame):
+            sec = section_from_loop(frame, rand_loop(frame.n, 3, rng))
+            assert np.array_equal(rotate(sec, steps).samples,
+                                  seam_reference(sec, steps))
+
     def test_composition_and_inverse(self, su2_frame):
         rng = np.random.default_rng(2)
         sec = section_from_loop(su2_frame, rand_loop(2, 4, rng))
