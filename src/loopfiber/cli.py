@@ -3,8 +3,9 @@ twist checks, and family audits from data files.
 
 Exit codes are a stable contract:
   0  success
-  2  malformed input or bad parameters, including a connection form that
-     turns non-finite or non-anti-Hermitian on the loop
+  2  malformed input, bad parameters or an unwritable output file,
+     including a connection form that turns non-finite or
+     non-anti-Hermitian on the loop
   3  subspace-to-loop failure (wrong intersection dimension or unitarity)
   4  numerical refinement failure (phase steps cannot be resolved)
   5  audit or reduction failure
@@ -21,7 +22,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -60,50 +60,33 @@ class InputError(ValueError):
     """Raised for malformed files or inconsistent parameters (exit 2)."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a subcommand run depends on, normalized from argv."""
+def _positive(value):
+    return math.isfinite(value) and value > 0
 
-    subcommand: str
-    input: str = None
-    output: str = None
-    no_meta: bool = False
-    N: int = 2048
-    M: int = 64
-    depth: int = None
-    band: int = 4
-    seed: int = 0
-    preset: str = None
-    B: float = 1.0
-    q: int = 1
-    n: int = 1
-    radius: float = 1.0
-    latitude: float = None
-    csv: str = None
-    variation_tol: float = None
-    unitarity_tol: float = None
-    tol_scale: float = 1.0
 
-    def __post_init__(self):
-        for name in ("N", "M"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be a positive integer")
-        if self.depth is not None and self.depth < 0:
-            raise InputError("depth must be >= 0")
-        if self.band < 0:
-            raise InputError("band must be >= 0")
-        if self.radius <= 0:
-            raise InputError("radius must be positive")
-        if self.n < 1:
-            raise InputError("n must be a positive integer")
-        if self.latitude is not None and not 0 < self.latitude < math.pi:
-            raise InputError("latitude must lie strictly between 0 and pi")
-        if self.tol_scale <= 0:
-            raise InputError("tol-scale must be positive")
-        for name in ("variation_tol", "unitarity_tol"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise InputError(f"{name.replace('_', '-')} must be positive")
+# (dest, admissible, message) for every checked option, in checking order;
+# each test fails on NaN, and the float tests also on +-inf.  An option its
+# subcommand lacks, or left at a None default, is not checked.
+_OPTION_CHECKS = (
+    ("N", lambda v: v >= 1, "N must be a positive integer"),
+    ("M", lambda v: v >= 1, "M must be a positive integer"),
+    ("depth", lambda v: v >= 0, "depth must be >= 0"),
+    ("band", lambda v: v >= 0, "band must be >= 0"),
+    ("radius", _positive, "radius must be positive and finite"),
+    ("n", lambda v: v >= 1, "n must be a positive integer"),
+    ("latitude", lambda v: 0 < v < math.pi,
+     "latitude must lie strictly between 0 and pi"),
+    ("tol_scale", _positive, "tol-scale must be positive and finite"),
+    ("variation_tol", _positive, "variation-tol must be positive and finite"),
+    ("unitarity_tol", _positive, "unitarity-tol must be positive and finite"),
+)
+
+
+def _check_options(args):
+    for name, admissible, message in _OPTION_CHECKS:
+        value = getattr(args, name, None)
+        if value is not None and not admissible(value):
+            raise InputError(message)
 
 
 def _load_input(path, parse, what):
@@ -128,7 +111,10 @@ def _dump(report):
 
 def _write_atomic(path, text):
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -139,53 +125,55 @@ def _write_atomic(path, text):
         raise
 
 
-def _report(cfg, command, payload):
+def _report(args, command, payload):
     report = {"schema": SCHEMA, "command": command}
     report.update(payload)
-    if not cfg.no_meta:
+    if not args.no_meta:
         report["meta"] = {
             "timestamp": datetime.now(timezone.utc).isoformat()}
     return report
 
 
-def _connection(cfg):
-    if cfg.preset == "flat":
-        d = 3 if cfg.latitude is not None else 2
-        return transport.flat(n=cfg.n, d=d)
-    if cfg.preset == "abelian2d":
-        return transport.abelian2d(cfg.B)
-    if cfg.preset == "monopole":
-        return transport.monopole(cfg.q)
-    if cfg.preset == "su2sample":
-        return transport.su2sample()
-    raise InputError(f"unknown preset {cfg.preset!r}")
+# The connection each --preset builds from the parsed options.
+_PRESETS = {
+    "flat": lambda args: transport.flat(
+        n=args.n, d=3 if args.latitude is not None else 2),
+    "abelian2d": lambda args: transport.abelian2d(args.B),
+    "monopole": lambda args: transport.monopole(args.q),
+    "su2sample": lambda args: transport.su2sample(),
+}
 
 
-def _base_loop(cfg, conn):
-    if cfg.input is not None:
+def _connection(args):
+    return _PRESETS[args.preset](args)
+
+
+def _base_loop(args, conn):
+    if args.input is not None:
         try:
-            loop = transport.load_loop_csv(cfg.input)
+            loop = transport.load_loop_csv(args.input)
         except (OSError, ValueError) as exc:
-            raise InputError(f"cannot load loop from {cfg.input}: {exc}") from exc
-    elif cfg.latitude is not None:
-        loop = transport.latitude_loop(cfg.latitude)
+            raise InputError(
+                f"cannot load loop from {args.input}: {exc}") from exc
+    elif args.latitude is not None:
+        loop = transport.latitude_loop(args.latitude)
     elif conn.d == 3:
         loop = transport.latitude_loop(math.pi / 2.0)
     else:
-        loop = transport.BaseLoop.circle(cfg.radius)
+        loop = transport.BaseLoop.circle(args.radius)
     if loop.d != conn.d:
         raise InputError(
             f"loop dimension {loop.d} does not match connection chart {conn.d}")
     return loop
 
 
-def cmd_project(cfg):
-    loop = _load_input(cfg.input, fourier.loop_from_dict,
+def cmd_project(args):
+    loop = _load_input(args.input, fourier.loop_from_dict,
                        "coefficient loop file")
     plus = fourier.project_plus(loop)
     minus = fourier.project_minus(loop)
     payload = {
-        "input": cfg.input,
+        "input": args.input,
         "n": loop.n,
         "bands": {
             "input": list(loop.band),
@@ -198,10 +186,10 @@ def cmd_project(cfg):
             "minus": fourier.norm(minus),
         },
     }
-    if cfg.output:
+    if args.output:
         files = {
-            "plus": cfg.output + ".plus.json",
-            "minus": cfg.output + ".minus.json",
+            "plus": args.output + ".plus.json",
+            "minus": args.output + ".minus.json",
         }
         _write_atomic(files["plus"],
                       _dump(fourier.loop_to_dict(plus)))
@@ -211,33 +199,32 @@ def cmd_project(cfg):
     else:
         payload["plus"] = fourier.loop_to_dict(plus)
         payload["minus"] = fourier.loop_to_dict(minus)
-    return _report(cfg, "project", payload), EXIT_OK
+    return _report(args, "project", payload), EXIT_OK
 
 
-def cmd_subspace_loop(cfg):
+def cmd_subspace_loop(args):
     def parse(data):
         if "generators" in data:
             filt = subspaces.filtration_from_dict(data)
-            depth = cfg.depth if cfg.depth is not None else filt.depth
+            depth = args.depth if args.depth is not None else filt.depth
             return subspaces.expand_filtration(filt, depth)
         if "columns" in data:
             return subspaces.frame_from_dict(data)
         raise ValueError("expected a filtration file (generators/depth) or "
                          "a frame file (n/columns)")
 
-    frame = _load_input(cfg.input, parse, "subspace file")
+    frame = _load_input(args.input, parse, "subspace file")
 
-    tol = cfg.unitarity_tol if cfg.unitarity_tol else loopgroup.UNITARITY_TOL
-    payload = {"input": cfg.input, "n": frame.n, "subspace_dim": frame.dim}
+    payload = {"input": args.input, "n": frame.n, "subspace_dim": frame.dim}
     try:
-        g = loopgroup.loop_from_subspace(frame, tol=tol)
+        g = loopgroup.loop_from_subspace(frame, tol=args.unitarity_tol)
     except (IntersectionDimension, UnitarityViolation) as exc:
         payload.update({
             "status": "failed",
             "diagnostic": str(exc),
             "element": None,
         })
-        return _report(cfg, "subspace-loop", payload), EXIT_SUBSPACE
+        return _report(args, "subspace-loop", payload), EXIT_SUBSPACE
     payload.update({
         "status": "ok",
         "diagnostic": None,
@@ -245,46 +232,44 @@ def cmd_subspace_loop(cfg):
         "unitarity_defect": loopgroup.unitarity_defect(g)[0],
         "det_winding": loopgroup.det_winding(g),
     })
-    return _report(cfg, "subspace-loop", payload), EXIT_OK
+    return _report(args, "subspace-loop", payload), EXIT_OK
 
 
-def cmd_holonomy(cfg):
-    conn = _connection(cfg)
-    loop = _base_loop(cfg, conn)
-    frame = transport.parallel_transport(conn, loop, N=cfg.N)
-    again = transport.holonomy(conn, loop, N=2 * cfg.N)
+def cmd_holonomy(args):
+    conn = _connection(args)
+    loop = _base_loop(args, conn)
+    frame = transport.parallel_transport(conn, loop, N=args.N)
+    again = transport.holonomy(conn, loop, N=2 * args.N)
     payload = {
         "preset": conn.name,
-        "N": cfg.N,
+        "N": args.N,
         "holonomy": fourier._to_pairs(frame.holonomy),
         "unitarity_defect": frame.raw_defect,
         "refinement_delta": float(np.linalg.norm(frame.holonomy - again)),
     }
-    return _report(cfg, "holonomy", payload), EXIT_OK
+    return _report(args, "holonomy", payload), EXIT_OK
 
 
-def cmd_obstruction(cfg):
-    if cfg.preset != "monopole":
-        raise InputError("obstruction sweeps are defined for --preset monopole")
-    conn = transport.monopole(cfg.q)
+def cmd_obstruction(args):
+    conn = _connection(args)
     family = transport.latitude_family()
-    winding, hols = transport.chern_sweep(conn, family, N=cfg.N, M=cfg.M)
+    winding, hols = transport.chern_sweep(conn, family, N=args.N, M=args.M)
     payload = {
         "preset": conn.name,
-        "q": cfg.q,
-        "N": cfg.N,
-        "M": cfg.M,
+        "q": args.q,
+        "N": args.N,
+        "M": args.M,
         "winding": winding,
-        "csv": cfg.csv,
+        "csv": args.csv,
     }
-    if cfg.csv:
+    if args.csv:
         # the sweep the winding was read from, on its refined grid if any
         M = len(hols) - 1
         lines = ["s,re,im"]
         for j, h in enumerate(hols.tolist()):
             lines.append(f"{j / M!r},{h.real!r},{h.imag!r}")
-        _write_atomic(cfg.csv, "\n".join(lines) + "\n")
-    return _report(cfg, "obstruction", payload), EXIT_OK
+        _write_atomic(args.csv, "\n".join(lines) + "\n")
+    return _report(args, "obstruction", payload), EXIT_OK
 
 
 def _twistcheck_residuals(conn, loop, N, band, seed):
@@ -343,36 +328,35 @@ TWISTCHECK_TOLS = {
 }
 
 
-def cmd_twistcheck(cfg):
-    conn = _connection(cfg)
-    loop = _base_loop(cfg, conn)
-    residuals = _twistcheck_residuals(conn, loop, cfg.N, cfg.band, cfg.seed)
-    tols = {k: t * cfg.tol_scale for k, t in TWISTCHECK_TOLS.items()}
-    failures = [k for k, r in residuals.items() if r > tols[k]]
+def cmd_twistcheck(args):
+    conn = _connection(args)
+    loop = _base_loop(args, conn)
+    residuals = _twistcheck_residuals(conn, loop, args.N, args.band, args.seed)
+    tols = {k: t * args.tol_scale for k, t in TWISTCHECK_TOLS.items()}
+    failures = [k for k, r in residuals.items() if not r <= tols[k]]
     payload = {
         "preset": conn.name,
-        "N": cfg.N,
-        "band": cfg.band,
-        "seed": cfg.seed,
+        "N": args.N,
+        "band": args.band,
+        "seed": args.seed,
         "residuals": residuals,
         "tolerances": tols,
         "failures": failures,
         "all_ok": not failures,
     }
     code = EXIT_OK if not failures else EXIT_AUDIT
-    return _report(cfg, "twistcheck", payload), code
+    return _report(args, "twistcheck", payload), code
 
 
-def cmd_audit(cfg):
-    fam = _load_input(cfg.input, decomp.family_from_dict, "family file")
+def cmd_audit(args):
+    fam = _load_input(args.input, decomp.family_from_dict, "family file")
     report = decomp.audit_family(fam)
-    payload = {"input": cfg.input, "audit": report.to_dict()}
+    payload = {"input": args.input, "audit": report.to_dict()}
     code = EXIT_OK if report.all_ok else EXIT_AUDIT
     if fam.transitions is not None and report.axioms_ok:
-        tol = (cfg.variation_tol if cfg.variation_tol
-               else decomp.VARIATION_TOL)
         try:
-            cert = decomp.reduction_cocycle(fam, variation_tol=tol)
+            cert = decomp.reduction_cocycle(
+                fam, variation_tol=args.variation_tol)
         except NonConstantReducedTransition as exc:
             payload["reduction"] = {
                 "failed": str(exc),
@@ -386,7 +370,7 @@ def cmd_audit(cfg):
     else:
         payload["reduction"] = None
     payload["all_ok"] = code == EXIT_OK
-    return _report(cfg, "audit", payload), code
+    return _report(args, "audit", payload), code
 
 
 HANDLERS = {
@@ -420,11 +404,11 @@ def _build_parser():
     p.add_argument("input", help="filtration or frame JSON file")
     p.add_argument("--depth", type=int, default=None,
                    help="override the filtration depth")
-    p.add_argument("--unitarity-tol", type=float, default=None)
+    p.add_argument("--unitarity-tol", type=float,
+                   default=loopgroup.UNITARITY_TOL)
 
     p = loop_options = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--preset", required=True,
-                   choices=["flat", "abelian2d", "monopole", "su2sample"])
+    p.add_argument("--preset", required=True, choices=list(_PRESETS))
     p.add_argument("--B", type=float, default=1.0, help="curvature of abelian2d")
     p.add_argument("--q", type=int, default=1, help="charge of monopole")
     p.add_argument("--n", type=int, default=1, help="fiber dimension of flat")
@@ -459,33 +443,25 @@ def _build_parser():
     p = sub.add_parser("audit", parents=[common],
                        help="audit a subspace family and reduce its cocycle")
     p.add_argument("input", help="family JSON file")
-    p.add_argument("--variation-tol", type=float, default=None)
+    p.add_argument("--variation-tol", type=float,
+                   default=decomp.VARIATION_TOL)
 
     return parser
 
 
-def _config_from_args(args):
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    values = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    return RunConfig(**values)
-
-
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        report, code = HANDLERS[cfg.subcommand](cfg)
+        _check_options(args)
+        report, code = HANDLERS[args.subcommand](args)
         text = _dump(report)
+        if args.output:
+            suffix = ".json" if args.subcommand == "project" else ""
+            _write_atomic(args.output + suffix, text)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(c for t, c in _EXIT_CODES.items() if isinstance(exc, t))
     sys.stdout.write(text)
-    if cfg.output:
-        path = cfg.output
-        if cfg.subcommand == "project":
-            path = cfg.output + ".json"
-        _write_atomic(path, text)
     return code
 
 

@@ -502,8 +502,9 @@ def load_loop_csv(path):
         raise ValueError("ragged CSV rows")
     ts, pts = data[:, 0], data[:, 1:]
     M = len(ts)
-    if np.any(np.diff(ts) <= 0) or ts[0] != 0.0 or ts[-1] >= 1.0:
+    # written so that a NaN anywhere in t fails
+    if not (np.all(np.diff(ts) > 0) and ts[0] == 0.0 and ts[-1] < 1.0):
         raise ValueError("t column must be sorted in [0, 1) starting at 0")
-    if np.abs(ts - np.arange(M) / M).max() > 1e-9:
+    if not np.abs(ts - np.arange(M) / M).max() <= 1e-9:
         raise ValueError("t column must be the uniform grid j/M")
     return BaseLoop.from_samples(pts)

@@ -3,6 +3,7 @@ determinism, and file outputs.  Everything runs in process through main()
 except one subprocess test for the module entry point.
 """
 
+import argparse
 import cmath
 import json
 import math
@@ -36,6 +37,18 @@ def plus_filtration_dict(n, depth=3):
     gens = tuple(fourier.basis_loop(n, component=i) for i in range(n))
     return subspaces.filtration_to_dict(
         subspaces.FiltrationSubspace(gens, depth))
+
+
+def winding_cycle_dict(seed=5):
+    """A model family whose closing transition winds once, so that no
+    finite variation tolerance conjugates it to constants."""
+    rng = np.random.default_rng(seed)
+    cocycle = [np.eye(2), haar_unitary(2, rng), haar_unitary(2, rng)]
+    fam = decomp.build_model_decomposition(cocycle, depth=3)
+    transitions = list(fam.transitions)
+    transitions[-1] = multiply(diag_zpowers([1, 0]), transitions[-1])
+    return decomp.family_to_dict(decomp.SubspaceFamily(
+        fam.points, fam.edges, fam.psi, tuple(transitions)))
 
 
 class TestProject:
@@ -279,6 +292,32 @@ class TestHolonomy:
         assert "error:" in captured.err
         assert captured.out == ""
 
+    def test_unwritable_output_exit2(self, capsys, tmp_path):
+        # the report file is written before stdout, so a path that cannot
+        # be written prints nothing and leaves no temp file behind
+        out = str(tmp_path / "missing_dir" / "x.json")
+        code = cli.main(["holonomy", "--preset", "flat", "--N", "8",
+                         "--no-meta", "-o", out])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: cannot write")
+        assert captured.out == ""
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_nan_t_csv_exit2(self, capsys, tmp_path):
+        path = tmp_path / "nan_t.csv"
+        rows = ["t,x1,x2"] + [
+            f"{'nan' if j == 3 else repr(j / 8)},"
+            f"{math.cos(j * math.pi / 4)!r},{math.sin(j * math.pi / 4)!r}"
+            for j in range(8)]
+        path.write_text("\n".join(rows) + "\n")
+        code = cli.main(["holonomy", "--preset", "abelian2d",
+                         "--loop", str(path), "--N", "16", "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "cannot load loop from" in captured.err
+        assert captured.out == ""
+
     def test_report_file_matches_stdout(self, capsys, tmp_path):
         out = str(tmp_path / "rep.json")
         code, rep = run_cli(capsys,
@@ -384,6 +423,23 @@ class TestTwistcheck:
         assert rep["failures"]
 
 
+    def test_nan_residual_fails(self, capsys, monkeypatch):
+        # a NaN residual is a failure, not a pass of `r > tol`
+        def residuals(*args):
+            return dict.fromkeys(cli.TWISTCHECK_TOLS, 0.0) | {
+                "seam_residual": math.nan}
+
+        monkeypatch.setattr(cli, "_twistcheck_residuals", residuals)
+        argv = ["twistcheck", "--preset", "flat", "--N", "16", "--no-meta"]
+        report, code = cli.cmd_twistcheck(cli._build_parser().parse_args(argv))
+        assert code == 5
+        assert report["failures"] == ["seam_residual"]
+        assert not report["all_ok"]
+        # standard JSON has no NaN, so the run itself is refused
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().out == ""
+
+
 class TestAudit:
     def make_model_family(self, seed=5):
         rng = np.random.default_rng(seed)
@@ -456,6 +512,59 @@ class TestAudit:
     def test_not_a_family_exit2(self, capsys, tmp_path):
         src = write_json(tmp_path / "junk.json", {"points": "nope"})
         assert cli.main(["audit", src, "--no-meta"]) == 2
+
+
+class TestOptions:
+    # values at or past the edge of each checked option's range
+    REFUSED = {
+        "N": [0], "M": [0], "depth": [-1], "band": [-1], "n": [0],
+        "radius": [0.0, math.inf], "latitude": [0.0, math.pi],
+        "tol_scale": [0.0, math.inf], "variation_tol": [0.0, math.inf],
+        "unitarity_tol": [0.0, math.inf],
+    }
+
+    def test_table_names_parser_options(self):
+        parser = cli._build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for p in subparsers.choices.values()
+                 for a in p._actions}
+        names = [name for name, _, _ in cli._OPTION_CHECKS]
+        assert set(names) <= dests
+        assert set(names) == set(self.REFUSED)
+        for name, _, message in cli._OPTION_CHECKS:
+            for value in self.REFUSED[name] + [math.nan]:
+                with pytest.raises(cli.InputError, match=f"^{message}$"):
+                    cli._check_options(argparse.Namespace(**{name: value}))
+        for argv in (["subspace-loop", "f.json", "--depth", "0"],
+                     ["twistcheck", "--preset", "flat", "--band", "0",
+                      "--N", "1"],
+                     ["obstruction", "--preset", "monopole", "--N", "1",
+                      "--M", "1"]):
+            cli._check_options(parser.parse_args(argv))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("option, named", [
+        ("--tol-scale", "tol-scale"), ("--variation-tol", "variation-tol"),
+        ("--unitarity-tol", "unitarity-tol"), ("--circle", "radius")])
+    def test_non_finite_refused(self, capsys, tmp_path, option, named, value):
+        # at --variation-tol inf the winding cycle would be certified as
+        # reduced to constants, exit 0
+        if option == "--variation-tol":
+            argv = ["audit", write_json(tmp_path / "fam.json",
+                                        winding_cycle_dict())]
+        elif option == "--unitarity-tol":
+            frame = window_frame(random_loop(2, 2, seed=4), 3)
+            argv = ["subspace-loop", write_json(
+                tmp_path / "frame.json", subspaces.frame_to_dict(frame))]
+        else:
+            argv = ["twistcheck" if option == "--tol-scale" else "holonomy",
+                    "--preset", "abelian2d", "--N", "64"]
+        code = cli.main(argv + ["--no-meta", f"{option}={value}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: {named} must be positive and finite" in captured.err
+        assert captured.out == ""
 
 
 class TestEntryPoint:

@@ -423,6 +423,19 @@ class TestCsv:
         with pytest.raises(ValueError, match="header"):
             load_loop_csv(path)
 
+    @pytest.mark.parametrize("row", [0, 3, 7])
+    def test_nan_t_rejected(self, tmp_path, row):
+        # every check of the t column must fail on NaN, wherever it sits
+        path = os.path.join(tmp_path, "nan_t.csv")
+        with open(path, "w") as fh:
+            fh.write("t,x1,x2\n")
+            for j in range(8):
+                t = "nan" if j == row else repr(j / 8)
+                fh.write(f"{t},{math.cos(j * math.pi / 4)!r},"
+                         f"{math.sin(j * math.pi / 4)!r}\n")
+        with pytest.raises(ValueError, match="t column"):
+            load_loop_csv(path)
+
     def test_nonuniform_grid_rejected(self, tmp_path):
         path = os.path.join(tmp_path, "bad.csv")
         with open(path, "w") as fh:
