@@ -72,6 +72,8 @@ _OPTION_CHECKS = (
     ("M", lambda v: v >= 1, "M must be a positive integer"),
     ("depth", lambda v: v >= 0, "depth must be >= 0"),
     ("band", lambda v: v >= 0, "band must be >= 0"),
+    ("seed", lambda v: v >= 0, "seed must be >= 0"),
+    ("B", math.isfinite, "B must be finite"),
     ("radius", _positive, "radius must be positive and finite"),
     ("n", lambda v: v >= 1, "n must be a positive integer"),
     ("latitude", lambda v: 0 < v < math.pi,
@@ -356,7 +358,7 @@ def cmd_audit(args):
     if fam.transitions is not None and report.axioms_ok:
         try:
             cert = decomp.reduction_cocycle(
-                fam, variation_tol=args.variation_tol)
+                fam, variation_tol=args.variation_tol, audit=report)
         except NonConstantReducedTransition as exc:
             payload["reduction"] = {
                 "failed": str(exc),

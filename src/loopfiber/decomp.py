@@ -17,7 +17,7 @@ nonzero determinant winding can never reduce this way, and the failure is
 reported together with the family's total winding.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -149,9 +149,14 @@ class PointAudit:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """The audit of a family.  gammas[x] is the loop certified at point x,
+    or None where (c) failed; it is kept for reduction_cocycle, not
+    reported."""
+
     point_audits: tuple
     edge_cosines: tuple
     continuity_ok: bool
+    gammas: tuple = field(repr=False, compare=False)
 
     @property
     def axioms_ok(self):
@@ -182,6 +187,7 @@ def _shift_residual(frame_p, frame_p1):
 
 
 def _audit_point(x, f):
+    """(PointAudit, the certified loop or None) at point x."""
     n = f.n
     frame_p = expand_filtration(f)
     frame_p1 = expand_filtration(f, f.depth + 1)
@@ -193,7 +199,7 @@ def _audit_point(x, f):
     inter_dim = n
     defect = None
     failure = ""
-    passed_c = False
+    gamma = None
     try:
         gamma = loop_from_subspace(frame_p)
     except IntersectionDimension as exc:
@@ -204,7 +210,6 @@ def _audit_point(x, f):
         defect = exc.defect
     else:
         defect = unitarity_defect(gamma)[0]
-        passed_c = True
     return PointAudit(
         point=x,
         shift_residual=residual,
@@ -216,8 +221,8 @@ def _audit_point(x, f):
         failure=failure,
         passed_a=residual <= SHIFT_RESIDUAL_TOL,
         passed_b=growth == n,
-        passed_c=passed_c,
-    )
+        passed_c=gamma is not None,
+    ), gamma
 
 
 def audit_family(fam):
@@ -227,12 +232,13 @@ def audit_family(fam):
     window growth (b), the intersection dimension and loop unitarity (c),
     plus per-edge continuity cosines between neighbouring generator spans.
     """
-    point_audits = tuple(_audit_point(x, f) for x, f in enumerate(fam.psi))
+    point_audits, gammas = zip(*(_audit_point(x, f)
+                                 for x, f in enumerate(fam.psi)))
     spans = [orthonormalize(f.generators) for f in fam.psi]
     cosines = [float(principal_angles(spans[i], spans[j]).min())
                for i, j in fam.edges]
     continuity_ok = all(c >= CONTINUITY_COS for c in cosines)
-    return AuditReport(point_audits, tuple(cosines), continuity_ok)
+    return AuditReport(point_audits, tuple(cosines), continuity_ok, gammas)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +271,7 @@ class ReductionCertificate:
         }
 
 
-def reduction_cocycle(fam, variation_tol=VARIATION_TOL):
+def reduction_cocycle(fam, variation_tol=VARIATION_TOL, audit=None):
     """Conjugate each transition into a constant unitary, or refuse.
 
     Per point, the filtration window determines a pointwise-unitary loop
@@ -275,10 +281,17 @@ def reduction_cocycle(fam, variation_tol=VARIATION_TOL):
     variation above `variation_tol` raises NonConstantReducedTransition
     carrying the total determinant winding of the input transitions, the
     integer obstruction that forbids any such reduction.
+
+    `audit`, the audit_family report of this same family, lends the loops
+    it certified; the others are rebuilt.
     """
     if fam.transitions is None:
         raise ValueError("family carries no transition data")
-    gammas = tuple(loop_from_subspace(expand_filtration(f)) for f in fam.psi)
+    known = (None,) * fam.size if audit is None else audit.gammas
+    if len(known) != fam.size:
+        raise ValueError("audit report is not of this family")
+    gammas = tuple(loop_from_subspace(expand_filtration(f)) if g is None else g
+                   for g, f in zip(known, fam.psi))
     gamma_windings = tuple(det_winding(g) for g in gammas)
     constants = []
     variations = []

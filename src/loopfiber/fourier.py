@@ -66,13 +66,9 @@ class _BandedLoop:
                 f"band [{kmin}, {kmin + width - 1}] spans {width} "
                 f"frequencies, more than {MAX_BAND_WIDTH}")
         data = np.zeros((width,) + block, dtype=complex)
-        for k, c in coeffs.items():
-            arr = np.asarray(c, dtype=complex)
-            if arr.shape != block:
-                raise ValueError(
-                    f"coefficient at k={k} has shape {arr.shape}, "
-                    f"expected {block}")
-            data[int(k) - kmin] = arr
+        if ks:
+            # Python-int offsets: a lone key such as 10**30 overflows int64
+            data[[k - kmin for k in ks]] = _stack_blocks(coeffs, block)
         self._set_band(n, kmin, data)
 
     @classmethod
@@ -139,20 +135,35 @@ class _BandedLoop:
         return np.fft.ifft(bins, axis=0) * N
 
 
+def _stack_blocks(coeffs, block):
+    """The blocks of a {frequency: block} dict as one (len, *block) array;
+    ValueError naming the first block of another shape."""
+    try:
+        blocks = np.asarray(list(coeffs.values()), dtype=complex)
+    except (TypeError, ValueError):
+        blocks = None
+    if blocks is None or blocks.shape[1:] != block:
+        for k, c in coeffs.items():  # per key, only to name the bad one
+            shape = np.asarray(c, dtype=complex).shape
+            if shape != block:
+                raise ValueError(f"coefficient at k={k} has shape {shape}, "
+                                 f"expected {block}")
+    return blocks
+
+
 def _convolve(ka, A, kb, B):
     """Band (kmin, blocks) of (sum_k A_k z^k)(sum_l B_l z^l), blocks matmul'd.
 
-    Slice-accumulates over the shorter band, with no FFT: each output block
-    is a plain sum of block products, exact up to rounding."""
-    wa, wb = len(A), len(B)
-    out = np.zeros((max(wa + wb - 1, 0), A.shape[1], B.shape[2]),
-                   dtype=complex)
-    if wa <= wb:
-        for i in range(wa):
-            out[i:i + wb] += A[i] @ B
-    else:
-        for j in range(wb):
-            out[j:j + wa] += A @ B[j]
+    Output entry (i, k) is sum_j np.convolve(A[:, i, j], B[:, j, k]): direct
+    sums with no FFT, exact up to rounding, so a block whose products all
+    vanish comes out exactly zero and trims."""
+    n, m, p = A.shape[1], A.shape[2], B.shape[2]
+    if not (len(A) and len(B)):
+        return ka + kb, np.zeros((0, n, p), dtype=complex)
+    out = np.zeros((len(A) + len(B) - 1, n, p), dtype=complex)
+    for i, k in np.ndindex(n, p):
+        for j in range(m):
+            out[:, i, k] += np.convolve(A[:, i, j], B[:, j, k])
     return ka + kb, out
 
 
@@ -305,7 +316,10 @@ def _to_pairs(a):
 def _from_pairs(value, what):
     """Inverse of _to_pairs, bit-exact; ValueError naming `what` unless the
     innermost lists are [re, im] pairs."""
-    a = np.ascontiguousarray(value, dtype=float)
+    try:
+        a = np.ascontiguousarray(value, dtype=float)
+    except ValueError as exc:  # ragged lists
+        raise ValueError(f"{what} is not [re, im] pairs") from exc
     if a.shape[-1:] != (2,):
         raise ValueError(f"{what} is not [re, im] pairs")
     return a.view(complex)[..., 0]
@@ -320,8 +334,15 @@ def _blocks_from_pairs(pairs):
     """{"k": nested [re, im] lists} -> {k: complex block}, bit-exact."""
     if not isinstance(pairs, dict):
         raise ValueError("coefficients must map frequencies to [re, im] pairs")
-    return {int(k): _from_pairs(v, f"coefficient at k={k}")
-            for k, v in pairs.items()}
+    try:
+        a = np.ascontiguousarray(list(pairs.values()), dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape[1:][-1:] != (2,):
+        # per key, only to name the bad frequency
+        return {int(k): _from_pairs(v, f"coefficient at k={k}")
+                for k, v in pairs.items()}
+    return dict(zip(map(int, pairs), a.view(complex)[..., 0]))
 
 
 def loop_to_dict(a):

@@ -328,14 +328,22 @@ def _sample_forms(conn, xv, ts):
 
 
 def _step_offsets(conn, xv, t0, t1, steps):
-    """D_i with P_i = I + D_i the RK4 propagator of step i, i < steps."""
+    """D_i with P_i = I + D_i the RK4 propagator of step i, i < steps;
+    ValueError at the first step that overflows."""
     h = (t1 - t0) / steps
     M = _sample_forms(conn, xv, np.linspace(t0, t1, 2 * steps + 1))
     M0, Mh, M1 = M[0:-1:2], M[1::2], M[2::2]
-    K2 = Mh + (0.5 * h) * (Mh @ M0)
-    K3 = Mh + (0.5 * h) * (Mh @ K2)
-    K4 = M1 + h * (M1 @ K3)
-    return (h / 6.0) * (M0 + 2.0 * K2 + 2.0 * K3 + K4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        K2 = Mh + (0.5 * h) * (Mh @ M0)
+        K3 = Mh + (0.5 * h) * (Mh @ K2)
+        K4 = M1 + h * (M1 @ K3)
+        D = (h / 6.0) * (M0 + 2.0 * K2 + 2.0 * K3 + K4)
+    bad = np.flatnonzero(~np.isfinite(D).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(
+            f"transport step at t={t0 + bad[0] * h:.6f} is not finite "
+            f"(N={steps}): the connection form is too large for the grid")
+    return D
 
 
 def _transport_chain(conn, xv, t0, t1, steps):

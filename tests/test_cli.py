@@ -9,14 +9,16 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from loopfiber import cli, decomp, fourier, subspaces, transport
 from loopfiber.errors import PhaseStepTooLarge
-from loopfiber.loopgroup import (diag_zpowers, identity_element, multiply,
-                                 random_loop, window_frame)
+from loopfiber.loopgroup import (diag_zpowers, identity_element,
+                                 loop_from_subspace, multiply, random_loop,
+                                 window_frame)
 
 from util import haar_unitary
 
@@ -137,6 +139,15 @@ class TestProject:
                          {"n": 1, "coeffs": [[1.0, 0.0]]})
         assert cli.main(["project", src, "--no-meta"]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_ragged_block_names_its_frequency(self, capsys, tmp_path):
+        src = write_json(tmp_path / "ragged.json", {"n": 2, "coeffs": {
+            "0": [[1.0, 0.0], [0.0, 0.0]], "1": [[1.0], [0.0, 1.0]]}})
+        assert cli.main(["project", src, "--no-meta"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: not a coefficient loop file: "
+                                "coefficient at k=1 is not [re, im] pairs\n")
 
     def test_band_too_wide_exit2(self, capsys, tmp_path):
         src = write_json(tmp_path / "wide.json", {"n": 1, "coeffs": {
@@ -292,6 +303,22 @@ class TestHolonomy:
         assert "error:" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("B, message", [
+        ("1e300", "error: transport step at t=0.000000 is not finite (N=16)"),
+        ("inf", "error: B must be finite")], ids=["overflow", "inf"])
+    def test_overflowing_field_exit2(self, capsys, B, message):
+        # warnings become errors, so a numpy overflow warning on the way to
+        # the refusal fails the test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["holonomy", "--preset", "abelian2d", "--B", B,
+                             "--N", "16", "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+
     def test_unwritable_output_exit2(self, capsys, tmp_path):
         # the report file is written before stdout, so a path that cannot
         # be written prints nothing and leaves no temp file behind
@@ -422,6 +449,14 @@ class TestTwistcheck:
         assert not rep["all_ok"]
         assert rep["failures"]
 
+    def test_negative_seed_exit2(self, capsys):
+        code = cli.main(["twistcheck", "--preset", "flat", "--N", "16",
+                         "--seed", "-1", "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0\n"
+
 
     def test_nan_residual_fails(self, capsys, monkeypatch):
         # a NaN residual is a failure, not a pass of `r > tol`
@@ -458,6 +493,20 @@ class TestAudit:
         for got, want in zip(rep["reduction"]["constants"], cocycle):
             G = np.array([[complex(*z) for z in row] for row in got])
             assert np.linalg.norm(G - want) < 1e-9
+
+    def test_loops_built_once_per_point(self, capsys, tmp_path, monkeypatch):
+        fam, _ = self.make_model_family()
+        src = write_json(tmp_path / "fam.json", decomp.family_to_dict(fam))
+        calls = []
+
+        def counted(frame, *args, **kwargs):
+            calls.append(frame)
+            return loop_from_subspace(frame, *args, **kwargs)
+
+        monkeypatch.setattr(decomp, "loop_from_subspace", counted)
+        code, rep = run_cli(capsys, ["audit", src, "--no-meta"])
+        assert code == 0 and rep["reduction"]["max_variation"] < 1e-9
+        assert len(calls) == fam.size
 
     def test_winding_cycle_exit5(self, capsys, tmp_path):
         fam, _ = self.make_model_family()
@@ -520,7 +569,8 @@ class TestOptions:
         "N": [0], "M": [0], "depth": [-1], "band": [-1], "n": [0],
         "radius": [0.0, math.inf], "latitude": [0.0, math.pi],
         "tol_scale": [0.0, math.inf], "variation_tol": [0.0, math.inf],
-        "unitarity_tol": [0.0, math.inf],
+        "unitarity_tol": [0.0, math.inf], "seed": [-1],
+        "B": [math.inf, -math.inf],
     }
 
     def test_table_names_parser_options(self):

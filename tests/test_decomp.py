@@ -174,6 +174,23 @@ class TestReduction:
         assert len(set(cert.gamma_windings)) == 1
         assert cert.gamma_windings[0] == det_winding(g)
 
+    def test_audit_lends_its_loops(self):
+        rng = np.random.default_rng(11)
+        fam = build_model_decomposition([haar_unitary(2, rng)
+                                         for _ in range(3)])
+        report = audit_family(fam)
+        cert = reduction_cocycle(fam, audit=report)
+        assert all(g is h for g, h in zip(cert.gammas, report.gammas))
+        again = reduction_cocycle(fam)
+        for U, V in zip(cert.constants, again.constants):
+            assert np.array_equal(U, V)
+
+    def test_audit_of_another_family_refused(self):
+        fam = build_model_decomposition([np.eye(1)] * 3)
+        report = audit_family(build_model_decomposition([np.eye(1)] * 2))
+        with pytest.raises(ValueError, match="not of this family"):
+            reduction_cocycle(fam, audit=report)
+
     def test_requires_transitions(self):
         fam = SubspaceFamily(points=(0,), edges=(), psi=(plus_window(1),))
         with pytest.raises(ValueError, match="transition"):

@@ -217,6 +217,21 @@ class TestSerialization:
         a = TruncatedLoop(2, {-3: [1.0, 0.0], 3: [0.0, 1j]})
         assert list(loop_to_dict(a)["coeffs"]) == ["-3", "3"]
 
+    def test_wrong_block_shape_names_its_frequency(self):
+        d = {"n": 2, "coeffs": {"0": [[1.0, 0.0], [0.0, 0.0]],
+                                "1": [[1.0, 0.0]],
+                                "2": [[0.0, 0.0], [1.0, 0.0]]}}
+        with pytest.raises(ValueError) as info:
+            loop_from_dict(d)
+        assert str(info.value) == (
+            "coefficient at k=1 has shape (1,), expected (2,)")
+
+    def test_huge_frequency_loads(self):
+        k = 10 ** 30
+        a = loop_from_dict({"n": 1, "coeffs": {str(k): [[1.0, 0.5]]}})
+        assert a.band == (k, k)
+        assert a.coeffs[k] == np.array([1.0 + 0.5j])
+
 
 def dict_convolve(a, b, pair):
     """Reference: sum_{k+l=m} pair(a_k, b_l) over two coefficient dicts."""
@@ -255,6 +270,48 @@ class TestDictReference:
                            dict_convolve(g.mcoeffs, h.mcoeffs, np.matmul))
         assert_same_coeffs(apply(g, a).coeffs,
                            dict_convolve(g.mcoeffs, a.coeffs, np.matmul))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @given(data=st.data())
+    def test_multiply_and_apply_n1_n3(self, n, data):
+        g, h = (element([data.draw(loops(n=n)) for _ in range(n)])
+                for _ in range(2))
+        a = data.draw(loops(n=n))
+        assert_same_coeffs(multiply(g, h).mcoeffs,
+                           dict_convolve(g.mcoeffs, h.mcoeffs, np.matmul))
+        assert_same_coeffs(apply(g, a).coeffs,
+                           dict_convolve(g.mcoeffs, a.coeffs, np.matmul))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("wg, wh", [(1, 13), (13, 1)])
+    def test_unequal_widths(self, n, wg, wh):
+        rng = np.random.default_rng(7 * n + wg)
+        g, h = (LoopGroupElement(n, {k - 6: rng.standard_normal((n, n))
+                                     + 1j * rng.standard_normal((n, n))
+                                     for k in range(w)})
+                for w in (wg, wh))
+        a = h.column(0)
+        assert_same_coeffs(multiply(g, h).mcoeffs,
+                           dict_convolve(g.mcoeffs, h.mcoeffs, np.matmul))
+        assert_same_coeffs(apply(g, a).coeffs,
+                           dict_convolve(g.mcoeffs, a.coeffs, np.matmul))
+        f = TruncatedLoop(1, {k: h.data[k, :1, 0] for k in range(wh)})
+        b = g.column(0)
+        assert_same_coeffs(scalar_multiply(f, b).coeffs,
+                           dict_convolve(f.coeffs, b.coeffs, np.multiply))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_operand(self, n):
+        rng = np.random.default_rng(n)
+        g = LoopGroupElement(n, {k: rng.standard_normal((n, n))
+                                 for k in (-2, 0, 3)})
+        zero = LoopGroupElement(n, {})
+        for product in (multiply(g, zero), multiply(zero, g),
+                        apply(g, zero_loop(n)), apply(zero, g.column(0)),
+                        scalar_multiply(zero_loop(1), g.column(0)),
+                        scalar_multiply(TruncatedLoop(1, {1: [2.0]}),
+                                        zero_loop(n))):
+            assert product.is_zero and product.band == (0, 0)
 
     @given(loops(n=1), loops(n=3))
     def test_scalar_multiply(self, f, a):

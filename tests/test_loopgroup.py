@@ -76,6 +76,22 @@ class TestAlgebra:
         assert multiply(g, h).band == (0, 1)
         assert apply(g, basis_loop(2, component=1, frequency=1)).band == (1, 1)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cancelling_edge_coefficients_trim_band(self, n):
+        # P Q = Q P = 0, so both edge blocks of g h and of h g vanish exactly:
+        # g = P/z + I + P z (width 3), h = Q/z + X + Q z^2 (width 4)
+        P = np.zeros((n, n))
+        P[0, 0] = 1.0
+        Q = np.eye(n) - P
+        X = np.random.default_rng(n).standard_normal((n, n))
+        g = LoopGroupElement(n, {-1: P, 0: np.eye(n), 1: P})
+        h = LoopGroupElement(n, {-1: Q, 0: X, 2: Q})
+        assert multiply(g, h).band == (-1, 2)
+        assert multiply(h, g).band == (-1, 2)
+        assert apply(g, h.column(1)).band == (-1, 2)
+        # g e_0 = e_0 (1/z + 1 + z) and Q e_0 = 0 clear z^-2, z^2 and z^3
+        assert apply(h, g.column(0)).band == (-1, 1)
+
     def test_column_extraction(self):
         g = diag_zpowers([1, 0])
         col0 = g.column(0)
