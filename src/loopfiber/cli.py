@@ -102,7 +102,7 @@ def _load_input(path, parse, what):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return parse(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"not a {what}: {exc}") from exc
 
 
@@ -241,13 +241,15 @@ def cmd_holonomy(args):
     conn = _connection(args)
     loop = _base_loop(args, conn)
     frame = transport.parallel_transport(conn, loop, N=args.N)
+    hol, raw_defect = frame.holonomy, frame.raw_defect
+    del frame  # its step offsets need not stay alive through the 2N run
     again = transport.holonomy(conn, loop, N=2 * args.N)
     payload = {
         "preset": conn.name,
         "N": args.N,
-        "holonomy": fourier._to_pairs(frame.holonomy),
-        "unitarity_defect": frame.raw_defect,
-        "refinement_delta": float(np.linalg.norm(frame.holonomy - again)),
+        "holonomy": fourier._to_pairs(hol),
+        "unitarity_defect": raw_defect,
+        "refinement_delta": float(np.linalg.norm(hol - again)),
     }
     return _report(args, "holonomy", payload), EXIT_OK
 

@@ -43,6 +43,11 @@ WINDING_MAX_GRID = 2 ** 16   # det_winding's largest grid
 CANONICAL_SV_TOL = 1e-8      # least singular value of an invertible block
 RANDOM_LOOP_SCALE = 0.8      # random_loop's generator amplitude
 RANDOM_LOOP_GRID = 512       # random_loop's exponentiation grid
+POLAR_MAX_STEPS = 8          # Newton-Schulz steps before _polar takes the SVD
+# _polar's converged defect: a computed n x n unitary keeps ||X^H X - I||
+# below n * POLAR_ROUNDOFF (over 2e4 Haar matrices for each n = 1..8, the
+# largest was 1 eps at n = 1 and under 4 eps at n = 8)
+POLAR_ROUNDOFF = 4.0 * np.finfo(float).eps
 
 
 class LoopGroupElement(_BandedLoop):
@@ -111,17 +116,51 @@ def _certificate_samples(g):
     return N, g.grid_samples(N)
 
 
+def _gram_defects(S):
+    """(S_t^H S_t, ||S_t^H S_t - I||) for every matrix S_t of a stack; the
+    defect is inf or NaN, without a warning, where S_t^H S_t overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = np.einsum("...ji,...jk->...ik", S.conj(), S)
+        return G, np.linalg.norm(G - np.eye(S.shape[-1]), axis=(-2, -1))
+
+
 def _polar(S):
-    """Closest unitary to each matrix in a stack, via batched SVD."""
-    U, _, Vh = np.linalg.svd(S)
-    return U @ Vh
+    """Closest unitary to each matrix of a stack, its unitary polar factor.
+
+    Newton-Schulz: X <- X + X (I - X^H X) / 2, which converges quadratically
+    to the polar factor while ||X^H X - I|| < 1 (Higham, Functions of
+    Matrices, ch. 8).  Every matrix takes at least one step and stops once
+    its own defect is at roundoff; a matrix whose starting defect is not
+    below 1 (or not finite), or that has not converged within
+    POLAR_MAX_STEPS, takes the SVD U V^H instead.  Each result depends on
+    its own matrix alone, not on the rest of the stack.
+    """
+    shape = np.shape(S)
+    S = np.asarray(S, dtype=complex).reshape((-1,) + shape[-2:])
+    n = S.shape[-1]
+    X = S.copy()
+    G, defect = _gram_defects(X)
+    svd = ~(defect < 1.0)
+    todo = np.flatnonzero(~svd)
+    for _ in range(POLAR_MAX_STEPS):
+        Y = X[todo]
+        Y += Y @ (0.5 * (np.eye(n) - G[todo]))
+        X[todo] = Y
+        G[todo], defect = _gram_defects(Y)
+        todo = todo[~(defect <= n * POLAR_ROUNDOFF)]
+        if not todo.size:
+            break
+    svd[todo] = True
+    if svd.any():
+        U, _, Vh = np.linalg.svd(S[svd])
+        X[svd] = U @ Vh
+    return X.reshape(shape)
 
 
 def _stack_defect(S):
     """(max over t of ||S_t^H S_t - I||, the first t attaining it) for a
     stack S of square matrices; a NaN defect is the max."""
-    G = np.einsum("tji,tjk->tik", S.conj(), S)
-    D = np.linalg.norm(G - np.eye(S.shape[-1]), axis=(1, 2))
+    D = _gram_defects(S)[1]
     i = int(np.argmax(D))
     return float(D[i]), i
 

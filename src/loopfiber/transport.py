@@ -6,8 +6,9 @@ Conventions, fixed once for the whole package:
   * a connection is an anti-Hermitian-matrix-valued 1-form, sampled as
     A(x, v), linear in the velocity v;
   * transport solves T'(t) = -A(x(t), x'(t)) T(t), T(0) = I, by classical
-    RK4 with polar re-unitarization after every step (the raw, uncorrected
-    chain is integrated alongside and its drift reported);
+    RK4 with polar re-unitarization after every step; the raw, uncorrected
+    chain is kept as its step offsets and multiplied out only when its
+    drift or endpoint is read;
   * the holonomy of a loop is T(1), so an abelian connection gives
     Hol = exp(-loop integral of A).
 
@@ -24,15 +25,16 @@ T(t_i).  Transport runs as one batched pipeline for every fiber dimension n:
      every sample for shape and anti-Hermiticity;
   2. build every propagator P_i = I + h/6 (k1 + 2 k2 + 2 k3 + k4) with
      stacked matrix products;
-  3. unitarize each step once, Q_i = polar(P_i); since polar(P T) =
-     polar(P) T for unitary T, this equals re-unitarizing after every step;
-  4. form T(t_i) = Q_{i-1} ... Q_0 and the raw chain P_{i-1} ... P_0 as
-     log-depth prefix products, then re-project T with one more batched
-     polar so the frame stays unitary to roundoff.
+  3. unitarize each step once, Q_i = polar(P_i), by Newton-Schulz steps
+     (loopgroup._polar); since polar(P T) = polar(P) T for unitary T, this
+     equals re-unitarizing after every step;
+  4. form T(t_i) = Q_{i-1} ... Q_0 by a work-efficient (Blelloch) scan of
+     about 2 steps products, then re-project T with one more batched polar
+     so the frame stays unitary to roundoff.
 
-A holonomy alone needs only T(1): `holonomy` multiplies the Q_i with a
-pairwise tree product and takes one final polar, skipping the prefix
-products and the raw chain.
+A holonomy alone needs only T(1): `holonomy` runs the scan's up-sweep, a
+pairwise tree product of the Q_i, to its root and takes one final polar; it
+gives the same bits as the last frame of `parallel_transport`.
 
 Under these conventions the plane preset with form (i B / 2)(x dy - y dx)
 gives Hol = exp(-i B pi r^2) on a counterclockwise radius-r circle, and the
@@ -42,7 +44,8 @@ circles.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -257,18 +260,18 @@ class TransportFrame:
     """Transport matrices T(t_i) on the uniform grid t_i = i/N.
 
     Ts[i] = polar(Q_{i-1} ... Q_0), where Q_k is the polar factor of step k's
-    RK4 propagator P_k; the outer polar re-projects the prefix product, so
-    Ts[i] is unitary to roundoff.  raw_defect is the worst unitarity defect
-    of the never-corrected chain P_{i-1} ... P_0, and raw_holonomy its
-    endpoint.
+    RK4 propagator P_k = I + step_offsets[k]; the outer polar re-projects the
+    prefix product, so Ts[i] is unitary to roundoff.  The never-corrected
+    chain P_{i-1} ... P_0 is built from the stored step offsets only when
+    `raw_defect` (its worst unitarity defect) or `raw_holonomy` (its
+    endpoint) is first read.
     """
 
     loop: BaseLoop
     conn: ConnectionSpec
     N: int
     Ts: np.ndarray
-    raw_defect: float
-    raw_holonomy: np.ndarray
+    step_offsets: np.ndarray
 
     @property
     def n(self):
@@ -281,33 +284,73 @@ class TransportFrame:
     def unitarity_defect(self):
         return _stack_defect(self.Ts)[0]
 
+    @cached_property
+    def _raw_chain(self):
+        """(endpoint, worst defect) of the raw chain; ValueError when it
+        overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            E = _prefix_products(self.step_offsets)
+            EH = E.conj().transpose(0, 2, 1)
+            defect = float(np.linalg.norm(E + EH + EH @ E, axis=(1, 2)).max())
+        # the defect of a non-finite chain is inf or NaN
+        if not math.isfinite(defect):
+            raise ValueError(
+                f"the raw transport chain is not finite (N={self.N}): the "
+                "connection form is too large for the grid")
+        return np.eye(self.n, dtype=complex) + E[-1], defect
 
-def _prefix_products(E):
-    """C[i] with I + C[i] = (I + E[i]) ... (I + E[0]), by log-depth doubling.
+    @property
+    def raw_holonomy(self):
+        return self._raw_chain[0]
+
+    @property
+    def raw_defect(self):
+        return self._raw_chain[1]
+
+
+def _compose(later, earlier):
+    """C with I + C = (I + later)(I + earlier), for stacks of offsets.
 
     Products are kept as offsets from I, so factors close to I are never
     rounded against 1; a uniform loop would otherwise repeat the same
     rounding at every step.
     """
-    C = E.copy()
-    d = 1
-    while d < len(C):
-        C[d:] = C[d:] + C[:-d] + C[d:] @ C[:-d]
-        d *= 2
+    return later + earlier + later @ earlier
+
+
+def _pair_level(E):
+    """One level of the pairwise product: neighbours composed from the last
+    factor down, an unpaired first factor kept as it is."""
+    odd = len(E) % 2
+    return np.concatenate([E[:odd], _compose(E[odd + 1::2], E[odd::2])])
+
+
+def _prefix_products(E):
+    """C[i] with I + C[i] = (I + E[i]) ... (I + E[0]), by a work-efficient scan.
+
+    Blelloch's scan, written recursively: the up-sweep is one `_pair_level`,
+    whose entries end at every second factor; the scan of that level gives
+    the prefixes ending there, and each skipped factor is composed onto the
+    prefix just before it.  About 2 len(E) products in all, and the last
+    entry is `_tree_product(E)` bit for bit.
+    """
+    if len(E) == 1:
+        return E.copy()
+    S = _prefix_products(_pair_level(E))
+    # S holds the prefixes that end at the factors E[1 - odd::2]
+    odd = len(E) % 2
+    C = np.empty_like(E)
+    C[0] = E[0]
+    C[1 - odd::2] = S
+    C[2 - odd::2] = _compose(E[2 - odd::2], S[:-1])
     return C
 
 
 def _tree_product(E):
-    """C with I + C = (I + E[-1]) ... (I + E[0]), by pairwise products.
-
-    Offsets from I as in `_prefix_products`.  Pairs are formed from the last
-    factor down, which groups the factors exactly as the last entry of
-    `_prefix_products` does, so both give the same bits.
-    """
+    """C with I + C = (I + E[-1]) ... (I + E[0]), the up-sweep of
+    `_prefix_products` run to its root without the down-sweep."""
     while len(E) > 1:
-        odd = len(E) % 2
-        later, earlier = E[odd + 1::2], E[odd::2]
-        E = np.concatenate([E[:odd], later + earlier + later @ earlier])
+        E = _pair_level(E)
     return E[0]
 
 
@@ -347,14 +390,11 @@ def _step_offsets(conn, xv, t0, t1, steps):
 
 
 def _transport_chain(conn, xv, t0, t1, steps):
-    """Frames T(t0 + i h), i = 0..steps, the raw chain's end and its drift."""
+    """Frames T(t0 + i h), i = 0..steps, and the step offsets they came from."""
     I = np.eye(conn.n, dtype=complex)
     D = _step_offsets(conn, xv, t0, t1, steps)
-    E = _prefix_products(D)
-    EH = E.conj().transpose(0, 2, 1)
-    raw_defect = float(np.linalg.norm(E + EH + EH @ E, axis=(1, 2)).max())
     Ts = _polar(I + _prefix_products(_polar(I + D) - I))
-    return np.concatenate([I[None], Ts]), I + E[-1], raw_defect
+    return np.concatenate([I[None], Ts]), D
 
 
 def _end_transport(conn, xv, t0, t1, steps):
@@ -375,8 +415,8 @@ def _check_grid(conn, loop, N):
 def parallel_transport(conn, loop, N=2048):
     """Integrate the transport frame over the whole loop on an N-grid."""
     _check_grid(conn, loop, N)
-    Ts, R, raw = _transport_chain(conn, loop.xv, 0.0, 1.0, N)
-    return TransportFrame(loop, conn, N, Ts, raw, R)
+    return TransportFrame(loop, conn, N, *_transport_chain(
+        conn, loop.xv, 0.0, 1.0, N))
 
 
 def holonomy(conn, loop, N=2048):

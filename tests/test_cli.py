@@ -140,6 +140,16 @@ class TestProject:
         assert cli.main(["project", src, "--no-meta"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_oversized_integer_coefficient_exit2(self, capsys, tmp_path):
+        # JSON decodes a 400-digit literal as an int no float can hold
+        src = tmp_path / "huge.json"
+        src.write_text('{"n": 1, "coeffs": {"0": [[' + "9" * 400
+                       + ', 0.0]]}}')
+        assert cli.main(["project", str(src), "--no-meta"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not a coefficient loop file: ")
+
     def test_ragged_block_names_its_frequency(self, capsys, tmp_path):
         src = write_json(tmp_path / "ragged.json", {"n": 2, "coeffs": {
             "0": [[1.0, 0.0], [0.0, 0.0]], "1": [[1.0], [0.0, 1.0]]}})
@@ -319,6 +329,20 @@ class TestHolonomy:
         assert captured.err.startswith(message)
         assert captured.err.count("\n") == 1
 
+    def test_overflowing_raw_chain_exit2(self, capsys):
+        # the steps are finite at --B 1e20, but their never-corrected product
+        # is not: the report names the raw chain and N, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["holonomy", "--preset", "abelian2d", "--B",
+                             "1e20", "--N", "16", "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the raw transport chain is not finite (N=16): the "
+            "connection form is too large for the grid\n")
+
     def test_unwritable_output_exit2(self, capsys, tmp_path):
         # the report file is written before stdout, so a path that cannot
         # be written prints nothing and leaves no temp file behind
@@ -440,6 +464,18 @@ class TestTwistcheck:
         assert rep["failures"] == []
         assert rep["residuals"]["embed_roundtrip"] < 1e-8
         assert rep["residuals"]["rotation_equivariance"] < 1e-6
+
+    def test_field_that_overflows_raw_chain(self, capsys):
+        # twistcheck never reads the raw chain, so the field of
+        # TestHolonomy.test_overflowing_raw_chain_exit2 runs without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["twistcheck", "--preset", "abelian2d", "--B",
+                             "1e20", "--N", "16", "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["all_ok"]
 
     def test_impossible_tolerance_exit5(self, capsys):
         code, rep = run_cli(capsys,

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,70 @@ class TestRandomLoop:
     def test_band_parameter_validated(self):
         with pytest.raises(ValueError):
             random_loop(2, 0, seed=1)
+
+
+def svd_polar(S):
+    U, _, Vh = np.linalg.svd(S)
+    return U @ Vh
+
+
+class TestPolar:
+    """loopgroup._polar, Newton-Schulz with an SVD fallback."""
+
+    @pytest.mark.parametrize("c", [1e-3, 0.5, 0.9, 1.0, 1.1, 3.0, 1e3])
+    def test_scaled_unitary(self, c):
+        # polar(c U) = U for every c > 0; c far from 1 takes the SVD
+        U = haar_unitary(3, np.random.default_rng(1))
+        assert np.abs(loopgroup._polar(c * U) - U).max() < 1e-14
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-4, 0.1, 0.6])
+    def test_stretched_unitary(self, eps):
+        # U diag(1 + eps, 1 - eps) V is already in SVD form: polar is U V
+        rng = np.random.default_rng(2)
+        U, V = haar_unitary(2, rng), haar_unitary(2, rng)
+        S = U @ np.diag([1.0 + eps, 1.0 - eps]) @ V
+        assert np.abs(loopgroup._polar(S) - U @ V).max() < 1e-14
+
+    def mixed_stack(self):
+        """Near-unitary matrices around four that take the SVD: a random
+        one, a singular one, diag(1, 0.05) (defect below 1, but too slow to
+        converge within POLAR_MAX_STEPS) and one whose Gram overflows."""
+        rng = np.random.default_rng(3)
+        near = [haar_unitary(2, rng) + 1e-7 * rng.standard_normal((2, 2))
+                for _ in range(4)]
+        random = 2.0 * (rng.standard_normal((2, 2))
+                        + 1j * rng.standard_normal((2, 2)))
+        singular = np.outer([1.0, 2.0j], [0.5, 1.0])
+        slow = np.diag([1.0, 0.05])
+        huge = 1e200 * haar_unitary(2, rng)
+        stack = np.array([near[0], random, near[1], singular, near[2], slow,
+                          huge, near[3]], dtype=complex)
+        return stack, [1, 3, 5, 6]
+
+    def test_fallback_takes_exactly_the_unconverged(self, monkeypatch):
+        stack, fallback = self.mixed_stack()
+        seen = []
+        svd = np.linalg.svd
+
+        def recording_svd(S, *args, **kwargs):
+            seen.append(S.copy())
+            return svd(S, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Q = loopgroup._polar(stack)
+        assert len(seen) == 1 and np.array_equal(seen[0], stack[fallback])
+        assert np.array_equal(Q[fallback], svd_polar(stack[fallback]))
+        G = np.einsum("tji,tjk->tik", Q.conj(), Q)
+        assert np.linalg.norm(G - np.eye(2), axis=(1, 2)).max() < 1e-14
+
+    def test_each_result_independent_of_its_batch(self):
+        stack, _ = self.mixed_stack()
+        Q = loopgroup._polar(stack)
+        for i in range(len(stack)):
+            assert np.array_equal(loopgroup._polar(stack[i]), Q[i])
+        assert np.array_equal(loopgroup._polar(stack[::-1]), Q[::-1])
 
 
 class TestCertificateGrid:

@@ -12,12 +12,17 @@ import warnings
 import numpy as np
 import pytest
 
+from loopfiber import transport
 from loopfiber.errors import NonAntiHermitianSample, PhaseStepTooLarge
+from loopfiber.loopgroup import _polar
 from loopfiber.transport import (
     BaseLoop,
     ConnectionSpec,
     TransportFrame,
+    _prefix_products,
+    _step_offsets,
     _transport_chain,
+    _tree_product,
     abelian2d,
     chern_winding,
     flat,
@@ -224,8 +229,8 @@ class TestSegments:
         conn = su2sample()
         loop = BaseLoop.circle(1.3, center=(0.2, -0.1))
         frame = parallel_transport(conn, loop, N=512)
-        first, _, _ = _transport_chain(conn, loop.xv, 0.0, 0.5, 256)
-        second, _, _ = _transport_chain(conn, loop.xv, 0.5, 1.0, 256)
+        first, _ = _transport_chain(conn, loop.xv, 0.0, 0.5, 256)
+        second, _ = _transport_chain(conn, loop.xv, 0.5, 1.0, 256)
         assert np.linalg.norm(second[-1] @ first[-1] - frame.holonomy) < 1e-8
         assert np.linalg.norm(first[-1] - frame.Ts[256]) < 1e-10
 
@@ -396,7 +401,56 @@ class TestBatchedTransport:
     def test_tree_holonomy_matches_frame(self, name, N):
         conn, loop = REFERENCE_CASES[name]
         frame = parallel_transport(conn, loop, N=N)
-        assert np.abs(holonomy(conn, loop, N=N) - frame.holonomy).max() < 1e-13
+        assert np.array_equal(holonomy(conn, loop, N=N), frame.holonomy)
+
+
+class TestKernels:
+    """The step polar and the scan behind every transport."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    @pytest.mark.parametrize("N", [256, 2048])
+    def test_step_polars_match_svd(self, name, N):
+        conn, loop = REFERENCE_CASES[name]
+        P = np.eye(conn.n) + _step_offsets(conn, loop.xv, 0.0, 1.0, N)
+        U, _, Vh = np.linalg.svd(P)
+        assert np.abs(_polar(P) - U @ Vh).max() < 1e-15
+
+    @pytest.mark.parametrize("length", range(1, 41))
+    def test_scan_matches_sequential_product(self, length):
+        rng = np.random.default_rng(length)
+        E = 0.1 * (rng.standard_normal((length, 2, 2))
+                   + 1j * rng.standard_normal((length, 2, 2)))
+        C = _prefix_products(E)
+        P = np.eye(2)
+        for i in range(length):
+            P = (np.eye(2) + E[i]) @ P
+            assert np.abs(np.eye(2) + C[i] - P).max() < 1e-13
+        assert np.array_equal(C[-1], _tree_product(E))
+
+    def test_su2_transport_runs_without_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD called on the su2sample transport path")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        conn, loop = su2sample(), BaseLoop.circle(1.3)
+        frame = parallel_transport(conn, loop, N=2048)
+        assert np.array_equal(holonomy(conn, loop, N=2048), frame.holonomy)
+        assert frame.unitarity_defect() < 1e-14
+
+    def test_raw_chain_built_only_when_read(self, monkeypatch):
+        calls = []
+
+        def counted(E):
+            calls.append(len(E))
+            return _prefix_products(E)
+
+        monkeypatch.setattr(transport, "_prefix_products", counted)
+        frame = parallel_transport(su2sample(), BaseLoop.circle(1.3), N=64)
+        assert calls.count(64) == 1  # the frame's own scan, no raw chain
+        for _ in range(2):
+            assert frame.raw_defect < 1e-6
+            assert frame.raw_holonomy.shape == (2, 2)
+        assert calls.count(64) == 2  # one raw-chain scan, then cached
 
 
 class TestCsv:
