@@ -37,7 +37,7 @@ from .errors import (
     UnitarityViolation,
 )
 
-SCHEMA = 1
+SCHEMA = 2
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -241,14 +241,16 @@ def cmd_holonomy(args):
     conn = _connection(args)
     loop = _base_loop(args, conn)
     frame = transport.parallel_transport(conn, loop, N=args.N)
-    hol, raw_defect = frame.holonomy, frame.raw_defect
+    hol, defect = frame.holonomy, frame.unitarity_defect()
+    raw_drift = frame.raw_defect
     del frame  # its step offsets need not stay alive through the 2N run
     again = transport.holonomy(conn, loop, N=2 * args.N)
     payload = {
         "preset": conn.name,
         "N": args.N,
         "holonomy": fourier._to_pairs(hol),
-        "unitarity_defect": raw_defect,
+        "unitarity_defect": defect,
+        "raw_drift": raw_drift,
         "refinement_delta": float(np.linalg.norm(hol - again)),
     }
     return _report(args, "holonomy", payload), EXIT_OK

@@ -48,6 +48,7 @@ POLAR_MAX_STEPS = 8          # Newton-Schulz steps before _polar takes the SVD
 # below n * POLAR_ROUNDOFF (over 2e4 Haar matrices for each n = 1..8, the
 # largest was 1 eps at n = 1 and under 4 eps at n = 8)
 POLAR_ROUNDOFF = 4.0 * np.finfo(float).eps
+MATMUL_BROADCAST_MAX = 3     # largest block _matmul sums by broadcasting
 
 
 class LoopGroupElement(_BandedLoop):
@@ -96,7 +97,7 @@ def inverse(g):
     Coefficientwise: the inverse has coefficients A_{-k}^H.
     """
     return LoopGroupElement.from_band(
-        g.n, -g.band[1], g.data[::-1].conj().transpose(0, 2, 1))
+        g.n, -g.band[1], _adjoint(g.data[::-1]))
 
 
 def apply(g, a):
@@ -116,11 +117,40 @@ def _certificate_samples(g):
     return N, g.grid_samples(N)
 
 
+def _matmul(A, B):
+    """A @ B for stacks of (n, m) and (m, p) blocks, batch axes broadcast.
+
+    np.matmul makes one BLAS call per block, which dominates for the small
+    blocks of transport.  Blocks no larger than MATMUL_BROADCAST_MAX are
+    summed over the inner index by broadcast multiply-adds instead.  On
+    2048 complex n x n blocks (2-vCPU AVX-512 Xeon, OpenBLAS) that takes
+    0.13 vs 0.68 ms at n = 2 and 0.62 vs 0.75 ms at n = 3, but 1.2 vs
+    0.7 ms at n = 4 and 7.4 vs 1.2 ms at n = 8, so larger blocks go to
+    np.matmul.  Both ways each block of the result depends only on
+    its own operands, and NaN and inf propagate.
+    """
+    (n, m), p = A.shape[-2:], B.shape[-1]
+    if B.shape[-2] != m:
+        raise ValueError(f"cannot multiply ({n}, {m}) blocks by "
+                         f"{B.shape[-2:]} blocks")
+    if not 1 <= m <= MATMUL_BROADCAST_MAX or max(n, p) > MATMUL_BROADCAST_MAX:
+        return np.matmul(A, B)
+    out = A[..., :, :1] * B[..., :1, :]
+    for j in range(1, m):
+        out += A[..., :, j:j + 1] * B[..., j:j + 1, :]
+    return out
+
+
+def _adjoint(S):
+    """The conjugate transpose of every block of a stack."""
+    return np.swapaxes(S.conj(), -1, -2)
+
+
 def _gram_defects(S):
     """(S_t^H S_t, ||S_t^H S_t - I||) for every matrix S_t of a stack; the
     defect is inf or NaN, without a warning, where S_t^H S_t overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        G = np.einsum("...ji,...jk->...ik", S.conj(), S)
+        G = _matmul(_adjoint(S), S)
         return G, np.linalg.norm(G - np.eye(S.shape[-1]), axis=(-2, -1))
 
 
@@ -144,7 +174,7 @@ def _polar(S):
     todo = np.flatnonzero(~svd)
     for _ in range(POLAR_MAX_STEPS):
         Y = X[todo]
-        Y += Y @ (0.5 * (np.eye(n) - G[todo]))
+        Y += _matmul(Y, 0.5 * (np.eye(n) - G[todo]))
         X[todo] = Y
         G[todo], defect = _gram_defects(Y)
         todo = todo[~(defect <= n * POLAR_ROUNDOFF)]

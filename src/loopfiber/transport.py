@@ -32,6 +32,12 @@ T(t_i).  Transport runs as one batched pipeline for every fiber dimension n:
      about 2 steps products, then re-project T with one more batched polar
      so the frame stays unitary to roundoff.
 
+Every stacked product of steps 2-4 goes through loopgroup._matmul: for the
+small blocks of transport (n <= 3) it sums over the inner index with
+broadcast multiply-adds, where np.matmul would make one BLAS call per
+block, and it hands larger blocks to np.matmul; the path is the same for
+every n.
+
 A holonomy alone needs only T(1): `holonomy` runs the scan's up-sweep, a
 pairwise tree product of the Q_i, to its root and takes one final polar; it
 gives the same bits as the last frame of `parallel_transport`.
@@ -50,7 +56,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonAntiHermitianSample, PhaseStepTooLarge
-from .loopgroup import _phase_winding, _polar, _stack_defect
+from .loopgroup import (_adjoint, _matmul, _phase_winding, _polar,
+                        _stack_defect)
 
 __all__ = [
     "BaseLoop",
@@ -237,11 +244,17 @@ def su2sample():
     """
 
     def form(x, v):
-        x0, x1 = x[..., 0, None, None], x[..., 1, None, None]
-        v0, v1 = v[..., 0, None, None], v[..., 1, None, None]
-        A0 = 1j * (0.3 * _S1 + 0.2 * x1 * _S3)
-        A1 = 1j * (0.4 * _S2 - 0.1 * x0 * _S1 + 0.15 * _S3)
-        return v0 * A0 + v1 * A1
+        # A = i (a1 s1 + a2 s2 + a3 s3), entries assembled from the three
+        # Pauli coefficients without a (..., 2, 2) temporary per term
+        x0, x1, v0, v1 = x[..., 0], x[..., 1], v[..., 0], v[..., 1]
+        a1 = v0 * 0.3 - v1 * (0.1 * x0)
+        a2 = v1 * 0.4
+        a3 = v0 * (0.2 * x1) + v1 * 0.15
+        A = np.zeros(np.shape(a1) + (2, 2), dtype=complex)
+        A.imag[..., 0, 0], A.imag[..., 1, 1] = a3, -a3
+        A.imag[..., 0, 1] = A.imag[..., 1, 0] = a1
+        A.real[..., 0, 1], A.real[..., 1, 0] = a2, -a2
+        return A
 
     return ConnectionSpec(2, 2, form, name="su2sample")
 
@@ -290,8 +303,9 @@ class TransportFrame:
         overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
             E = _prefix_products(self.step_offsets)
-            EH = E.conj().transpose(0, 2, 1)
-            defect = float(np.linalg.norm(E + EH + EH @ E, axis=(1, 2)).max())
+            EH = _adjoint(E)
+            defect = float(np.linalg.norm(E + EH + _matmul(EH, E),
+                                          axis=(1, 2)).max())
         # the defect of a non-finite chain is inf or NaN
         if not math.isfinite(defect):
             raise ValueError(
@@ -315,7 +329,7 @@ def _compose(later, earlier):
     rounded against 1; a uniform loop would otherwise repeat the same
     rounding at every step.
     """
-    return later + earlier + later @ earlier
+    return later + earlier + _matmul(later, earlier)
 
 
 def _pair_level(E):
@@ -362,7 +376,7 @@ def _sample_forms(conn, xv, ts):
         raise ValueError(f"connection form on {len(ts)} nodes has shape "
                          f"{A.shape}, expected ({len(ts)}, {n}, {n})")
     with np.errstate(invalid="ignore"):
-        defect = np.linalg.norm(A + A.conj().transpose(0, 2, 1), axis=(1, 2))
+        defect = np.linalg.norm(A + _adjoint(A), axis=(1, 2))
     # written so that a NaN defect fails the check too
     bad = np.flatnonzero(~(defect <= ANTIHERM_TOL))
     if bad.size:
@@ -377,9 +391,9 @@ def _step_offsets(conn, xv, t0, t1, steps):
     M = _sample_forms(conn, xv, np.linspace(t0, t1, 2 * steps + 1))
     M0, Mh, M1 = M[0:-1:2], M[1::2], M[2::2]
     with np.errstate(over="ignore", invalid="ignore"):
-        K2 = Mh + (0.5 * h) * (Mh @ M0)
-        K3 = Mh + (0.5 * h) * (Mh @ K2)
-        K4 = M1 + h * (M1 @ K3)
+        K2 = Mh + (0.5 * h) * _matmul(Mh, M0)
+        K3 = Mh + (0.5 * h) * _matmul(Mh, K2)
+        K4 = M1 + h * _matmul(M1, K3)
         D = (h / 6.0) * (M0 + 2.0 * K2 + 2.0 * K3 + K4)
     bad = np.flatnonzero(~np.isfinite(D).all(axis=(1, 2)))
     if bad.size:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import PeriodicityDefect
 from .fourier import (_from_pairs, _to_pairs, evaluate_grid, from_grid_samples,
                       project_minus, project_plus)
-from .loopgroup import _stack_defect
+from .loopgroup import _adjoint, _matmul, _stack_defect
 
 __all__ = [
     "GaugeTwist",
@@ -78,7 +78,7 @@ def identity_twist(n, N):
 def holonomy_twist(frame):
     """tau(t_i) = T_i Hol T_i^* from a transport frame."""
     Ts = frame.Ts[:-1]
-    vals = np.einsum("tij,jk,tlk->til", Ts, frame.holonomy, Ts.conj())
+    vals = _matmul(_matmul(Ts, frame.holonomy), _adjoint(Ts))
     return GaugeTwist(frame.n, frame.N, "holonomy", vals)
 
 
@@ -239,8 +239,7 @@ def rotate(section, steps):
         new = np.concatenate([old[steps:], above])
     else:  # sigma_j = tau(j)^* sigma_{N + j} for j = steps..-1
         js = np.arange(steps, 0)
-        tau_inv = tau[js % N].conj().transpose(0, 2, 1)
-        below = (tau_inv @ old[js + N, :, None])[..., 0]
+        below = (_adjoint(tau[js % N]) @ old[js + N, :, None])[..., 0]
         new = np.concatenate([below, old[:N + 1 + steps]])
     twist = (shifted_twist(section.twist, steps)
              if section.twist is not None else None)
@@ -255,7 +254,7 @@ def untwisted_comparison(frame0, frame1):
     obstruction to comparing the two twisted bundles by a plain loop map.
     """
     _require_match(frame0, frame1)
-    return np.einsum("tji,tjk->tik", frame1.Ts.conj(), frame0.Ts)
+    return _matmul(_adjoint(frame1.Ts), frame0.Ts)
 
 
 def fiber_intertwiner(frame0, frame1):
@@ -265,7 +264,7 @@ def fiber_intertwiner(frame0, frame1):
     satisfies G(t + 1) tau0(t) = tau1(t) G(t).
     """
     _require_match(frame0, frame1)
-    return np.einsum("tij,tkj->tik", frame1.Ts, frame0.Ts.conj())
+    return _matmul(frame1.Ts, _adjoint(frame0.Ts))
 
 
 def section_to_dict(section):

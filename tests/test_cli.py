@@ -64,7 +64,7 @@ class TestProject:
                          fourier.loop_to_dict(self.loop))
         code, rep = run_cli(capsys, ["project", src, "--no-meta"])
         assert code == 0
-        assert rep["schema"] == 1
+        assert rep["schema"] == cli.SCHEMA == 2
         assert rep["command"] == "project"
         total = rep["norms"]["plus"] ** 2 + rep["norms"]["minus"] ** 2
         assert math.isclose(total, rep["norms"]["input"] ** 2, rel_tol=1e-12)
@@ -259,6 +259,28 @@ class TestHolonomy:
         assert abs(complex(re, im) - cmath.exp(1j * math.pi)) < 1e-6
         assert rep["unitarity_defect"] < 1e-10
         assert rep["refinement_delta"] < 1e-9
+
+    def test_reports_corrected_and_raw_drift(self, capsys):
+        # on the origin-centred circle abelian2d's -A is the constant i theta
+        # N per unit time, theta = B pi r^2 / N, so every raw RK4 step
+        # multiplies by R = 1 + z + z^2/2 + z^3/6 + z^4/24 at z = i theta and
+        # the raw chain ends with the largest drift, 1 - |R|^(2N)
+        B, r, N = 1.0, 1.0, 16
+        code, rep = run_cli(capsys,
+                            ["holonomy", "--preset", "abelian2d", "--B", "1.0",
+                             "--circle", "1.0", "--N", str(N), "--no-meta"])
+        assert code == 0 and rep["schema"] == 2
+        z = 1j * B * math.pi * r * r / N
+        R = 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+        assert rep["raw_drift"] == pytest.approx(1 - abs(R) ** (2 * N),
+                                                 rel=1e-9)
+        frame = transport.parallel_transport(
+            transport.abelian2d(B), transport.BaseLoop.circle(r), N=N)
+        assert rep["raw_drift"] == frame.raw_defect
+        # the corrected frame is unitary to roundoff
+        assert rep["unitarity_defect"] == frame.unitarity_defect()
+        assert rep["unitarity_defect"] <= 4 * np.finfo(float).eps
+        assert rep["raw_drift"] > 1e-6
 
     def test_flat_identity(self, capsys):
         code, rep = run_cli(capsys,

@@ -234,6 +234,79 @@ class TestPolar:
         assert np.array_equal(loopgroup._polar(stack[::-1]), Q[::-1])
 
 
+def random_blocks(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def assert_matches_matmul(A, B):
+    C, D = loopgroup._matmul(A, B), np.matmul(A, B)
+    assert C.shape == D.shape
+    assert np.abs(C - D).max(initial=0.0) <= 1e-15 * np.abs(D).max(initial=0.0)
+
+
+class TestMatmul:
+    """loopgroup._matmul, the stacked product behind transport and _polar."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_square_blocks_match_matmul(self, n):
+        # n <= MATMUL_BROADCAST_MAX is summed by broadcasting, larger n
+        # goes to np.matmul
+        rng = np.random.default_rng(n)
+        assert_matches_matmul(random_blocks(rng, 33, n, n),
+                              random_blocks(rng, 33, n, n))
+
+    @pytest.mark.parametrize("n, m, p", [(2, 3, 1), (3, 2, 1), (3, 1, 2),
+                                         (1, 3, 3), (2, 1, 3), (4, 2, 1),
+                                         (2, 5, 3)])
+    def test_rectangular_blocks_match_matmul(self, n, m, p):
+        rng = np.random.default_rng(10 * n + m + p)
+        assert_matches_matmul(random_blocks(rng, 17, n, m),
+                              random_blocks(rng, 17, m, p))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_broadcasts_against_one_matrix(self, n):
+        rng = np.random.default_rng(20 + n)
+        S, U = random_blocks(rng, 9, n, n), random_blocks(rng, n, n)
+        assert_matches_matmul(S, U)
+        assert_matches_matmul(U, S)
+        assert_matches_matmul(random_blocks(rng, 4, 1, n, n), S)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_empty_stack(self, n):
+        E = np.zeros((0, n, n), dtype=complex)
+        assert loopgroup._matmul(E, E).shape == (0, n, n)
+
+    def test_mismatched_blocks_rejected(self):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError, match="cannot multiply"):
+            loopgroup._matmul(random_blocks(rng, 5, 2, 1),
+                              random_blocks(rng, 5, 2, 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_each_block_independent_of_its_batch(self, n):
+        # _polar's results depend on their own matrix alone only if this
+        # holds bit for bit
+        rng = np.random.default_rng(30 + n)
+        A, B = random_blocks(rng, 65, n, n), random_blocks(rng, 65, n, n)
+        C = loopgroup._matmul(A, B)
+        for i in range(len(A)):
+            assert np.array_equal(loopgroup._matmul(A[i:i + 1], B[i:i + 1])[0],
+                                  C[i])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_nan_and_inf_propagate(self, n):
+        rng = np.random.default_rng(40 + n)
+        A, B = random_blocks(rng, 6, n, n), random_blocks(rng, 6, n, n)
+        A[2, 0, 1], A[4, 1, 0] = np.nan, np.inf
+        with np.errstate(invalid="ignore"):
+            C = loopgroup._matmul(A, B)
+            defects = loopgroup._gram_defects(A)[1]
+        assert np.isnan(C[2, 0]).all() and not np.isfinite(C[4, 1]).all()
+        assert np.isfinite(np.delete(C, [2, 4], axis=0)).all()
+        # a NaN or inf block fails every `defect <= tol` check
+        assert not (defects[[2, 4]] <= 1e300).any()
+
+
 class TestCertificateGrid:
     def test_grid_resolves_the_band(self):
         # gamma = 1 + i sin(256 theta) equals 1 at every point of a 256-grid

@@ -17,9 +17,21 @@ ROOT = Path(__file__).resolve().parents[1]
      ["trial", "unitarity", "defect", "residue", "variation", "winding"]),
 ])
 def test_script_runs(script, args, header):
+    assert run_script(script, args).splitlines()[0].split() == header
+
+
+def test_convergence_ratios_show_fourth_order():
+    # RK4 on the flux oracle: the raw error falls 16-fold per grid doubling
+    rows = run_script("holonomy_convergence.py",
+                      ["--grids", "64", "128", "256"]).splitlines()[1:]
+    ratios = [float(row.split()[2]) for row in rows[1:]]
+    assert len(ratios) == 2 and all(14.0 < q < 18.0 for q in ratios), rows
+
+
+def run_script(script, args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)]
                           + args, capture_output=True, text=True, env=env,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0].split() == header
+    return proc.stdout

@@ -7,6 +7,7 @@ solid angle, the small-loop expansion from a hand-computed curvature.
 
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -216,6 +217,23 @@ class TestSu2:
         assert slope > 2.7, (slope, errs)
         assert errs[2] < 2e-3, errs
 
+    def test_form_assembled_from_pauli_coefficients(self):
+        # the 8193 nodes of `holonomy --preset su2sample --N 2048`'s 2N run
+        x, v = BaseLoop.circle(1.0).xv(np.linspace(0.0, 1.0, 8193))
+        x0, x1 = x[..., 0, None, None], x[..., 1, None, None]
+        v0, v1 = v[..., 0, None, None], v[..., 1, None, None]
+        A0 = 1j * (0.3 * S1 + 0.2 * x1 * S3)
+        A1 = 1j * (0.4 * S2 - 0.1 * x0 * S1 + 0.15 * S3)
+        form = su2sample().form
+        assert np.array_equal(form(x, v), v0 * A0 + v1 * A1)
+        tracemalloc.start()
+        try:
+            A = form(x, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * A.nbytes, (peak, A.nbytes)
+
     def test_holonomy_unitary(self):
         frame = parallel_transport(su2sample(), BaseLoop.circle(1.3), N=512)
         h = frame.holonomy
@@ -358,27 +376,87 @@ def sequential_transport(conn, loop, N):
     return np.array(Ts), R
 
 
+def constant_generator(K):
+    """The form A = K (x dy - y dx) for a constant anti-Hermitian K."""
+    K = np.asarray(K, dtype=complex)
+
+    def form(x, v):
+        num = x[..., 0] * v[..., 1] - x[..., 1] * v[..., 0]
+        return num[..., None, None] * K
+
+    return ConnectionSpec(len(K), 2, form, name=f"constant-n{len(K)}")
+
+
+def anti_hermitian(n, seed):
+    Z = np.random.default_rng(seed).standard_normal((n, 2 * n)).view(complex)
+    return 0.5 * (Z - Z.conj().T)
+
+
+def constant_generator_holonomy(K, r):
+    """exp(-2 pi r^2 K), the holonomy of A = K (x dy - y dx) on the
+    counterclockwise radius-r circle: A there is the constant K 2 pi r^2 dt,
+    so all its values commute.  With i K = V diag(lam) V^H Hermitian,
+    exp(-2 pi r^2 K) = V diag(exp(2 pi i r^2 lam)) V^H."""
+    lam, V = np.linalg.eigh(1j * K)
+    return (V * np.exp(2j * math.pi * r * r * lam)) @ V.conj().T
+
+
 REFERENCE_CASES = {
     "su2sample": (su2sample(), BaseLoop.circle(1.3, center=(0.2, -0.1))),
     "abelian2d": (abelian2d(1.7), BaseLoop.circle(0.9)),
     "monopole": (monopole(2), latitude_loop(1.1)),
 }
+# fiber dimensions on both sides of loopgroup.MATMUL_BROADCAST_MAX, with
+# holonomy phases of about 2 pi
+CONSTANT_CASES = {
+    "constant-n3": (constant_generator(anti_hermitian(3, 3)),
+                    BaseLoop.circle(0.5)),
+    "constant-n5": (constant_generator(anti_hermitian(5, 5)),
+                    BaseLoop.circle(0.6)),
+}
+ALL_CASES = {**REFERENCE_CASES, **CONSTANT_CASES}
+
+
+class TestConstantGenerator:
+    """A = K (x dy - y dx) on a circle: a closed form for every n."""
+
+    def test_n1_is_abelian2d_stokes_convention(self):
+        # K = -i B / 2 is abelian2d's form, whose circle holonomy is the
+        # flux phase exp(+i B pi r^2)
+        B, r = 1.7, 0.9
+        K = np.array([[-0.5j * B]])
+        exact = constant_generator_holonomy(K, r)
+        assert abs(exact[0, 0] - np.exp(1j * B * math.pi * r * r)) < 1e-15
+        loop = BaseLoop.circle(r)
+        h = holonomy(constant_generator(K), loop, N=1024)
+        assert np.array_equal(h, holonomy(abelian2d(B), loop, N=1024))
+        assert np.abs(h - exact).max() < 1e-10
+
+    @pytest.mark.parametrize("name", sorted(CONSTANT_CASES))
+    def test_holonomy_matches_closed_form(self, name):
+        conn, loop = CONSTANT_CASES[name]
+        K = conn.form(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        r = float(np.linalg.norm(loop.point(0.0)))
+        exact = constant_generator_holonomy(K, r)
+        assert np.abs(holonomy(conn, loop, N=2048) - exact).max() < 1e-10
+        # a coarse grid misses it by RK4's error, so the oracle is not vacuous
+        assert np.abs(holonomy(conn, loop, N=16) - exact).max() > 1e-8
 
 
 class TestBatchedTransport:
     """The batched propagator pipeline against the step-by-step reference."""
 
-    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    @pytest.mark.parametrize("name", sorted(ALL_CASES))
     def test_matches_sequential_reference(self, name):
-        conn, loop = REFERENCE_CASES[name]
+        conn, loop = ALL_CASES[name]
         Ts, R = sequential_transport(conn, loop, 1024)
         frame = parallel_transport(conn, loop, N=1024)
         assert np.abs(frame.Ts - Ts).max() < 1e-12
         assert np.abs(frame.raw_holonomy - R).max() < 1e-12
 
-    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    @pytest.mark.parametrize("name", sorted(ALL_CASES))
     def test_frames_unitary_at_fine_grid(self, name):
-        conn, loop = REFERENCE_CASES[name]
+        conn, loop = ALL_CASES[name]
         assert parallel_transport(conn, loop, N=8192).unitarity_defect() < 1e-13
 
     def test_form_sampled_once_per_half_step_node(self):
@@ -396,10 +474,10 @@ class TestBatchedTransport:
                 run(spec, loop, N=N)
                 assert calls == [(2 * N + 1, conn.d)]
 
-    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    @pytest.mark.parametrize("name", sorted(ALL_CASES))
     @pytest.mark.parametrize("N", [1, 7, 1024])
     def test_tree_holonomy_matches_frame(self, name, N):
-        conn, loop = REFERENCE_CASES[name]
+        conn, loop = ALL_CASES[name]
         frame = parallel_transport(conn, loop, N=N)
         assert np.array_equal(holonomy(conn, loop, N=N), frame.holonomy)
 
@@ -436,6 +514,15 @@ class TestKernels:
         frame = parallel_transport(conn, loop, N=2048)
         assert np.array_equal(holonomy(conn, loop, N=2048), frame.holonomy)
         assert frame.unitarity_defect() < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_overflowing_step_raises(self, n):
+        # finite anti-Hermitian samples whose products overflow: the step
+        # check must see the inf and NaN the stacked products make
+        K = 1e200j * np.diag(np.arange(1.0, n + 1.0))
+        conn = constant_generator(K)
+        with pytest.raises(ValueError, match=r"not finite \(N=16\)"):
+            _step_offsets(conn, BaseLoop.circle(1.0).xv, 0.0, 1.0, 16)
 
     def test_raw_chain_built_only_when_read(self, monkeypatch):
         calls = []
