@@ -207,15 +207,17 @@ def cmd_project(args):
 def cmd_subspace_loop(args):
     def parse(data):
         if "generators" in data:
-            filt = subspaces.filtration_from_dict(data)
-            depth = args.depth if args.depth is not None else filt.depth
-            return subspaces.expand_filtration(filt, depth)
+            return subspaces.filtration_from_dict(data)
         if "columns" in data:
             return subspaces.frame_from_dict(data)
         raise ValueError("expected a filtration file (generators/depth) or "
                          "a frame file (n/columns)")
 
     frame = _load_input(args.input, parse, "subspace file")
+    if isinstance(frame, subspaces.FiltrationSubspace):
+        frame = subspaces.expand_filtration(frame, args.depth)
+    elif args.depth is not None:
+        raise InputError("--depth applies only to a filtration file")
 
     payload = {"input": args.input, "n": frame.n, "subspace_dim": frame.dim}
     try:

@@ -39,16 +39,9 @@ from .loopgroup import (
     theta_variation,
     unitarity_defect,
 )
-from .subspaces import (
-    expand_filtration,
-    filtration_from_dict,
-    filtration_to_dict,
-    FiltrationSubspace,
-    orthonormalize,
-    principal_angles,
-    stack_loops,
-    union_band,
-)
+from .subspaces import (FiltrationSubspace, _residual_norms, expand_filtration,
+                        filtration_from_dict, filtration_to_dict,
+                        orthonormalize, principal_angles)
 
 __all__ = [
     "SubspaceFamily",
@@ -134,17 +127,10 @@ class PointAudit:
         return self.passed_a and self.passed_b and self.passed_c
 
     def to_dict(self):
-        return {
-            "point": self.point,
-            "shift_residual": self.shift_residual,
-            "dim_at_depth": self.dim_at_depth,
-            "dim_above": self.dim_above,
-            "growth": self.growth,
-            "intersection_dim": self.intersection_dim,
-            "unitarity_defect": self.unitarity_defect,
-            "failure": self.failure,
-            "passed": [self.passed_a, self.passed_b, self.passed_c],
-        }
+        """Every field, with passed_a..passed_c as the list "passed"."""
+        d = {k: v for k, v in vars(self).items() if not k.startswith("passed")}
+        d["passed"] = [self.passed_a, self.passed_b, self.passed_c]
+        return d
 
 
 @dataclass(frozen=True)
@@ -178,12 +164,8 @@ class AuditReport:
 
 def _shift_residual(frame_p, frame_p1):
     """max over the depth-P frame of the part of z*w outside the P+1 frame."""
-    shifted = [shift(w, 1) for w in frame_p.columns]
-    band = union_band(shifted + list(frame_p1.columns))
-    rows = stack_loops(shifted, band=band)
-    basis = stack_loops(frame_p1.columns, band=band)
-    resid = rows - (rows @ basis.conj().T) @ basis
-    return float(np.linalg.norm(resid, axis=1).max())
+    zw = frame_p.stack._replace(kmin=frame_p.stack.kmin + 1)
+    return float(_residual_norms(frame_p1, zw).max())
 
 
 def _audit_point(x, f):
@@ -226,11 +208,12 @@ def _audit_point(x, f):
 
 
 def audit_family(fam):
-    """Check the fiberwise axioms at every base point; never raises.
+    """Check the fiberwise axioms at every base point.
 
     Failures land in the report: per point the shift residual (a), the
     window growth (b), the intersection dimension and loop unitarity (c),
     plus per-edge continuity cosines between neighbouring generator spans.
+    A window with dependent shifted generators raises RankDeficiency.
     """
     point_audits, gammas = zip(*(_audit_point(x, f)
                                  for x, f in enumerate(fam.psi)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IntersectionDimension, PhaseStepTooLarge, UnitarityViolation
 from .fourier import (TruncatedLoop, _BandedLoop, _blocks_from_pairs,
-                      _blocks_to_pairs, _convolve, basis_loop, stack_columns)
+                      _blocks_to_pairs, _convolve, shift)
 from .subspaces import intersect_shift_complement, orthonormalize
 
 __all__ = [
@@ -335,9 +335,8 @@ def _canonical_basis_rotation(kmin, blocks):
 def window_frame(g, depth):
     """Orthonormal frame of the window g . span{z^p e_j : 0 <= p <= depth},
     the subspace `loop_from_subspace` rebuilds g from."""
-    cols = [apply(g, basis_loop(g.n, component=j, frequency=p))
-            for p in range(depth + 1) for j in range(g.n)]
-    return orthonormalize(cols)
+    return orthonormalize([shift(g.column(j), p)
+                           for p in range(depth + 1) for j in range(g.n)])
 
 
 def loop_from_subspace(W, tol=UNITARITY_TOL):
@@ -360,7 +359,7 @@ def loop_from_subspace(W, tol=UNITARITY_TOL):
     d = 0 if inter is None else inter.dim
     if d != W.n:
         raise IntersectionDimension(d, W.n)
-    stack = stack_columns(inter.columns)  # column j of A_k is w_j's c_k
+    stack = inter.stack  # column j of A_k is w_j's c_k
     blocks = stack.data @ _canonical_basis_rotation(stack.kmin, stack.data)
     g = LoopGroupElement.from_band(W.n, stack.kmin, blocks)
     defect, theta = unitarity_defect(g)

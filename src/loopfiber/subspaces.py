@@ -1,18 +1,19 @@
 """Finite-dimensional subspaces of truncated loop space.
 
-Frames are lists of orthonormal TruncatedLoops.  Internally the columns of
-a frame are padded into one common frequency band, so Gram matrices and
-rank decisions reduce to dense linear algebra on small matrices.  Padding
-is an isometry for the Parseval pairing.
+A frame stores its orthonormal columns once, as one fourier.BandStack over
+a band that holds them all, and this is the only module that lays a frame
+out: padding is an isometry for the Parseval pairing, so Gram matrices, QR
+and rank decisions are dense linear algebra on the stacked coefficients.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RankDeficiency
-from .fourier import (TruncatedLoop, inner_product, loop_from_dict,
-                      loop_to_dict, shift, stack_columns, union_band)
+from .fourier import (BandStack, TruncatedLoop, inner_product, loop_from_dict,
+                      loop_to_dict, shift, stack_columns,
+                      union_band)  # noqa: F401  (stack_loops callers use it)
 
 __all__ = [
     "SubspaceFrame",
@@ -29,59 +30,63 @@ __all__ = [
 ]
 
 GRAM_TOL = 1e-10          # frame orthonormality tolerance
-DROP_TOL = 1e-10          # Gram-Schmidt residual drop threshold
+DROP_TOL = 1e-10          # least |R_jj| of a vector orthonormalize keeps
 FILTRATION_SV_TOL = 1e-8  # smallest admissible Gram singular value
 
 
 def stack_loops(loops, band=None):
-    """Flatten loops to rows of a matrix over a common band.
-
-    Row layout: coefficient vectors concatenated frequency by frequency,
-    so the Euclidean pairing of rows equals the loop inner product.
-    """
+    """Flatten loops to rows of a matrix over a common band, so the
+    Euclidean pairing of rows equals the loop inner product.  Frames do not
+    use this row layout."""
     data = stack_columns(loops, band).data
     return data.transpose(2, 0, 1).reshape(len(loops), -1)
 
 
-def unstack_rows(rows, band, n):
-    """Inverse of stack_loops for each row."""
-    return [TruncatedLoop.from_band(n, band[0], row.reshape(-1, n))
-            for row in np.atleast_2d(rows)]
-
-
 def cross_gram(A, B):
-    """Matrix of pairings G[i, j] = <A[i], B[j]> (conjugate-linear in A)."""
-    return inner_product(stack_columns(A), stack_columns(B))
+    """Matrix of pairings G[i, j] = <A[i], B[j]> (conjugate-linear in A) of
+    two lists of loops or two BandStacks."""
+    return inner_product(*(S if isinstance(S, BandStack) else stack_columns(S)
+                           for S in (A, B)))
 
 
-@dataclass(frozen=True, eq=False)
 class SubspaceFrame:
     """An orthonormal frame spanning a subspace of truncated loop space.
 
-    Invariant: the Gram matrix of `columns` is the identity to 1e-10.
+    `stack` is the read-only BandStack of the columns; `columns` builds
+    the column loops on access.  Invariant: the Gram matrix of the columns
+    is the identity to GRAM_TOL.
     """
 
-    n: int
-    columns: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.columns:
+    def __init__(self, n, columns):
+        if not columns:
             raise ValueError("frame needs at least one column")
-        if any(c.n != self.n for c in self.columns):
+        if any(c.n != n for c in columns):
             raise ValueError("column dimension mismatch")
-        G = cross_gram(self.columns, self.columns)
-        defect = np.abs(G - np.eye(len(self.columns))).max()
+        self._set_stack(stack_columns(columns))
+
+    @classmethod
+    def _from_stack(cls, stack):
+        frame = cls.__new__(cls)
+        frame._set_stack(stack)
+        return frame
+
+    def _set_stack(self, stack):
+        stack.data.setflags(write=False)
+        G = cross_gram(stack, stack)
+        defect = np.abs(G - np.eye(len(G))).max()
         if not (defect <= GRAM_TOL):
             raise ValueError(
                 f"frame is not orthonormal (Gram defect {defect:.3e})")
+        self.n, self.stack = stack.n, stack
 
     @property
     def dim(self):
-        return len(self.columns)
+        return self.stack.data.shape[2]
 
     @property
-    def band(self):
-        return union_band(self.columns)
+    def columns(self):
+        return tuple(TruncatedLoop.from_band(self.n, self.stack.kmin, c)
+                     for c in np.moveaxis(self.stack.data, 2, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,30 +119,29 @@ class FiltrationSubspace:
 
 
 def orthonormalize(vectors):
-    """Orthonormalize loops by modified Gram-Schmidt with reorthogonalization.
-
-    Vectors whose residual after projection falls below DROP_TOL are
-    dropped, so the returned frame's dimension is the retained rank.
-    Raises ValueError when nothing survives (all-zero input).
+    """Orthonormal frame of the span of a list of loops or of a BandStack's
+    columns: Householder QR of the (width * n, m) matrix with R's diagonal
+    made real and positive, so column j is vector j's residual against the
+    vectors kept before it, normalized, as in Gram-Schmidt.  The first
+    vector with |R_jj| <= DROP_TOL is dropped and the rest factored again
+    (past it the R_jj measure no residuals); vectors past the row count
+    have no R_jj and are dependent.  ValueError when nothing survives.
     """
-    if not vectors:
-        raise ValueError("empty input")
-    band = union_band(vectors)
-    rows = stack_loops(vectors, band)
-    kept = []
-    for row in rows:
-        w = row.copy()
-        for _ in range(2):  # second pass mops up cancellation error
-            for q in kept:
-                w -= q * np.vdot(q, w)
-        r = np.linalg.norm(w)
-        if r > DROP_TOL:
-            kept.append(w / r)
-    if not kept:
-        raise ValueError(
-            "all input vectors are zero (or dependent to DROP_TOL)")
-    n = vectors[0].n
-    return SubspaceFrame(n, unstack_rows(np.array(kept), band, n))
+    if not isinstance(vectors, BandStack):
+        if not vectors:
+            raise ValueError("empty input")
+        vectors = stack_columns(vectors)
+    width, n, m = vectors.data.shape
+    A, keep = vectors.data.reshape(width * n, m), np.arange(m)
+    while keep.size:
+        Q, R = np.linalg.qr(A[:, keep])
+        d = np.diagonal(R)
+        small = np.flatnonzero(~(np.abs(d) > DROP_TOL))
+        if not small.size:
+            return SubspaceFrame._from_stack(vectors._replace(
+                data=(Q * (d / np.abs(d))).reshape(width, n, -1)))
+        keep = np.delete(keep, small[0])
+    raise ValueError("all input vectors are zero (or dependent to DROP_TOL)")
 
 
 def expand_filtration(f, depth=None):
@@ -149,14 +153,14 @@ def expand_filtration(f, depth=None):
     n_gen * (depth + 1) where n_gen = number of generators.
     """
     P = f.depth if depth is None else depth
-    shifted = [shift(g, p) for p in range(P + 1) for g in f.generators]
-    G = cross_gram(shifted, shifted)
-    smin = np.linalg.eigvalsh(G)[0]
+    stack = stack_columns(
+        [shift(g, p) for p in range(P + 1) for g in f.generators])
+    smin = np.linalg.eigvalsh(cross_gram(stack, stack))[0]
     if not (smin > FILTRATION_SV_TOL):
         raise RankDeficiency(
             f"shifted generator family is rank deficient "
             f"(smallest Gram singular value {smin:.3e})")
-    frame = orthonormalize(shifted)
+    frame = orthonormalize(stack)
     expected = len(f.generators) * (P + 1)
     if frame.dim != expected:
         raise RankDeficiency(
@@ -174,17 +178,16 @@ def intersect_shift_complement(W):
     w_j are orthonormal, orthonormal nullspace vectors produce an
     orthonormal frame directly.
     """
-    cols = W.columns
-    stack = stack_columns(cols)
-    M = inner_product(stack._replace(kmin=stack.kmin + 1), stack)  # z w_i
+    stack = W.stack
+    M = cross_gram(stack._replace(kmin=stack.kmin + 1), stack)  # z w_i
     _, s, Vh = np.linalg.svd(M)
     cutoff = 1e-9 * s[0] if s.size and s[0] > 0 else 0.0
     rank = int(np.sum(s > cutoff))
-    if rank == len(cols):
+    if rank == W.dim:
         return None
     null_vecs = Vh[rank:].conj()  # rows x with M x = 0
-    combo = null_vecs @ stack_loops(cols)
-    return SubspaceFrame(W.n, unstack_rows(combo, W.band, W.n))
+    return SubspaceFrame._from_stack(
+        stack._replace(data=stack.data @ null_vecs.T))
 
 
 def principal_angles(A, B):
@@ -193,16 +196,26 @@ def principal_angles(A, B):
     Singular values of the cross-Gram, clipped into [0, 1] to absorb
     roundoff at the endpoints.
     """
-    G = cross_gram(A.columns, B.columns)
-    s = np.linalg.svd(G, compute_uv=False)
+    s = np.linalg.svd(cross_gram(A.stack, B.stack), compute_uv=False)
     return np.clip(s, 0.0, 1.0)
 
 
 def project_onto(frame, a):
     """Orthogonal projection of the loop `a` onto span(frame)."""
-    stack = stack_columns(frame.columns)
+    stack = frame.stack
     weights = inner_product(stack, a)  # <w_i, a>
     return TruncatedLoop.from_band(a.n, stack.kmin, stack.data @ weights)
+
+
+def _residual_norms(frame, stack):
+    """Norm of the part of each column of a BandStack outside span(frame)."""
+    B = frame.stack
+    lo = min(B.kmin, stack.kmin)
+    resid = np.zeros((max(B.kmin + len(B.data), stack.kmin + len(stack.data))
+                      - lo,) + stack.data.shape[1:], dtype=complex)
+    resid[stack.kmin - lo:][:len(stack.data)] = stack.data
+    resid[B.kmin - lo:][:len(B.data)] -= B.data @ inner_product(B, stack)
+    return np.linalg.norm(resid.reshape(-1, resid.shape[2]), axis=0)
 
 
 def frame_to_dict(fr):

@@ -233,6 +233,18 @@ class TestSubspaceLoop:
         assert code == 0
         assert rep["subspace_dim"] == 6
 
+    def test_depth_on_frame_file_exit2(self, capsys, tmp_path):
+        # a frame file has no depth to override
+        frame = subspaces.expand_filtration(subspaces.filtration_from_dict(
+            plus_filtration_dict(1, 3)))
+        src = write_json(tmp_path / "frame.json",
+                         subspaces.frame_to_dict(frame))
+        assert cli.main(["subspace-loop", src, "--depth", "7",
+                         "--no-meta"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "--depth" in err
+
     def test_unitarity_tol(self, capsys, tmp_path):
         # a rebuilt loop is unitary only to roundoff, so a tolerance far
         # below it fails the certificate; a nonpositive one is refused
@@ -615,6 +627,16 @@ class TestAudit:
         for bad in ("0", "-1e-6"):
             assert cli.main(["audit", src, "--no-meta",
                              f"--variation-tol={bad}"]) == 2
+
+    def test_dependent_generators_exit2(self, capsys, tmp_path):
+        e1 = fourier.basis_loop(2)
+        fam = decomp.SubspaceFamily(
+            (0,), (), (subspaces.FiltrationSubspace((e1, e1), 1),))
+        src = write_json(tmp_path / "dup.json", decomp.family_to_dict(fam))
+        assert cli.main(["audit", src, "--no-meta"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "rank deficient" in err
 
     def test_not_a_family_exit2(self, capsys, tmp_path):
         src = write_json(tmp_path / "junk.json", {"points": "nope"})

@@ -354,6 +354,19 @@ class TestLoopFromSubspace:
         assert var <= 1e-6
         np.testing.assert_allclose(mean.conj().T @ mean, np.eye(n), atol=1e-6)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_window_frame_orthonormalizes_applied_basis(self, n):
+        # window_frame's column (p, j) is g applied to z^p e_j, exactly
+        g = random_loop(n, 2, seed=30 + n)
+        depth = 4
+        want = orthonormalize([apply(g, basis_loop(n, component=j,
+                                                   frequency=p))
+                               for p in range(depth + 1) for j in range(n)])
+        got = window_frame(g, depth)
+        assert got.dim == want.dim == n * (depth + 1)
+        for a, b in zip(got.columns, want.columns):
+            assert a.kmin == b.kmin and np.array_equal(a.data, b.data)
+
     def test_winding_detected_through_subspace(self):
         g = diag_zpowers([1, 0])
         W = window_frame(g, 3)

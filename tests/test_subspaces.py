@@ -6,6 +6,7 @@ import pytest
 from loopfiber.errors import RankDeficiency
 from loopfiber.fourier import (TruncatedLoop, basis_loop, inner_product,
                                loop_allclose, norm, shift)
+from loopfiber.loopgroup import apply, random_loop
 from loopfiber.subspaces import (FiltrationSubspace, SubspaceFrame,
                                  cross_gram, expand_filtration,
                                  filtration_from_dict, filtration_to_dict,
@@ -24,6 +25,26 @@ def symmetric_generator():
 def plus_filtration(n, depth):
     gens = [basis_loop(n, component=j) for j in range(n)]
     return FiltrationSubspace(gens, depth)
+
+
+def sequential_mgs(vectors, drop=1e-10):
+    """Reference orthonormalization: modified Gram-Schmidt on loops, one
+    vector at a time, with a second pass; a residual <= drop is dropped."""
+    kept = []
+    for v in vectors:
+        w = v
+        for _ in range(2):
+            for q in kept:
+                w = w - inner_product(q, w) * q
+        r = norm(w)
+        if r > drop:
+            kept.append((1.0 / r) * w)
+    return kept
+
+
+def assert_spans(frame, vectors, tol):
+    for v in vectors:
+        assert norm(v - project_onto(frame, v)) <= tol
 
 
 class TestOrthonormalize:
@@ -60,6 +81,49 @@ class TestOrthonormalize:
         G = cross_gram(fr.columns, fr.columns)
         np.testing.assert_allclose(G, np.eye(fr.dim), atol=1e-10)
 
+    def test_mid_list_dependence_keeps_later_direction(self):
+        # 2 = 2 * 1 depends on the first vector; 1 + z after it leaves the
+        # residual z, so the frame is exactly {1, z}
+        one, z = basis_loop(1), basis_loop(1, frequency=1)
+        vecs = [one, 2.0 * one, one + z]
+        fr = orthonormalize(vecs)
+        assert fr.dim == 2
+        assert loop_allclose(fr.columns[0], one, tol=1e-12)
+        assert loop_allclose(fr.columns[1], z, tol=1e-12)
+        assert_spans(fr, vecs, 1e-12)
+
+    def test_more_inputs_than_frequencies(self):
+        # four vectors in the three frequencies 0..2; 1 + z depends on 1, z
+        z0, z1, z2 = (basis_loop(1, frequency=p) for p in range(3))
+        vecs = [z0, z1, z0 + z1, z2]
+        fr = orthonormalize(vecs)
+        assert fr.dim == 3
+        for got, want in zip(fr.columns, (z0, z1, z2)):
+            assert loop_allclose(got, want, tol=1e-12)
+        assert_spans(fr, vecs, 1e-12)
+
+    @pytest.mark.parametrize("n,m", [(1, 3), (2, 5), (3, 8)])
+    def test_matches_sequential_mgs_on_random_input(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        vecs = [TruncatedLoop(n, {k: rng.standard_normal(n)
+                                  + 1j * rng.standard_normal(n)
+                                  for k in range(-3, 4)})
+                for _ in range(m)]
+        fr, want = orthonormalize(vecs), sequential_mgs(vecs)
+        assert fr.dim == len(want) == m
+        for got, ref in zip(fr.columns, want):
+            assert norm(got - ref) <= 1e-13
+
+    def test_matches_sequential_mgs_on_window(self):
+        # the depth-8 window of a unitary loop in C^3: 27 columns
+        g = random_loop(3, 4, seed=12)
+        vecs = [apply(g, basis_loop(3, component=j, frequency=p))
+                for p in range(9) for j in range(3)]
+        fr, want = orthonormalize(vecs), sequential_mgs(vecs)
+        assert fr.dim == len(want) == 27
+        for got, ref in zip(fr.columns, want):
+            assert norm(got - ref) <= 1e-13
+
 
 class TestFrameValidation:
     def test_non_orthonormal_rejected(self):
@@ -70,6 +134,12 @@ class TestFrameValidation:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             SubspaceFrame(2, [basis_loop(2), basis_loop(1)])
+
+    def test_stored_stack_is_read_only(self):
+        fr = expand_filtration(plus_filtration(2, 1))
+        with pytest.raises(ValueError):
+            fr.stack.data[0, 0, 0] = 2.0
+        assert fr.dim == fr.stack.data.shape[2] == len(fr.columns) == 4
 
 
 class TestExpandFiltration:
