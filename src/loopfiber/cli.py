@@ -17,12 +17,14 @@ output.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import tempfile
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -106,9 +108,121 @@ def _load_input(path, parse, what):
         raise InputError(f"not a {what}: {exc}") from exc
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_scalar = json.JSONEncoder(allow_nan=False).encode
+
+
 def _dump(report):
-    """Standard JSON: a NaN or inf in a report raises ValueError (exit 2)."""
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n",
+    byte for byte, so a NaN or inf in a report raises ValueError (exit 2).
+
+    json's indent=2 encoder is pure Python, one generator step per value;
+    here each rectangular list of floats is written by one float.__repr__
+    map, and strings and other scalars go to json's own C encoders.
+    """
+    out = []
+    _emit(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(value, newline, out):
+    """Append the indent=2 text of `value` to `out`; `newline` is a line
+    break and the indent of the line `value` starts on."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(sep + _encode_key(key) + ": ")
+            _emit(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        text = _float_array(value, newline)
+        if text is not None:
+            out.append(text)
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _emit(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(_scalar(value))
+
+
+def _scalar(value):
+    """The JSON text of a value that is no list or dict, as json writes it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON "
+                         f"compliant: {value!r}")
+    return _encode_scalar(value)
+
+
+def _encode_key(key):
+    """A dict key as json writes it: other scalars as the string of their
+    JSON text."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return _encode_str(_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _float_array(value, newline):
+    """The indent=2 text of a nonempty list nested to a fixed shape with
+    only float leaves, else None."""
+    shape, leaves = [len(value)], value
+    while True:
+        kinds = set(map(type, leaves))
+        if kinds == {float}:
+            break
+        if kinds != {list}:
+            return None
+        sizes = set(map(len, leaves))
+        if len(sizes) != 1 or 0 in sizes:
+            return None
+        shape.append(sizes.pop())
+        leaves = list(chain.from_iterable(leaves))
+    out = [None] * (2 * len(leaves) + 1)
+    out[1::2] = map(float.__repr__, leaves)
+    out[0::2] = _array_layout(newline, tuple(shape))
+    text = "".join(out)
+    if "n" in text:  # only "nan", "inf" and "-inf" hold one
+        for x in leaves:
+            _scalar(x)  # raises json's ValueError on the first
+    return text
+
+
+@functools.lru_cache(maxsize=64)
+def _array_layout(newline, shape):
+    """The text around and between the leaves of a nested list of `shape`
+    written at `newline`: its head, the separator after each leaf but the
+    last, and its tail."""
+    depth = len(shape)
+    lines = [newline + "  " * d for d in range(depth + 1)]
+
+    def separator(closed):  # after a leaf that closes `closed` lists
+        return ("".join(lines[depth - 1 - j] + "]" for j in range(closed))
+                + "," + "".join(lines[depth - closed + j] + "["
+                                for j in range(closed)) + lines[depth])
+
+    between = [separator(0)] * (shape[-1] - 1)
+    for closed in range(1, depth):
+        between = (between + [separator(closed)]) * shape[depth - 1 - closed]
+        between.pop()
+    head = ("[" + "".join(lines[d] + "[" for d in range(1, depth))
+            + lines[depth])
+    tail = "".join(lines[d] + "]" for d in reversed(range(depth)))
+    return (head, *between, tail)
 
 
 def _write_atomic(path, text):
@@ -391,6 +505,7 @@ HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="loopfiber",

@@ -26,7 +26,7 @@ from .errors import (
     NonConstantReducedTransition,
     UnitarityViolation,
 )
-from .fourier import _to_pairs, basis_loop, shift
+from .fourier import _integer, _to_pairs, basis_loop, shift
 from .loopgroup import (
     _polar,
     constant_element,
@@ -78,7 +78,8 @@ class SubspaceFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        object.__setattr__(self, "edges", tuple(
+            tuple(_integer(i, "edge index") for i in e) for e in self.edges))
         object.__setattr__(self, "psi", tuple(self.psi))
         if self.transitions is not None:
             object.__setattr__(self, "transitions", tuple(self.transitions))

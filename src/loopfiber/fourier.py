@@ -15,6 +15,7 @@ Frequency bands grow exactly under arithmetic (shifts reindex, products
 convolve); nothing is ever silently truncated.
 """
 
+from itertools import chain, compress, islice
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -325,32 +326,116 @@ def _from_pairs(value, what):
     return a.view(complex)[..., 0]
 
 
-def _blocks_to_pairs(blocks):
-    """{k: block} -> {"k": nested [re, im] lists}, bit-exact."""
-    return {str(k): _to_pairs(c) for k, c in blocks.items()}
-
-
-def _blocks_from_pairs(pairs):
-    """{"k": nested [re, im] lists} -> {k: complex block}, bit-exact."""
-    if not isinstance(pairs, dict):
-        raise ValueError("coefficients must map frequencies to [re, im] pairs")
+def _read_leaves(values, shape):
+    """The leaves of `values`, nested lists each of `shape`, as one float
+    array; None unless every list has its length and every leaf is a JSON
+    number (an int or a float, not a bool)."""
+    items = values
     try:
-        a = np.ascontiguousarray(list(pairs.values()), dtype=float)
-    except (TypeError, ValueError):
-        a = None
-    if a is None or a.shape[1:][-1:] != (2,):
-        # per key, only to name the bad frequency
-        return {int(k): _from_pairs(v, f"coefficient at k={k}")
-                for k, v in pairs.items()}
-    return dict(zip(map(int, pairs), a.view(complex)[..., 0]))
+        for size in shape:
+            if set(map(len, items)) - {size}:
+                return None
+            items = list(chain.from_iterable(items))
+    except TypeError:  # a leaf where a list belongs
+        return None
+    if set(map(type, items)) - {int, float}:
+        return None
+    return np.fromiter(items, dtype=float, count=len(items))
+
+
+def _name_bad_block(pairs, block):
+    """Raise the ValueError naming the first frequency of a {"k": pairs}
+    dict whose block is not nested [re, im] pairs of numbers of `block`."""
+    for k, v in pairs.items():
+        what = f"coefficient at k={k}"
+        try:
+            shape = _from_pairs(v, what).shape
+        except TypeError as exc:  # a leaf float() refuses, such as a dict
+            raise ValueError(f"{what} is not [re, im] pairs") from exc
+        if shape != block:
+            raise ValueError(f"{what} has shape {shape}, expected {block}")
+        if _read_leaves([v], block + (2,)) is None:
+            raise ValueError(f"{what} holds a value that is not a number")
+
+
+def _blocks_to_pairs(a):
+    """{"k": nested [re, im] lists} of the nonzero blocks of the banded loop
+    `a`, in one conversion; bit-exact."""
+    keep = np.flatnonzero(a.data.reshape(len(a.data), -1).any(axis=1))
+    # Python-int frequencies: kmin may be far outside int64
+    return dict(zip([str(a.kmin + i) for i in keep.tolist()],
+                    _to_pairs(a.data[keep])))
+
+
+def _bands_from_pairs(dicts, n, block_ndim):
+    """(kmin, data) of coefficient dicts {"k": nested [re, im] lists}, read
+    in one pass: data[k - kmin][..., j] is the block of dicts[j] at k, with
+    shape (n,) * block_ndim, over the hull of the dicts' trimmed bands.
+
+    Bit-exact, and equal to stacking the loops each dict gives on its own:
+    a block outside its own dict's trimmed band reads as +0.  A repeated
+    frequency ("1", "01") keeps its last block.  ValueError, naming the
+    frequency where one is at fault, unless every leaf is a finite JSON
+    number in a block of the right shape, or when the hull is wider than
+    MAX_BAND_WIDTH.
+    """
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    block = (n,) * block_ndim
+    if not all(isinstance(d, dict) for d in dicts):
+        raise ValueError("coefficients must map frequencies to [re, im] pairs")
+    # Python-int keys: a lone key such as 10**30 overflows int64
+    columns = [dict(zip(map(int, d), d.values())) for d in dicts]
+    values = [v for c in columns for v in c.values()]
+    flat = _read_leaves(values, block + (2,))
+    if flat is None:
+        for d in dicts:  # per key, only to name the bad frequency
+            _name_bad_block(d, block)
+        raise ValueError("coefficients are not [re, im] pairs")
+    blocks = flat.view(complex).reshape((len(values),) + block)
+    if not np.isfinite(blocks).all():
+        raise ValueError("coefficients must be finite (NaN or inf found)")
+    nonzero = iter(blocks.reshape(len(values), -1).any(axis=1).tolist())
+    bands = []  # each dict's trimmed band; (1, 0), empty, for a zero loop
+    for c in columns:
+        ks = list(compress(c, islice(nonzero, len(c))))
+        bands.append((min(ks), max(ks)) if ks else (1, 0))
+    live = [b for b in bands if b[0] <= b[1]]
+    kmin = min((lo for lo, _ in live), default=0)
+    width = max((hi for _, hi in live), default=kmin - 1) - kmin + 1
+    if width > MAX_BAND_WIDTH:
+        raise ValueError(
+            f"band [{kmin}, {kmin + width - 1}] spans {width} "
+            f"frequencies, more than {MAX_BAND_WIDTH}")
+    rows, cols, picks, start = [], [], [], 0
+    for j, (c, (lo, hi)) in enumerate(zip(columns, bands)):
+        inside = [lo <= k <= hi for k in c]
+        rows += [k - kmin for k in compress(c, inside)]
+        picks += compress(range(start, start + len(c)), inside)
+        cols += [j] * sum(inside)
+        start += len(c)
+    data = np.zeros((width,) + block + (len(dicts),), dtype=complex)
+    data[rows, ..., cols] = blocks[picks]
+    return kmin, data
+
+
+def _integer(value, what):
+    """`value` as an int; ValueError unless it is an integer, where int()
+    would truncate 2.7 to 2 and read true as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def loop_to_dict(a):
     """JSON-ready dict {"n": n, "coeffs": {"k": [[re, im] x n]}}."""
-    return {"n": a.n, "coeffs": _blocks_to_pairs(a.coeffs)}
+    return {"n": a.n, "coeffs": _blocks_to_pairs(a)}
 
 
 def loop_from_dict(d):
-    """Inverse of loop_to_dict; ValueError on non-finite coefficients or a
-    band wider than MAX_BAND_WIDTH."""
-    return TruncatedLoop(int(d["n"]), _blocks_from_pairs(d["coeffs"]))
+    """Inverse of loop_to_dict; ValueError unless n is an integer and every
+    coefficient a finite JSON number, or on a band wider than
+    MAX_BAND_WIDTH."""
+    n = _integer(d["n"], "n")
+    kmin, data = _bands_from_pairs([d["coeffs"]], n, 1)
+    return TruncatedLoop.from_band(n, kmin, data[..., 0])

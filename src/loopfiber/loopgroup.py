@@ -15,8 +15,8 @@ and pointwise unitarity of the result certifies the construction.
 import numpy as np
 
 from .errors import IntersectionDimension, PhaseStepTooLarge, UnitarityViolation
-from .fourier import (TruncatedLoop, _BandedLoop, _blocks_from_pairs,
-                      _blocks_to_pairs, _convolve, shift)
+from .fourier import (TruncatedLoop, _BandedLoop, _bands_from_pairs,
+                      _blocks_to_pairs, _convolve, _integer, shift)
 from .subspaces import intersect_shift_complement, orthonormalize
 
 __all__ = [
@@ -370,10 +370,13 @@ def loop_from_subspace(W, tol=UNITARITY_TOL):
 
 def element_to_dict(g):
     """JSON-ready dict {"n": n, "mcoeffs": {"k": [[[re, im] x n] x n]}}."""
-    return {"n": g.n, "mcoeffs": _blocks_to_pairs(g.mcoeffs)}
+    return {"n": g.n, "mcoeffs": _blocks_to_pairs(g)}
 
 
 def element_from_dict(d):
-    """Inverse of element_to_dict; ValueError on non-finite coefficients or
-    a band wider than fourier.MAX_BAND_WIDTH."""
-    return LoopGroupElement(int(d["n"]), _blocks_from_pairs(d["mcoeffs"]))
+    """Inverse of element_to_dict; ValueError unless n is an integer and
+    every coefficient a finite JSON number, or on a band wider than
+    fourier.MAX_BAND_WIDTH."""
+    n = _integer(d["n"], "n")
+    kmin, data = _bands_from_pairs([d["mcoeffs"]], n, 2)
+    return LoopGroupElement.from_band(n, kmin, data[..., 0])

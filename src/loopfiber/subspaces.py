@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficiency
-from .fourier import (BandStack, TruncatedLoop, inner_product, loop_from_dict,
-                      loop_to_dict, shift, stack_columns,
+from .fourier import (BandStack, TruncatedLoop, _bands_from_pairs, _integer,
+                      inner_product, loop_to_dict, shift, stack_columns,
                       union_band)  # noqa: F401  (stack_loops callers use it)
 
 __all__ = [
@@ -222,8 +222,25 @@ def frame_to_dict(fr):
     return {"n": fr.n, "columns": [loop_to_dict(c) for c in fr.columns]}
 
 
+def _stack_loop_dicts(loops):
+    """BandStack of a nonempty list of loop_to_dict dicts sharing one n,
+    read in one pass."""
+    if not loops:
+        raise ValueError("need at least one loop")
+    n = _integer(loops[0]["n"], "n")
+    if any(_integer(a["n"], "n") != n for a in loops):
+        raise ValueError("loop dimension mismatch")
+    return BandStack(n, *_bands_from_pairs([a["coeffs"] for a in loops], n, 1))
+
+
 def frame_from_dict(d):
-    return SubspaceFrame(int(d["n"]), [loop_from_dict(c) for c in d["columns"]])
+    """Inverse of frame_to_dict; the columns are read straight into the
+    frame's stack."""
+    n = _integer(d["n"], "n")
+    stack = _stack_loop_dicts(d["columns"])
+    if stack.n != n:
+        raise ValueError("column dimension mismatch")
+    return SubspaceFrame._from_stack(stack)
 
 
 def filtration_to_dict(f):
@@ -234,5 +251,9 @@ def filtration_to_dict(f):
 
 
 def filtration_from_dict(d):
+    """Inverse of filtration_to_dict; the generators are read in one pass."""
+    stack = _stack_loop_dicts(d["generators"])
     return FiltrationSubspace(
-        [loop_from_dict(g) for g in d["generators"]], int(d["depth"]))
+        [TruncatedLoop.from_band(stack.n, stack.kmin, a)
+         for a in np.moveaxis(stack.data, 2, 0)],
+        _integer(d["depth"], "depth"))

@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loopfiber import cli, decomp, fourier, subspaces, transport
 from loopfiber.errors import PhaseStepTooLarge
@@ -159,6 +161,17 @@ class TestProject:
         assert captured.err == ("error: not a coefficient loop file: "
                                 "coefficient at k=1 is not [re, im] pairs\n")
 
+    def test_non_number_leaf_exit2(self, capsys, tmp_path):
+        # float() would read "2" and true as 2 + 1i
+        src = write_json(tmp_path / "leaf.json",
+                         {"n": 1, "coeffs": {"0": [["2", True]]}})
+        assert cli.main(["project", src, "--no-meta"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: not a coefficient loop file: coefficient at k=0 holds a "
+            "value that is not a number\n")
+
     def test_band_too_wide_exit2(self, capsys, tmp_path):
         src = write_json(tmp_path / "wide.json", {"n": 1, "coeffs": {
             "-1000000000000": [[1.0, 0.0]], "1000000000000": [[1.0, 0.0]]}})
@@ -224,6 +237,20 @@ class TestSubspaceLoop:
             subspaces.filtration_to_dict(
                 subspaces.FiltrationSubspace((g, g), 2)))
         assert cli.main(["subspace-loop", src, "--no-meta"]) == 2
+
+    @pytest.mark.parametrize("n, depth, named", [
+        (1.9, 2, "n"), (1, 2.7, "depth")])
+    def test_fractional_integer_field_exit2(self, capsys, tmp_path, n, depth,
+                                            named):
+        # int() would truncate 1.9 to 1 and 2.7 to 2
+        src = write_json(tmp_path / "filt.json", {
+            "generators": [{"n": n, "coeffs": {"0": [[1, 0]]}}],
+            "depth": depth})
+        assert cli.main(["subspace-loop", src, "--no-meta"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: not a subspace file: {named} must be an integer")
 
     def test_depth_override(self, capsys, tmp_path):
         src = write_json(tmp_path / "filt.json", plus_filtration_dict(1, 3))
@@ -638,9 +665,112 @@ class TestAudit:
         assert out == ""
         assert err.startswith("error:") and "rank deficient" in err
 
+    @pytest.mark.parametrize("edge", [[0.0, 1], [True, 1]])
+    def test_non_integer_edge_exit2(self, capsys, tmp_path, edge):
+        # [0.0, 1] used to crash in audit_family (exit 1); [true, 1] was
+        # audited as the edge (1, 1) and reported as [true, 1]
+        fam, _ = self.make_model_family()
+        d = decomp.family_to_dict(fam)
+        d["edges"][0] = edge
+        src = write_json(tmp_path / "fam.json", d)
+        assert cli.main(["audit", src, "--no-meta"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: not a family file: edge index must be an integer")
+
     def test_not_a_family_exit2(self, capsys, tmp_path):
         src = write_json(tmp_path / "junk.json", {"points": "nope"})
         assert cli.main(["audit", src, "--no-meta"]) == 2
+
+
+def reference_dump(report):
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+report_floats = st.floats(allow_nan=False, allow_infinity=False) | \
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e-300, 2.0 ** 63, 1e16])
+
+
+def float_arrays():
+    """Nested lists of floats, all of one rectangular shape."""
+    def nested(shape):
+        s = report_floats
+        for size in reversed(shape):
+            s = st.lists(s, min_size=size, max_size=size)
+        return s
+
+    return st.lists(st.integers(1, 3), min_size=1, max_size=3).flatmap(nested)
+
+
+report_scalars = (st.none() | st.booleans() | report_floats | st.text()
+                  | st.integers(-2 ** 70, 2 ** 70))
+reports = st.recursive(
+    report_scalars | float_arrays()
+    | st.lists(st.lists(report_floats, max_size=3), max_size=3),  # ragged
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=30)
+
+
+class TestDump:
+    @settings(max_examples=300)
+    @given(reports)
+    @example({"f": [-0.0, 5e-324, 1e-300], "i": [2 ** 64 + 1, -2 ** 63, 0],
+              "mixed": [1, 2.0, [3.0, 4], [[5.0]]],
+              "ragged": [[1.0], [2.0, 3.0]],
+              "empty": [{}, [], [[]], [[1.0], []]],
+              "flags": [True, False, None],
+              "t\u00e9\n\"\\": "\u2028\x00\U0001f600",
+              "nested": {"b": [[[1.5, -2.5]] * 2] * 3, "a": {}},
+              "keys": [{2: "b", 1: [1.0]}, {0.5: 1, -1e300: 2},
+                       {True: 1, 0: 2}, {None: 0}]})
+    def test_matches_json_indent_encoder(self, report):
+        assert cli._dump(report) == reference_dump(report)
+
+    @pytest.mark.parametrize("command", list(cli.HANDLERS))
+    def test_real_reports_match_json(self, capsys, tmp_path, command):
+        if command == "project":
+            loop = fourier.TruncatedLoop(2, {-1: [1.0, -0.0], 2: [0.5j, 3.0]})
+            argv = [command, write_json(tmp_path / "loop.json",
+                                        fourier.loop_to_dict(loop))]
+        elif command == "subspace-loop":
+            frame = window_frame(random_loop(2, 2, seed=4), 3)
+            argv = [command, write_json(tmp_path / "frame.json",
+                                        subspaces.frame_to_dict(frame))]
+        elif command == "audit":
+            argv = [command, write_json(tmp_path / "fam.json",
+                                        winding_cycle_dict())]
+        elif command == "obstruction":
+            argv = [command, "--preset", "monopole", "--N", "64", "--M", "16"]
+        else:
+            argv = [command, "--preset", "su2sample", "--N", "256"]
+        args = cli._build_parser().parse_args(argv + ["--no-meta"])
+        report, _ = cli.HANDLERS[command](args)
+        text = reference_dump(report)
+        assert cli._dump(report) == text
+        cli.main(argv + ["--no-meta"])
+        assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("report", [
+        {"a": [[1.0, math.inf], [2.0, 3.0]]},
+        {"a": [1, 2.0, [math.nan]]},
+        {"a": {"b": {"c": -math.inf}}},
+        {"a": [{"b": math.nan}]},
+        {math.nan: 1.0},
+    ])
+    def test_non_finite_exit2(self, capsys, monkeypatch, tmp_path, report):
+        with pytest.raises(ValueError):
+            reference_dump(report)
+        monkeypatch.setitem(cli.HANDLERS, "holonomy", lambda args: (report, 0))
+        out = tmp_path / "report.json"
+        argv = ["holonomy", "--preset", "flat", "--no-meta", "-o", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: Out of range float values are not JSON compliant")
+        assert not out.exists()
 
 
 class TestOptions:
@@ -672,6 +802,14 @@ class TestOptions:
                      ["obstruction", "--preset", "monopole", "--N", "1",
                       "--M", "1"]):
             cli._check_options(parser.parse_args(argv))
+
+    def test_cached_parser_keeps_no_state(self):
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        assert parser.parse_args(
+            ["subspace-loop", "f.json", "--depth", "3"]).depth == 3
+        args = parser.parse_args(["subspace-loop", "f.json"])
+        assert args.depth is None and not args.no_meta
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("option, named", [

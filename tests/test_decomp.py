@@ -272,6 +272,20 @@ class TestFamilyStructure:
             SubspaceFamily(points=(0, 1), edges=(),
                            psi=(plus_window(1), plus_window(2)))
 
+    @pytest.mark.parametrize("edge", [(0.0, 1), (True, 1), ("0", 1)])
+    def test_edge_indices_must_be_integers(self, edge):
+        # 0.0 would pass the range check and fail later as a list index;
+        # True would be read as point 1
+        with pytest.raises(ValueError, match="^edge index must be an integer"):
+            SubspaceFamily(points=(0, 1), edges=(edge,),
+                           psi=(plus_window(1),) * 2)
+
+    def test_numpy_edge_indices_become_ints(self):
+        fam = SubspaceFamily(points=(0, 1), edges=((np.int64(0), 1),),
+                             psi=(plus_window(1),) * 2)
+        assert fam.edges == ((0, 1),)
+        assert type(fam.edges[0][0]) is int
+
     def test_serialization_roundtrip(self):
         rng = np.random.default_rng(8)
         fam = build_model_decomposition([haar_unitary(2, rng)

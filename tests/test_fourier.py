@@ -232,6 +232,57 @@ class TestSerialization:
         assert a.band == (k, k)
         assert a.coeffs[k] == np.array([1.0 + 0.5j])
 
+    @pytest.mark.parametrize("leaf", ["2", True, None])
+    def test_leaves_must_be_numbers(self, leaf):
+        # float() reads "2" and true as numbers, and numpy reads null as NaN
+        d = {"n": 1, "coeffs": {"0": [[1.0, 0.0]], "1": [[leaf, 0.0]]}}
+        with pytest.raises(ValueError) as info:
+            loop_from_dict(d)
+        assert str(info.value) == (
+            "coefficient at k=1 holds a value that is not a number")
+
+    @pytest.mark.parametrize("leaf", [[1.0], {}])
+    def test_nested_leaf_names_its_frequency(self, leaf):
+        d = {"n": 1, "coeffs": {"-4": [[leaf, 0.0]]}}
+        with pytest.raises(ValueError) as info:
+            loop_from_dict(d)
+        assert str(info.value) == "coefficient at k=-4 is not [re, im] pairs"
+
+    def test_integer_leaves_read_as_floats(self):
+        a = loop_from_dict({"n": 2, "coeffs": {"0": [[1, 0], [0, -2]]}})
+        assert np.array_equal(a.coeffs[0], [1.0, -2.0j])
+
+    @pytest.mark.parametrize("n", [1.9, 2.0, True, "2"])
+    def test_dimension_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            loop_from_dict({"n": n, "coeffs": {"0": [[1.0, 0.0]] * 2}})
+
+    def test_band_refusals(self):
+        wide = {"0": [[1.0, 0.0]], str(2 ** 20): [[1.0, 0.0]]}
+        with pytest.raises(ValueError, match="more than"):
+            loop_from_dict({"n": 1, "coeffs": wide})
+        # a zero block is not part of the band, however far away it is
+        far = {"0": [[1.0, 0.0]], str(10 ** 30): [[0.0, -0.0]]}
+        assert loop_from_dict({"n": 1, "coeffs": far}).band == (0, 0)
+        with pytest.raises(ValueError, match="finite"):
+            loop_from_dict({"n": 1, "coeffs": {"0": [[1e308, 1e309]]}})
+
+    def test_edges_trimmed_and_inner_zeros_kept(self):
+        # explicit zero blocks at the band edges trim away; a -0.0 block
+        # inside the band keeps its sign bits, as the per-key path does
+        coeffs = {"-3": [[0.0, 0.0], [-0.0, 0.0]],
+                  "-1": [[0.5, -0.0], [0.0, 0.0]],
+                  "0": [[-0.0, 0.0], [0.0, -0.0]],
+                  "2": [[0.0, 0.0], [1.0, 0.25]],
+                  "7": [[-0.0, -0.0], [0.0, 0.0]]}
+        a = loop_from_dict({"n": 2, "coeffs": coeffs})
+        ref = TruncatedLoop(2, {int(k): np.array(v).view(complex)[..., 0]
+                                for k, v in coeffs.items()})
+        assert a.band == ref.band == (-1, 2)
+        assert a.data.tobytes() == ref.data.tobytes()
+        assert np.signbit(a.data[1].view(float)).tolist() == [
+            True, False, False, True]
+
 
 def dict_convolve(a, b, pair):
     """Reference: sum_{k+l=m} pair(a_k, b_l) over two coefficient dicts."""

@@ -427,3 +427,14 @@ class TestSerialization:
         g = diag_zpowers([1])
         d = element_to_dict(g)
         assert d == {"n": 1, "mcoeffs": {"1": [[[1.0, 0.0]]]}}
+
+    def test_leaves_and_dimension_checked(self):
+        d = element_to_dict(identity_element(2))
+        d["mcoeffs"]["0"][1][0] = [0.0, False]
+        with pytest.raises(ValueError) as info:
+            element_from_dict(d)
+        assert str(info.value) == (
+            "coefficient at k=0 holds a value that is not a number")
+        d = element_to_dict(identity_element(2)) | {"n": 2.0}
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            element_from_dict(d)

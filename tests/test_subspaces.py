@@ -5,7 +5,8 @@ import pytest
 
 from loopfiber.errors import RankDeficiency
 from loopfiber.fourier import (TruncatedLoop, basis_loop, inner_product,
-                               loop_allclose, norm, shift)
+                               loop_allclose, loop_from_dict, norm, shift,
+                               stack_columns)
 from loopfiber.loopgroup import apply, random_loop
 from loopfiber.subspaces import (FiltrationSubspace, SubspaceFrame,
                                  cross_gram, expand_filtration,
@@ -258,3 +259,75 @@ class TestSerialization:
             json.dumps(filtration_to_dict(f))))
         assert back.depth == 5
         assert loop_allclose(back.generators[0], f.generators[0], tol=0.0)
+
+    def per_key_stack(self, d):
+        """The stack of a frame dict by the per-key path: one loop per column
+        from a {k: block} dict, padded by stack_columns."""
+        return stack_columns([TruncatedLoop(c["n"], {
+            int(k): np.array(v, dtype=float).view(complex)[..., 0]
+            for k, v in c["coeffs"].items()}) for c in d["columns"]])
+
+    def assert_stacks_identical(self, got, want):
+        assert got.n == want.n and got.kmin == want.kmin
+        assert got.data.shape == want.data.shape
+        assert got.data.tobytes() == want.data.tobytes()  # -0.0 bits too
+
+    def test_bulk_frame_matches_per_column_loops(self):
+        frame = orthonormalize([apply(random_loop(3, 2, seed=9),
+                                      basis_loop(3, component=j, frequency=p))
+                                for p in range(3) for j in range(3)])
+        d = json.loads(json.dumps(frame_to_dict(frame)))
+        got = frame_from_dict(d).stack
+        self.assert_stacks_identical(got, self.per_key_stack(d))
+        self.assert_stacks_identical(got, stack_columns(
+            [loop_from_dict(c) for c in d["columns"]]))
+        # the file leaves out all-zero blocks, so their -0.0 bits read as +0
+        assert got.kmin == frame.stack.kmin
+        assert np.array_equal(got.data, frame.stack.data)
+
+    def test_bulk_frame_edges_signed_zeros_and_huge_keys(self):
+        # column 0 carries explicit zero blocks past both band edges and a
+        # -0.0 block inside its band; column 1 starts at 10**30 - 1, so the
+        # hull spans frequencies no int64 holds
+        big = 10 ** 30
+        d = {"n": 2, "columns": [
+            {"n": 2, "coeffs": {str(big - 4): [[0.0, 0.0], [0.0, 0.0]],
+                                str(big - 2): [[0.6, -0.0], [0.0, 0.0]],
+                                str(big - 1): [[-0.0, 0.0], [0.0, -0.0]],
+                                str(big): [[0.0, 0.0], [0.0, 0.8]],
+                                str(big + 5): [[-0.0, -0.0], [0.0, 0.0]]}},
+            {"n": 2, "coeffs": {str(big - 1): [[0.0, 0.0], [-0.0, 1.0]],
+                                str(big + 1): [[0.0, -0.0], [0.0, 0.0]]}}]}
+        got = frame_from_dict(d).stack
+        assert got.kmin == big - 2 and len(got.data) == 3
+        self.assert_stacks_identical(got, self.per_key_stack(d))
+        self.assert_stacks_identical(got, stack_columns(
+            [loop_from_dict(c) for c in d["columns"]]))
+
+    def test_bulk_frame_refusals(self):
+        def column(k, value=1.0):
+            return {"n": 1, "coeffs": {str(k): [[value, 0.0]]}}
+
+        # each column is a unit vector, but their hull is too wide to store
+        with pytest.raises(ValueError, match="more than"):
+            frame_from_dict({"n": 1, "columns": [column(0), column(2 ** 20)]})
+        with pytest.raises(ValueError, match="finite"):
+            frame_from_dict({"n": 1, "columns": [column(0, float("nan"))]})
+        with pytest.raises(ValueError, match="^column dimension mismatch"):
+            frame_from_dict({"n": 2, "columns": [column(0)]})
+        with pytest.raises(ValueError, match="^need at least one loop"):
+            frame_from_dict({"n": 1, "columns": []})
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            frame_from_dict({"n": 1.0, "columns": [column(0)]})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 1.9), ("n", True), ("depth", 2.7), ("depth", "2"),
+        ("depth", False)])
+    def test_filtration_integers(self, field, value):
+        d = {"generators": [{"n": 1, "coeffs": {"0": [[1, 0]]}}], "depth": 2}
+        if field == "n":
+            d["generators"][0]["n"] = value
+        else:
+            d["depth"] = value
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            filtration_from_dict(d)
