@@ -45,6 +45,15 @@ __all__ = [
 MAX_BAND_WIDTH = 2 ** 20
 
 
+def _check_band(kmin, width):
+    """ValueError if the band of `width` frequencies from kmin is wider than
+    MAX_BAND_WIDTH."""
+    if width > MAX_BAND_WIDTH:
+        raise ValueError(
+            f"band [{kmin}, {kmin + width - 1}] spans {width} "
+            f"frequencies, more than {MAX_BAND_WIDTH}")
+
+
 class _BandedLoop:
     """Trigonometric polynomial sum_k data[k - kmin] e^{ik theta}.
 
@@ -62,10 +71,7 @@ class _BandedLoop:
         ks = [int(k) for k in coeffs]
         kmin = min(ks, default=0)
         width = max(ks, default=kmin - 1) - kmin + 1
-        if width > MAX_BAND_WIDTH:
-            raise ValueError(
-                f"band [{kmin}, {kmin + width - 1}] spans {width} "
-                f"frequencies, more than {MAX_BAND_WIDTH}")
+        _check_band(kmin, width)
         data = np.zeros((width,) + block, dtype=complex)
         if ks:
             # Python-int offsets: a lone key such as 10**30 overflows int64
@@ -361,7 +367,7 @@ def _name_bad_block(pairs, block):
 def _blocks_to_pairs(a):
     """{"k": nested [re, im] lists} of the nonzero blocks of the banded loop
     `a`, in one conversion; bit-exact."""
-    keep = np.flatnonzero(a.data.reshape(len(a.data), -1).any(axis=1))
+    keep = np.flatnonzero(a.data.any(axis=tuple(range(1, a.data.ndim))))
     # Python-int frequencies: kmin may be far outside int64
     return dict(zip([str(a.kmin + i) for i in keep.tolist()],
                     _to_pairs(a.data[keep])))
@@ -375,9 +381,10 @@ def _bands_from_pairs(dicts, n, block_ndim):
     Bit-exact, and equal to stacking the loops each dict gives on its own:
     a block outside its own dict's trimmed band reads as +0.  A repeated
     frequency ("1", "01") keeps its last block.  ValueError, naming the
-    frequency where one is at fault, unless every leaf is a finite JSON
-    number in a block of the right shape, or when the hull is wider than
-    MAX_BAND_WIDTH.
+    frequency where one is at fault, unless every leaf is a JSON number in
+    a block of the right shape, or when the hull is wider than
+    MAX_BAND_WIDTH.  NaN and inf are left to the constructor that takes
+    the band (_BandedLoop._set_band, SubspaceFrame._set_stack) to refuse.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -393,9 +400,7 @@ def _bands_from_pairs(dicts, n, block_ndim):
             _name_bad_block(d, block)
         raise ValueError("coefficients are not [re, im] pairs")
     blocks = flat.view(complex).reshape((len(values),) + block)
-    if not np.isfinite(blocks).all():
-        raise ValueError("coefficients must be finite (NaN or inf found)")
-    nonzero = iter(blocks.reshape(len(values), -1).any(axis=1).tolist())
+    nonzero = iter(blocks.any(axis=tuple(range(1, blocks.ndim))).tolist())
     bands = []  # each dict's trimmed band; (1, 0), empty, for a zero loop
     for c in columns:
         ks = list(compress(c, islice(nonzero, len(c))))
@@ -403,10 +408,7 @@ def _bands_from_pairs(dicts, n, block_ndim):
     live = [b for b in bands if b[0] <= b[1]]
     kmin = min((lo for lo, _ in live), default=0)
     width = max((hi for _, hi in live), default=kmin - 1) - kmin + 1
-    if width > MAX_BAND_WIDTH:
-        raise ValueError(
-            f"band [{kmin}, {kmin + width - 1}] spans {width} "
-            f"frequencies, more than {MAX_BAND_WIDTH}")
+    _check_band(kmin, width)
     rows, cols, picks, start = [], [], [], 0
     for j, (c, (lo, hi)) in enumerate(zip(columns, bands)):
         inside = [lo <= k <= hi for k in c]

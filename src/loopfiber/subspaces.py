@@ -71,6 +71,8 @@ class SubspaceFrame:
         return frame
 
     def _set_stack(self, stack):
+        if not np.isfinite(stack.data).all():
+            raise ValueError("coefficients must be finite (NaN or inf found)")
         stack.data.setflags(write=False)
         G = cross_gram(stack, stack)
         defect = np.abs(G - np.eye(len(G))).max()

@@ -113,6 +113,17 @@ class TestProject:
         assert outs[0] == outs[1]
         assert stdouts[0] == stdouts[1]
 
+    @pytest.mark.parametrize("coeffs, empty", [
+        ({"0": [[2.0, 0.0]], "3": [[0.0, 1.0]]}, "minus"),
+        ({"-1": [[2.0, 0.0]]}, "plus"),
+        ({}, "minus")])
+    def test_zero_half_reported(self, capsys, tmp_path, coeffs, empty):
+        src = write_json(tmp_path / "loop.json", {"n": 1, "coeffs": coeffs})
+        code, rep = run_cli(capsys, ["project", src, "--no-meta"])
+        assert code == 0
+        assert rep[empty] == {"n": 1, "coeffs": {}}
+        assert rep["norms"][empty] == 0.0
+
     def test_meta_present_by_default(self, capsys, tmp_path):
         src = write_json(tmp_path / "loop.json",
                          fourier.loop_to_dict(self.loop))

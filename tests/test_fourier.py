@@ -213,6 +213,13 @@ class TestSerialization:
         d = loop_to_dict(constant_loop([1.0, 2.0j]))
         assert d == {"n": 2, "coeffs": {"0": [[1.0, 0.0], [0.0, 2.0]]}}
 
+    @pytest.mark.parametrize("coeffs", [{}, {"2": [[0.0, -0.0]]}])
+    def test_zero_loop_roundtrip(self, coeffs):
+        assert loop_to_dict(TruncatedLoop(1, {})) == {"n": 1, "coeffs": {}}
+        a = loop_from_dict({"n": 1, "coeffs": coeffs})
+        assert a.is_zero and a.data.shape == (0, 1)
+        assert loop_to_dict(a) == {"n": 1, "coeffs": {}}
+
     def test_gap_frequencies_not_written(self):
         a = TruncatedLoop(2, {-3: [1.0, 0.0], 3: [0.0, 1j]})
         assert list(loop_to_dict(a)["coeffs"]) == ["-3", "3"]

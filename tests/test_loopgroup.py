@@ -428,6 +428,12 @@ class TestSerialization:
         d = element_to_dict(g)
         assert d == {"n": 1, "mcoeffs": {"1": [[[1.0, 0.0]]]}}
 
+    def test_zero_element_roundtrip(self):
+        d = {"n": 2, "mcoeffs": {}}
+        g = element_from_dict(d)
+        assert g.data.shape == (0, 2, 2)
+        assert element_to_dict(g) == d
+
     def test_leaves_and_dimension_checked(self):
         d = element_to_dict(identity_element(2))
         d["mcoeffs"]["0"][1][0] = [0.0, False]
