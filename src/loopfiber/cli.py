@@ -335,7 +335,7 @@ def cmd_subspace_loop(args):
 
     payload = {"input": args.input, "n": frame.n, "subspace_dim": frame.dim}
     try:
-        g = loopgroup.loop_from_subspace(frame, tol=args.unitarity_tol)
+        g, defect = loopgroup._certified_loop(frame, args.unitarity_tol)
     except (IntersectionDimension, UnitarityViolation) as exc:
         payload.update({
             "status": "failed",
@@ -347,7 +347,7 @@ def cmd_subspace_loop(args):
         "status": "ok",
         "diagnostic": None,
         "element": loopgroup.element_to_dict(g),
-        "unitarity_defect": loopgroup.unitarity_defect(g)[0],
+        "unitarity_defect": defect,
         "det_winding": loopgroup.det_winding(g),
     })
     return _report(args, "subspace-loop", payload), EXIT_OK

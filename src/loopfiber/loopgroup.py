@@ -48,7 +48,7 @@ POLAR_MAX_STEPS = 8          # Newton-Schulz steps before _polar takes the SVD
 # below n * POLAR_ROUNDOFF (over 2e4 Haar matrices for each n = 1..8, the
 # largest was 1 eps at n = 1 and under 4 eps at n = 8)
 POLAR_ROUNDOFF = 4.0 * np.finfo(float).eps
-MATMUL_BROADCAST_MAX = 3     # largest block _matmul sums by broadcasting
+MATMUL_ENTRYWISE_MAX = 3     # largest block _matmul builds entry by entry
 
 
 class LoopGroupElement(_BandedLoop):
@@ -121,24 +121,59 @@ def _matmul(A, B):
     """A @ B for stacks of (n, m) and (m, p) blocks, batch axes broadcast.
 
     np.matmul makes one BLAS call per block, which dominates for the small
-    blocks of transport.  Blocks no larger than MATMUL_BROADCAST_MAX are
-    summed over the inner index by broadcast multiply-adds instead.  On
-    2048 complex n x n blocks (2-vCPU AVX-512 Xeon, OpenBLAS) that takes
-    0.13 vs 0.68 ms at n = 2 and 0.62 vs 0.75 ms at n = 3, but 1.2 vs
-    0.7 ms at n = 4 and 7.4 vs 1.2 ms at n = 8, so larger blocks go to
-    np.matmul.  Both ways each block of the result depends only on
-    its own operands, and NaN and inf propagate.
+    blocks of transport.  Blocks no larger than MATMUL_ENTRYWISE_MAX are
+    instead built entry by entry: out[..., i, k] is A[..., i, 0] B[..., 0, k]
+    plus A[..., i, j] B[..., j, k] for j = 1..m-1 in turn, one vector
+    product over the whole stack per term, so NumPy's inner loops run
+    along the stack rather than along length-2 block axes.  On 2048
+    complex n x n blocks (2-vCPU Xeon, OpenBLAS 0.3.31) it takes, against
+    np.matmul,
+
+        n           1      2      3      4      5      6      7      8
+        entrywise  0.003  0.06   0.21   0.65   1.2    2.1    3.7    13   ms
+        matmul     0.019  0.82   0.92   0.94   1.1    1.0    1.3    1.3  ms
+
+    Larger blocks go to np.matmul, which wins from n = 5 on; at n = 4 the
+    gain is small and np.matmul keeps the bits those blocks have always
+    had.  Both ways each block of the result depends only on its own
+    operands, and NaN and inf propagate.
     """
     (n, m), p = A.shape[-2:], B.shape[-1]
     if B.shape[-2] != m:
         raise ValueError(f"cannot multiply ({n}, {m}) blocks by "
                          f"{B.shape[-2:]} blocks")
-    if not 1 <= m <= MATMUL_BROADCAST_MAX or max(n, p) > MATMUL_BROADCAST_MAX:
+    if not 1 <= m <= MATMUL_ENTRYWISE_MAX or max(n, p) > MATMUL_ENTRYWISE_MAX:
         return np.matmul(A, B)
-    out = A[..., :, :1] * B[..., :1, :]
-    for j in range(1, m):
-        out += A[..., :, j:j + 1] * B[..., j:j + 1, :]
+    if m == 1:  # an outer product: one broadcast beats n p vector products
+        return A * B
+    out = np.empty(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (n, p),
+                   dtype=np.result_type(A, B))
+    for i in range(n):
+        for k in range(p):
+            entry = out[..., i, k]
+            np.multiply(A[..., i, 0], B[..., 0, k], out=entry)
+            for j in range(1, m):
+                entry += A[..., i, j] * B[..., j, k]
     return out
+
+
+def _fro_norms(S):
+    """The Frobenius norm of every block of a stack, bit for bit
+    np.linalg.norm(S, axis=(-2, -1)) on a C-ordered stack.
+
+    Blocks of fewer than 8 entries add their |S_ij|^2 one entry at a time,
+    the order NumPy's sum takes below its pairwise block of 8; larger
+    blocks go to np.linalg.norm.  Overflow and NaN give inf and NaN as
+    there.
+    """
+    n, m = S.shape[-2:]
+    if not 0 < n * m < 8:
+        return np.linalg.norm(S, axis=(-2, -1))
+    squares = (S.conj() * S).real
+    total = squares[..., 0, 0].copy()
+    for e in range(1, n * m):
+        total += squares[..., e // m, e % m]
+    return np.sqrt(total)
 
 
 def _adjoint(S):
@@ -151,7 +186,7 @@ def _gram_defects(S):
     defect is inf or NaN, without a warning, where S_t^H S_t overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         G = _matmul(_adjoint(S), S)
-        return G, np.linalg.norm(G - np.eye(S.shape[-1]), axis=(-2, -1))
+        return G, _fro_norms(G - np.eye(S.shape[-1]))
 
 
 def _polar(S):
@@ -355,6 +390,12 @@ def loop_from_subspace(W, tol=UNITARITY_TOL):
     it is canonicalized so the lowest-frequency invertible coefficient
     block comes out Hermitian positive definite.
     """
+    return _certified_loop(W, tol)[0]
+
+
+def _certified_loop(W, tol):
+    """(gamma, its unitarity defect) for `loop_from_subspace`, which
+    returns gamma alone; the same refusals."""
     inter = intersect_shift_complement(W)
     d = 0 if inter is None else inter.dim
     if d != W.n:
@@ -365,7 +406,7 @@ def loop_from_subspace(W, tol=UNITARITY_TOL):
     defect, theta = unitarity_defect(g)
     if not (defect <= tol):
         raise UnitarityViolation(defect, theta)
-    return g
+    return g, defect
 
 
 def element_to_dict(g):

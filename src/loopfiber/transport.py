@@ -33,10 +33,11 @@ T(t_i).  Transport runs as one batched pipeline for every fiber dimension n:
      so the frame stays unitary to roundoff.
 
 Every stacked product of steps 2-4 goes through loopgroup._matmul: for the
-small blocks of transport (n <= 3) it sums over the inner index with
-broadcast multiply-adds, where np.matmul would make one BLAS call per
-block, and it hands larger blocks to np.matmul; the path is the same for
-every n.
+small blocks of transport (n <= 3) it builds each block entry with one
+vector multiply-add over the stack per inner index, where np.matmul would
+make one BLAS call per block, and it hands larger blocks to np.matmul; the
+path is the same for every n.  The stacked Frobenius norms of the checks
+go through loopgroup._fro_norms in the same way.
 
 A holonomy alone needs only T(1): `holonomy` runs the scan's up-sweep, a
 pairwise tree product of the Q_i, to its root and takes one final polar; it
@@ -56,8 +57,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonAntiHermitianSample, PhaseStepTooLarge
-from .loopgroup import (_adjoint, _matmul, _phase_winding, _polar,
-                        _stack_defect)
+from .loopgroup import (_adjoint, _fro_norms, _matmul, _phase_winding,
+                        _polar, _stack_defect)
 
 __all__ = [
     "BaseLoop",
@@ -304,8 +305,7 @@ class TransportFrame:
         with np.errstate(over="ignore", invalid="ignore"):
             E = _prefix_products(self.step_offsets)
             EH = _adjoint(E)
-            defect = float(np.linalg.norm(E + EH + _matmul(EH, E),
-                                          axis=(1, 2)).max())
+            defect = float(_fro_norms(E + EH + _matmul(EH, E)).max())
         # the defect of a non-finite chain is inf or NaN
         if not math.isfinite(defect):
             raise ValueError(
@@ -376,7 +376,7 @@ def _sample_forms(conn, xv, ts):
         raise ValueError(f"connection form on {len(ts)} nodes has shape "
                          f"{A.shape}, expected ({len(ts)}, {n}, {n})")
     with np.errstate(invalid="ignore"):
-        defect = np.linalg.norm(A + _adjoint(A), axis=(1, 2))
+        defect = _fro_norms(A + _adjoint(A))
     # written so that a NaN defect fails the check too
     bad = np.flatnonzero(~(defect <= ANTIHERM_TOL))
     if bad.size:

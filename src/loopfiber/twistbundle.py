@@ -18,8 +18,8 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import PeriodicityDefect
-from .fourier import (_from_pairs, _to_pairs, evaluate_grid, from_grid_samples,
-                      project_minus, project_plus)
+from .fourier import (_integer, _read_leaves, _to_pairs, evaluate_grid,
+                      from_grid_samples, project_minus, project_plus)
 from .loopgroup import _adjoint, _matmul, _stack_defect
 
 __all__ = [
@@ -278,8 +278,14 @@ def section_to_dict(section):
 
 
 def section_from_dict(d, twist=None):
-    samples = _from_pairs(d["samples"], "samples")
-    if samples.shape != (d["N"] + 1, d["n"]):
-        raise ValueError("sample array does not match declared shape")
+    """Inverse of section_to_dict, bit-exact; ValueError unless n and N are
+    integers and the samples are N + 1 rows of n [re, im] pairs of JSON
+    numbers."""
+    n, N = _integer(d["n"], "n"), _integer(d["N"], "N")
+    leaves = _read_leaves([d["samples"]], (N + 1, n, 2))
+    if leaves is None:
+        raise ValueError("sample array does not match declared shape "
+                         f"({N + 1}, {n}) of [re, im] number pairs")
+    samples = leaves.view(complex).reshape(N + 1, n)
     validate = twist is not None or d["twist_kind"] == "identity"
     return TwistedSection(samples, d["twist_kind"], twist, validate=validate)

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopfiber import cli, decomp, fourier, subspaces, transport
+from loopfiber import cli, decomp, fourier, loopgroup, subspaces, transport
 from loopfiber.errors import PhaseStepTooLarge
 from loopfiber.loopgroup import (diag_zpowers, identity_element,
                                  loop_from_subspace, multiply, random_loop,
-                                 window_frame)
+                                 unitarity_defect, window_frame)
 
 from util import haar_unitary
 
@@ -207,6 +207,20 @@ class TestSubspaceLoop:
         const = np.array([[complex(re, im) for re, im in row]
                           for row in mc["0"]])
         assert np.linalg.norm(const - np.eye(2)) < 1e-8
+
+    def test_defect_certified_once(self, capsys, tmp_path, monkeypatch):
+        # the reported defect is the one the certificate computed
+        src = write_json(tmp_path / "filt.json", plus_filtration_dict(2))
+        defects = []
+
+        def recorded(g):
+            defects.append(unitarity_defect(g))
+            return defects[-1]
+
+        monkeypatch.setattr(loopgroup, "unitarity_defect", recorded)
+        code, rep = run_cli(capsys, ["subspace-loop", src, "--no-meta"])
+        assert code == 0 and len(defects) == 1
+        assert rep["unitarity_defect"] == defects[0][0]
 
     def test_shifted_window_winds_once(self, capsys, tmp_path):
         gens = (fourier.basis_loop(1, frequency=1),)

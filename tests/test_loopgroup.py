@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 
@@ -238,6 +239,18 @@ def random_blocks(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def broadcast_matmul(A, B):
+    """_matmul as it summed small blocks before it went entry by entry:
+    the reference its results must equal bit for bit."""
+    (n, m), p = A.shape[-2:], B.shape[-1]
+    if not 1 <= m <= 3 or max(n, p) > 3:
+        return np.matmul(A, B)
+    out = A[..., :, :1] * B[..., :1, :]
+    for j in range(1, m):
+        out += A[..., :, j:j + 1] * B[..., j:j + 1, :]
+    return out
+
+
 def assert_matches_matmul(A, B):
     C, D = loopgroup._matmul(A, B), np.matmul(A, B)
     assert C.shape == D.shape
@@ -249,8 +262,8 @@ class TestMatmul:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_square_blocks_match_matmul(self, n):
-        # n <= MATMUL_BROADCAST_MAX is summed by broadcasting, larger n
-        # goes to np.matmul
+        # n <= MATMUL_ENTRYWISE_MAX is built entry by entry, larger n goes
+        # to np.matmul
         rng = np.random.default_rng(n)
         assert_matches_matmul(random_blocks(rng, 33, n, n),
                               random_blocks(rng, 33, n, n))
@@ -293,6 +306,31 @@ class TestMatmul:
             assert np.array_equal(loopgroup._matmul(A[i:i + 1], B[i:i + 1])[0],
                                   C[i])
 
+    @pytest.mark.parametrize("n, m, p", list(itertools.product([1, 2, 3],
+                                                                repeat=3)))
+    def test_bit_exact_against_broadcast_sum(self, n, m, p):
+        rng = np.random.default_rng(100 * n + 10 * m + p)
+        A, B = random_blocks(rng, 257, n, m), random_blocks(rng, 257, m, p)
+        assert np.array_equal(loopgroup._matmul(A, B), broadcast_matmul(A, B))
+        # one matrix against a stack, and stacks whose batch axes broadcast
+        for X, Y in [(A, B[0]), (A[0], B), (A[:4, None], B[:9])]:
+            C = loopgroup._matmul(X, Y)
+            assert C.shape == np.matmul(X, Y).shape
+            assert np.array_equal(C, broadcast_matmul(X, Y))
+        E = np.zeros((0, n, m), dtype=complex)
+        assert loopgroup._matmul(E, B[:0]).shape == (0, n, p)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bit_exact_on_strided_operands(self, n):
+        # transport passes adjoint views and every-second-factor slices
+        rng = np.random.default_rng(50 + n)
+        S, E = random_blocks(rng, 129, n, n), random_blocks(rng, 129, n, n)
+        SH = loopgroup._adjoint(S)
+        for X, Y in [(SH, S), (S, SH), (E[1::2], E[0:-1:2]),
+                     (E[2::2], SH[1::2])]:
+            assert np.array_equal(loopgroup._matmul(X, Y),
+                                  broadcast_matmul(X, Y))
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_nan_and_inf_propagate(self, n):
         rng = np.random.default_rng(40 + n)
@@ -305,6 +343,32 @@ class TestMatmul:
         assert np.isfinite(np.delete(C, [2, 4], axis=0)).all()
         # a NaN or inf block fails every `defect <= tol` check
         assert not (defects[[2, 4]] <= 1e300).any()
+
+
+class TestFroNorms:
+    """loopgroup._fro_norms, the stacked norm of the unitarity, anti-
+    Hermiticity and raw-drift checks."""
+
+    @pytest.mark.parametrize("n, m", list(itertools.product(range(1, 5),
+                                                            repeat=2)))
+    def test_bit_exact_against_linalg_norm(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        # magnitudes from 1e-200 to 1e200: squares underflow, are
+        # subnormal, or overflow to inf
+        S = random_blocks(rng, 512, n, m) * 10.0 ** rng.integers(
+            -200, 201, (512, 1, 1))
+        S[3, 0, -1], S[5, -1, 0] = np.nan, complex(np.inf, 1.0)
+        S[7, 0, 0] = complex(-np.inf, np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = loopgroup._fro_norms(S)
+                want = np.linalg.norm(S, axis=(-2, -1))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isinf(got).any() and np.isnan(got[3])
+        assert not np.isfinite(got[[5, 7]]).any()
+        assert np.array_equal(loopgroup._fro_norms(S[:0]), want[:0])
+        assert np.array_equal(loopgroup._fro_norms(S[:3, :0]), np.zeros(3))
 
 
 class TestCertificateGrid:

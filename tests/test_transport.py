@@ -406,7 +406,7 @@ REFERENCE_CASES = {
     "abelian2d": (abelian2d(1.7), BaseLoop.circle(0.9)),
     "monopole": (monopole(2), latitude_loop(1.1)),
 }
-# fiber dimensions on both sides of loopgroup.MATMUL_BROADCAST_MAX, with
+# fiber dimensions on both sides of loopgroup.MATMUL_ENTRYWISE_MAX, with
 # holonomy phases of about 2 pi
 CONSTANT_CASES = {
     "constant-n3": (constant_generator(anti_hermitian(3, 3)),

@@ -338,6 +338,30 @@ class TestSerialization:
         with pytest.raises(ValueError, match="shape"):
             section_from_dict(d)
 
+    def test_roundtrip_is_bit_exact(self, su2_frame):
+        sec = j_embed(su2_frame, np.array([1.0, -0.0 + 2j]))
+        back = section_from_dict(json.loads(json.dumps(section_to_dict(sec))),
+                                 twist=sec.twist)
+        assert back.samples.tobytes() == sec.samples.tobytes()
+
+    @pytest.mark.parametrize("change", [
+        {"samples": [[["1", True]]] * 3},    # a string and a bool leaf
+        {"samples": [[[1.0, None]]] * 3},
+        {"samples": [[[1.0, 0.0, 0.0]]] * 3},
+        {"samples": [[1.0, 0.0]] * 3},       # a row that is one pair
+        {"samples": [[[1.0, 0.0]]] * 2},
+        {"samples": 5},
+        {"n": 1.0},
+        {"N": 2.0},
+        {"n": True},
+    ])
+    def test_non_json_number_input_rejected(self, change):
+        d = {"n": 1, "N": 2, "twist_kind": "identity",
+             "samples": [[[1.0, 0.0]]] * 3}
+        d.update(change)
+        with pytest.raises(ValueError):
+            section_from_dict(d)
+
 
 class TestBasisCompatibility:
     def test_extend_with_pure_frequency(self, su2_frame):
