@@ -27,6 +27,7 @@ from datetime import datetime, timezone
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from . import decomp, fourier, loopgroup, subspaces, transport, twistbundle
 from .errors import (
@@ -94,17 +95,30 @@ def _check_options(args):
 
 
 def _load_input(path, parse, what):
-    """parse(the JSON in path); InputError naming `what` on any failure."""
+    """parse(the JSON in path); InputError naming `what` on any failure.
+
+    orjson decodes strict JSON only: NaN, Infinity, a literal beyond the
+    double range, a byte order mark, bytes that are not UTF-8 and a lone
+    surrogate escape are decode errors.  Its floats are the correctly
+    rounded doubles float() gives.  An integer outside [-2**63, 2**64)
+    decodes as a float, which every integer field refuses.  The decoder
+    does not limit nesting depth, so a parser that recurses into a deep
+    tree (a repr in an error message) fails closed on RecursionError.
+    """
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            data = orjson.loads(fh.read())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except orjson.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"not a {what}: expected a JSON object, got "
+                         f"{type(data).__name__}")
     try:
         return parse(data)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
         raise InputError(f"not a {what}: {exc}") from exc
 
 

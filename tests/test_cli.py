@@ -5,6 +5,7 @@ except one subprocess test for the module entry point.
 
 import argparse
 import cmath
+import decimal
 import json
 import math
 import subprocess
@@ -154,14 +155,15 @@ class TestProject:
         assert capsys.readouterr().out == ""
 
     def test_oversized_integer_coefficient_exit2(self, capsys, tmp_path):
-        # JSON decodes a 400-digit literal as an int no float can hold
+        # a 400-digit literal is beyond the double range, so the decoder
+        # refuses it as it refuses 1e400
         src = tmp_path / "huge.json"
         src.write_text('{"n": 1, "coeffs": {"0": [[' + "9" * 400
                        + ', 0.0]]}}')
         assert cli.main(["project", str(src), "--no-meta"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: not a coefficient loop file: ")
+        assert captured.err.startswith(f"error: {src} is not valid JSON: ")
 
     def test_ragged_block_names_its_frequency(self, capsys, tmp_path):
         src = write_json(tmp_path / "ragged.json", {"n": 2, "coeffs": {
@@ -707,6 +709,137 @@ class TestAudit:
     def test_not_a_family_exit2(self, capsys, tmp_path):
         src = write_json(tmp_path / "junk.json", {"points": "nope"})
         assert cli.main(["audit", src, "--no-meta"]) == 2
+
+
+def command_files():
+    """A small valid input file for each command that reads one."""
+    fam, _ = TestAudit().make_model_family()
+    return {
+        "project": fourier.loop_to_dict(fourier.TruncatedLoop(1, {0: [1.0]})),
+        "subspace-loop": plus_filtration_dict(2),
+        "audit": decomp.family_to_dict(fam),
+    }
+
+
+COMMAND_FILES = command_files()
+# the path to one JSON-integer field of each command's file
+INTEGER_FIELDS = {"project": ("n",), "subspace-loop": ("depth",),
+                  "audit": ("edges", 0, 0)}
+DEEP = 100_000
+
+
+def with_integer_field(command, text):
+    """The JSON of the command's valid file with `text` in place of the
+    value of its integer field."""
+    d = json.loads(json.dumps(COMMAND_FILES[command]))
+    *path, last = INTEGER_FIELDS[command]
+    node = d
+    for key in path:
+        node = node[key]
+    node[last] = "FIELD"
+    return json.dumps(d).replace('"FIELD"', text)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def midpoint_text(x):
+    """The exact decimal halfway between x and the next double up."""
+    with decimal.localcontext(decimal.Context(prec=2000)):
+        return str((decimal.Decimal(x)
+                    + decimal.Decimal(math.nextafter(x, math.inf))) / 2)
+
+
+long_integers = st.builds(
+    lambda sign, digits: sign + digits,
+    st.sampled_from(["", "-"]),
+    st.integers(1, 300).flatmap(
+        lambda d: st.integers(10 ** (d - 1), 10 ** d - 1)).map(str))
+number_texts = (
+    finite_floats.map(repr)
+    | finite_floats.map(lambda x: "%.17e" % x)
+    | finite_floats.filter(
+        lambda x: math.isfinite(math.nextafter(x, math.inf))).map(midpoint_text)
+    | long_integers)
+
+
+class TestInputDecoding:
+    """Every input file goes through one strict decoder: what it refuses
+    exits 2 naming the file, and the numbers it reads are float()'s."""
+
+    def write(self, tmp_path, data):
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        return str(path)
+
+    @pytest.mark.parametrize("command", list(COMMAND_FILES))
+    @pytest.mark.parametrize("shape", ["closed", "open", "in-field"])
+    def test_deep_nesting_exit2(self, capsys, tmp_path, command, shape):
+        deep = "[" * DEEP + "]" * DEEP
+        if shape == "closed":
+            text = deep
+        elif shape == "open":
+            text = "[" * DEEP
+        else:  # an integer field's error message reprs the value it refuses
+            text = with_integer_field(command, deep)
+        src = self.write(tmp_path, text.encode())
+        assert cli.main([command, src, "--no-meta"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @given(st.lists(number_texts, min_size=1, max_size=40))
+    @example(["5e-324", "-5e-324", "2.2250738585072009e-308", "-0.0",
+              "1.7976931348623157e308", midpoint_text(0.0),
+              midpoint_text(5e-324), midpoint_text(1.0),
+              midpoint_text(2.0 ** 53), midpoint_text(1.7976931348623155e308),
+              str(2 ** 63), str(2 ** 64 - 1), str(2 ** 64), str(-2 ** 63 - 1),
+              str(2 ** 64 + 2 ** 11), "9" * 300, "1e-400", "1E+308"])
+    def test_numbers_read_as_float_reads_them(self, tmp_path_factory, texts):
+        path = tmp_path_factory.mktemp("leaves") / "leaves.json"
+        path.write_text('{"x": [' + ", ".join(texts) + "]}")
+        leaves = cli._load_input(str(path), lambda d: d["x"], "leaf file")
+        assert [float(v).hex() for v in leaves] == \
+            [float(t).hex() for t in texts]
+
+    @pytest.mark.parametrize("command", list(COMMAND_FILES))
+    @pytest.mark.parametrize("token", [
+        b"0", b"NaN", b"Infinity", b"-Infinity", b"1e400",
+        pytest.param(b'"\xff"', id="invalid-utf8"),
+        pytest.param(b'"\\ud800"', id="lone-surrogate"), b"BOM"])
+    def test_strict_json(self, capsys, tmp_path, command, token):
+        valid = json.dumps(COMMAND_FILES[command]).encode()
+        if token == b"BOM":
+            data = b"\xef\xbb\xbf" + valid
+        else:
+            data = valid[:-1] + b', "extra": ' + token + b"}"
+        src = self.write(tmp_path, data)
+        code = cli.main([command, src, "--no-meta"])
+        captured = capsys.readouterr()
+        if token == b"0":  # the same file with a valid extra field
+            assert code == 0
+            return
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {src} is not valid JSON: ")
+
+    @pytest.mark.parametrize("command", list(COMMAND_FILES))
+    def test_integer_beyond_64_bits_exit2(self, capsys, tmp_path, command):
+        # the decoder reads 2**64 as the float 1.8446744073709552e+19
+        src = self.write(tmp_path,
+                         with_integer_field(command, str(2 ** 64)).encode())
+        assert cli.main([command, src, "--no-meta"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            " must be an integer, got 1.8446744073709552e+19\n")
+
+    @pytest.mark.parametrize("command", list(COMMAND_FILES))
+    @pytest.mark.parametrize("top", ["[]", "1", '"x"', "null"])
+    def test_not_an_object_exit2(self, capsys, tmp_path, command, top):
+        src = self.write(tmp_path, top.encode())
+        assert cli.main([command, src, "--no-meta"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected a JSON object" in captured.err
 
 
 def reference_dump(report):
