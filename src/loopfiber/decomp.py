@@ -39,9 +39,9 @@ from .loopgroup import (
     theta_variation,
     unitarity_defect,
 )
-from .subspaces import (FiltrationSubspace, _residual_norms, expand_filtration,
-                        filtration_from_dict, filtration_to_dict,
-                        orthonormalize, principal_angles)
+from .subspaces import (FiltrationSubspace, _leading_frame, _residual_norms,
+                        expand_filtration, filtration_from_dict,
+                        filtration_to_dict, orthonormalize, principal_angles)
 
 __all__ = [
     "SubspaceFamily",
@@ -172,8 +172,9 @@ def _shift_residual(frame_p, frame_p1):
 def _audit_point(x, f):
     """(PointAudit, the certified loop or None) at point x."""
     n = f.n
-    frame_p = expand_filtration(f)
+    # one QR per point: the depth-P window is the depth-(P+1) frame's head
     frame_p1 = expand_filtration(f, f.depth + 1)
+    frame_p = _leading_frame(frame_p1, len(f.generators) * (f.depth + 1))
     residual = _shift_residual(frame_p, frame_p1)
     growth = frame_p1.dim - frame_p.dim
 

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficiency
-from .fourier import (BandStack, TruncatedLoop, _bands_from_pairs, _integer,
-                      inner_product, loop_to_dict, shift, stack_columns,
-                      union_band)  # noqa: F401  (stack_loops callers use it)
+from .fourier import (BandStack, TruncatedLoop, _bands_from_pairs,
+                      _check_band, _integer, inner_product, loop_to_dict,
+                      shift, stack_columns, union_band)
 
 __all__ = [
     "SubspaceFrame",
@@ -121,53 +121,68 @@ class FiltrationSubspace:
 
 
 def orthonormalize(vectors):
-    """Orthonormal frame of the span of a list of loops or of a BandStack's
-    columns: Householder QR of the (width * n, m) matrix with R's diagonal
-    made real and positive, so column j is vector j's residual against the
-    vectors kept before it, normalized, as in Gram-Schmidt.  The first
-    vector with |R_jj| <= DROP_TOL is dropped and the rest factored again
-    (past it the R_jj measure no residuals); vectors past the row count
-    have no R_jj and are dependent.  ValueError when nothing survives.
+    """Orthonormal frame of the span of a list of loops: Householder QR of
+    the (width * n, m) matrix with R's diagonal made real and positive, so
+    column j is vector j's residual against the vectors kept before it,
+    normalized, as in Gram-Schmidt.  The first vector with |R_jj| <=
+    DROP_TOL is dropped and the rest factored again (past it the R_jj
+    measure no residuals); vectors past the row count have no R_jj and are
+    dependent.  ValueError when nothing survives.
     """
-    if not isinstance(vectors, BandStack):
-        if not vectors:
-            raise ValueError("empty input")
-        vectors = stack_columns(vectors)
-    width, n, m = vectors.data.shape
-    A, keep = vectors.data.reshape(width * n, m), np.arange(m)
+    if not vectors:
+        raise ValueError("empty input")
+    stack = stack_columns(vectors)
+    width, n, m = stack.data.shape
+    A, keep = stack.data.reshape(width * n, m), np.arange(m)
     while keep.size:
         Q, R = np.linalg.qr(A[:, keep])
         d = np.diagonal(R)
         small = np.flatnonzero(~(np.abs(d) > DROP_TOL))
         if not small.size:
-            return SubspaceFrame._from_stack(vectors._replace(
+            return SubspaceFrame._from_stack(stack._replace(
                 data=(Q * (d / np.abs(d))).reshape(width, n, -1)))
         keep = np.delete(keep, small[0])
     raise ValueError("all input vectors are zero (or dependent to DROP_TOL)")
 
 
 def expand_filtration(f, depth=None):
-    """Orthonormal frame for span{ z^p g_j : 0 <= p <= depth }.
+    """Orthonormal frame for span{ z^p g_j : 0 <= p <= depth }, of
+    dimension n_gen * (depth + 1) for n_gen generators.
 
-    Validates the filtration invariant first: the Gram matrix of the raw
-    shifted family must have smallest singular value above 1e-8, otherwise
-    RankDeficiency is raised.  The resulting frame has dimension
-    n_gen * (depth + 1) where n_gen = number of generators.
+    One QR of the shifted family gives the frame, as in `orthonormalize`,
+    and decides its rank: RankDeficiency unless sigma_min(R)^2, the least
+    Gram eigenvalue, exceeds FILTRATION_SV_TOL (then every |R_jj| >
+    DROP_TOL), and for more members than rows.  A band wider than
+    MAX_BAND_WIDTH raises ValueError before the family is built.
     """
     P = f.depth if depth is None else depth
+    kmin, kmax = union_band(f.generators)
+    _check_band(kmin, kmax + P - kmin + 1)
     stack = stack_columns(
-        [shift(g, p) for p in range(P + 1) for g in f.generators])
-    smin = np.linalg.eigvalsh(cross_gram(stack, stack))[0]
+        [shift(g, p) for p in range(P + 1) for g in f.generators],
+        (kmin, kmax + P))
+    width, n, m = stack.data.shape
+    Q, R = np.linalg.qr(stack.data.reshape(width * n, m))
+    s = np.linalg.svd(R, compute_uv=False)
+    smin = s[-1] ** 2 if s.size == m else 0.0
     if not (smin > FILTRATION_SV_TOL):
         raise RankDeficiency(
             f"shifted generator family is rank deficient "
             f"(smallest Gram singular value {smin:.3e})")
-    frame = orthonormalize(stack)
-    expected = len(f.generators) * (P + 1)
-    if frame.dim != expected:
-        raise RankDeficiency(
-            f"retained rank {frame.dim}, expected {expected}")
-    return frame
+    d = np.diagonal(R)
+    return SubspaceFrame._from_stack(stack._replace(
+        data=(Q * (d / np.abs(d))).reshape(width, n, m)))
+
+
+def _leading_frame(frame, dim):
+    """The first `dim` columns of a filtration's depth-(P+1) frame, its
+    top block (0 there) dropped: the depth-P frame for dim = n_gen * (P+1),
+    as the first k columns of a Householder Q depend only on the first k
+    of A (Golub & Van Loan 5.2).  Copied: a strided view rounds later
+    products differently."""
+    stack = frame.stack
+    return SubspaceFrame._from_stack(stack._replace(
+        data=np.ascontiguousarray(stack.data[:-1, :, :dim])))
 
 
 def intersect_shift_complement(W):
@@ -175,16 +190,16 @@ def intersect_shift_complement(W):
 
     With w_i the frame columns, a member u = sum_j x_j w_j of W is
     orthogonal to zW exactly when M x = 0 for the cross-Gram
-    M[i, j] = <z w_i, w_j>.  The SVD nullspace of M (relative cutoff
-    1e-9 * sigma_max) therefore gives coefficient combinations; since the
-    w_j are orthonormal, orthonormal nullspace vectors produce an
-    orthonormal frame directly.
+    M[i, j] = <z w_i, w_j>.  The SVD nullspace of M (cutoff 1e-9, absolute
+    as ||M|| <= 1; a relative one is roundoff where M is, as at depth 0)
+    therefore gives coefficient combinations; since the w_j are
+    orthonormal, orthonormal nullspace vectors produce an orthonormal
+    frame directly.
     """
     stack = W.stack
     M = cross_gram(stack._replace(kmin=stack.kmin + 1), stack)  # z w_i
     _, s, Vh = np.linalg.svd(M)
-    cutoff = 1e-9 * s[0] if s.size and s[0] > 0 else 0.0
-    rank = int(np.sum(s > cutoff))
+    rank = int(np.sum(s > 1e-9))
     if rank == W.dim:
         return None
     null_vecs = Vh[rank:].conj()  # rows x with M x = 0

@@ -287,6 +287,26 @@ class TestSubspaceLoop:
         assert code == 0
         assert rep["subspace_dim"] == 6
 
+    @pytest.mark.parametrize("file_depth, option", [
+        (2 ** 62, []), (1, ["--depth", str(2 ** 62)])])
+    def test_huge_depth_exit2(self, capsys, tmp_path, file_depth, option):
+        # refused by the band check before the shifted family is built
+        src = write_json(tmp_path / "filt.json",
+                         plus_filtration_dict(1, file_depth))
+        assert cli.main(["subspace-loop", src, *option, "--no-meta"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "frequencies" in err
+
+    def test_depth0_window_rebuilds_loop(self, capsys, tmp_path):
+        g = random_loop(2, 2, seed=0)
+        src = write_json(tmp_path / "filt.json", subspaces.filtration_to_dict(
+            subspaces.FiltrationSubspace([g.column(j) for j in range(2)], 0)))
+        code, rep = run_cli(capsys, ["subspace-loop", src, "--no-meta"])
+        assert code == 0 and rep["status"] == "ok"
+        assert rep["subspace_dim"] == 2
+        assert rep["det_winding"] == loopgroup.det_winding(g)
+
     def test_depth_on_frame_file_exit2(self, capsys, tmp_path):
         # a frame file has no depth to override
         frame = subspaces.expand_filtration(subspaces.filtration_from_dict(
@@ -631,6 +651,22 @@ class TestAudit:
         code, rep = run_cli(capsys, ["audit", src, "--no-meta"])
         assert code == 0 and rep["reduction"]["max_variation"] < 1e-9
         assert len(calls) == fam.size
+
+    def test_one_factorization_per_point(self, capsys, tmp_path,
+                                         monkeypatch):
+        # the depth-P window is taken from the depth-(P+1) frame
+        fam, _ = self.make_model_family()
+        src = write_json(tmp_path / "fam.json", decomp.family_to_dict(fam))
+        depths = []
+
+        def counted(f, depth=None):
+            depths.append(depth)
+            return subspaces.expand_filtration(f, depth)
+
+        monkeypatch.setattr(decomp, "expand_filtration", counted)
+        code, rep = run_cli(capsys, ["audit", src, "--no-meta"])
+        assert code == 0 and rep["all_ok"]
+        assert depths == [4] * fam.size
 
     def test_winding_cycle_exit5(self, capsys, tmp_path):
         fam, _ = self.make_model_family()

@@ -63,6 +63,17 @@ class TestAudit:
         assert report.axioms_ok
         assert report.all_ok
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_depth0_twisted_window_passes(self, n):
+        # the depth-0 window g . C^n is its own intersection with (zW)^perp
+        g = random_loop(n, band=2, seed=70 + n)
+        window = FiltrationSubspace([g.column(j) for j in range(n)], 0)
+        report = audit_family(SubspaceFamily((0,), (), (window,)))
+        (point,) = report.point_audits
+        assert point.passed_c and point.passed
+        assert point.intersection_dim == n
+        assert point.dim_at_depth == n and point.dim_above == 2 * n
+
     def test_rigid_fiber_fails_intersection(self):
         # the symmetric generator vanishes at theta = pi/2 so its window
         # meets the shifted complement trivially: axiom (c) must fail there

@@ -419,6 +419,19 @@ class TestLoopFromSubspace:
         np.testing.assert_allclose(mean.conj().T @ mean, np.eye(n), atol=1e-6)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_depth0_window_recovers_up_to_constant(self, n):
+        # at depth 0, <z g a, g b> = integral of conj(z) a^H b = 0, so the
+        # cross-Gram of W and zW is pure roundoff and W is the intersection
+        for seed in range(8):
+            g = random_loop(n, 2, seed=seed)
+            assert g.band[0] < g.band[1]
+            ghat = loop_from_subspace(window_frame(g, 0))
+            var, mean = theta_variation(multiply(inverse(g), ghat))
+            assert var <= 1e-9
+            np.testing.assert_allclose(mean.conj().T @ mean, np.eye(n),
+                                       atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_window_frame_orthonormalizes_applied_basis(self, n):
         # window_frame's column (p, j) is g applied to z^p e_j, exactly
         g = random_loop(n, 2, seed=30 + n)

@@ -32,4 +32,4 @@ def test_third_party_imports_are_dependencies():
                 for d in declared}
     third_party = imported_top_level_modules() - set(sys.stdlib_module_names)
     assert {"numpy", "orjson"} <= third_party
-    assert third_party <= declared
+    assert third_party == declared

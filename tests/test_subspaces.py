@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from loopfiber.errors import RankDeficiency
-from loopfiber.fourier import (TruncatedLoop, basis_loop, inner_product,
-                               loop_allclose, loop_from_dict, norm, shift,
-                               stack_columns)
+from loopfiber.fourier import (MAX_BAND_WIDTH, TruncatedLoop, basis_loop,
+                               inner_product, loop_allclose, loop_from_dict,
+                               norm, shift, stack_columns)
 from loopfiber.loopgroup import apply, random_loop
 from loopfiber.subspaces import (FiltrationSubspace, SubspaceFrame,
-                                 cross_gram, expand_filtration,
+                                 _leading_frame, cross_gram, expand_filtration,
                                  filtration_from_dict, filtration_to_dict,
                                  frame_from_dict, frame_to_dict,
                                  intersect_shift_complement, orthonormalize,
@@ -172,6 +172,32 @@ class TestExpandFiltration:
         with pytest.raises(RankDeficiency):
             expand_filtration(FiltrationSubspace([e1, e1], 1))
 
+    @pytest.mark.parametrize("eps, full_rank", [(2e-4, True), (1e-4, False)])
+    def test_rank_rule_bounds_least_gram_eigenvalue(self, eps, full_rank):
+        # the Gram of {e1, e1 + eps e2} is [[1, 1], [1, 1 + eps^2]], whose
+        # least eigenvalue is about eps^2 / 2: 2e-8 and 5e-9 against the
+        # bound 1e-8
+        e1, e2 = basis_loop(2), basis_loop(2, component=1)
+        f = FiltrationSubspace([e1, e1 + eps * e2], 0)
+        if full_rank:
+            assert expand_filtration(f).dim == 2
+        else:
+            with pytest.raises(RankDeficiency):
+                expand_filtration(f)
+
+    def test_more_members_than_rows_rank_deficient(self):
+        # {1, z} at depth 1 is four members over the three frequencies 0..2
+        f = FiltrationSubspace([basis_loop(1), basis_loop(1, frequency=1)], 1)
+        with pytest.raises(RankDeficiency):
+            expand_filtration(f)
+
+    def test_huge_depth_refused_before_allocation(self):
+        # the band of the shifted family is checked before it is built
+        f = FiltrationSubspace([basis_loop(2, frequency=-3)], 2 ** 62)
+        for depth in (None, 2 ** 62, MAX_BAND_WIDTH):
+            with pytest.raises(ValueError, match="more than"):
+                expand_filtration(f, depth)
+
     def test_shift_invariance_residual(self):
         # z . (depth-P window) sits inside the depth-(P+1) window
         f = plus_filtration(2, 3)
@@ -183,6 +209,36 @@ class TestExpandFiltration:
             res = norm(zw - project_onto(frP1, zw))
             worst = max(worst, res)
         assert worst <= 1e-10
+
+
+def random_generators(rng, n, count):
+    """`count` loops in C^n with Gaussian coefficients over a random band
+    of one to three frequencies."""
+    lo, width = int(rng.integers(-2, 2)), int(rng.integers(1, 4))
+    return [TruncatedLoop(n, {k: rng.standard_normal(n)
+                              + 1j * rng.standard_normal(n)
+                              for k in range(lo, lo + width)})
+            for _ in range(count)]
+
+
+class TestLeadingFrame:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_head_of_deeper_window_is_the_window(self, n):
+        # the depth-P family is the head of the depth-(P+1) family, so the
+        # head of its Q is the depth-P frame, zero in the top block
+        rng = np.random.default_rng(60 + n)
+        for P in range(7):
+            for _ in range(3):
+                n_gen = int(rng.integers(1, n + 1))
+                f = FiltrationSubspace(random_generators(rng, n, n_gen), P)
+                k = n_gen * (P + 1)
+                deeper = expand_filtration(f, P + 1)
+                assert not deeper.stack.data[-1, :, :k].any()
+                head, want = _leading_frame(deeper, k), expand_filtration(f)
+                assert head.stack.kmin == want.stack.kmin
+                assert head.stack.data.shape == want.stack.data.shape
+                np.testing.assert_allclose(head.stack.data, want.stack.data,
+                                           rtol=0, atol=1e-14)
 
 
 class TestIntersectShiftComplement:
