@@ -131,8 +131,9 @@ def _dump(report):
     byte for byte, so a NaN or inf in a report raises ValueError (exit 2).
 
     json's indent=2 encoder is pure Python, one generator step per value;
-    here each rectangular list of floats is written by one float.__repr__
-    map, and strings and other scalars go to json's own C encoders.
+    here the floats of each rectangular list, and of each dict of such
+    lists of one shape, are written by one orjson call, and strings and
+    other scalars go to json's own C encoders.
     """
     out = []
     _emit(report, "\n", out)
@@ -148,8 +149,14 @@ def _emit(value, newline, out):
         if not value:
             out.append("{}")
             return
+        items = sorted(value.items())
+        found = _float_leaves([item for _, item in items])
+        if found is not None and len(found[0]) > 1:
+            out.append(_float_dict([key for key, _ in items], *found,
+                                   newline))
+            return
         sep = "{" + inner
-        for key, item in sorted(value.items()):
+        for key, item in items:
             out.append(sep + _encode_key(key) + ": ")
             _emit(item, inner, out)
             sep = "," + inner
@@ -158,9 +165,10 @@ def _emit(value, newline, out):
         if not value:
             out.append("[]")
             return
-        text = _float_array(value, newline)
-        if text is not None:
-            out.append(text)
+        found = _float_leaves(value)
+        if found is not None:
+            out.append(_interleave(_array_layout(newline, found[0]),
+                                   _float_texts(found[1])))
             return
         sep = "[" + inner
         for item in value:
@@ -191,14 +199,14 @@ def _encode_key(key):
                     f"not {type(key).__name__}")
 
 
-def _float_array(value, newline):
-    """The indent=2 text of a nonempty list nested to a fixed shape with
-    only float leaves, else None."""
+def _float_leaves(value):
+    """(shape, leaves) of a nonempty list nested to a fixed shape with only
+    float leaves, else None."""
     shape, leaves = [len(value)], value
     while True:
         kinds = set(map(type, leaves))
         if kinds == {float}:
-            break
+            return tuple(shape), leaves
         if kinds != {list}:
             return None
         sizes = set(map(len, leaves))
@@ -206,14 +214,54 @@ def _float_array(value, newline):
             return None
         shape.append(sizes.pop())
         leaves = list(chain.from_iterable(leaves))
-    out = [None] * (2 * len(leaves) + 1)
-    out[1::2] = map(float.__repr__, leaves)
-    out[0::2] = _array_layout(newline, tuple(shape))
-    text = "".join(out)
-    if "n" in text:  # only "nan", "inf" and "-inf" hold one
+
+
+def _float_dict(keys, shape, leaves, newline):
+    """The indent=2 text of the dict of `keys` (sorted) to the float arrays
+    of shape[1:] whose leaves, in key order, are `leaves`."""
+    inner = newline + "  "
+    head, *between, tail = _array_layout(inner, shape[1:])
+    size = len(between) + 1  # leaves per array
+    seps = [None, *between] * shape[0] + [None]
+    opens = [_encode_key(key) + ": " + head for key in keys]
+    seps[0::size] = (["{" + inner + opens[0]]
+                     + [tail + "," + inner + text for text in opens[1:]]
+                     + [tail + newline + "}"])
+    return _interleave(seps, _float_texts(leaves))
+
+
+def _interleave(seps, texts):
+    """seps[0] + texts[0] + seps[1] + ... + texts[-1] + seps[-1]."""
+    out = [None] * (2 * len(texts) + 1)
+    out[0::2] = seps
+    out[1::2] = texts
+    return "".join(out)
+
+
+def _float_texts(leaves):
+    """list(map(float.__repr__, leaves)) for a nonempty list of floats, by
+    one orjson call; json's ValueError on a NaN or inf, which orjson writes
+    as null.
+
+    orjson writes the same shortest round-trip digits as repr but spells
+    three ranges of |x| another way: 1e-6 for 1e-06 (exponents -6 to -9),
+    0.0000123 for 1.23e-05, and 1e16 for 1e+16.  The first is padded in one
+    pass; the other two, rare in reports, are written again by repr.
+    """
+    text = orjson.dumps(leaves).decode()
+    if "n" in text:  # only "null" holds one
         for x in leaves:
             _scalar(x)  # raises json's ValueError on the first
-    return text
+    texts = np.array(text[1:-1].split(","), dtype=object)
+    values = np.array(leaves)
+    size = np.abs(values)
+    pad = (size >= 1e-9) & (size < 1e-5)
+    if pad.any():
+        texts[pad] = ",".join(texts[pad]).replace("e-", "e-0").split(",")
+    other = (size >= 1e16) | ((size >= 1e-5) & (size < 1e-4))
+    if other.any():
+        texts[other] = list(map(float.__repr__, values[other].tolist()))
+    return texts.tolist()
 
 
 @functools.lru_cache(maxsize=64)

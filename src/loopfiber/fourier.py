@@ -15,7 +15,7 @@ Frequency bands grow exactly under arithmetic (shifts reindex, products
 convolve); nothing is ever silently truncated.
 """
 
-from itertools import chain, compress, islice
+from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -380,7 +380,7 @@ def _bands_from_pairs(dicts, n, block_ndim):
 
     Bit-exact, and equal to stacking the loops each dict gives on its own:
     a block outside its own dict's trimmed band reads as +0.  A repeated
-    frequency ("1", "01") keeps its last block.  ValueError, naming the
+    frequency ("1", "01", "+1") keeps its last block.  ValueError, naming the
     frequency where one is at fault, unless every leaf is a JSON number in
     a block of the right shape, or when the hull is wider than
     MAX_BAND_WIDTH.  NaN and inf are left to the constructor that takes
@@ -391,33 +391,49 @@ def _bands_from_pairs(dicts, n, block_ndim):
     block = (n,) * block_ndim
     if not all(isinstance(d, dict) for d in dicts):
         raise ValueError("coefficients must map frequencies to [re, im] pairs")
-    # Python-int keys: a lone key such as 10**30 overflows int64
-    columns = [dict(zip(map(int, d), d.values())) for d in dicts]
-    values = [v for c in columns for v in c.values()]
+    keys = list(chain.from_iterable(dicts))
+    values = list(chain.from_iterable(map(dict.values, dicts)))
+    # Frequencies are Python ints, each spelling ("1", "01", "+1") read
+    # once: a lone key such as 10**30 overflows int64, so the arrays below
+    # hold each frequency's rank among the distinct ones.
+    spellings = list(set(keys))
+    frequencies = list(map(int, spellings))
+    distinct = sorted(set(frequencies))
+    index = dict(zip(distinct, range(len(distinct))))
+    rank_of = dict(zip(spellings, map(index.__getitem__, frequencies)))
+    rank = np.fromiter(map(rank_of.__getitem__, keys), dtype=np.intp,
+                       count=len(keys))
     flat = _read_leaves(values, block + (2,))
     if flat is None:
         for d in dicts:  # per key, only to name the bad frequency
             _name_bad_block(d, block)
         raise ValueError("coefficients are not [re, im] pairs")
     blocks = flat.view(complex).reshape((len(values),) + block)
-    nonzero = iter(blocks.any(axis=tuple(range(1, blocks.ndim))).tolist())
-    bands = []  # each dict's trimmed band; (1, 0), empty, for a zero loop
-    for c in columns:
-        ks = list(compress(c, islice(nonzero, len(c))))
-        bands.append((min(ks), max(ks)) if ks else (1, 0))
-    live = [b for b in bands if b[0] <= b[1]]
-    kmin = min((lo for lo, _ in live), default=0)
-    width = max((hi for _, hi in live), default=kmin - 1) - kmin + 1
+    column = np.repeat(np.arange(len(dicts)), list(map(len, dicts)))
+    # the last block of each (column, frequency) is the first in reverse
+    _, first = np.unique((column * len(distinct) + rank)[::-1],
+                         return_index=True)
+    kept = np.zeros(len(keys), dtype=bool)
+    kept[len(keys) - 1 - first] = True
+    live = kept & blocks.any(axis=tuple(range(1, blocks.ndim)))
+    if not live.any():
+        return 0, np.zeros((0,) + block + (len(dicts),), dtype=complex)
+    # each column's trimmed band in ranks, (len(distinct), -1) if it is empty
+    lo = np.full(len(dicts), len(distinct))
+    np.minimum.at(lo, column[live], rank[live])
+    hi = np.full(len(dicts), -1)
+    np.maximum.at(hi, column[live], rank[live])
+    first_rank, last_rank = int(lo.min()), int(hi.max())
+    kmin = distinct[first_rank]
+    width = distinct[last_rank] - kmin + 1
     _check_band(kmin, width)
-    rows, cols, picks, start = [], [], [], 0
-    for j, (c, (lo, hi)) in enumerate(zip(columns, bands)):
-        inside = [lo <= k <= hi for k in c]
-        rows += [k - kmin for k in compress(c, inside)]
-        picks += compress(range(start, start + len(c)), inside)
-        cols += [j] * sum(inside)
-        start += len(c)
+    # the one Python-int subtraction: every frequency of the hull is within
+    # MAX_BAND_WIDTH of kmin, and a key outside it is dropped
+    offset = np.array([k - kmin for k in distinct[first_rank:last_rank + 1]])
+    inside = kept & (lo[column] <= rank) & (rank <= hi[column])
     data = np.zeros((width,) + block + (len(dicts),), dtype=complex)
-    data[rows, ..., cols] = blocks[picks]
+    data[offset[rank[inside] - first_rank], ..., column[inside]] = (
+        blocks[inside])
     return kmin, data
 
 

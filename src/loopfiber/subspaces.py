@@ -32,6 +32,9 @@ __all__ = [
 GRAM_TOL = 1e-10          # frame orthonormality tolerance
 DROP_TOL = 1e-10          # least |R_jj| of a vector orthonormalize keeps
 FILTRATION_SV_TOL = 1e-8  # smallest admissible Gram singular value
+# Most complex entries a stacked shifted family may hold (256 MB); its Q is
+# as large again
+FILTRATION_MAX_ENTRIES = 2 ** 24
 
 
 def stack_loops(loops, band=None):
@@ -152,19 +155,27 @@ def expand_filtration(f, depth=None):
     One QR of the shifted family gives the frame, as in `orthonormalize`,
     and decides its rank: RankDeficiency unless sigma_min(R)^2, the least
     Gram eigenvalue, exceeds FILTRATION_SV_TOL (then every |R_jj| >
-    DROP_TOL), and for more members than rows.  A band wider than
-    MAX_BAND_WIDTH raises ValueError before the family is built.
+    DROP_TOL).  Before the family is built, a band wider than
+    MAX_BAND_WIDTH or a family of more than FILTRATION_MAX_ENTRIES entries
+    raises ValueError, and one of more members than rows RankDeficiency.
     """
     P = f.depth if depth is None else depth
     kmin, kmax = union_band(f.generators)
-    _check_band(kmin, kmax + P - kmin + 1)
+    width, n, m = kmax + P - kmin + 1, f.n, len(f.generators) * (P + 1)
+    _check_band(kmin, width)
+    if width * n * m > FILTRATION_MAX_ENTRIES:
+        raise ValueError(
+            f"the depth-{P} shifted family has {m} members of {width * n} "
+            f"entries each, more than {FILTRATION_MAX_ENTRIES} in all")
+    if m > width * n:
+        raise RankDeficiency(
+            f"shifted generator family is rank deficient ({m} members in "
+            f"{width * n} rows)")
     stack = stack_columns(
         [shift(g, p) for p in range(P + 1) for g in f.generators],
         (kmin, kmax + P))
-    width, n, m = stack.data.shape
     Q, R = np.linalg.qr(stack.data.reshape(width * n, m))
-    s = np.linalg.svd(R, compute_uv=False)
-    smin = s[-1] ** 2 if s.size == m else 0.0
+    smin = np.linalg.svd(R, compute_uv=False)[-1] ** 2
     if not (smin > FILTRATION_SV_TOL):
         raise RankDeficiency(
             f"shifted generator family is rank deficient "

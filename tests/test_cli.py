@@ -298,6 +298,15 @@ class TestSubspaceLoop:
         assert out == ""
         assert err.startswith("error:") and "frequencies" in err
 
+    def test_depth_over_entry_budget_exit2(self, capsys, tmp_path):
+        # two generators in C^2 at depth 3000: 6002 members of 6002 entries
+        src = write_json(tmp_path / "filt.json", plus_filtration_dict(2, 1))
+        assert cli.main(["subspace-loop", src, "--depth", "3000",
+                         "--no-meta"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "more than 16777216" in err
+
     def test_depth0_window_rebuilds_loop(self, capsys, tmp_path):
         g = random_loop(2, 2, seed=0)
         src = write_json(tmp_path / "filt.json", subspaces.filtration_to_dict(
@@ -883,24 +892,31 @@ def reference_dump(report):
 
 
 report_floats = st.floats(allow_nan=False, allow_infinity=False) | \
-    st.sampled_from([-0.0, 5e-324, -5e-324, 1e-300, 2.0 ** 63, 1e16])
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e-300, 2.0 ** 63, 1e16,
+                     -1e-6, 1.5e-5, 9.999999999999999e-05])
 
 
-def float_arrays():
+def floats_of_shape(shape):
     """Nested lists of floats, all of one rectangular shape."""
-    def nested(shape):
-        s = report_floats
-        for size in reversed(shape):
-            s = st.lists(s, min_size=size, max_size=size)
-        return s
+    s = report_floats
+    for size in reversed(shape):
+        s = st.lists(s, min_size=size, max_size=size)
+    return s
 
-    return st.lists(st.integers(1, 3), min_size=1, max_size=3).flatmap(nested)
+
+shapes = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+float_arrays = shapes.flatmap(floats_of_shape)
+# dicts of float arrays of one shape, as a report's coefficient dicts are;
+# "-1", "-10" and "2" sort otherwise as strings than as numbers
+float_array_dicts = shapes.flatmap(lambda shape: st.dictionaries(
+    st.sampled_from(["-1", "-10", "2"]) | st.text(max_size=4),
+    floats_of_shape(shape), min_size=1, max_size=5))
 
 
 report_scalars = (st.none() | st.booleans() | report_floats | st.text()
                   | st.integers(-2 ** 70, 2 ** 70))
 reports = st.recursive(
-    report_scalars | float_arrays()
+    report_scalars | float_arrays | float_array_dicts
     | st.lists(st.lists(report_floats, max_size=3), max_size=3),  # ragged
     lambda inner: (st.lists(inner, max_size=4)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
@@ -918,16 +934,48 @@ class TestDump:
               "t\u00e9\n\"\\": "\u2028\x00\U0001f600",
               "nested": {"b": [[[1.5, -2.5]] * 2] * 3, "a": {}},
               "keys": [{2: "b", 1: [1.0]}, {0.5: 1, -1e300: 2},
-                       {True: 1, 0: 2}, {None: 0}]})
+                       {True: 1, 0: 2}, {None: 0}],
+              "coeffs": {"-1": [[1e-6, 1.5e-5]], "-10": [[1e16, -0.0]],
+                         "2": [[-9.999999999999999e-05, 1e-9]]},
+              "blocks": {"a": [1.0], "b": [[2.0]], "c": [3, 4.0]}})
     def test_matches_json_indent_encoder(self, report):
         assert cli._dump(report) == reference_dump(report)
 
-    @pytest.mark.parametrize("command", list(cli.HANDLERS))
+    # |x| where orjson's spelling differs from repr's, and their edges
+    RESPELLED_EDGES = [
+        1e-5, -1e-5, 9.999999999999999e-05, 1e-4, 1e-7, 1e-9, 1e-10,
+        1e16, 9999999999999998.0, 1e21, 1e22, 5e-324,
+        2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0]
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                              allow_subnormal=True, width=64)
+                    | st.sampled_from([0.0, -0.0]), min_size=1))
+    @example(RESPELLED_EDGES)
+    def test_float_texts_match_repr(self, xs):
+        assert cli._float_texts(xs) == list(map(float.__repr__, xs))
+
+    def test_float_texts_match_repr_on_random_bits(self):
+        bits = np.random.default_rng(15).integers(
+            0, 2 ** 64, size=200_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        xs = values[np.isfinite(values)].tolist()
+        assert cli._float_texts(xs) == list(map(float.__repr__, xs))
+
+    @pytest.mark.parametrize("command",
+                             list(cli.HANDLERS) + ["project-respelled"])
     def test_real_reports_match_json(self, capsys, tmp_path, command):
-        if command == "project":
+        if command.startswith("project"):
             loop = fourier.TruncatedLoop(2, {-1: [1.0, -0.0], 2: [0.5j, 3.0]})
-            argv = [command, write_json(tmp_path / "loop.json",
-                                        fourier.loop_to_dict(loop))]
+            if command == "project-respelled":
+                # coefficients and norms in every range that orjson spells
+                # otherwise than repr: |x| >= 1e16, 1e-9 <= |x| < 1e-5 and
+                # 1e-5 <= |x| < 1e-4
+                loop = fourier.TruncatedLoop(2, {
+                    -3: [2.5e16 - 1e-6j, 1.25e-5], 0: [-3e-7j, 9e-9],
+                    4: [-9.999999999999999e-05, 1e-9 + 1e-5j]})
+            argv = ["project", write_json(tmp_path / "loop.json",
+                                          fourier.loop_to_dict(loop))]
         elif command == "subspace-loop":
             frame = window_frame(random_loop(2, 2, seed=4), 3)
             argv = [command, write_json(tmp_path / "frame.json",
@@ -940,7 +988,7 @@ class TestDump:
         else:
             argv = [command, "--preset", "su2sample", "--N", "256"]
         args = cli._build_parser().parse_args(argv + ["--no-meta"])
-        report, _ = cli.HANDLERS[command](args)
+        report, _ = cli.HANDLERS[argv[0]](args)
         text = reference_dump(report)
         assert cli._dump(report) == text
         cli.main(argv + ["--no-meta"])
@@ -952,6 +1000,7 @@ class TestDump:
         {"a": {"b": {"c": -math.inf}}},
         {"a": [{"b": math.nan}]},
         {math.nan: 1.0},
+        {"mcoeffs": {"0": [[1.0, math.nan]], "1": [[2.0, 3.0]]}},
     ])
     def test_non_finite_exit2(self, capsys, monkeypatch, tmp_path, report):
         with pytest.raises(ValueError):

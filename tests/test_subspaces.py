@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from loopfiber import subspaces
 from loopfiber.errors import RankDeficiency
 from loopfiber.fourier import (MAX_BAND_WIDTH, TruncatedLoop, basis_loop,
                                inner_product, loop_allclose, loop_from_dict,
@@ -26,6 +29,10 @@ def symmetric_generator():
 def plus_filtration(n, depth):
     gens = [basis_loop(n, component=j) for j in range(n)]
     return FiltrationSubspace(gens, depth)
+
+
+def refuse_call(*args, **kwargs):
+    raise AssertionError("called before the refusal")
 
 
 def sequential_mgs(vectors, drop=1e-10):
@@ -185,10 +192,32 @@ class TestExpandFiltration:
             with pytest.raises(RankDeficiency):
                 expand_filtration(f)
 
-    def test_more_members_than_rows_rank_deficient(self):
-        # {1, z} at depth 1 is four members over the three frequencies 0..2
+    def test_more_members_than_rows_rank_deficient(self, monkeypatch):
+        # {1, z} at depth 1 is four members over the three frequencies 0..2,
+        # refused before any factorization
         f = FiltrationSubspace([basis_loop(1), basis_loop(1, frequency=1)], 1)
-        with pytest.raises(RankDeficiency):
+        monkeypatch.setattr(np.linalg, "qr", refuse_call)
+        with pytest.raises(RankDeficiency, match="4 members in 3 rows"):
+            expand_filtration(f)
+
+    def test_window_over_entry_budget_refused_before_allocation(
+            self, monkeypatch):
+        # depth 3000 on two generators in C^2: 6002 members of 6002
+        # entries, about 0.6 GB once stacked
+        monkeypatch.setattr(np.linalg, "qr", refuse_call)
+        monkeypatch.setattr(subspaces, "stack_columns", refuse_call)
+        with pytest.raises(ValueError, match="more than 16777216"):
+            expand_filtration(plus_filtration(2, 3000))
+
+    def test_entry_budget_edge(self, monkeypatch):
+        # the depth-2 window of two generators in C^2 has 6 members of 6
+        # entries: built under a budget of those 36 entries, refused under
+        # one of 35
+        f = plus_filtration(2, 2)
+        monkeypatch.setattr(subspaces, "FILTRATION_MAX_ENTRIES", 36)
+        assert expand_filtration(f).dim == 6
+        monkeypatch.setattr(subspaces, "FILTRATION_MAX_ENTRIES", 35)
+        with pytest.raises(ValueError, match="6 members of 6 entries"):
             expand_filtration(f)
 
     def test_huge_depth_refused_before_allocation(self):
@@ -300,6 +329,50 @@ class TestPrincipalAngles:
         assert np.all(cos <= 1.0) and np.all(cos >= 0.0)
 
 
+def spell(k, style):
+    """One of three spellings of the frequency k: "5", "05" or "+5", and
+    "-5", "-05" or "-005"."""
+    sign, digits = ("-", str(-k)) if k < 0 else ("", str(k))
+    if style == 2:
+        sign, digits = sign or "+", ("00" if sign else "") + digits
+    return sign + ("0" if style == 1 else "") + digits
+
+
+@st.composite
+def unit_frame_dicts(draw):
+    """Frame dicts whose columns are unit blocks at distinct (frequency,
+    component) slots, among zero and -0.0 blocks at and inside the band's
+    edges.  A frequency may be spelled twice, its first block nonzero and
+    overridden by the second, which for a unit block may be zero.  The
+    frequencies start near 0, at the int64 edge or beyond it."""
+    n = draw(st.integers(1, 2))
+    base = draw(st.sampled_from([0, -2, 2 ** 63 - 3, -2 ** 63 - 1, 10 ** 30]))
+    pair = st.lists(st.sampled_from([0.0, -0.0]), min_size=2, max_size=2)
+    zero = st.lists(pair, min_size=n, max_size=n)
+    slots = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, n - 1)),
+                          min_size=1, max_size=3, unique=True))
+    columns = []
+    for k, c in slots:
+        unit = draw(zero)
+        unit[c] = draw(st.sampled_from([[1.0, 0.0], [-1.0, -0.0],
+                                        [0.0, -1.0]]))
+        entries = draw(st.lists(
+            st.tuples(st.integers(-2, 5).filter(lambda f: f != k), zero),
+            max_size=5, unique_by=lambda e: e[0]))
+        stale = [[2.0, -3.0]] * n
+        if draw(st.integers(0, 3)) == 0:  # the unit block is overridden
+            stale, unit = unit, draw(zero)
+        entries.insert(draw(st.integers(0, len(entries))), (k, unit))
+        coeffs = {}
+        for f, block in entries:
+            style = draw(st.integers(0, 2))
+            if f == k or draw(st.booleans()):
+                coeffs[spell(base + f, (style + 1) % 3)] = stale
+            coeffs[spell(base + f, style)] = block
+        columns.append({"n": n, "coeffs": coeffs})
+    return {"n": n, "columns": columns}
+
+
 class TestSerialization:
     def test_frame_roundtrip(self):
         fr = expand_filtration(plus_filtration(2, 1))
@@ -316,12 +389,18 @@ class TestSerialization:
         assert back.depth == 5
         assert loop_allclose(back.generators[0], f.generators[0], tol=0.0)
 
-    def per_key_stack(self, d):
-        """The stack of a frame dict by the per-key path: one loop per column
-        from a {k: block} dict, padded by stack_columns."""
-        return stack_columns([TruncatedLoop(c["n"], {
+    def per_key_loops(self, d):
+        """The columns of a frame dict by the per-key path: one loop per
+        column from a {k: block} dict, where a repeated k keeps its last
+        block."""
+        return [TruncatedLoop(c["n"], {
             int(k): np.array(v, dtype=float).view(complex)[..., 0]
-            for k, v in c["coeffs"].items()}) for c in d["columns"]])
+            for k, v in c["coeffs"].items()}) for c in d["columns"]]
+
+    def per_key_stack(self, d):
+        """The stack of a frame dict by the per-key path, padded by
+        stack_columns."""
+        return stack_columns(self.per_key_loops(d))
 
     def assert_stacks_identical(self, got, want):
         assert got.n == want.n and got.kmin == want.kmin
@@ -359,6 +438,35 @@ class TestSerialization:
         self.assert_stacks_identical(got, self.per_key_stack(d))
         self.assert_stacks_identical(got, stack_columns(
             [loop_from_dict(c) for c in d["columns"]]))
+
+    def test_repeated_frequency_keeps_its_last_block(self):
+        # "2" and "02" are one frequency, as are "1" and "+1": the block read
+        # last wins, also when it is zero and so moves the band's edge; a
+        # zero block far outside every band is dropped
+        d = {"n": 1, "columns": [
+            {"n": 1, "coeffs": {"0": [[1.0, 0.0]], "2": [[0.3, 0.0]],
+                                "02": [[0.0, -0.0]]}},
+            {"n": 1, "coeffs": {"+1": [[0.5, 0.0]],
+                                str(-10 ** 30): [[0.0, 0.0]],
+                                "1": [[0.0, 1.0]]}}]}
+        got = frame_from_dict(d).stack
+        assert got.kmin == 0
+        assert got.data.tobytes() == np.array(
+            [[[1.0, 0.0]], [[0.0, 1j]]]).tobytes()
+        assert loop_from_dict(
+            {"n": 1, "coeffs": {"1": [[2.0, 0.0]], "01": [[3.0, 0.0]]}}
+        ).data.tolist() == [[3.0]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_frame_dicts())
+    def test_bulk_frame_matches_per_key_loops(self, d):
+        loops = self.per_key_loops(d)
+        if any(a.is_zero for a in loops):  # a zero block was read last
+            with pytest.raises(ValueError, match="not orthonormal"):
+                frame_from_dict(d)
+        else:
+            self.assert_stacks_identical(frame_from_dict(d).stack,
+                                         stack_columns(loops))
 
     def test_bulk_frame_refusals(self):
         def column(k, value=1.0):
