@@ -1,0 +1,113 @@
+"""sha256 digests of the `--no-meta` reports of a fixed list of commands.
+
+Runs every command in one process through `loopfiber.cli.main` and prints
+one line `<sha256>  <name>` per report and per CSV it writes.  Two trees
+give the same answers, byte for byte, when their outputs are equal, so a
+comparison of two commits is one `diff`:
+
+    python scripts/report_digests.py DIR --write-inputs   # once
+    PYTHONPATH=<tree A>/src python scripts/report_digests.py DIR > a.txt
+    PYTHONPATH=<tree B>/src python scripts/report_digests.py DIR > b.txt
+    diff a.txt b.txt
+
+The list is the benchmark's commands (perfbench/workloads.py), every argv
+stored in tests/golden, and `subspace-loop` and `audit` on each
+`seed*/frame.json` and `seed*/family.json` under DIR.  `--write-inputs`
+writes those files for seeds 3 and 7 with the benchmark's
+`prepare_reconstruct` and prints their digests too.  That function builds
+them with the `random_loop` of the tree on the path, so the inputs are
+written once and shared: reports of two trees compare only on the same
+input bytes.  Commands run with DIR as the working directory, where each
+CSV is written and then removed.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (3, 7)  # of the twistcheck test data and the reconstruct inputs
+
+
+def benchmark_commands():
+    """(name, argv) of the transport commands of perfbench/workloads.py."""
+    yield "bench-holonomy-su2sample", [
+        "holonomy", "--preset", "su2sample", "--N", "2048", "--no-meta"]
+    for seed in SEEDS:
+        yield f"bench-twistcheck-su2sample-seed{seed}", [
+            "twistcheck", "--preset", "su2sample", "--circle", "1.3",
+            "--N", "1024", "--seed", str(seed), "--no-meta"]
+    yield "bench-obstruction-monopole", [
+        "obstruction", "--preset", "monopole", "--q", "1", "--N", "256",
+        "--M", "64", "--csv", "bench-obstruction.csv", "--no-meta"]
+
+
+def golden_commands():
+    for path in sorted((ROOT / "tests" / "golden").glob("*.json")):
+        yield f"golden-{path.stem}", json.loads(path.read_text())["argv"]
+
+
+def reconstruct_commands():
+    for frame in sorted(Path().glob("seed*/frame.json")):
+        yield f"subspace-loop-{frame.parent}", [
+            "subspace-loop", str(frame), "--no-meta"]
+    for family in sorted(Path().glob("seed*/family.json")):
+        yield f"audit-{family.parent}", ["audit", str(family), "--no-meta"]
+
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_inputs():
+    """Write the `reconstruct` inputs of SEEDS; print their digests."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import prepare_reconstruct
+
+    for seed in SEEDS:
+        workdir = Path(f"seed{seed}")
+        workdir.mkdir(exist_ok=True)
+        prepare_reconstruct(workdir, seed, tiny=False)
+        for name in ("frame.json", "family.json"):
+            print(f"{digest((workdir / name).read_bytes())}  input "
+                  f"{workdir / name}")
+
+
+def run(name, argv):
+    """Print the digests of one command's report and CSV."""
+    from loopfiber import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    print(f"{digest(out.getvalue().encode())}  {name} (exit {code})")
+    if "--csv" in argv:
+        csv_path = Path(argv[argv.index("--csv") + 1])
+        print(f"{digest(csv_path.read_bytes())}  {name} csv")
+        csv_path.unlink()
+
+
+def main():
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("dir", help="directory of the shared reconstruct inputs")
+    ap.add_argument("--write-inputs", action="store_true",
+                    help="write the inputs into DIR first")
+    args = ap.parse_args()
+    os.makedirs(args.dir, exist_ok=True)
+    os.chdir(args.dir)
+    if args.write_inputs:
+        write_inputs()
+    commands = [*benchmark_commands(), *golden_commands(),
+                *reconstruct_commands()]
+    for name, argv in commands:
+        run(name, argv)
+
+
+if __name__ == "__main__":
+    main()

@@ -97,7 +97,7 @@ def inverse(g):
     Coefficientwise: the inverse has coefficients A_{-k}^H.
     """
     return LoopGroupElement.from_band(
-        g.n, -g.band[1], _adjoint(g.data[::-1]))
+        g.n, -g.band[1], np.swapaxes(g.data[::-1].conj(), -1, -2))
 
 
 def apply(g, a):
@@ -117,80 +117,123 @@ def _certificate_samples(g):
     return N, g.grid_samples(N)
 
 
+def _entry_major(S):
+    """A contiguous copy of a stack of (n, m) blocks, shape (..., n, m),
+    laid out entry-major, shape (n, m, ...): entry S[i, j] is one
+    contiguous array over the stack.  Every stacked kernel below takes and
+    returns this layout; a single (n, m) matrix is both layouts at once."""
+    return np.ascontiguousarray(np.moveaxis(S, (-2, -1), (0, 1)))
+
+
+def _block_major(S):
+    """The (..., n, m) stack of an entry-major (n, m, ...) stack, as a
+    contiguous copy: the inverse of `_entry_major`."""
+    return np.ascontiguousarray(np.moveaxis(S, (0, 1), (-2, -1)))
+
+
 def _matmul(A, B):
-    """A @ B for stacks of (n, m) and (m, p) blocks, batch axes broadcast.
+    """A @ B for entry-major stacks of (n, m) and (m, p) blocks, of shapes
+    (n, m, ...) and (m, p, ...), their batch axes broadcast.
 
     np.matmul makes one BLAS call per block, which dominates for the small
     blocks of transport.  Blocks no larger than MATMUL_ENTRYWISE_MAX are
-    instead built entry by entry: out[..., i, k] is A[..., i, 0] B[..., 0, k]
-    plus A[..., i, j] B[..., j, k] for j = 1..m-1 in turn, one vector
-    product over the whole stack per term, so NumPy's inner loops run
-    along the stack rather than along length-2 block axes.  On 2048
-    complex n x n blocks (2-vCPU Xeon, OpenBLAS 0.3.31) it takes, against
-    np.matmul,
+    instead built entry by entry: out[i, k] is A[i, 0] B[0, k] plus
+    A[i, j] B[j, k] for j = 1..m-1 in turn, one product of two contiguous
+    arrays over the whole stack per term.  On 4096 complex n x n blocks
+    (2-vCPU Xeon, OpenBLAS 0.3.31 on one thread) it takes, against
+    np.matmul on the same blocks laid out as a C-ordered (4096, n, n) array,
 
         n           1      2      3      4      5      6      7      8
-        entrywise  0.003  0.06   0.21   0.65   1.2    2.1    3.7    13   ms
-        matmul     0.019  0.82   0.92   0.94   1.1    1.0    1.3    1.3  ms
+        entrywise  0.005  0.04   0.15   0.42   1.0    1.9    2.8    4.3  ms
+        matmul     0.018  1.0    1.2    1.3    2.0    1.8    2.4    1.8  ms
 
-    Larger blocks go to np.matmul, which wins from n = 5 on; at n = 4 the
-    gain is small and np.matmul keeps the bits those blocks have always
-    had.  Both ways each block of the result depends only on its own
-    operands, and NaN and inf propagate.
+    (single runs on a shared host, which differ by up to a third from run
+    to run).  Larger blocks go to np.matmul through a block-major copy.
+    Entry by entry would still win at n = 4 and 5, but np.matmul keeps the
+    bits those blocks have always had.  Both ways each block of the result
+    depends only on its own operands, and NaN and inf propagate.
     """
-    (n, m), p = A.shape[-2:], B.shape[-1]
-    if B.shape[-2] != m:
+    (n, m), p = A.shape[:2], B.shape[1]
+    if B.shape[0] != m:
         raise ValueError(f"cannot multiply ({n}, {m}) blocks by "
-                         f"{B.shape[-2:]} blocks")
+                         f"{B.shape[:2]} blocks")
     if not 1 <= m <= MATMUL_ENTRYWISE_MAX or max(n, p) > MATMUL_ENTRYWISE_MAX:
-        return np.matmul(A, B)
-    if m == 1:  # an outer product: one broadcast beats n p vector products
-        return A * B
-    out = np.empty(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (n, p),
-                   dtype=np.result_type(A, B))
+        return _entry_major(np.matmul(_block_major(A), _block_major(B)))
+    batch = A.shape[2:]
+    if batch != B.shape[2:]:
+        batch = np.broadcast_shapes(batch, B.shape[2:])
+    out = np.empty((n, p) + batch, dtype=np.result_type(A, B))
     for i in range(n):
         for k in range(p):
-            entry = out[..., i, k]
-            np.multiply(A[..., i, 0], B[..., 0, k], out=entry)
+            entry = out[i, k, ...]
+            np.multiply(A[i, 0], B[0, k], out=entry)
             for j in range(1, m):
-                entry += A[..., i, j] * B[..., j, k]
+                entry += A[i, j] * B[j, k]
     return out
 
 
-def _fro_norms(S):
-    """The Frobenius norm of every block of a stack, bit for bit
-    np.linalg.norm(S, axis=(-2, -1)) on a C-ordered stack.
+def _pairwise_sum(terms):
+    """The sum of a list of arrays in the order NumPy's pairwise summation
+    adds a contiguous run of that many numbers: below 8 terms one at a time;
+    up to 128 in eight running sums r0..r7 over the terms in blocks of 8,
+    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    remainder one at a time; above 128 the two halves (the first a multiple
+    of 8 long) summed apart and added."""
+    count = len(terms)
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    if count < 8:
+        total, rest = terms[0].copy(), terms[1:]
+    else:
+        r = [t.copy() for t in terms[:8]]
+        tail = count - count % 8
+        for block in range(8, tail, 8):
+            for j in range(8):
+                r[j] += terms[block + j]
+        total = (((r[0] + r[1]) + (r[2] + r[3]))
+                 + ((r[4] + r[5]) + (r[6] + r[7])))
+        rest = terms[tail:]
+    for t in rest:
+        total += t
+    return total
 
-    Blocks of fewer than 8 entries add their |S_ij|^2 one entry at a time,
-    the order NumPy's sum takes below its pairwise block of 8; larger
-    blocks go to np.linalg.norm.  Overflow and NaN give inf and NaN as
-    there.
+
+def _fro_norms(S):
+    """The Frobenius norm of every block of an entry-major stack, bit for
+    bit np.linalg.norm(axis=(-2, -1)) of the same blocks laid out as a
+    C-ordered (..., n, m) stack.
+
+    The |S_ij|^2 are added over the entries in row-major order, in the
+    order of `_pairwise_sum`, which is the order NumPy's reduction takes
+    over each block's n m contiguous squares.  Overflow and NaN give inf
+    and NaN as there.
     """
-    n, m = S.shape[-2:]
-    if not 0 < n * m < 8:
-        return np.linalg.norm(S, axis=(-2, -1))
+    n, m = S.shape[:2]
+    if not n * m:
+        return np.zeros(S.shape[2:])
     squares = (S.conj() * S).real
-    total = squares[..., 0, 0].copy()
-    for e in range(1, n * m):
-        total += squares[..., e // m, e % m]
-    return np.sqrt(total)
+    return np.sqrt(_pairwise_sum([squares[i, j] for i in range(n)
+                                  for j in range(m)]))
 
 
 def _adjoint(S):
-    """The conjugate transpose of every block of a stack."""
-    return np.swapaxes(S.conj(), -1, -2)
+    """The conjugate transpose of every block of an entry-major stack."""
+    return np.swapaxes(S.conj(), 0, 1)
 
 
 def _gram_defects(S):
-    """(S_t^H S_t, ||S_t^H S_t - I||) for every matrix S_t of a stack; the
-    defect is inf or NaN, without a warning, where S_t^H S_t overflows."""
+    """(S_t^H S_t, ||S_t^H S_t - I||) for every matrix S_t of an entry-major
+    stack (n, n, T); the defect is inf or NaN, without a warning, where
+    S_t^H S_t overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         G = _matmul(_adjoint(S), S)
-        return G, _fro_norms(G - np.eye(S.shape[-1]))
+        return G, _fro_norms(G - np.eye(S.shape[1])[:, :, None])
 
 
 def _polar(S):
-    """Closest unitary to each matrix of a stack, its unitary polar factor.
+    """Closest unitary to each matrix of an entry-major stack (n, n, ...),
+    its unitary polar factor.
 
     Newton-Schulz: X <- X + X (I - X^H X) / 2, which converges quadratically
     to the polar factor while ||X^H X - I|| < 1 (Higham, Functions of
@@ -201,30 +244,36 @@ def _polar(S):
     its own matrix alone, not on the rest of the stack.
     """
     shape = np.shape(S)
-    S = np.asarray(S, dtype=complex).reshape((-1,) + shape[-2:])
-    n = S.shape[-1]
+    S = np.asarray(S, dtype=complex).reshape(shape[:2] + (-1,))
+    n = shape[1]
+    I = np.eye(n)[:, :, None]
     X = S.copy()
     G, defect = _gram_defects(X)
     svd = ~(defect < 1.0)
     todo = np.flatnonzero(~svd)
     for _ in range(POLAR_MAX_STEPS):
-        Y = X[todo]
-        Y += _matmul(Y, 0.5 * (np.eye(n) - G[todo]))
-        X[todo] = Y
-        G[todo], defect = _gram_defects(Y)
+        if todo.size == X.shape[-1]:  # no matrix has stopped: no gather
+            X += _matmul(X, 0.5 * (I - G))
+            G, defect = _gram_defects(X)
+        else:
+            Y = X[..., todo]
+            Y += _matmul(Y, 0.5 * (I - G[..., todo]))
+            X[..., todo] = Y
+            G[..., todo], defect = _gram_defects(Y)
         todo = todo[~(defect <= n * POLAR_ROUNDOFF)]
         if not todo.size:
             break
     svd[todo] = True
     if svd.any():
-        U, _, Vh = np.linalg.svd(S[svd])
-        X[svd] = U @ Vh
+        U, _, Vh = np.linalg.svd(_block_major(S[..., svd]))
+        X[..., svd] = _entry_major(U @ Vh)
     return X.reshape(shape)
 
 
 def _stack_defect(S):
-    """(max over t of ||S_t^H S_t - I||, the first t attaining it) for a
-    stack S of square matrices; a NaN defect is the max."""
+    """(max over t of ||S_t^H S_t - I||, the first t attaining it) for an
+    entry-major stack S of square matrices, shape (n, n, T); a NaN defect
+    is the max."""
     D = _gram_defects(S)[1]
     i = int(np.argmax(D))
     return float(D[i]), i
@@ -252,7 +301,7 @@ def unitarity_defect(g):
     Returns (defect, theta_at_max).
     """
     N, S = _certificate_samples(g)
-    defect, i = _stack_defect(S)
+    defect, i = _stack_defect(_entry_major(S))
     return defect, 2.0 * np.pi * i / N
 
 
@@ -339,7 +388,7 @@ def random_loop(n, band, seed):
     spec[mags <= 1e-11 * mags.max()] = 0.0
     S_trunc = np.fft.ifft(spec, axis=0) * grid
 
-    S_fixed = _polar(S_trunc)
+    S_fixed = _block_major(_polar(_entry_major(S_trunc)))
     spec2 = np.fft.fft(S_fixed, axis=0) / grid
     mags2 = np.linalg.norm(spec2, axis=(1, 2))
     spec2[mags2 <= 1e-14 * mags2.max()] = 0.0

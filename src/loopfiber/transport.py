@@ -18,26 +18,33 @@ positions and velocities of shape t.shape + (d,), and a connection's
 calls either per point.
 
 The ODE is linear, so one RK4 step of size h is a matrix P_i applied to
-T(t_i).  Transport runs as one batched pipeline for every fiber dimension n:
+T(t_i).  Transport runs as one batched pipeline for every fiber dimension n,
+on entry-major stacks: a stack of S matrices has shape (n, n, S), so each
+matrix entry is one contiguous array over the stack (loopgroup._entry_major).
 
   1. sample the loop and -A in one call each on all 2 steps + 1 half-step
-     nodes t0 + j h/2 (a step's endpoint is the next step's start) and check
-     every sample for shape and anti-Hermiticity;
+     nodes t0 + j h/2 (a step's endpoint is the next step's start), the
+     step ends first and the midpoints after them; check every sample for
+     shape and anti-Hermiticity, and copy the samples once into an
+     entry-major stack, in which the starts, ends and midpoints of the
+     steps are three contiguous runs;
   2. build every propagator P_i = I + h/6 (k1 + 2 k2 + 2 k3 + k4) with
      stacked matrix products;
   3. unitarize each step once, Q_i = polar(P_i), by Newton-Schulz steps
      (loopgroup._polar); since polar(P T) = polar(P) T for unitary T, this
      equals re-unitarizing after every step;
   4. form T(t_i) = Q_{i-1} ... Q_0 by a work-efficient (Blelloch) scan of
-     about 2 steps products, then re-project T with one more batched polar
-     so the frame stays unitary to roundoff.
+     about 2 steps products, re-project T with one more batched polar so the
+     frame stays unitary to roundoff, and lay the frames out as the
+     (steps + 1, n, n) array `TransportFrame.Ts`, the one conversion back.
 
 Every stacked product of steps 2-4 goes through loopgroup._matmul: for the
-small blocks of transport (n <= 3) it builds each block entry with one
-vector multiply-add over the stack per inner index, where np.matmul would
-make one BLAS call per block, and it hands larger blocks to np.matmul; the
-path is the same for every n.  The stacked Frobenius norms of the checks
-go through loopgroup._fro_norms in the same way.
+small blocks of transport (n <= 3) it builds each entry of the product with
+one multiply-add of two contiguous arrays over the stack per inner index,
+where np.matmul would make one BLAS call per block, and it hands larger
+blocks to np.matmul; the path is the same for every n.  The stacked
+Frobenius norms of the checks go through loopgroup._fro_norms in the same
+way.
 
 A holonomy alone needs only T(1): `holonomy` runs the scan's up-sweep, a
 pairwise tree product of the Q_i, to its root and takes one final polar; it
@@ -57,8 +64,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonAntiHermitianSample, PhaseStepTooLarge
-from .loopgroup import (_adjoint, _fro_norms, _matmul, _phase_winding,
-                        _polar, _stack_defect)
+from .loopgroup import (_adjoint, _block_major, _entry_major, _fro_norms,
+                        _matmul, _phase_winding, _polar, _stack_defect)
 
 __all__ = [
     "BaseLoop",
@@ -274,8 +281,9 @@ class TransportFrame:
     """Transport matrices T(t_i) on the uniform grid t_i = i/N.
 
     Ts[i] = polar(Q_{i-1} ... Q_0), where Q_k is the polar factor of step k's
-    RK4 propagator P_k = I + step_offsets[k]; the outer polar re-projects the
-    prefix product, so Ts[i] is unitary to roundoff.  The never-corrected
+    RK4 propagator P_k = I + step_offsets[:, :, k] (the offsets stay the
+    entry-major (n, n, N) stack transport built); the outer polar re-projects
+    the prefix product, so Ts[i] is unitary to roundoff.  The never-corrected
     chain P_{i-1} ... P_0 is built from the stored step offsets only when
     `raw_defect` (its worst unitarity defect) or `raw_holonomy` (its
     endpoint) is first read.
@@ -296,7 +304,7 @@ class TransportFrame:
         return self.Ts[-1]
 
     def unitarity_defect(self):
-        return _stack_defect(self.Ts)[0]
+        return _stack_defect(_entry_major(self.Ts))[0]
 
     @cached_property
     def _raw_chain(self):
@@ -311,7 +319,7 @@ class TransportFrame:
             raise ValueError(
                 f"the raw transport chain is not finite (N={self.N}): the "
                 "connection form is too large for the grid")
-        return np.eye(self.n, dtype=complex) + E[-1], defect
+        return np.eye(self.n, dtype=complex) + E[..., -1], defect
 
     @property
     def raw_holonomy(self):
@@ -323,7 +331,8 @@ class TransportFrame:
 
 
 def _compose(later, earlier):
-    """C with I + C = (I + later)(I + earlier), for stacks of offsets.
+    """C with I + C = (I + later)(I + earlier), for entry-major stacks of
+    offsets.
 
     Products are kept as offsets from I, so factors close to I are never
     rounded against 1; a uniform loop would otherwise repeat the same
@@ -335,67 +344,75 @@ def _compose(later, earlier):
 def _pair_level(E):
     """One level of the pairwise product: neighbours composed from the last
     factor down, an unpaired first factor kept as it is."""
-    odd = len(E) % 2
-    return np.concatenate([E[:odd], _compose(E[odd + 1::2], E[odd::2])])
+    odd = E.shape[-1] % 2
+    return np.concatenate([E[..., :odd],
+                           _compose(E[..., odd + 1::2], E[..., odd::2])],
+                          axis=-1)
 
 
 def _prefix_products(E):
-    """C[i] with I + C[i] = (I + E[i]) ... (I + E[0]), by a work-efficient scan.
+    """C_i with I + C_i = (I + E_i) ... (I + E_0) for the matrices E_i of an
+    entry-major stack, by a work-efficient scan.
 
     Blelloch's scan, written recursively: the up-sweep is one `_pair_level`,
     whose entries end at every second factor; the scan of that level gives
     the prefixes ending there, and each skipped factor is composed onto the
     prefix just before it.  About 2 len(E) products in all, and the last
-    entry is `_tree_product(E)` bit for bit.
+    matrix is `_tree_product(E)` bit for bit.
     """
-    if len(E) == 1:
+    if E.shape[-1] == 1:
         return E.copy()
     S = _prefix_products(_pair_level(E))
-    # S holds the prefixes that end at the factors E[1 - odd::2]
-    odd = len(E) % 2
-    C = np.empty_like(E)
-    C[0] = E[0]
-    C[1 - odd::2] = S
-    C[2 - odd::2] = _compose(E[2 - odd::2], S[:-1])
+    # S holds the prefixes that end at the factors E[..., 1 - odd::2]
+    odd = E.shape[-1] % 2
+    C = np.empty(E.shape, E.dtype)
+    C[..., 0] = E[..., 0]
+    C[..., 1 - odd::2] = S
+    C[..., 2 - odd::2] = _compose(E[..., 2 - odd::2], S[..., :-1])
     return C
 
 
 def _tree_product(E):
-    """C with I + C = (I + E[-1]) ... (I + E[0]), the up-sweep of
-    `_prefix_products` run to its root without the down-sweep."""
-    while len(E) > 1:
+    """C with I + C = (I + E_last) ... (I + E_0), one (n, n) matrix: the
+    up-sweep of `_prefix_products` run to its root without the down-sweep."""
+    while E.shape[-1] > 1:
         E = _pair_level(E)
-    return E[0]
+    return E[..., 0]
 
 
 def _sample_forms(conn, xv, ts):
-    """-A at every node t in ts, checked for shape and anti-Hermiticity."""
+    """-A at every node t in ts as an entry-major (n, n, len(ts)) stack,
+    checked for shape and anti-Hermiticity; a failure names the least t."""
     n = conn.n
     A = np.asarray(conn.form(*xv(ts)), dtype=complex)
     if A.shape != (len(ts), n, n):
         raise ValueError(f"connection form on {len(ts)} nodes has shape "
                          f"{A.shape}, expected ({len(ts)}, {n}, {n})")
+    A = _entry_major(A)
     with np.errstate(invalid="ignore"):
         defect = _fro_norms(A + _adjoint(A))
     # written so that a NaN defect fails the check too
     bad = np.flatnonzero(~(defect <= ANTIHERM_TOL))
     if bad.size:
-        raise NonAntiHermitianSample(float(defect[bad[0]]), float(ts[bad[0]]))
+        i = bad[np.argmin(ts[bad])]
+        raise NonAntiHermitianSample(float(defect[i]), float(ts[i]))
     return -A
 
 
 def _step_offsets(conn, xv, t0, t1, steps):
-    """D_i with P_i = I + D_i the RK4 propagator of step i, i < steps;
-    ValueError at the first step that overflows."""
+    """The entry-major (n, n, steps) stack of the D_i with P_i = I + D_i
+    the RK4 propagator of step i; ValueError at the first step that
+    overflows."""
     h = (t1 - t0) / steps
-    M = _sample_forms(conn, xv, np.linspace(t0, t1, 2 * steps + 1))
-    M0, Mh, M1 = M[0:-1:2], M[1::2], M[2::2]
+    ts = np.linspace(t0, t1, 2 * steps + 1)
+    M = _sample_forms(conn, xv, np.concatenate([ts[::2], ts[1::2]]))
+    M0, M1, Mh = M[..., :steps], M[..., 1:steps + 1], M[..., steps + 1:]
     with np.errstate(over="ignore", invalid="ignore"):
         K2 = Mh + (0.5 * h) * _matmul(Mh, M0)
         K3 = Mh + (0.5 * h) * _matmul(Mh, K2)
         K4 = M1 + h * _matmul(M1, K3)
         D = (h / 6.0) * (M0 + 2.0 * K2 + 2.0 * K3 + K4)
-    bad = np.flatnonzero(~np.isfinite(D).all(axis=(1, 2)))
+    bad = np.flatnonzero(~np.isfinite(D).all(axis=(0, 1)))
     if bad.size:
         raise ValueError(
             f"transport step at t={t0 + bad[0] * h:.6f} is not finite "
@@ -405,17 +422,17 @@ def _step_offsets(conn, xv, t0, t1, steps):
 
 def _transport_chain(conn, xv, t0, t1, steps):
     """Frames T(t0 + i h), i = 0..steps, and the step offsets they came from."""
-    I = np.eye(conn.n, dtype=complex)
+    I = np.eye(conn.n, dtype=complex)[:, :, None]  # a stack of one
     D = _step_offsets(conn, xv, t0, t1, steps)
     Ts = _polar(I + _prefix_products(_polar(I + D) - I))
-    return np.concatenate([I[None], Ts]), D
+    return _block_major(np.concatenate([I, Ts], axis=-1)), D
 
 
 def _end_transport(conn, xv, t0, t1, steps):
     """T(t1) alone: the polar of the tree product of the step polar factors."""
-    I = np.eye(conn.n, dtype=complex)
+    I = np.eye(conn.n, dtype=complex)[:, :, None]  # a stack of one
     D = _step_offsets(conn, xv, t0, t1, steps)
-    return _polar(I + _tree_product(_polar(I + D) - I))
+    return _polar(I[..., 0] + _tree_product(_polar(I + D) - I))
 
 
 def _check_grid(conn, loop, N):

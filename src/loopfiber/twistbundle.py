@@ -20,7 +20,8 @@ import numpy as np
 from .errors import PeriodicityDefect
 from .fourier import (_integer, _read_leaves, _to_pairs, evaluate_grid,
                       from_grid_samples, project_minus, project_plus)
-from .loopgroup import _adjoint, _matmul, _stack_defect
+from .loopgroup import (_adjoint, _block_major, _entry_major, _matmul,
+                        _stack_defect)
 
 __all__ = [
     "GaugeTwist",
@@ -63,7 +64,7 @@ class GaugeTwist:
             raise ValueError(
                 f"twist values must have shape {(self.N, self.n, self.n)}, "
                 f"got {vals.shape}")
-        defect = _stack_defect(vals)[0]
+        defect = _stack_defect(_entry_major(vals))[0]
         if not (defect <= TWIST_UNITARY_TOL):
             raise ValueError(f"twist values not unitary: defect {defect:.3e}")
         vals.setflags(write=False)
@@ -77,9 +78,20 @@ def identity_twist(n, N):
 
 def holonomy_twist(frame):
     """tau(t_i) = T_i Hol T_i^* from a transport frame."""
-    Ts = frame.Ts[:-1]
+    Ts = _entry_major(frame.Ts[:-1])
     vals = _matmul(_matmul(Ts, frame.holonomy), _adjoint(Ts))
-    return GaugeTwist(frame.n, frame.N, "holonomy", vals)
+    return GaugeTwist(frame.n, frame.N, "holonomy", _block_major(vals))
+
+
+def _frame_twist(frame):
+    """holonomy_twist(frame), built on the first call for a frame and kept
+    in the frame's instance dict, as functools.cached_property keeps a
+    value: a twist is read-only, so every section over the frame can share
+    it."""
+    cache = vars(frame)
+    if "_holonomy_twist" not in cache:
+        cache["_holonomy_twist"] = holonomy_twist(frame)
+    return cache["_holonomy_twist"]
 
 
 def shifted_twist(twist, steps):
@@ -156,7 +168,7 @@ def j_embed(frame, v):
     if v.shape != (frame.n,):
         raise ValueError(f"fiber vector must have shape ({frame.n},)")
     samples = np.einsum("tij,j->ti", frame.Ts, v)
-    return TwistedSection(samples, "holonomy", holonomy_twist(frame))
+    return TwistedSection(samples, "holonomy", _frame_twist(frame))
 
 
 def j_extend(frame, f, v):
@@ -165,7 +177,7 @@ def j_extend(frame, f, v):
         raise ValueError(f"scalar loop must have n=1, got n={f.n}")
     v = np.asarray(v, dtype=complex)
     samples = _closed_grid(f, frame.N) * np.einsum("tij,j->ti", frame.Ts, v)
-    return TwistedSection(samples, "holonomy", holonomy_twist(frame))
+    return TwistedSection(samples, "holonomy", _frame_twist(frame))
 
 
 def section_from_loop(frame, p):
@@ -177,7 +189,7 @@ def section_from_loop(frame, p):
     if p.n != frame.n:
         raise ValueError(f"loop dimension {p.n} != fiber dimension {frame.n}")
     samples = np.einsum("tij,tj->ti", frame.Ts, _closed_grid(p, frame.N))
-    return TwistedSection(samples, "holonomy", holonomy_twist(frame))
+    return TwistedSection(samples, "holonomy", _frame_twist(frame))
 
 
 def module_scale(f, section):
@@ -239,7 +251,8 @@ def rotate(section, steps):
         new = np.concatenate([old[steps:], above])
     else:  # sigma_j = tau(j)^* sigma_{N + j} for j = steps..-1
         js = np.arange(steps, 0)
-        below = (_adjoint(tau[js % N]) @ old[js + N, :, None])[..., 0]
+        below = (np.swapaxes(tau[js % N].conj(), -1, -2)
+                 @ old[js + N, :, None])[..., 0]
         new = np.concatenate([below, old[:N + 1 + steps]])
     twist = (shifted_twist(section.twist, steps)
              if section.twist is not None else None)
@@ -254,7 +267,8 @@ def untwisted_comparison(frame0, frame1):
     obstruction to comparing the two twisted bundles by a plain loop map.
     """
     _require_match(frame0, frame1)
-    return _matmul(_adjoint(frame1.Ts), frame0.Ts)
+    T0, T1 = _entry_major(frame0.Ts), _entry_major(frame1.Ts)
+    return _block_major(_matmul(_adjoint(T1), T0))
 
 
 def fiber_intertwiner(frame0, frame1):
@@ -264,7 +278,8 @@ def fiber_intertwiner(frame0, frame1):
     satisfies G(t + 1) tau0(t) = tau1(t) G(t).
     """
     _require_match(frame0, frame1)
-    return _matmul(frame1.Ts, _adjoint(frame0.Ts))
+    T0, T1 = _entry_major(frame0.Ts), _entry_major(frame1.Ts)
+    return _block_major(_matmul(T1, _adjoint(T0)))
 
 
 def section_to_dict(section):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from loopfiber import loopgroup
+from loopfiber.loopgroup import _block_major, _entry_major
 from loopfiber.errors import (IntersectionDimension, PhaseStepTooLarge,
                               UnitarityViolation)
 from loopfiber.fourier import (TruncatedLoop, basis_loop, inner_product,
@@ -176,6 +177,51 @@ def svd_polar(S):
     return U @ Vh
 
 
+# The stacked kernels take entry-major (n, m, ...) stacks; these run them on
+# the (..., n, m) stacks the tests build, converting at the boundary as the
+# package's callers do.
+def polar(S):
+    return _block_major(loopgroup._polar(_entry_major(S)))
+
+
+def matmul(A, B):
+    return _block_major(loopgroup._matmul(_entry_major(A), _entry_major(B)))
+
+
+def fro_norms(S):
+    return loopgroup._fro_norms(_entry_major(S))
+
+
+def block_major_polar(S):
+    """_polar as it ran on (..., n, n) stacks, its products by
+    broadcast_matmul and its norms by np.linalg.norm, the kernels whose
+    bits it had: the reference _polar must equal bit for bit."""
+    S = np.asarray(S, dtype=complex)
+    n = S.shape[-1]
+
+    def gram_defects(X):
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = broadcast_matmul(np.swapaxes(X.conj(), -1, -2), X)
+            return G, np.linalg.norm(G - np.eye(n), axis=(-2, -1))
+
+    X = S.copy()
+    G, defect = gram_defects(X)
+    svd = ~(defect < 1.0)
+    todo = np.flatnonzero(~svd)
+    for _ in range(loopgroup.POLAR_MAX_STEPS):
+        Y = X[todo]
+        Y += broadcast_matmul(Y, 0.5 * (np.eye(n) - G[todo]))
+        X[todo] = Y
+        G[todo], defect = gram_defects(Y)
+        todo = todo[~(defect <= n * loopgroup.POLAR_ROUNDOFF)]
+        if not todo.size:
+            break
+    svd[todo] = True
+    if svd.any():
+        X[svd] = svd_polar(S[svd])
+    return X
+
+
 class TestPolar:
     """loopgroup._polar, Newton-Schulz with an SVD fallback."""
 
@@ -221,7 +267,7 @@ class TestPolar:
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            Q = loopgroup._polar(stack)
+            Q = polar(stack)
         assert len(seen) == 1 and np.array_equal(seen[0], stack[fallback])
         assert np.array_equal(Q[fallback], svd_polar(stack[fallback]))
         G = np.einsum("tji,tjk->tik", Q.conj(), Q)
@@ -229,10 +275,26 @@ class TestPolar:
 
     def test_each_result_independent_of_its_batch(self):
         stack, _ = self.mixed_stack()
-        Q = loopgroup._polar(stack)
+        Q = polar(stack)
         for i in range(len(stack)):
             assert np.array_equal(loopgroup._polar(stack[i]), Q[i])
-        assert np.array_equal(loopgroup._polar(stack[::-1]), Q[::-1])
+        assert np.array_equal(polar(stack[::-1]), Q[::-1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bit_exact_against_block_major_reference(self, n):
+        rng = np.random.default_rng(60 + n)
+        # Haar unitaries plus roundoff converge at the first step, so every
+        # step runs on the whole stack
+        unitary = np.array([haar_unitary(n, rng) for _ in range(64)])
+        unitary += 1e-15 * random_blocks(rng, 64, n, n)
+        # near-unitary matrices that stop after different steps, among
+        # ones that take the SVD
+        mixed = unitary + 10.0 ** rng.integers(-9, 1, (64, 1, 1)) * (
+            random_blocks(rng, 64, n, n))
+        for S in (unitary, mixed):
+            assert np.array_equal(polar(S), block_major_polar(S))
+        assert np.array_equal(polar(self.mixed_stack()[0]),
+                              block_major_polar(self.mixed_stack()[0]))
 
 
 def random_blocks(rng, *shape):
@@ -252,7 +314,7 @@ def broadcast_matmul(A, B):
 
 
 def assert_matches_matmul(A, B):
-    C, D = loopgroup._matmul(A, B), np.matmul(A, B)
+    C, D = matmul(A, B), np.matmul(A, B)
     assert C.shape == D.shape
     assert np.abs(C - D).max(initial=0.0) <= 1e-15 * np.abs(D).max(initial=0.0)
 
@@ -287,13 +349,12 @@ class TestMatmul:
     @pytest.mark.parametrize("n", [2, 4])
     def test_empty_stack(self, n):
         E = np.zeros((0, n, n), dtype=complex)
-        assert loopgroup._matmul(E, E).shape == (0, n, n)
+        assert matmul(E, E).shape == (0, n, n)
 
     def test_mismatched_blocks_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError, match="cannot multiply"):
-            loopgroup._matmul(random_blocks(rng, 5, 2, 1),
-                              random_blocks(rng, 5, 2, 2))
+            matmul(random_blocks(rng, 5, 2, 1), random_blocks(rng, 5, 2, 2))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_each_block_independent_of_its_batch(self, n):
@@ -301,35 +362,43 @@ class TestMatmul:
         # holds bit for bit
         rng = np.random.default_rng(30 + n)
         A, B = random_blocks(rng, 65, n, n), random_blocks(rng, 65, n, n)
-        C = loopgroup._matmul(A, B)
+        C = matmul(A, B)
         for i in range(len(A)):
-            assert np.array_equal(loopgroup._matmul(A[i:i + 1], B[i:i + 1])[0],
-                                  C[i])
+            assert np.array_equal(matmul(A[i:i + 1], B[i:i + 1])[0], C[i])
 
     @pytest.mark.parametrize("n, m, p", list(itertools.product([1, 2, 3],
                                                                 repeat=3)))
     def test_bit_exact_against_broadcast_sum(self, n, m, p):
         rng = np.random.default_rng(100 * n + 10 * m + p)
         A, B = random_blocks(rng, 257, n, m), random_blocks(rng, 257, m, p)
-        assert np.array_equal(loopgroup._matmul(A, B), broadcast_matmul(A, B))
-        # one matrix against a stack, and stacks whose batch axes broadcast
+        assert np.array_equal(matmul(A, B), broadcast_matmul(A, B))
+        # one matrix against a stack (as transport's Ts against the
+        # holonomy), and stacks whose batch axes broadcast
         for X, Y in [(A, B[0]), (A[0], B), (A[:4, None], B[:9])]:
-            C = loopgroup._matmul(X, Y)
+            C = matmul(X, Y)
             assert C.shape == np.matmul(X, Y).shape
             assert np.array_equal(C, broadcast_matmul(X, Y))
         E = np.zeros((0, n, m), dtype=complex)
-        assert loopgroup._matmul(E, B[:0]).shape == (0, n, p)
+        assert matmul(E, B[:0]).shape == (0, n, p)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_bit_exact_against_matmul_above_entrywise_max(self, n):
+        rng = np.random.default_rng(70 + n)
+        A, B = random_blocks(rng, 33, n, n), random_blocks(rng, 33, n, n)
+        for X, Y in [(A, B), (A, B[0]), (A[0], B)]:
+            assert np.array_equal(matmul(X, Y), np.matmul(X, Y))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_bit_exact_on_strided_operands(self, n):
         # transport passes adjoint views and every-second-factor slices
         rng = np.random.default_rng(50 + n)
-        S, E = random_blocks(rng, 129, n, n), random_blocks(rng, 129, n, n)
+        S, E = (_entry_major(random_blocks(rng, 129, n, n)) for _ in "SE")
         SH = loopgroup._adjoint(S)
-        for X, Y in [(SH, S), (S, SH), (E[1::2], E[0:-1:2]),
-                     (E[2::2], SH[1::2])]:
-            assert np.array_equal(loopgroup._matmul(X, Y),
-                                  broadcast_matmul(X, Y))
+        for X, Y in [(SH, S), (S, SH), (E[..., 1::2], E[..., 0:-1:2]),
+                     (E[..., 2::2], SH[..., 1::2])]:
+            assert np.array_equal(
+                _block_major(loopgroup._matmul(X, Y)),
+                broadcast_matmul(_block_major(X), _block_major(Y)))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_nan_and_inf_propagate(self, n):
@@ -337,8 +406,8 @@ class TestMatmul:
         A, B = random_blocks(rng, 6, n, n), random_blocks(rng, 6, n, n)
         A[2, 0, 1], A[4, 1, 0] = np.nan, np.inf
         with np.errstate(invalid="ignore"):
-            C = loopgroup._matmul(A, B)
-            defects = loopgroup._gram_defects(A)[1]
+            C = matmul(A, B)
+            defects = loopgroup._gram_defects(_entry_major(A))[1]
         assert np.isnan(C[2, 0]).all() and not np.isfinite(C[4, 1]).all()
         assert np.isfinite(np.delete(C, [2, 4], axis=0)).all()
         # a NaN or inf block fails every `defect <= tol` check
@@ -349,8 +418,11 @@ class TestFroNorms:
     """loopgroup._fro_norms, the stacked norm of the unitarity, anti-
     Hermiticity and raw-drift checks."""
 
-    @pytest.mark.parametrize("n, m", list(itertools.product(range(1, 5),
-                                                            repeat=2)))
+    # every block up to 4 x 4, then 64 entries (eight running sums over
+    # eight blocks) and 169 (two halves summed apart)
+    @pytest.mark.parametrize("n, m", [*itertools.product(range(1, 5),
+                                                         repeat=2),
+                                      (8, 8), (13, 13)])
     def test_bit_exact_against_linalg_norm(self, n, m):
         rng = np.random.default_rng(10 * n + m)
         # magnitudes from 1e-200 to 1e200: squares underflow, are
@@ -362,13 +434,13 @@ class TestFroNorms:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="ignore", invalid="ignore"):
-                got = loopgroup._fro_norms(S)
+                got = fro_norms(S)
                 want = np.linalg.norm(S, axis=(-2, -1))
         assert np.array_equal(got, want, equal_nan=True)
         assert np.isinf(got).any() and np.isnan(got[3])
         assert not np.isfinite(got[[5, 7]]).any()
-        assert np.array_equal(loopgroup._fro_norms(S[:0]), want[:0])
-        assert np.array_equal(loopgroup._fro_norms(S[:3, :0]), np.zeros(3))
+        assert np.array_equal(fro_norms(S[:0]), want[:0])
+        assert np.array_equal(fro_norms(S[:3, :0]), np.zeros(3))
 
 
 class TestCertificateGrid:

@@ -15,7 +15,7 @@ import pytest
 
 from loopfiber import transport
 from loopfiber.errors import NonAntiHermitianSample, PhaseStepTooLarge
-from loopfiber.loopgroup import _polar
+from loopfiber.loopgroup import _block_major, _entry_major, _polar
 from loopfiber.transport import (
     BaseLoop,
     ConnectionSpec,
@@ -489,21 +489,23 @@ class TestKernels:
     @pytest.mark.parametrize("N", [256, 2048])
     def test_step_polars_match_svd(self, name, N):
         conn, loop = REFERENCE_CASES[name]
-        P = np.eye(conn.n) + _step_offsets(conn, loop.xv, 0.0, 1.0, N)
+        P = np.eye(conn.n) + _block_major(
+            _step_offsets(conn, loop.xv, 0.0, 1.0, N))
         U, _, Vh = np.linalg.svd(P)
-        assert np.abs(_polar(P) - U @ Vh).max() < 1e-15
+        Q = _block_major(_polar(_entry_major(P)))
+        assert np.abs(Q - U @ Vh).max() < 1e-15
 
     @pytest.mark.parametrize("length", range(1, 41))
     def test_scan_matches_sequential_product(self, length):
         rng = np.random.default_rng(length)
         E = 0.1 * (rng.standard_normal((length, 2, 2))
                    + 1j * rng.standard_normal((length, 2, 2)))
-        C = _prefix_products(E)
+        C = _block_major(_prefix_products(_entry_major(E)))
         P = np.eye(2)
         for i in range(length):
             P = (np.eye(2) + E[i]) @ P
             assert np.abs(np.eye(2) + C[i] - P).max() < 1e-13
-        assert np.array_equal(C[-1], _tree_product(E))
+        assert np.array_equal(C[-1], _tree_product(_entry_major(E)))
 
     def test_su2_transport_runs_without_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
@@ -528,7 +530,7 @@ class TestKernels:
         calls = []
 
         def counted(E):
-            calls.append(len(E))
+            calls.append(E.shape[-1])
             return _prefix_products(E)
 
         monkeypatch.setattr(transport, "_prefix_products", counted)
