@@ -17,8 +17,10 @@ writes those files for seeds 3 and 7 with the benchmark's
 `prepare_reconstruct` and prints their digests too.  That function builds
 them with the `random_loop` of the tree on the path, so the inputs are
 written once and shared: reports of two trees compare only on the same
-input bytes.  Commands run with DIR as the working directory, where each
-CSV is written and then removed.
+input bytes.  Commands run with DIR as the working directory.  The input
+files a golden case names (its `--loop` CSV) are copied there before the
+command runs, and they and each CSV the command writes are removed after
+it.
 """
 
 import argparse
@@ -31,6 +33,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 SEEDS = (3, 7)  # of the twistcheck test data and the reconstruct inputs
 
 
@@ -48,8 +51,10 @@ def benchmark_commands():
 
 
 def golden_commands():
-    for path in sorted((ROOT / "tests" / "golden").glob("*.json")):
-        yield f"golden-{path.stem}", json.loads(path.read_text())["argv"]
+    """(name, argv, input file names) of every case in tests/golden."""
+    for path in sorted(GOLDEN.glob("*.json")):
+        case = json.loads(path.read_text())
+        yield f"golden-{path.stem}", case["argv"], case.get("inputs", ())
 
 
 def reconstruct_commands():
@@ -78,13 +83,18 @@ def write_inputs():
                   f"{workdir / name}")
 
 
-def run(name, argv):
-    """Print the digests of one command's report and CSV."""
+def run(name, argv, inputs=()):
+    """Print the digests of one command's report and CSV; the named
+    tests/golden input files are in the working directory while it runs."""
     from loopfiber import cli
 
+    for input_name in inputs:
+        Path(input_name).write_bytes((GOLDEN / input_name).read_bytes())
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
+    for input_name in inputs:
+        Path(input_name).unlink()
     print(f"{digest(out.getvalue().encode())}  {name} (exit {code})")
     if "--csv" in argv:
         csv_path = Path(argv[argv.index("--csv") + 1])
@@ -105,8 +115,8 @@ def main():
         write_inputs()
     commands = [*benchmark_commands(), *golden_commands(),
                 *reconstruct_commands()]
-    for name, argv in commands:
-        run(name, argv)
+    for name, argv, *inputs in commands:
+        run(name, argv, *inputs)
 
 
 if __name__ == "__main__":

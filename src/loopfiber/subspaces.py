@@ -37,14 +37,6 @@ FILTRATION_SV_TOL = 1e-8  # smallest admissible Gram singular value
 FILTRATION_MAX_ENTRIES = 2 ** 24
 
 
-def stack_loops(loops, band=None):
-    """Flatten loops to rows of a matrix over a common band, so the
-    Euclidean pairing of rows equals the loop inner product.  Frames do not
-    use this row layout."""
-    data = stack_columns(loops, band).data
-    return data.transpose(2, 0, 1).reshape(len(loops), -1)
-
-
 def cross_gram(A, B):
     """Matrix of pairings G[i, j] = <A[i], B[j]> (conjugate-linear in A) of
     two lists of loops or two BandStacks."""

@@ -99,7 +99,7 @@ class BaseLoop:
 
     `fn(t)` takes a float array t and returns (position, velocity), both of
     shape t.shape + (d,); sampled curves are interpolated with a periodic
-    cubic spline.
+    cubic spline (`from_samples`), computed in numpy alone.
     """
 
     d: int
@@ -116,20 +116,40 @@ class BaseLoop:
 
     @classmethod
     def from_samples(cls, points):
-        """Periodic cubic interpolation of samples on the uniform grid j/M."""
-        from scipy.interpolate import CubicSpline
+        """Periodic cubic spline through samples y_j on the uniform grid j/M.
 
+        With s = M t - j and r = 1 - s on [j/M, (j + 1)/M], the spline is
+
+            r y_j + s y_{j+1} + (r^3 - r) c_j + (s^3 - s) c_{j+1},
+
+        where c_j is its second derivative at j/M divided by 6 M^2.
+        Continuity of the first derivative at every node is the circulant
+        system c_{j-1} + 4 c_j + c_{j+1} = y_{j+1} - 2 y_j + y_{j-1}, whose
+        eigenvalues 4 + 2 cos(2 pi k / M) lie in [2, 6], so one FFT division
+        solves it; no factor M^2 multiplies the data.
+        """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 4:
             raise ValueError("need at least 4 sample points, shape (M, d)")
+        if not np.isfinite(pts).all():
+            raise ValueError("sample points must be finite (NaN or inf found)")
         M, d = pts.shape
-        ts = np.linspace(0.0, 1.0, M + 1)
-        closed = np.vstack([pts, pts[:1]])
-        spline = CubicSpline(ts, closed, axis=0, bc_type="periodic")
-        deriv = spline.derivative()
+        bend = np.roll(pts, -1, axis=0) - 2.0 * pts + np.roll(pts, 1, axis=0)
+        eig = 4.0 + 2.0 * np.cos(2.0 * math.pi * np.arange(M // 2 + 1) / M)
+        c = np.fft.irfft(np.fft.rfft(bend, axis=0) / eig[:, None], n=M, axis=0)
+        # closed tables: row M repeats row 0
+        y, c = np.vstack([pts, pts[:1]]), np.vstack([c, c[:1]])
 
         def fn(t):
-            return spline(t), deriv(t)
+            u = M * t
+            j = np.minimum(np.floor(u).astype(int), M - 1)
+            s = (u - j)[..., None]
+            r = 1.0 - s
+            y0, y1, c0, c1 = y[j], y[j + 1], c[j], c[j + 1]
+            x = r * y0 + s * y1 + (r * r * r - r) * c0 + (s * s * s - s) * c1
+            v = M * ((y1 - y0) + (1.0 - 3.0 * r * r) * c0
+                     + (3.0 * s * s - 1.0) * c1)
+            return x, v
 
         return cls(d, fn)
 

@@ -2,7 +2,10 @@
 
 A twist is a gauge transformation tau sampled on the grid t_i = i/N; a
 twisted section is a vector path sigma with the quasi-periodic seam
-sigma(t + 1) = tau(t) sigma(t), stored as samples sigma_0 .. sigma_N.
+sigma(t + 1) = tau(t) sigma(t), stored as samples sigma_0 .. sigma_N
+together with its twist.  Every section carries the values of its twist,
+so its seam can always be checked and it can always be rotated; a plainly
+periodic section carries `identity_twist(n, N)`.
 
 For the twist tau(t) = T(t) Hol T(t)^* induced by a transport frame, the
 maps here realize the bundle's flat trivialization: `section_from_loop`
@@ -13,13 +16,14 @@ special cases p = v and p = f v that exhibit the section space as a free
 module over scalar loops.
 """
 
+import copy
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from .errors import PeriodicityDefect
-from .fourier import (_integer, _read_leaves, _to_pairs, evaluate_grid,
-                      from_grid_samples, project_minus, project_plus)
+from .fourier import (evaluate_grid, from_grid_samples, project_minus,
+                      project_plus)
 from .loopgroup import (_adjoint, _block_major, _entry_major, _matmul,
                         _stack_defect)
 
@@ -38,8 +42,6 @@ __all__ = [
     "rotate",
     "untwisted_comparison",
     "fiber_intertwiner",
-    "section_to_dict",
-    "section_from_dict",
 ]
 
 SEAM_TOL = 1e-7
@@ -95,23 +97,30 @@ def _frame_twist(frame):
 
 
 def shifted_twist(twist, steps):
-    """The twist seen from the loop rotated by steps/N: values rolled."""
-    vals = np.roll(np.asarray(twist.values), -steps, axis=0)
-    return GaugeTwist(twist.n, twist.N, twist.kind, vals)
+    """The twist seen from the loop rotated by steps/N: values rolled.
+
+    The rolled values are the matrices already checked unitary, so the
+    twist is copied without its constructor's check.
+    """
+    vals = np.roll(twist.values, -steps, axis=0)
+    vals.setflags(write=False)
+    rolled = copy.copy(twist)
+    object.__setattr__(rolled, "values", vals)
+    return rolled
 
 
 @dataclass(frozen=True, eq=False)
 class TwistedSection:
     """Samples sigma(t_i), i = 0..N, with seam sigma_N = tau(0) sigma_0.
 
-    The seam is checked on construction (to 1e-7) whenever the twist is
-    known: explicitly attached, or implied by twist_kind "identity".  Pass
-    validate=False to build a deliberately broken section.
+    `twist` is the GaugeTwist tau on the section's own grid; its `kind`
+    says where it came from ("holonomy", "identity").  The seam is checked
+    on construction (to 1e-7); pass validate=False to build a deliberately
+    broken section.
     """
 
     samples: np.ndarray
-    twist_kind: str = "identity"
-    twist: GaugeTwist | None = None
+    twist: GaugeTwist
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate):
@@ -122,11 +131,10 @@ class TwistedSection:
             raise ValueError("samples must be finite (NaN or inf found)")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        if self.twist is not None:
-            _require_match(self.twist, self)
+        _require_match(self.twist, self)
         if validate:
             residual = self.seam_residual()
-            if residual is not None and not (residual <= SEAM_TOL):
+            if not (residual <= SEAM_TOL):
                 raise PeriodicityDefect(residual)
 
     @property
@@ -138,13 +146,8 @@ class TwistedSection:
         return self.samples.shape[1]
 
     def seam_residual(self):
-        """||sigma_N - tau(0) sigma_0||, or None when the twist is unknown."""
-        if self.twist is not None:
-            tau0 = self.twist.values[0]
-        elif self.twist_kind == "identity":
-            tau0 = np.eye(self.n, dtype=complex)
-        else:
-            return None
+        """||sigma_N - tau(0) sigma_0||."""
+        tau0 = self.twist.values[0]
         return float(np.linalg.norm(self.samples[-1] - tau0 @ self.samples[0]))
 
 
@@ -168,7 +171,7 @@ def j_embed(frame, v):
     if v.shape != (frame.n,):
         raise ValueError(f"fiber vector must have shape ({frame.n},)")
     samples = np.einsum("tij,j->ti", frame.Ts, v)
-    return TwistedSection(samples, "holonomy", _frame_twist(frame))
+    return TwistedSection(samples, _frame_twist(frame))
 
 
 def j_extend(frame, f, v):
@@ -177,7 +180,7 @@ def j_extend(frame, f, v):
         raise ValueError(f"scalar loop must have n=1, got n={f.n}")
     v = np.asarray(v, dtype=complex)
     samples = _closed_grid(f, frame.N) * np.einsum("tij,j->ti", frame.Ts, v)
-    return TwistedSection(samples, "holonomy", _frame_twist(frame))
+    return TwistedSection(samples, _frame_twist(frame))
 
 
 def section_from_loop(frame, p):
@@ -189,7 +192,7 @@ def section_from_loop(frame, p):
     if p.n != frame.n:
         raise ValueError(f"loop dimension {p.n} != fiber dimension {frame.n}")
     samples = np.einsum("tij,tj->ti", frame.Ts, _closed_grid(p, frame.N))
-    return TwistedSection(samples, "holonomy", _frame_twist(frame))
+    return TwistedSection(samples, _frame_twist(frame))
 
 
 def module_scale(f, section):
@@ -197,7 +200,7 @@ def module_scale(f, section):
     if f.n != 1:
         raise ValueError(f"scalar loop must have n=1, got n={f.n}")
     return TwistedSection(_closed_grid(f, section.N) * section.samples,
-                          section.twist_kind, section.twist)
+                          section.twist)
 
 
 def phi_inverse(frame, section, check=True):
@@ -237,13 +240,7 @@ def rotate(section, steps):
     N = section.N
     if not -N <= steps <= N:
         raise ValueError(f"|steps| must be <= {N}")
-    if section.twist is not None:
-        tau = np.asarray(section.twist.values)
-    elif section.twist_kind == "identity":
-        tau = np.broadcast_to(np.eye(section.n, dtype=complex),
-                              (N, section.n, section.n))
-    else:
-        raise ValueError("cannot rotate a section with unknown twist values")
+    tau = section.twist.values
     old = section.samples
     if steps >= 0:  # sigma_{N + j} = tau(j) sigma_j for j = 1..steps
         js = np.arange(1, steps + 1)
@@ -254,9 +251,7 @@ def rotate(section, steps):
         below = (np.swapaxes(tau[js % N].conj(), -1, -2)
                  @ old[js + N, :, None])[..., 0]
         new = np.concatenate([below, old[:N + 1 + steps]])
-    twist = (shifted_twist(section.twist, steps)
-             if section.twist is not None else None)
-    return TwistedSection(new, section.twist_kind, twist)
+    return TwistedSection(new, shifted_twist(section.twist, steps))
 
 
 def untwisted_comparison(frame0, frame1):
@@ -281,26 +276,3 @@ def fiber_intertwiner(frame0, frame1):
     T0, T1 = _entry_major(frame0.Ts), _entry_major(frame1.Ts)
     return _block_major(_matmul(T1, _adjoint(T0)))
 
-
-def section_to_dict(section):
-    """JSON form: twist recorded by kind only, values are not embedded."""
-    return {
-        "n": section.n,
-        "N": section.N,
-        "twist_kind": section.twist_kind,
-        "samples": _to_pairs(section.samples),
-    }
-
-
-def section_from_dict(d, twist=None):
-    """Inverse of section_to_dict, bit-exact; ValueError unless n and N are
-    integers and the samples are N + 1 rows of n [re, im] pairs of JSON
-    numbers."""
-    n, N = _integer(d["n"], "n"), _integer(d["N"], "N")
-    leaves = _read_leaves([d["samples"]], (N + 1, n, 2))
-    if leaves is None:
-        raise ValueError("sample array does not match declared shape "
-                         f"({N + 1}, {n}) of [re, im] number pairs")
-    samples = leaves.view(complex).reshape(N + 1, n)
-    validate = twist is not None or d["twist_kind"] == "identity"
-    return TwistedSection(samples, d["twist_kind"], twist, validate=validate)

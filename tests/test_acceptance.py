@@ -88,8 +88,11 @@ def test_criterion_2_frequency_splitting_counts():
 
         shifted = [fourier.shift(w, 1) for w in lower.columns]
         band = subspaces.union_band(list(shifted) + list(upper.columns))
-        rows = subspaces.stack_loops(shifted, band=band)
-        basis = subspaces.stack_loops(upper.columns, band=band)
+        # one row per loop over the common band, so the Euclidean pairing
+        # of rows is the loop inner product
+        rows, basis = [fourier.stack_columns(loops, band).data
+                       .transpose(2, 0, 1).reshape(len(loops), -1)
+                       for loops in (shifted, upper.columns)]
         resid = rows - (rows @ basis.conj().T) @ basis
         assert float(np.linalg.norm(resid, axis=1).max()) <= 1e-10
     print("ACCEPTANCE 2 frequency splitting and window counts: PASS "

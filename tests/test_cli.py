@@ -486,6 +486,33 @@ class TestHolonomy:
         assert "cannot load loop from" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_coordinate_csv_exit2(self, capsys, tmp_path, value):
+        path = tmp_path / "bad_x.csv"
+        rows = ["t,x1,x2"] + [
+            f"{j / 8!r},{value if j == 5 else repr(math.cos(j * math.pi / 4))},"
+            f"{math.sin(j * math.pi / 4)!r}" for j in range(8)]
+        path.write_text("\n".join(rows) + "\n")
+        code = cli.main(["holonomy", "--preset", "abelian2d",
+                         "--loop", str(path), "--N", "16", "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "cannot load loop from" in captured.err
+        assert captured.out == ""
+
+    def test_loop_from_csv_without_scipy(self, capsys, tmp_path, monkeypatch):
+        # sampled loops are splined by numpy alone: a scipy import fails
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.interpolate", None)
+        path = str(tmp_path / "circle.csv")
+        transport.save_loop_csv(transport.BaseLoop.circle(1.0), path, M=64)
+        code, rep = run_cli(capsys,
+                            ["holonomy", "--preset", "abelian2d",
+                             "--loop", path, "--N", "256", "--no-meta"])
+        assert code == 0
+        re, im = rep["holonomy"][0][0]
+        assert abs(complex(re, im) - cmath.exp(1j * math.pi)) < 1e-4
+
     def test_report_file_matches_stdout(self, capsys, tmp_path):
         out = str(tmp_path / "rep.json")
         code, rep = run_cli(capsys,

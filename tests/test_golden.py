@@ -1,13 +1,19 @@
 """Stored `--no-meta` reports of small transport commands.
 
-Each file in tests/golden holds the argv of one `loopfiber` command, the
-report it wrote and, for `obstruction`, the CSV sweep.  The test runs the
-argv again through `cli.main` and compares:
+Each JSON file in tests/golden holds the argv of one `loopfiber` command,
+the report it wrote, for `obstruction` the CSV sweep, and under "inputs"
+the names of the tests/golden files the argv reads.  The test copies those
+files into the working directory, runs the argv again through `cli.main`
+and compares:
 
   * keys, integers, booleans and strings exactly;
   * floats to 1e-12 relative, or within an absolute ceiling for the fields
     named in ABS_CEILINGS, whose values sit at roundoff or are differences
     of unit-scale numbers, so their last bits follow the BLAS and the CPU.
+
+The `--loop` cases read ellipse.csv, the curve x1 = 0.1 + 1.2 cos 2 pi t,
+x2 = -0.2 + 0.7 sin 2 pi t sampled by numpy at t = j/37 and written with
+the `repr` of each float.
 
 A change that alters an answer on purpose rewrites the files with
 
@@ -40,6 +46,12 @@ ABS_CEILINGS = {
     "re": 1e-12,                # CSV holonomy parts
     "im": 1e-12,
 }
+
+
+def write_inputs(golden):
+    """Copy the input files a case reads into the current directory."""
+    for name in golden.get("inputs", ()):
+        Path(name).write_bytes((GOLDEN / name).read_bytes())
 
 
 def run_case(argv):
@@ -86,7 +98,7 @@ CASES = sorted(p.stem for p in GOLDEN.glob("*.json"))
 
 
 def test_golden_directory_is_small():
-    assert len(CASES) == 7
+    assert len(CASES) == 10
     assert sum(p.stat().st_size for p in GOLDEN.iterdir()) < 100_000
 
 
@@ -94,6 +106,7 @@ def test_golden_directory_is_small():
 def test_report_matches_golden(name, tmp_path, monkeypatch):
     golden = json.loads((GOLDEN / f"{name}.json").read_text())
     monkeypatch.chdir(tmp_path)
+    write_inputs(golden)
     code, report, csv_text = run_case(golden["argv"])
     assert code == 0
     assert_matches(report, golden["report"])
@@ -109,7 +122,10 @@ def rewrite():
     """Run every stored argv again and store its report and CSV."""
     for path in sorted(GOLDEN.glob("*.json")):
         golden = json.loads(path.read_text())
+        write_inputs(golden)
         code, report, csv_text = run_case(golden["argv"])
+        for name in golden.get("inputs", ()):
+            os.remove(name)
         if code != 0:
             raise SystemExit(f"{path.name}: exit {code}")
         if csv_text is not None:

@@ -93,6 +93,40 @@ class TestBaseLoop:
         assert np.allclose(loop.point(0.5 / M), base.point(0.5 / M), atol=1e-6)
 
 
+class TestSpline:
+    """`BaseLoop.from_samples` against closed forms and against scipy."""
+
+    @pytest.mark.parametrize("M, k", [(4, 1), (7, 2), (37, 5), (64, 3),
+                                      (512, 100)])
+    def test_cosine_samples_closed_form(self, M, k):
+        # for y_j = cos(j theta) the circulant system is diagonal: c_j is
+        # lam y_j, so the spline is known in closed form between the nodes
+        theta = 2.0 * math.pi * k / M
+        lam = (2.0 * math.cos(theta) - 2.0) / (4.0 + 2.0 * math.cos(theta))
+        j = np.arange(M)
+        y = np.cos(2.0 * math.pi * (k * j % M) / M)  # argument reduced exactly
+        y1 = np.roll(y, -1)
+        loop = BaseLoop.from_samples(y[:, None])
+        mid = loop.point((j + 0.5) / M)[:, 0]
+        assert np.abs(mid - (0.5 - 3.0 * lam / 8.0) * (y + y1)).max() <= 1e-14
+        _, v = loop.xv(j / M)
+        slope = M * ((y1 - y) - 2.0 * lam * y - lam * y1)
+        assert np.abs(v[:, 0] - slope).max() <= 1e-14 * M
+
+    @pytest.mark.parametrize("M", [4, 5, 37, 64, 1000])
+    def test_matches_scipy_cubic_spline(self, M):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        pts = np.random.default_rng(M).normal(size=(M, 3))
+        spline = interpolate.CubicSpline(
+            np.linspace(0.0, 1.0, M + 1), np.vstack([pts, pts[:1]]), axis=0,
+            bc_type="periodic")
+        t = np.concatenate([np.arange(M + 1) / M,
+                            np.random.default_rng(0).random(2000)])
+        x, v = BaseLoop.from_samples(pts).xv(t)
+        for got, want in [(x, spline(t)), (v, spline.derivative()(t))]:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestFlux:
     """Plane with uniform curvature B: holonomy phase equals the flux."""
 
@@ -577,6 +611,17 @@ class TestCsv:
                 fh.write(f"{t},{math.cos(j * math.pi / 4)!r},"
                          f"{math.sin(j * math.pi / 4)!r}\n")
         with pytest.raises(ValueError, match="t column"):
+            load_loop_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_rejected(self, tmp_path, value):
+        path = os.path.join(tmp_path, "bad_x.csv")
+        with open(path, "w") as fh:
+            fh.write("t,x1,x2\n")
+            for j in range(8):
+                x2 = value if j == 3 else repr(math.sin(j * math.pi / 4))
+                fh.write(f"{j / 8!r},{math.cos(j * math.pi / 4)!r},{x2}\n")
+        with pytest.raises(ValueError, match="finite"):
             load_loop_csv(path)
 
     def test_nonuniform_grid_rejected(self, tmp_path):

@@ -5,11 +5,11 @@ genuine holonomy conjugates, not synthetic unitaries.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
+from loopfiber import twistbundle
 from loopfiber.errors import PeriodicityDefect
 from loopfiber.fourier import (
     basis_loop,
@@ -37,9 +37,8 @@ from loopfiber.twistbundle import (
     module_scale,
     phi_inverse,
     rotate,
-    section_from_dict,
     section_from_loop,
-    section_to_dict,
+    shifted_twist,
     untwisted_comparison,
 )
 
@@ -69,7 +68,7 @@ class TestEmbedding:
         assert sec.N == N and sec.n == 2
         assert np.allclose(sec.samples[17], su2_frame.Ts[17] @ v)
         assert sec.seam_residual() < 1e-12
-        assert sec.twist_kind == "holonomy"
+        assert sec.twist.kind == "holonomy"
 
     def test_roundtrip_constant(self, su2_frame, u1_frame):
         flat_frame = parallel_transport(flat(n=2), BaseLoop.circle(1.0), N=N)
@@ -106,17 +105,17 @@ class TestValidation:
         bad = np.array(sec.samples)
         bad[-1] += 1e-3
         with pytest.raises(PeriodicityDefect):
-            TwistedSection(bad, "holonomy", sec.twist)
-        loose = TwistedSection(bad, "holonomy", sec.twist, validate=False)
+            TwistedSection(bad, sec.twist)
+        loose = TwistedSection(bad, sec.twist, validate=False)
         assert loose.seam_residual() > 1e-4
 
     def test_phi_inverse_checks_periodicity(self, su2_frame):
         sec = j_embed(su2_frame, np.array([1.0, 0.0]))
-        bad = TwistedSection(np.array(sec.samples) * 1.0, "holonomy",
-                             sec.twist, validate=False)
+        bad = TwistedSection(np.array(sec.samples) * 1.0, sec.twist,
+                             validate=False)
         scaled = np.array(bad.samples)
         scaled[-1] *= np.exp(0.3j)
-        bad = TwistedSection(scaled, "holonomy", None, validate=False)
+        bad = TwistedSection(scaled, sec.twist, validate=False)
         with pytest.raises(PeriodicityDefect) as info:
             phi_inverse(su2_frame, bad)
         assert info.value.residual > 1e-3
@@ -141,15 +140,9 @@ class TestValidation:
         samples = np.ones((3, 1), dtype=complex)
         samples[row] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            TwistedSection(samples, "identity")
+            TwistedSection(samples, identity_twist(1, 2))
         with pytest.raises(ValueError, match="finite"):
-            TwistedSection(samples, "holonomy", validate=False)
-
-    def test_nan_samples_from_json_rejected(self):
-        d = json.loads('{"n": 1, "N": 2, "twist_kind": "identity", '
-                       '"samples": [[[NaN, 0]], [[1, 0]], [[NaN, 0]]]}')
-        with pytest.raises(ValueError, match="finite"):
-            section_from_dict(d)
+            TwistedSection(samples, identity_twist(1, 2), validate=False)
 
     def test_nan_frame_fails_periodicity(self, su2_frame):
         sec = j_embed(su2_frame, np.array([1.0, 0.0]))
@@ -264,9 +257,28 @@ class TestRotation:
 
     def test_identity_kind_rotation(self):
         samples = np.tile(np.array([1.0, 2.0j]), (9, 1))
-        sec = TwistedSection(samples, "identity")
+        sec = TwistedSection(samples, identity_twist(2, 8))
         rot = rotate(sec, 3)
         assert np.allclose(rot.samples, samples)
+
+    def test_shifted_twist_rolls_without_a_second_check(self, su2_frame,
+                                                        monkeypatch):
+        # the rolled values are the matrices checked when the twist was
+        # built, so neither shifted_twist nor rotate checks them again
+        sec = j_embed(su2_frame, np.array([1.0, 0.5j]))
+        twist = sec.twist
+
+        def refuse(stack):
+            raise AssertionError("a rolled twist was checked again")
+
+        monkeypatch.setattr(twistbundle, "_stack_defect", refuse)
+        for steps in (-N, -5, 0, 3, N):
+            rolled = shifted_twist(twist, steps)
+            assert np.array_equal(rolled.values,
+                                  np.roll(twist.values, -steps, 0))
+            assert not rolled.values.flags.writeable
+            assert (rolled.n, rolled.N, rolled.kind) == (2, N, "holonomy")
+        assert rotate(sec, 5).twist.values.shape == (N, 2, 2)
 
     def test_step_bound(self, su2_frame):
         sec = j_embed(su2_frame, np.array([1.0, 0.0]))
@@ -313,54 +325,8 @@ class TestIdentityTwist:
 
     def test_identity_section_plain_periodicity(self):
         samples = np.tile(np.array([1.0 + 0.5j]), (17, 1))
-        sec = TwistedSection(samples, "identity")
+        sec = TwistedSection(samples, identity_twist(1, 16))
         assert sec.seam_residual() == 0.0
-
-
-class TestSerialization:
-    def test_roundtrip_with_twist(self, su2_frame):
-        sec = j_embed(su2_frame, np.array([1.0, 2.0]))
-        d = section_to_dict(sec)
-        assert d["twist_kind"] == "holonomy"
-        assert "values" not in d
-        back = section_from_dict(d, twist=sec.twist)
-        assert np.allclose(back.samples, sec.samples)
-
-    def test_roundtrip_without_twist_skips_validation(self, su2_frame):
-        sec = j_embed(su2_frame, np.array([1.0, 2.0]))
-        back = section_from_dict(section_to_dict(sec))
-        assert back.seam_residual() is None
-        assert np.allclose(back.samples, sec.samples)
-
-    def test_shape_mismatch_rejected(self, su2_frame):
-        d = section_to_dict(j_embed(su2_frame, np.array([1.0, 0.0])))
-        d["N"] = 3
-        with pytest.raises(ValueError, match="shape"):
-            section_from_dict(d)
-
-    def test_roundtrip_is_bit_exact(self, su2_frame):
-        sec = j_embed(su2_frame, np.array([1.0, -0.0 + 2j]))
-        back = section_from_dict(json.loads(json.dumps(section_to_dict(sec))),
-                                 twist=sec.twist)
-        assert back.samples.tobytes() == sec.samples.tobytes()
-
-    @pytest.mark.parametrize("change", [
-        {"samples": [[["1", True]]] * 3},    # a string and a bool leaf
-        {"samples": [[[1.0, None]]] * 3},
-        {"samples": [[[1.0, 0.0, 0.0]]] * 3},
-        {"samples": [[1.0, 0.0]] * 3},       # a row that is one pair
-        {"samples": [[[1.0, 0.0]]] * 2},
-        {"samples": 5},
-        {"n": 1.0},
-        {"N": 2.0},
-        {"n": True},
-    ])
-    def test_non_json_number_input_rejected(self, change):
-        d = {"n": 1, "N": 2, "twist_kind": "identity",
-             "samples": [[[1.0, 0.0]]] * 3}
-        d.update(change)
-        with pytest.raises(ValueError):
-            section_from_dict(d)
 
 
 class TestBasisCompatibility:
