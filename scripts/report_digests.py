@@ -18,9 +18,9 @@ writes those files for seeds 3 and 7 with the benchmark's
 them with the `random_loop` of the tree on the path, so the inputs are
 written once and shared: reports of two trees compare only on the same
 input bytes.  Commands run with DIR as the working directory.  The input
-files a golden case names (its `--loop` CSV) are copied there before the
-command runs, and they and each CSV the command writes are removed after
-it.
+files a golden case names (from tests/golden/inputs) are copied there
+before the command runs, and they and each CSV the command writes are
+removed after it.
 """
 
 import argparse
@@ -85,11 +85,12 @@ def write_inputs():
 
 def run(name, argv, inputs=()):
     """Print the digests of one command's report and CSV; the named
-    tests/golden input files are in the working directory while it runs."""
+    tests/golden/inputs files are in the working directory while it runs."""
     from loopfiber import cli
 
     for input_name in inputs:
-        Path(input_name).write_bytes((GOLDEN / input_name).read_bytes())
+        Path(input_name).write_bytes(
+            (GOLDEN / "inputs" / input_name).read_bytes())
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)

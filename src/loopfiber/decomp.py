@@ -17,7 +17,7 @@ nonzero determinant winding can never reduce this way, and the failure is
 reported together with the family's total winding.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -209,6 +209,20 @@ def _audit_point(x, f):
     ), gamma
 
 
+def _window_key(f):
+    """A key equal for two windows exactly when they have the same depth
+    and bit-identical generators.  Bytes, not ==, so that -0.0 and +0.0
+    stay apart."""
+    return f.depth, tuple((g.n, g.kmin, g.data.tobytes())
+                          for g in f.generators)
+
+
+def _first_points(fam):
+    """For each point, the first point whose window has the same key."""
+    first = {}
+    return [first.setdefault(_window_key(f), x) for x, f in enumerate(fam.psi)]
+
+
 def audit_family(fam):
     """Check the fiberwise axioms at every base point.
 
@@ -216,14 +230,25 @@ def audit_family(fam):
     window growth (b), the intersection dimension and loop unitarity (c),
     plus per-edge continuity cosines between neighbouring generator spans.
     A window with dependent shifted generators raises RankDeficiency.
+
+    Equal windows (same depth, bit-identical generators; a constant-loop
+    reduction has one window everywhere) are audited once, at their first
+    point: the other points share its result and its loop, and each edge
+    takes the principal angles of its pair of windows once.
     """
-    point_audits, gammas = zip(*(_audit_point(x, f)
-                                 for x, f in enumerate(fam.psi)))
-    spans = [orthonormalize(f.generators) for f in fam.psi]
-    cosines = [float(principal_angles(spans[i], spans[j]).min())
-               for i, j in fam.edges]
+    first = _first_points(fam)
+    audited = {x: _audit_point(x, fam.psi[x]) for x in dict.fromkeys(first)}
+    point_audits = tuple(
+        audited[x0][0] if x0 == x else replace(audited[x0][0], point=x)
+        for x, x0 in enumerate(first))
+    gammas = tuple(audited[x0][1] for x0 in first)
+    spans = {x0: orthonormalize(fam.psi[x0].generators) for x0 in audited}
+    edges = [(first[i], first[j]) for i, j in fam.edges]
+    angles = {(i, j): float(principal_angles(spans[i], spans[j]).min())
+              for i, j in dict.fromkeys(edges)}
+    cosines = tuple(angles[e] for e in edges)
     continuity_ok = all(c >= CONTINUITY_COS for c in cosines)
-    return AuditReport(point_audits, tuple(cosines), continuity_ok, gammas)
+    return AuditReport(point_audits, cosines, continuity_ok, gammas)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,16 +293,27 @@ def reduction_cocycle(fam, variation_tol=VARIATION_TOL, audit=None):
     integer obstruction that forbids any such reduction.
 
     `audit`, the audit_family report of this same family, lends the loops
-    it certified; the others are rebuilt.
+    it certified; the others are rebuilt, once per distinct window under
+    audit_family's bitwise key.  The determinant winding (from closed-form
+    determinants up to n = 3, see det_winding) is taken once per distinct
+    loop object.
     """
     if fam.transitions is None:
         raise ValueError("family carries no transition data")
     known = (None,) * fam.size if audit is None else audit.gammas
     if len(known) != fam.size:
         raise ValueError("audit report is not of this family")
-    gammas = tuple(loop_from_subspace(expand_filtration(f)) if g is None else g
-                   for g, f in zip(known, fam.psi))
-    gamma_windings = tuple(det_winding(g) for g in gammas)
+    gammas = list(known)
+    for x, x0 in enumerate(_first_points(fam)):
+        if gammas[x] is None:  # gammas[x0] is set by now where x0 < x
+            gammas[x] = (gammas[x0] if x0 < x else
+                         loop_from_subspace(expand_filtration(fam.psi[x])))
+    gammas = tuple(gammas)
+    windings = {}
+    for g in gammas:
+        if id(g) not in windings:
+            windings[id(g)] = det_winding(g)
+    gamma_windings = tuple(windings[id(g)] for g in gammas)
     constants = []
     variations = []
     for e_idx, (i, j) in enumerate(fam.edges):

@@ -295,6 +295,29 @@ def _phase_winding(z, near_zero):
     return None
 
 
+def _det(S):
+    """The determinant of every matrix of an entry-major stack (n, n, ...).
+
+    np.linalg.det makes one LAPACK LU call per matrix, which dominates for
+    the small matrices of det_winding.  Up to MATMUL_ENTRYWISE_MAX the
+    determinant is instead the closed-form cofactor expansion along the
+    first row, a few products of contiguous arrays over the whole stack: on
+    2048 3 x 3 complex matrices 0.07 ms against 0.51 ms (2-vCPU Xeon,
+    OpenBLAS on one thread).  The two agree to roundoff, not bit for bit;
+    larger n go to np.linalg.det.  NaN and inf propagate.
+    """
+    n = S.shape[0]
+    if n > MATMUL_ENTRYWISE_MAX:
+        return np.linalg.det(_block_major(S))
+    if n == 1:
+        return S[0, 0].copy()
+    if n == 2:
+        return S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
+    return (S[0, 0] * (S[1, 1] * S[2, 2] - S[1, 2] * S[2, 1])
+            - S[0, 1] * (S[1, 0] * S[2, 2] - S[1, 2] * S[2, 0])
+            + S[0, 2] * (S[1, 0] * S[2, 1] - S[1, 1] * S[2, 0]))
+
+
 def unitarity_defect(g):
     """Max Frobenius defect ||gamma^H gamma - I|| over a grid sized by the band.
 
@@ -316,7 +339,8 @@ def det_winding(g):
     The start grid is sized from the frequency band: a near-unitary
     determinant is close to a unimodular monomial c z^w with |w| bounded
     by n * max|k|, so sampling 8x faster than that rules out phase
-    aliasing that the step criterion alone cannot detect.
+    aliasing that the step criterion alone cannot detect.  The grid
+    determinants are closed-form cofactor expansions up to n = 3 (`_det`).
     """
     kmin, kmax = g.band
     speed = g.n * max(abs(kmin), abs(kmax), 1)
@@ -327,7 +351,7 @@ def det_winding(g):
             raise PhaseStepTooLarge(f"band implies phase speed ~{speed}, "
                                     f"beyond grid {WINDING_MAX_GRID}")
     while True:
-        d = np.linalg.det(g.grid_samples(N))
+        d = _det(_entry_major(g.grid_samples(N)))
         winding = _phase_winding(
             np.append(d, d[:1]),
             "determinant passes near zero; input is not a unitary loop")

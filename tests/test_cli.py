@@ -674,35 +674,99 @@ class TestAudit:
             G = np.array([[complex(*z) for z in row] for row in got])
             assert np.linalg.norm(G - want) < 1e-9
 
-    def test_loops_built_once_per_point(self, capsys, tmp_path, monkeypatch):
-        fam, _ = self.make_model_family()
-        src = write_json(tmp_path / "fam.json", decomp.family_to_dict(fam))
+    def make_distinct_family(self, seed=6):
+        """Four points whose windows are those of g W_x for Haar W_x:
+        distinct generators spanning one window, and transitions
+        g W_y U_e (g W_x)^-1, so the audit and the reduction pass."""
+        rng = np.random.default_rng(seed)
+        g = random_loop(2, 2, seed=seed)
+        loops = [multiply(g, loopgroup.constant_element(haar_unitary(2, rng)))
+                 for _ in range(4)]
+        edges = tuple((i, (i + 1) % 4) for i in range(4))
+        return decomp.SubspaceFamily(
+            tuple(range(4)), edges,
+            tuple(subspaces.FiltrationSubspace(
+                [h.column(j) for j in range(2)], 3) for h in loops),
+            tuple(multiply(loops[j], multiply(
+                loopgroup.constant_element(haar_unitary(2, rng)),
+                loopgroup.inverse(loops[i]))) for i, j in edges))
+
+    def count_calls(self, monkeypatch, name, wrapped):
+        """The arguments of every call of decomp.<name>, which runs
+        `wrapped`."""
         calls = []
 
-        def counted(frame, *args, **kwargs):
-            calls.append(frame)
-            return loop_from_subspace(frame, *args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return wrapped(*args, **kwargs)
 
-        monkeypatch.setattr(decomp, "loop_from_subspace", counted)
-        code, rep = run_cli(capsys, ["audit", src, "--no-meta"])
-        assert code == 0 and rep["reduction"]["max_variation"] < 1e-9
-        assert len(calls) == fam.size
+        monkeypatch.setattr(decomp, name, counted)
+        return calls
 
-    def test_one_factorization_per_point(self, capsys, tmp_path,
+    def test_loops_built_once_per_window(self, capsys, tmp_path,
                                          monkeypatch):
-        # the depth-P window is taken from the depth-(P+1) frame
-        fam, _ = self.make_model_family()
+        # the model family has one window at every point and builds one
+        # loop; four distinct windows build one each
+        calls = self.count_calls(monkeypatch, "loop_from_subspace",
+                                 loop_from_subspace)
+        for fam, loops in [(self.make_model_family()[0], 1),
+                           (self.make_distinct_family(), 4)]:
+            calls.clear()
+            src = write_json(tmp_path / "fam.json", decomp.family_to_dict(fam))
+            code, rep = run_cli(capsys, ["audit", src, "--no-meta"])
+            assert code == 0 and rep["reduction"]["max_variation"] < 1e-9
+            assert len(calls) == loops
+
+    def test_one_factorization_per_window(self, capsys, tmp_path,
+                                          monkeypatch):
+        # the depth-P window is taken from the depth-(P+1) frame, once per
+        # distinct window
+        calls = self.count_calls(monkeypatch, "expand_filtration",
+                                 subspaces.expand_filtration)
+        for fam, windows in [(self.make_model_family()[0], 1),
+                             (self.make_distinct_family(), 4)]:
+            calls.clear()
+            src = write_json(tmp_path / "fam.json", decomp.family_to_dict(fam))
+            code, rep = run_cli(capsys, ["audit", src, "--no-meta"])
+            assert code == 0 and rep["all_ok"]
+            assert [depth for _, depth in calls] == [4] * windows
+
+    def test_windows_apart_by_a_zero_sign_not_merged(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # e1 and e1 with -0.0 in place of its zero entry compare equal as
+        # numbers but are two windows; the file keeps the sign
+        calls = self.count_calls(monkeypatch, "expand_filtration",
+                                 subspaces.expand_filtration)
+        e2 = fourier.basis_loop(2, component=1)
+        psi = tuple(subspaces.FiltrationSubspace(
+            (fourier.TruncatedLoop(2, {0: [1.0, zero]}), e2), 3)
+            for zero in (0.0, -0.0))
+        fam = decomp.SubspaceFamily((0, 1), ((0, 1),), psi)
         src = write_json(tmp_path / "fam.json", decomp.family_to_dict(fam))
-        depths = []
-
-        def counted(f, depth=None):
-            depths.append(depth)
-            return subspaces.expand_filtration(f, depth)
-
-        monkeypatch.setattr(decomp, "expand_filtration", counted)
         code, rep = run_cli(capsys, ["audit", src, "--no-meta"])
         assert code == 0 and rep["all_ok"]
-        assert depths == [4] * fam.size
+        assert len(calls) == 2
+        assert [math.copysign(1.0, f.generators[0].data[0, 1].real)
+                for f, _ in calls] == [1.0, -1.0]
+
+    def test_rank_deficient_window_raises_at_its_point(self, capsys,
+                                                       tmp_path, monkeypatch):
+        # the repeated window is audited once; the dependent window after it
+        # raises, and the window past that is never reached
+        calls = self.count_calls(monkeypatch, "expand_filtration",
+                                 subspaces.expand_filtration)
+        e1 = fourier.basis_loop(2)
+        good = plus_filtration_dict(2, depth=3)
+        dup = subspaces.filtration_to_dict(
+            subspaces.FiltrationSubspace((e1, e1), 1))
+        later = plus_filtration_dict(2, depth=5)
+        src = write_json(tmp_path / "fam.json", {
+            "points": [0, 1, 2, 3], "edges": [[0, 1], [1, 2], [2, 3]],
+            "psi": [good, good, dup, later], "transitions": None})
+        assert cli.main(["audit", src, "--no-meta"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "rank deficient" in err
+        assert [depth for _, depth in calls] == [4, 2]
 
     def test_winding_cycle_exit5(self, capsys, tmp_path):
         fam, _ = self.make_model_family()

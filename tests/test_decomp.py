@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from loopfiber import decomp
 from loopfiber.decomp import (
+    _audit_point,
     audit_family,
     build_model_decomposition,
     family_from_dict,
@@ -26,7 +28,9 @@ from loopfiber.loopgroup import (
     multiply,
     random_loop,
 )
-from loopfiber.subspaces import expand_filtration, FiltrationSubspace, principal_angles, orthonormalize
+from loopfiber.subspaces import (expand_filtration, FiltrationSubspace,
+                                 filtration_from_dict, filtration_to_dict,
+                                 orthonormalize, principal_angles)
 from util import haar_unitary
 
 
@@ -100,6 +104,27 @@ class TestAudit:
         assert not report.continuity_ok
         assert report.edge_cosines[0] < 0.1
         assert not report.all_ok
+
+    def test_equal_windows_share_the_per_point_audit(self):
+        # points 2 and 3 repeat the windows of points 0 and 1 as separate,
+        # bit-identical objects: the report is the one a per-point audit
+        # gives, and equal windows share one loop
+        g = random_loop(2, band=2, seed=41)
+        twisted = FiltrationSubspace([g.column(j) for j in range(2)], 3)
+        windows = (twisted, plus_window(2))
+        psi = windows + tuple(filtration_from_dict(filtration_to_dict(f))
+                              for f in windows)
+        edges = ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 1))
+        report = audit_family(SubspaceFamily(range(4), edges, psi))
+        spans = [orthonormalize(f.generators) for f in psi]
+        assert report.point_audits == tuple(_audit_point(x, f)[0]
+                                            for x, f in enumerate(psi))
+        assert report.edge_cosines == tuple(
+            float(principal_angles(spans[i], spans[j]).min())
+            for i, j in edges)
+        assert report.gammas[2] is report.gammas[0]
+        assert report.gammas[3] is report.gammas[1]
+        assert report.gammas[0] is not report.gammas[1]
 
     def test_report_serializes(self):
         report = audit_family(build_model_decomposition([np.eye(1)]))
@@ -195,6 +220,24 @@ class TestReduction:
         again = reduction_cocycle(fam)
         for U, V in zip(cert.constants, again.constants):
             assert np.array_equal(U, V)
+
+    def test_loops_and_windings_once_per_window(self, monkeypatch):
+        # without an audit, one loop and one winding serve the three equal
+        # windows read back from a file
+        rng = np.random.default_rng(12)
+        fam = family_from_dict(json.loads(json.dumps(family_to_dict(
+            build_model_decomposition([haar_unitary(2, rng)
+                                       for _ in range(3)])))))
+        calls = []
+        for name in ("loop_from_subspace", "det_winding"):
+            def counted(*args, _f=getattr(decomp, name), _name=name):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(decomp, name, counted)
+        cert = reduction_cocycle(fam)
+        assert calls == ["loop_from_subspace", "det_winding"]
+        assert cert.gammas[0] is cert.gammas[1] is cert.gammas[2]
+        assert cert.gamma_windings == (0, 0, 0)
 
     def test_audit_of_another_family_refused(self):
         fam = build_model_decomposition([np.eye(1)] * 3)

@@ -1,25 +1,33 @@
-"""Stored `--no-meta` reports of small transport commands.
+"""Stored `--no-meta` reports of small commands.
 
 Each JSON file in tests/golden holds the argv of one `loopfiber` command,
 the report it wrote, for `obstruction` the CSV sweep, and under "inputs"
-the names of the tests/golden files the argv reads.  The test copies those
-files into the working directory, runs the argv again through `cli.main`
-and compares:
+the names of the tests/golden/inputs files the argv reads.  The test copies
+those files into the working directory, runs the argv again through
+`cli.main` and compares:
 
   * keys, integers, booleans and strings exactly;
   * floats to 1e-12 relative, or within an absolute ceiling for the fields
     named in ABS_CEILINGS, whose values sit at roundoff or are differences
     of unit-scale numbers, so their last bits follow the BLAS and the CPU.
 
-The `--loop` cases read ellipse.csv, the curve x1 = 0.1 + 1.2 cos 2 pi t,
-x2 = -0.2 + 0.7 sin 2 pi t sampled by numpy at t = j/37 and written with
-the `repr` of each float.
+The input files are built by numpy alone, so they do not move with the
+package under test, and stored:
 
-A change that alters an answer on purpose rewrites the files with
+  * ellipse.csv, for the `--loop` cases: the curve x1 = 0.1 + 1.2 cos 2 pi t,
+    x2 = -0.2 + 0.7 sin 2 pi t sampled at t = j/37, written with the `repr`
+    of each float;
+  * the rest by `write_inputs_from_numpy` below: a coefficient loop for
+    `project`, a frame for `subspace-loop`, and two families for `audit`,
+    one with a single window at every point and one whose windows all
+    differ.
+
+A change that alters an answer on purpose rewrites the reports with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names the changed reports in CHANGES.md.
+(`--inputs` first rebuilds the input files) and names the changed reports
+in CHANGES.md.
 """
 
 import contextlib
@@ -30,11 +38,15 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from loopfiber import cli
 
+from util import haar_unitary
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = GOLDEN / "inputs"
 REL_TOL = 1e-12
 # absolute ceilings on |got - want| for the floats under these keys
 ABS_CEILINGS = {
@@ -43,6 +55,11 @@ ABS_CEILINGS = {
     "raw_drift": 1e-13,         # ||E + E^H + E^H E|| of the raw chain
     "unitarity_defect": 1e-14,
     "residuals": 1e-13,         # twistcheck round trips, at roundoff
+    "shift_residual": 1e-13,    # audit axiom (a), at roundoff
+    "variations": 1e-13,        # reduced transitions, constant to roundoff
+    "max_variation": 1e-13,
+    "element": 1e-12,           # coefficients of a rebuilt unitary loop
+    "constants": 1e-12,         # entries of reduced unitary transitions
     "re": 1e-12,                # CSV holonomy parts
     "im": 1e-12,
 }
@@ -51,7 +68,96 @@ ABS_CEILINGS = {
 def write_inputs(golden):
     """Copy the input files a case reads into the current directory."""
     for name in golden.get("inputs", ()):
-        Path(name).write_bytes((GOLDEN / name).read_bytes())
+        Path(name).write_bytes((INPUTS / name).read_bytes())
+
+
+def product(*loops):
+    """{k: block} of the pointwise product of matrix loops {k: block}."""
+    out = loops[0]
+    for loop in loops[1:]:
+        terms = {}
+        for a, A in out.items():
+            for b, B in loop.items():
+                terms[a + b] = terms.get(a + b, 0) + A @ B
+        out = terms
+    return out
+
+
+def adjoint(loop):
+    """The pointwise adjoint, the inverse of a unitary loop."""
+    return {-k: A.conj().T for k, A in loop.items()}
+
+
+def pairs(blocks):
+    """The file spelling {"k": [re, im] lists} of the nonzero blocks."""
+    return {str(k): np.stack([A.real, A.imag], axis=-1).tolist()
+            for k, A in sorted(blocks.items()) if A.any()}
+
+
+def column(loop, j):
+    return {"n": 2, "coeffs": pairs({k: A[:, j] for k, A in loop.items()})}
+
+
+def twisted(V, W):
+    """V diag(1, z) W diag(1, z) with constant V, W: det winds twice, and
+    its z^1 block is invertible, so the loop rebuilt from its window is
+    unique (loopgroup._canonical_basis_rotation)."""
+    z = {0: np.diag([1.0, 0.0]), 1: np.diag([0.0, 1.0])}
+    return product({0: V}, z, {0: W}, z)
+
+
+def family(loops, rng, depth=2):
+    """The cycle over the windows of `loops`, with transitions
+    g_y U_e g_x^-1 for Haar U_e."""
+    m = len(loops)
+    edges = [[x, (x + 1) % m] for x in range(m)]
+    return {
+        "points": list(range(m)),
+        "edges": edges,
+        "psi": [{"generators": [column(g, j) for j in range(2)],
+                 "depth": depth} for g in loops],
+        "transitions": [
+            {"n": 2, "mcoeffs": pairs(product(
+                loops[y], {0: haar_unitary(2, rng)}, adjoint(loops[x])))}
+            for x, y in edges],
+    }
+
+
+def write_inputs_from_numpy():
+    """Write the inputs of the `project`, `subspace-loop` and `audit`
+    cases into tests/golden/inputs."""
+    rng = np.random.default_rng(2024)
+    loop = {k: rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            for k in range(-2, 4)}
+    files = {"loop-n2.json": {"n": 2, "coeffs": pairs(loop)}}
+
+    # an orthonormal frame of g . span{z^p e_j : p <= 2}, by numpy's QR of
+    # the stacked coefficients of the z^p g e_j
+    g = twisted(haar_unitary(2, rng), haar_unitary(2, rng))
+    depth, width = 2, 5
+    M = np.zeros((width, 2, 2 * (depth + 1)), dtype=complex)
+    for p in range(depth + 1):
+        for k, A in g.items():
+            M[k + p, :, 2 * p:2 * p + 2] = A
+    Q, R = np.linalg.qr(M.reshape(2 * width, -1))
+    Q = (Q * (np.diagonal(R) / np.abs(np.diagonal(R)))).reshape(width, 2, -1)
+    files["frame-n2.json"] = {"n": 2, "columns": [
+        {"n": 2, "coeffs": pairs(dict(enumerate(Q[..., c])))}
+        for c in range(Q.shape[2])]}
+
+    # one window at every point; then windows of V R(t_x) diag(1, z) W
+    # diag(1, z) W_x, which differ bit for bit and span nearby subspaces
+    V, W = haar_unitary(2, rng), haar_unitary(2, rng)
+    files["family-constant.json"] = family([twisted(V, W)] * 3, rng)
+    loops = []
+    for x in range(4):
+        c, s = np.cos(0.05 * x), np.sin(0.05 * x)
+        loops.append(product(twisted(V @ np.array([[c, -s], [s, c]]), W),
+                             {0: haar_unitary(2, rng)}))
+    files["family-distinct.json"] = family(loops, rng)
+    for name, data in files.items():
+        (INPUTS / name).write_text(json.dumps(data, sort_keys=True) + "\n")
+        print(name, file=sys.stderr)
 
 
 def run_case(argv):
@@ -98,8 +204,9 @@ CASES = sorted(p.stem for p in GOLDEN.glob("*.json"))
 
 
 def test_golden_directory_is_small():
-    assert len(CASES) == 10
-    assert sum(p.stat().st_size for p in GOLDEN.iterdir()) < 100_000
+    assert len(CASES) == 14
+    assert sum(p.stat().st_size for p in GOLDEN.rglob("*")
+               if p.is_file()) < 100_000
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -136,4 +243,6 @@ def rewrite():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--inputs"]:
+        write_inputs_from_numpy()
     rewrite()

@@ -144,6 +144,60 @@ class TestDetWinding:
             det_winding(fast)
 
 
+    @pytest.mark.parametrize("powers", [(1, -2, 4), (0, 0, 3), (-5, 2, 1),
+                                        (2, -1)])
+    def test_rotated_diag_powers(self, powers):
+        # det V diag(z^a, z^b, ...) W = det V det W z^(a + b + ...)
+        rng = np.random.default_rng(sum(powers) + 10)
+        V, W = (constant_element(haar_unitary(len(powers), rng))
+                for _ in "VW")
+        g = multiply(V, multiply(diag_zpowers(powers), W))
+        assert det_winding(g) == sum(powers)
+
+    def test_singular_loop_rejected(self):
+        # det V diag(1, 1, (1 + z) / 2) W vanishes at theta = pi, a node
+        # of every grid
+        rng = np.random.default_rng(9)
+        V, W = (constant_element(haar_unitary(3, rng)) for _ in "VW")
+        half = LoopGroupElement(3, {0: np.diag([1.0, 1.0, 0.5]),
+                                    1: np.diag([0.0, 0.0, 0.5])})
+        with pytest.raises(PhaseStepTooLarge, match="near zero"):
+            det_winding(multiply(V, multiply(half, W)))
+
+
+class TestDet:
+    """loopgroup._det, the stacked determinant behind det_winding."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_linalg_det(self, n):
+        rng = np.random.default_rng(60 + n)
+        for S in (random_blocks(rng, 257, n, n),
+                  np.stack([haar_unitary(n, rng) for _ in range(64)])):
+            want = np.linalg.det(S)
+            # to roundoff of Hadamard's bound, the product of column norms
+            tol = 1e-14 * np.prod(np.linalg.norm(S, axis=-2), axis=-1)
+            assert (np.abs(loopgroup._det(_entry_major(S)) - want)
+                    <= tol).all()
+            assert abs(loopgroup._det(S[5]) - want[5]) <= tol[5]
+
+    def test_above_closed_form_is_linalg_det(self):
+        rng = np.random.default_rng(64)
+        S = random_blocks(rng, 33, 4, 4)
+        assert np.array_equal(loopgroup._det(_entry_major(S)),
+                              np.linalg.det(S))
+        assert loopgroup._det(S[3]) == np.linalg.det(S[3])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_nan_and_inf_propagate(self, n):
+        rng = np.random.default_rng(80 + n)
+        S = random_blocks(rng, 6, n, n)
+        S[2, 0, -1], S[4, -1, 0] = np.nan, np.inf
+        with np.errstate(invalid="ignore"):
+            d = loopgroup._det(_entry_major(S))
+        assert np.isnan(d[2]) and not np.isfinite(d[4])
+        assert np.isfinite(np.delete(d, [2, 4])).all()
+
+
 class TestRandomLoop:
     def test_deterministic(self):
         g1 = random_loop(2, 3, seed=42)
