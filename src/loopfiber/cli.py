@@ -268,23 +268,10 @@ def _float_texts(leaves):
 def _array_layout(newline, shape):
     """The text around and between the leaves of a nested list of `shape`
     written at `newline`: its head, the separator after each leaf but the
-    last, and its tail."""
-    depth = len(shape)
-    lines = [newline + "  " * d for d in range(depth + 1)]
-
-    def separator(closed):  # after a leaf that closes `closed` lists
-        return ("".join(lines[depth - 1 - j] + "]" for j in range(closed))
-                + "," + "".join(lines[depth - closed + j] + "["
-                                for j in range(closed)) + lines[depth])
-
-    between = [separator(0)] * (shape[-1] - 1)
-    for closed in range(1, depth):
-        between = (between + [separator(closed)]) * shape[depth - 1 - closed]
-        between.pop()
-    head = ("[" + "".join(lines[d] + "[" for d in range(1, depth))
-            + lines[depth])
-    tail = "".join(lines[d] + "]" for d in reversed(range(depth)))
-    return (head, *between, tail)
+    last, and its tail.  orjson's OPT_INDENT_2 lays nested lists out as
+    json's indent=2 does."""
+    text = orjson.dumps(np.zeros(shape).tolist(), option=orjson.OPT_INDENT_2)
+    return tuple(text.decode().replace("\n", newline).split("0.0"))
 
 
 def _write_atomic(path, text):

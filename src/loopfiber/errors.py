@@ -50,11 +50,12 @@ class UnitarityViolation(LoopFiberError):
 
 
 class PhaseStepTooLarge(LoopFiberError):
-    """Phase accumulation cannot resolve a winding number.
+    """A grid cannot resolve a loop: a winding number, or a certificate.
 
     Raised when successive grid refinement still leaves a phase step of
-    pi/2 or more between samples, or when a determinant passes too close
-    to zero for its phase to mean anything.
+    pi/2 or more between samples, when a determinant passes too close to
+    zero for its phase to mean anything, or when a loop's frequencies need
+    a certificate grid beyond loopgroup.WINDING_MAX_GRID.
     """
 
 

@@ -138,7 +138,8 @@ class _BandedLoop:
         """Exact values at theta_j = 2 pi j / N, shape (N,) + block, by FFT
         binning: folding frequencies mod N keeps the grid values for any N."""
         bins = np.zeros((N,) + self.data.shape[1:], dtype=complex)
-        np.add.at(bins, (self.kmin + np.arange(len(self.data))) % N, self.data)
+        ks = self.kmin % N + np.arange(len(self.data))  # kmin may exceed int64
+        np.add.at(bins, ks % N, self.data)
         return np.fft.ifft(bins, axis=0) * N
 
 

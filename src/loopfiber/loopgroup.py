@@ -110,10 +110,16 @@ def apply(g, a):
 
 def _certificate_samples(g):
     """(N, grid values) for N the least power of two >= max(256, 4 (kmax -
-    kmin)): gamma^H gamma - I reaches frequency kmax - kmin, and four samples
-    per period of it keep a defect from hiding between grid points."""
+    kmin), max |k| + 1); PhaseStepTooLarge past WINDING_MAX_GRID.  gamma^H
+    gamma - I reaches frequency kmax - kmin, and four samples per period of
+    it keep a defect from hiding between grid points; above every |k|, no
+    nonzero frequency (as of z^256 U) folds onto the grid mean."""
     kmin, kmax = g.band
-    N = 1 << (max(256, 4 * (kmax - kmin)) - 1).bit_length()
+    need = max(256, 4 * (kmax - kmin), abs(kmin) + 1, abs(kmax) + 1)
+    N = 1 << (need - 1).bit_length()
+    if N > WINDING_MAX_GRID:
+        raise PhaseStepTooLarge(f"band [{kmin}, {kmax}] needs a certificate "
+                                f"grid of {N}, beyond {WINDING_MAX_GRID}")
     return N, g.grid_samples(N)
 
 
@@ -172,49 +178,22 @@ def _matmul(A, B):
     return out
 
 
-def _pairwise_sum(terms):
-    """The sum of a list of arrays in the order NumPy's pairwise summation
-    adds a contiguous run of that many numbers: below 8 terms one at a time;
-    up to 128 in eight running sums r0..r7 over the terms in blocks of 8,
-    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
-    remainder one at a time; above 128 the two halves (the first a multiple
-    of 8 long) summed apart and added."""
-    count = len(terms)
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    if count < 8:
-        total, rest = terms[0].copy(), terms[1:]
-    else:
-        r = [t.copy() for t in terms[:8]]
-        tail = count - count % 8
-        for block in range(8, tail, 8):
-            for j in range(8):
-                r[j] += terms[block + j]
-        total = (((r[0] + r[1]) + (r[2] + r[3]))
-                 + ((r[4] + r[5]) + (r[6] + r[7])))
-        rest = terms[tail:]
-    for t in rest:
-        total += t
-    return total
-
-
 def _fro_norms(S):
     """The Frobenius norm of every block of an entry-major stack, bit for
     bit np.linalg.norm(axis=(-2, -1)) of the same blocks laid out as a
     C-ordered (..., n, m) stack.
 
-    The |S_ij|^2 are added over the entries in row-major order, in the
-    order of `_pairwise_sum`, which is the order NumPy's reduction takes
-    over each block's n m contiguous squares.  Overflow and NaN give inf
-    and NaN as there.
+    NumPy adds fewer than eight contiguous terms one at a time, so a block
+    of fewer than 8 entries sums its squares |S_ij|^2 over the entry axis
+    in row-major order, one contiguous array over the stack per entry;
+    larger blocks go to np.linalg.norm through a block-major copy.
+    Overflow and NaN give inf and NaN as there.
     """
     n, m = S.shape[:2]
-    if not n * m:
-        return np.zeros(S.shape[2:])
+    if n * m >= 8:
+        return np.linalg.norm(_block_major(S), axis=(-2, -1))
     squares = (S.conj() * S).real
-    return np.sqrt(_pairwise_sum([squares[i, j] for i in range(n)
-                                  for j in range(m)]))
+    return np.sqrt(squares.reshape((n * m,) + S.shape[2:]).sum(axis=0))
 
 
 def _adjoint(S):
@@ -365,7 +344,8 @@ def det_winding(g):
 
 def theta_variation(g):
     """Max Frobenius deviation of gamma(theta) from its mean on the
-    band-sized grid of unitarity_defect.
+    certificate grid of unitarity_defect.  That grid lies above every |k|
+    of the band, so no nonzero frequency folds onto the mean.
 
     Returns (variation, mean_matrix).  Zero exactly when the loop is a
     constant matrix; used to certify theta-independence.

@@ -43,8 +43,9 @@ small blocks of transport (n <= 3) it builds each entry of the product with
 one multiply-add of two contiguous arrays over the stack per inner index,
 where np.matmul would make one BLAS call per block, and it hands larger
 blocks to np.matmul; the path is the same for every n.  The stacked
-Frobenius norms of the checks go through loopgroup._fro_norms in the same
-way.
+Frobenius norms of the checks go through loopgroup._fro_norms, which sums
+the squares of a block of fewer than 8 entries over the entry axis in the
+same way and hands larger blocks to np.linalg.norm.
 
 A holonomy alone needs only T(1): `holonomy` runs the scan's up-sweep, a
 pairwise tree product of the Q_i, to its root and takes one final polar; it

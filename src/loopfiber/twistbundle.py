@@ -57,7 +57,6 @@ class GaugeTwist:
 
     n: int
     N: int
-    kind: str
     values: np.ndarray
 
     def __post_init__(self):
@@ -75,14 +74,14 @@ class GaugeTwist:
 
 def identity_twist(n, N):
     vals = np.broadcast_to(np.eye(n, dtype=complex), (N, n, n)).copy()
-    return GaugeTwist(n, N, "identity", vals)
+    return GaugeTwist(n, N, vals)
 
 
 def holonomy_twist(frame):
     """tau(t_i) = T_i Hol T_i^* from a transport frame."""
     Ts = _entry_major(frame.Ts[:-1])
     vals = _matmul(_matmul(Ts, frame.holonomy), _adjoint(Ts))
-    return GaugeTwist(frame.n, frame.N, "holonomy", _block_major(vals))
+    return GaugeTwist(frame.n, frame.N, _block_major(vals))
 
 
 def _frame_twist(frame):
@@ -113,10 +112,9 @@ def shifted_twist(twist, steps):
 class TwistedSection:
     """Samples sigma(t_i), i = 0..N, with seam sigma_N = tau(0) sigma_0.
 
-    `twist` is the GaugeTwist tau on the section's own grid; its `kind`
-    says where it came from ("holonomy", "identity").  The seam is checked
-    on construction (to 1e-7); pass validate=False to build a deliberately
-    broken section.
+    `twist` is the GaugeTwist tau on the section's own grid.  The seam is
+    checked on construction (to 1e-7); pass validate=False to build a
+    deliberately broken section.
     """
 
     samples: np.ndarray
@@ -219,13 +217,13 @@ def phi_inverse(frame, section, check=True):
     return from_grid_samples(p[:-1])
 
 
-def fourier_decompose_twisted(frame, section, check=True):
+def fourier_decompose_twisted(frame, section):
     """Split a twisted section into nonnegative and negative frequency parts.
 
     Returns (plus, minus): untwist, split the coefficient loop at frequency
     zero, and re-twist each part.  Their samples sum back to the section.
     """
-    p = phi_inverse(frame, section, check=check)
+    p = phi_inverse(frame, section)
     return (section_from_loop(frame, project_plus(p)),
             section_from_loop(frame, project_minus(p)))
 

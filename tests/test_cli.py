@@ -6,6 +6,7 @@ except one subprocess test for the module entry point.
 import argparse
 import cmath
 import decimal
+import itertools
 import json
 import math
 import subprocess
@@ -54,6 +55,14 @@ def winding_cycle_dict(seed=5):
     transitions[-1] = multiply(diag_zpowers([1, 0]), transitions[-1])
     return decomp.family_to_dict(decomp.SubspaceFamily(
         fam.points, fam.edges, fam.psi, tuple(transitions)))
+
+
+def shifted_transition(fam, K):
+    """A family dict with its first transition multiplied by z^K."""
+    first = fam["transitions"][0]
+    mcoeffs = {str(int(k) + K): c for k, c in first["mcoeffs"].items()}
+    return {**fam, "transitions": [{**first, "mcoeffs": mcoeffs},
+                                   *fam["transitions"][1:]]}
 
 
 class TestProject:
@@ -233,6 +242,14 @@ class TestSubspaceLoop:
         code, rep = run_cli(capsys, ["subspace-loop", src, "--no-meta"])
         assert code == 0
         assert rep["det_winding"] == 1
+
+    def test_frequency_beyond_int64_exit4(self, capsys, tmp_path):
+        frame = {"n": 1, "columns": [
+            {"n": 1, "coeffs": {str(10 ** 30): [[1.0, 0.0]]}}]}
+        src = write_json(tmp_path / "frame.json", frame)
+        assert cli.main(["subspace-loop", src, "--no-meta"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "certificate grid" in captured.err
 
     def test_symmetric_window_exit3(self, capsys, tmp_path):
         g = fourier.TruncatedLoop(
@@ -786,6 +803,26 @@ class TestAudit:
         assert red["variation"] > 0.1
         assert "failed" in red
 
+    @pytest.mark.parametrize("K", [256, 1024])
+    def test_transition_at_a_grid_multiple_exit5(self, capsys, tmp_path, K):
+        # z^K c_0 winds 2K times more than c_0; with K a multiple of 256
+        # it must not fold onto the mean of a 256-point grid
+        fam = decomp.family_to_dict(self.make_model_family()[0])
+        src = write_json(tmp_path / "fam.json", shifted_transition(fam, K))
+        code, rep = run_cli(capsys, ["audit", src, "--no-meta"])
+        assert code == 5 and not rep["all_ok"]
+        assert rep["reduction"]["winding_sum"] == 2 * K
+        assert rep["reduction"]["variation"] == pytest.approx(
+            math.sqrt(2.0), abs=1e-9)
+
+    def test_transition_beyond_int64_exit4(self, capsys, tmp_path):
+        fam = decomp.family_to_dict(self.make_model_family()[0])
+        src = write_json(tmp_path / "fam.json",
+                         shifted_transition(fam, 10 ** 30))
+        assert cli.main(["audit", src, "--no-meta"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "certificate grid" in captured.err
+
     def test_axiom_failure_exit5(self, capsys, tmp_path):
         g = fourier.TruncatedLoop(
             1, {1: [1 / math.sqrt(2)], -1: [1 / math.sqrt(2)]})
@@ -1084,6 +1121,14 @@ class TestDump:
         assert cli._dump(report) == text
         cli.main(argv + ["--no-meta"])
         assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("newline", ["\n", "\n  ", "\n      "])
+    def test_array_layout_matches_json(self, newline):
+        for depth in range(1, 5):
+            for shape in itertools.product((1, 2, 3), repeat=depth):
+                text = json.dumps(np.zeros(shape).tolist(), indent=2)
+                want = tuple(text.replace("\n", newline).split("0.0"))
+                assert cli._array_layout(newline, shape) == want
 
     @pytest.mark.parametrize("report", [
         {"a": [[1.0, math.inf], [2.0, 3.0]]},

@@ -158,6 +158,12 @@ class TestEvaluation:
         np.testing.assert_allclose(evaluate_grid(a, N), evaluate(a, th),
                                    atol=1e-12)
 
+    def test_grid_folds_a_frequency_beyond_int64(self):
+        # 10**30 = 2**30 5**30 lands in bin 0 of an 8-point grid
+        a = TruncatedLoop(1, {10 ** 30: [1.0], 10 ** 30 + 3: [2.0j]})
+        want = evaluate_grid(TruncatedLoop(1, {0: [1.0], 3: [2.0j]}), 8)
+        assert np.array_equal(evaluate_grid(a, 8), want)
+
     def test_dft_roundtrip_256(self):
         rng = np.random.default_rng(7)
         a = random_loop_vec(rng, 2, band=10, modes=6)

@@ -472,11 +472,13 @@ class TestFroNorms:
     """loopgroup._fro_norms, the stacked norm of the unitarity, anti-
     Hermiticity and raw-drift checks."""
 
-    # every block up to 4 x 4, then 64 entries (eight running sums over
-    # eight blocks) and 169 (two halves summed apart)
+    # every block up to 4 x 4, which includes 2 x 4 and 4 x 2, and 1 x 7
+    # and 7 x 1: both sides of the 8-entry split between the sum over the
+    # entry axis and np.linalg.norm; then 64 and 169 entries, where NumPy
+    # sums pairwise
     @pytest.mark.parametrize("n, m", [*itertools.product(range(1, 5),
                                                          repeat=2),
-                                      (8, 8), (13, 13)])
+                                      (1, 7), (7, 1), (8, 8), (13, 13)])
     def test_bit_exact_against_linalg_norm(self, n, m):
         rng = np.random.default_rng(10 * n + m)
         # magnitudes from 1e-200 to 1e200: squares underflow, are
@@ -503,6 +505,24 @@ class TestCertificateGrid:
         g = LoopGroupElement(1, {0: [[1.0]], 256: [[0.5]], -256: [[-0.5]]})
         assert unitarity_defect(g)[0] == pytest.approx(1.0, abs=1e-12)
         assert theta_variation(g)[0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("K", [255, 256, 257, 1024])
+    def test_variation_sees_a_frequency_above_the_band_width(self, K):
+        # z^K U folds onto the mean of any grid that K is a multiple of;
+        # its true deviation from its mean A_0 = 0 is ||U|| = sqrt(2)
+        U = haar_unitary(2, np.random.default_rng(K))
+        var, mean = theta_variation(LoopGroupElement(2, {K: U}))
+        assert var == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert np.abs(mean).max() < 1e-12
+
+    def test_frequency_beyond_the_largest_grid_raises(self):
+        top = loopgroup.WINDING_MAX_GRID
+        U = haar_unitary(2, np.random.default_rng(0))
+        assert theta_variation(LoopGroupElement(2, {top - 1: U}))[0] == \
+            pytest.approx(np.sqrt(2.0), abs=1e-12)
+        for k in (top, -top, 10 ** 30):
+            with pytest.raises(PhaseStepTooLarge, match="certificate grid"):
+                theta_variation(LoopGroupElement(2, {k: U}))
 
 
 class TestLoopFromSubspace:

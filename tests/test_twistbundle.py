@@ -68,7 +68,6 @@ class TestEmbedding:
         assert sec.N == N and sec.n == 2
         assert np.allclose(sec.samples[17], su2_frame.Ts[17] @ v)
         assert sec.seam_residual() < 1e-12
-        assert sec.twist.kind == "holonomy"
 
     def test_roundtrip_constant(self, su2_frame, u1_frame):
         flat_frame = parallel_transport(flat(n=2), BaseLoop.circle(1.0), N=N)
@@ -125,15 +124,15 @@ class TestValidation:
     def test_twist_must_be_unitary(self):
         vals = np.stack([np.eye(2) * 2.0] * 8)
         with pytest.raises(ValueError, match="unitary"):
-            GaugeTwist(2, 8, "custom", vals)
+            GaugeTwist(2, 8, vals)
 
     def test_twist_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
-            GaugeTwist(2, 8, "custom", np.stack([np.eye(3)] * 8))
+            GaugeTwist(2, 8, np.stack([np.eye(3)] * 8))
 
     def test_nan_twist_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
-            GaugeTwist(1, 4, "x", np.full((4, 1, 1), np.nan))
+            GaugeTwist(1, 4, np.full((4, 1, 1), np.nan))
 
     @pytest.mark.parametrize("row", [0, 1, -1])
     def test_nan_samples_rejected(self, row):
@@ -277,7 +276,7 @@ class TestRotation:
             assert np.array_equal(rolled.values,
                                   np.roll(twist.values, -steps, 0))
             assert not rolled.values.flags.writeable
-            assert (rolled.n, rolled.N, rolled.kind) == (2, N, "holonomy")
+            assert (rolled.n, rolled.N) == (2, N)
         assert rotate(sec, 5).twist.values.shape == (N, 2, 2)
 
     def test_step_bound(self, su2_frame):
