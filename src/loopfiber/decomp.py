@@ -26,7 +26,7 @@ from .errors import (
     NonConstantReducedTransition,
     UnitarityViolation,
 )
-from .fourier import _integer, _to_pairs, basis_loop, shift
+from .fourier import _integer, _to_pairs, basis_loop
 from .loopgroup import (
     _polar,
     constant_element,
@@ -174,7 +174,7 @@ def _audit_point(x, f):
     n = f.n
     # one QR per point: the depth-P window is the depth-(P+1) frame's head
     frame_p1 = expand_filtration(f, f.depth + 1)
-    frame_p = _leading_frame(frame_p1, len(f.generators) * (f.depth + 1))
+    frame_p = _leading_frame(frame_p1, f.stack.data.shape[2] * (f.depth + 1))
     residual = _shift_residual(frame_p, frame_p1)
     growth = frame_p1.dim - frame_p.dim
 
@@ -211,10 +211,9 @@ def _audit_point(x, f):
 
 def _window_key(f):
     """A key equal for two windows exactly when they have the same depth
-    and bit-identical generators.  Bytes, not ==, so that -0.0 and +0.0
-    stay apart."""
-    return f.depth, tuple((g.n, g.kmin, g.data.tobytes())
-                          for g in f.generators)
+    and bit-identical generator stacks.  Bytes, not ==, so that -0.0 and
+    +0.0 stay apart."""
+    return f.depth, f.stack.kmin, f.stack.data.shape, f.stack.data.tobytes()
 
 
 def _first_points(fam):
@@ -242,7 +241,7 @@ def audit_family(fam):
         audited[x0][0] if x0 == x else replace(audited[x0][0], point=x)
         for x, x0 in enumerate(first))
     gammas = tuple(audited[x0][1] for x0 in first)
-    spans = {x0: orthonormalize(fam.psi[x0].generators) for x0 in audited}
+    spans = {x0: orthonormalize(fam.psi[x0].stack) for x0 in audited}
     edges = [(first[i], first[j]) for i, j in fam.edges]
     angles = {(i, j): float(principal_angles(spans[i], spans[j]).min())
               for i, j in dict.fromkeys(edges)}
@@ -363,9 +362,8 @@ def filtration(fam, k):
         raise ValueError("k must be a nonnegative integer")
     if k == 0:
         return fam
-    psi = tuple(
-        FiltrationSubspace([shift(g, -k) for g in f.generators], f.depth)
-        for f in fam.psi)
+    psi = tuple(FiltrationSubspace(f.stack._replace(kmin=f.stack.kmin - k),
+                                   f.depth) for f in fam.psi)
     return SubspaceFamily(fam.points, fam.edges, psi, fam.transitions)
 
 

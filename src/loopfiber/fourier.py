@@ -129,9 +129,12 @@ class _BandedLoop:
 
     def evaluate(self, theta):
         """Values sum_k c_k e^{ik theta} at scalar or array theta, shape
-        theta.shape + block."""
+        theta.shape + block; ValueError for a band past |k| = 2**53."""
+        kmin, kmax = self.band
+        if max(-kmin, kmax) > 2 ** 53:
+            raise ValueError(f"band [{kmin}, {kmax}] reaches past |k| = 2**53")
         th = np.asarray(theta, dtype=float)
-        ks = self.kmin + np.arange(len(self.data))
+        ks = np.arange(kmin, kmin + len(self.data))
         return np.tensordot(np.exp(1j * th[..., None] * ks), self.data, axes=1)
 
     def grid_samples(self, N):
@@ -385,7 +388,7 @@ def _bands_from_pairs(dicts, n, block_ndim):
     frequency where one is at fault, unless every leaf is a JSON number in
     a block of the right shape, or when the hull is wider than
     MAX_BAND_WIDTH.  NaN and inf are left to the constructor that takes
-    the band (_BandedLoop._set_band, SubspaceFrame._set_stack) to refuse.
+    the band (_BandedLoop._set_band, subspaces._frozen) to refuse.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")

@@ -15,9 +15,10 @@ and pointwise unitarity of the result certifies the construction.
 import numpy as np
 
 from .errors import IntersectionDimension, PhaseStepTooLarge, UnitarityViolation
-from .fourier import (TruncatedLoop, _BandedLoop, _bands_from_pairs,
-                      _blocks_to_pairs, _convolve, _integer, shift)
-from .subspaces import intersect_shift_complement, orthonormalize
+from .fourier import (BandStack, TruncatedLoop, _BandedLoop, _bands_from_pairs,
+                      _blocks_to_pairs, _convolve, _integer)
+from .subspaces import (_shifted_stack, intersect_shift_complement,
+                        orthonormalize)
 
 __all__ = [
     "LoopGroupElement",
@@ -423,8 +424,8 @@ def _canonical_basis_rotation(kmin, blocks):
 def window_frame(g, depth):
     """Orthonormal frame of the window g . span{z^p e_j : 0 <= p <= depth},
     the subspace `loop_from_subspace` rebuilds g from."""
-    return orthonormalize([shift(g.column(j), p)
-                           for p in range(depth + 1) for j in range(g.n)])
+    return orthonormalize(_shifted_stack(BandStack(g.n, g.kmin, g.data),
+                                         depth))
 
 
 def loop_from_subspace(W, tol=UNITARITY_TOL):

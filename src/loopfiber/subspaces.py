@@ -1,19 +1,17 @@
 """Finite-dimensional subspaces of truncated loop space.
 
-A frame stores its orthonormal columns once, as one fourier.BandStack over
-a band that holds them all, and this is the only module that lays a frame
-out: padding is an isometry for the Parseval pairing, so Gram matrices, QR
-and rank decisions are dense linear algebra on the stacked coefficients.
+A frame stores its orthonormal columns, and a filtration window its
+generators, once, as one fourier.BandStack; no other module lays frames
+or windows out.  Padding is an isometry for the Parseval pairing, so Gram
+matrices, QR and rank decisions are dense linear algebra on the stacks.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RankDeficiency
 from .fourier import (BandStack, TruncatedLoop, _bands_from_pairs,
                       _check_band, _integer, inner_product, loop_to_dict,
-                      shift, stack_columns, union_band)
+                      stack_columns, union_band)  # noqa: F401 (re-exported)
 
 __all__ = [
     "SubspaceFrame",
@@ -37,44 +35,56 @@ FILTRATION_SV_TOL = 1e-8  # smallest admissible Gram singular value
 FILTRATION_MAX_ENTRIES = 2 ** 24
 
 
+def _as_stack(loops, what):
+    """A BandStack as it is; a nonempty list of loops of one n stacked over
+    the hull of their bands.  ValueError naming `what` otherwise."""
+    if isinstance(loops, BandStack):
+        return loops
+    if not loops:
+        raise ValueError(f"need at least one {what}")
+    if any(a.n != loops[0].n for a in loops):
+        raise ValueError(f"{what} dimension mismatch")
+    return stack_columns(loops)
+
+
+def _frozen(stack):
+    """`stack` with its data made read-only; ValueError unless finite."""
+    if not np.isfinite(stack.data).all():
+        raise ValueError("coefficients must be finite (NaN or inf found)")
+    stack.data.setflags(write=False)
+    return stack
+
+
+def _loops(stack):
+    """The columns of a BandStack as loops."""
+    return tuple(TruncatedLoop.from_band(stack.n, stack.kmin, c)
+                 for c in np.moveaxis(stack.data, 2, 0))
+
+
 def cross_gram(A, B):
     """Matrix of pairings G[i, j] = <A[i], B[j]> (conjugate-linear in A) of
     two lists of loops or two BandStacks."""
-    return inner_product(*(S if isinstance(S, BandStack) else stack_columns(S)
-                           for S in (A, B)))
+    return inner_product(_as_stack(A, "loop"), _as_stack(B, "loop"))
 
 
 class SubspaceFrame:
     """An orthonormal frame spanning a subspace of truncated loop space.
 
-    `stack` is the read-only BandStack of the columns; `columns` builds
-    the column loops on access.  Invariant: the Gram matrix of the columns
-    is the identity to GRAM_TOL.
+    Built from a list of loops in C^n or their BandStack, kept read-only
+    as `stack`; `columns` builds the loops on access.  Invariant: the Gram
+    matrix of the columns is the identity to GRAM_TOL.
     """
 
     def __init__(self, n, columns):
-        if not columns:
-            raise ValueError("frame needs at least one column")
-        if any(c.n != n for c in columns):
+        stack = _frozen(_as_stack(columns, "column"))
+        if stack.n != n:
             raise ValueError("column dimension mismatch")
-        self._set_stack(stack_columns(columns))
-
-    @classmethod
-    def _from_stack(cls, stack):
-        frame = cls.__new__(cls)
-        frame._set_stack(stack)
-        return frame
-
-    def _set_stack(self, stack):
-        if not np.isfinite(stack.data).all():
-            raise ValueError("coefficients must be finite (NaN or inf found)")
-        stack.data.setflags(write=False)
         G = cross_gram(stack, stack)
         defect = np.abs(G - np.eye(len(G))).max()
         if not (defect <= GRAM_TOL):
             raise ValueError(
                 f"frame is not orthonormal (Gram defect {defect:.3e})")
-        self.n, self.stack = stack.n, stack
+        self.n, self.stack = n, stack
 
     @property
     def dim(self):
@@ -82,51 +92,56 @@ class SubspaceFrame:
 
     @property
     def columns(self):
-        return tuple(TruncatedLoop.from_band(self.n, self.stack.kmin, c)
-                     for c in np.moveaxis(self.stack.data, 2, 0))
+        return _loops(self.stack)
 
 
-@dataclass(frozen=True, eq=False)
 class FiltrationSubspace:
-    """Generators g_1..g_n together with a shift depth P.
+    """Generators g_1..g_m together with a shift depth P.
 
-    Stands for span{ z^p g_j : 0 <= p <= P, 1 <= j <= n }, the finite
+    Stands for span{ z^p g_j : 0 <= p <= P, 1 <= j <= m }, the finite
     shift-filtration window used to approximate a z-stable subspace.
-    The full-rank condition on the shifted family is enforced lazily by
+    Stored as a frame is (`stack`; `generators` builds the loops).  The
+    full-rank condition on the shifted family is enforced lazily by
     expand_filtration, which is where a depth is actually consumed.
     """
 
-    generators: list
-    depth: int
-
-    def __post_init__(self):
-        if not self.generators:
-            raise ValueError("need at least one generator")
-        n = self.generators[0].n
-        if any(g.n != n for g in self.generators):
-            raise ValueError("generator dimension mismatch")
-        if any(g.is_zero for g in self.generators):
+    def __init__(self, generators, depth):
+        stack = _frozen(_as_stack(generators, "generator"))
+        if not stack.data.any(axis=(0, 1)).all():
             raise ValueError("zero generator")
-        if self.depth < 0:
+        if depth < 0:
             raise ValueError("depth must be >= 0")
+        self.stack, self.depth = stack, depth
 
     @property
     def n(self):
-        return self.generators[0].n
+        return self.stack.n
+
+    @property
+    def generators(self):
+        return _loops(self.stack)
+
+
+def _shifted_stack(stack, depth):
+    """The BandStack of z^p g_j, 0 <= p <= depth, in column p * m + j, for
+    the m columns g_j of `stack`, each shift written into one array."""
+    width, n, m = stack.data.shape
+    data = np.zeros((width + depth, n, m * (depth + 1)), dtype=complex)
+    for p in range(depth + 1):
+        data[p:p + width, :, p * m:(p + 1) * m] = stack.data
+    return stack._replace(data=data)
 
 
 def orthonormalize(vectors):
-    """Orthonormal frame of the span of a list of loops: Householder QR of
-    the (width * n, m) matrix with R's diagonal made real and positive, so
-    column j is vector j's residual against the vectors kept before it,
-    normalized, as in Gram-Schmidt.  The first vector with |R_jj| <=
-    DROP_TOL is dropped and the rest factored again (past it the R_jj
-    measure no residuals); vectors past the row count have no R_jj and are
-    dependent.  ValueError when nothing survives.
+    """Orthonormal frame of the span of a list of loops or of a BandStack's
+    columns: Householder QR of the (width * n, m) matrix with R's diagonal
+    made real and positive, so column j is vector j's residual against the
+    vectors kept before it, normalized, as in Gram-Schmidt.  The first
+    vector with |R_jj| <= DROP_TOL is dropped and the rest factored again
+    (past it the R_jj measure no residuals); vectors past the row count
+    have no R_jj and are dependent.  ValueError when nothing survives.
     """
-    if not vectors:
-        raise ValueError("empty input")
-    stack = stack_columns(vectors)
+    stack = _as_stack(vectors, "vector")
     width, n, m = stack.data.shape
     A, keep = stack.data.reshape(width * n, m), np.arange(m)
     while keep.size:
@@ -134,7 +149,7 @@ def orthonormalize(vectors):
         d = np.diagonal(R)
         small = np.flatnonzero(~(np.abs(d) > DROP_TOL))
         if not small.size:
-            return SubspaceFrame._from_stack(stack._replace(
+            return SubspaceFrame(stack.n, stack._replace(
                 data=(Q * (d / np.abs(d))).reshape(width, n, -1)))
         keep = np.delete(keep, small[0])
     raise ValueError("all input vectors are zero (or dependent to DROP_TOL)")
@@ -152,8 +167,8 @@ def expand_filtration(f, depth=None):
     raises ValueError, and one of more members than rows RankDeficiency.
     """
     P = f.depth if depth is None else depth
-    kmin, kmax = union_band(f.generators)
-    width, n, m = kmax + P - kmin + 1, f.n, len(f.generators) * (P + 1)
+    kmin, (base, n, m_gen) = f.stack.kmin, f.stack.data.shape
+    width, m = base + P, m_gen * (P + 1)
     _check_band(kmin, width)
     if width * n * m > FILTRATION_MAX_ENTRIES:
         raise ValueError(
@@ -163,9 +178,7 @@ def expand_filtration(f, depth=None):
         raise RankDeficiency(
             f"shifted generator family is rank deficient ({m} members in "
             f"{width * n} rows)")
-    stack = stack_columns(
-        [shift(g, p) for p in range(P + 1) for g in f.generators],
-        (kmin, kmax + P))
+    stack = _shifted_stack(f.stack, P)
     Q, R = np.linalg.qr(stack.data.reshape(width * n, m))
     smin = np.linalg.svd(R, compute_uv=False)[-1] ** 2
     if not (smin > FILTRATION_SV_TOL):
@@ -173,7 +186,7 @@ def expand_filtration(f, depth=None):
             f"shifted generator family is rank deficient "
             f"(smallest Gram singular value {smin:.3e})")
     d = np.diagonal(R)
-    return SubspaceFrame._from_stack(stack._replace(
+    return SubspaceFrame(stack.n, stack._replace(
         data=(Q * (d / np.abs(d))).reshape(width, n, m)))
 
 
@@ -184,7 +197,7 @@ def _leading_frame(frame, dim):
     of A (Golub & Van Loan 5.2).  Copied: a strided view rounds later
     products differently."""
     stack = frame.stack
-    return SubspaceFrame._from_stack(stack._replace(
+    return SubspaceFrame(stack.n, stack._replace(
         data=np.ascontiguousarray(stack.data[:-1, :, :dim])))
 
 
@@ -206,8 +219,7 @@ def intersect_shift_complement(W):
     if rank == W.dim:
         return None
     null_vecs = Vh[rank:].conj()  # rows x with M x = 0
-    return SubspaceFrame._from_stack(
-        stack._replace(data=stack.data @ null_vecs.T))
+    return SubspaceFrame(W.n, stack._replace(data=stack.data @ null_vecs.T))
 
 
 def principal_angles(A, B):
@@ -256,11 +268,8 @@ def _stack_loop_dicts(loops):
 def frame_from_dict(d):
     """Inverse of frame_to_dict; the columns are read straight into the
     frame's stack."""
-    n = _integer(d["n"], "n")
-    stack = _stack_loop_dicts(d["columns"])
-    if stack.n != n:
-        raise ValueError("column dimension mismatch")
-    return SubspaceFrame._from_stack(stack)
+    return SubspaceFrame(_integer(d["n"], "n"),
+                         _stack_loop_dicts(d["columns"]))
 
 
 def filtration_to_dict(f):
@@ -271,9 +280,7 @@ def filtration_to_dict(f):
 
 
 def filtration_from_dict(d):
-    """Inverse of filtration_to_dict; the generators are read in one pass."""
-    stack = _stack_loop_dicts(d["generators"])
-    return FiltrationSubspace(
-        [TruncatedLoop.from_band(stack.n, stack.kmin, a)
-         for a in np.moveaxis(stack.data, 2, 0)],
-        _integer(d["depth"], "depth"))
+    """Inverse of filtration_to_dict; the generators are read straight into
+    the window's stack."""
+    return FiltrationSubspace(_stack_loop_dicts(d["generators"]),
+                              _integer(d["depth"], "depth"))

@@ -79,13 +79,11 @@ __all__ = [
     "parallel_transport",
     "holonomy",
     "transport_reversed",
-    "holonomy_sweep",
     "refinement_delta",
     "rotated_twist",
     "latitude_loop",
     "latitude_family",
     "chern_sweep",
-    "chern_winding",
     "save_loop_csv",
     "load_loop_csv",
 ]
@@ -540,14 +538,6 @@ def latitude_family():
     return family
 
 
-def holonomy_sweep(conn, family, M, N):
-    """Holonomies of family(s) on the family grid s = j/M, j = 0..M.
-
-    Returns the stack of M + 1 holonomy matrices, each on an N-grid.
-    """
-    return np.array([holonomy(conn, family(j / M), N) for j in range(M + 1)])
-
-
 def chern_sweep(conn, family, N=256, M=64, max_family_grid=4096):
     """Winding number of s -> holonomy(family(s)) for a U(1) connection,
     with the sweep it was read from.
@@ -562,7 +552,8 @@ def chern_sweep(conn, family, N=256, M=64, max_family_grid=4096):
     if conn.n != 1:
         raise ValueError("winding needs a U(1) connection (n = 1)")
     while True:
-        h = holonomy_sweep(conn, family, M, N)[:, 0, 0]
+        h = np.array([holonomy(conn, family(j / M), N)[0, 0]
+                      for j in range(M + 1)])
         winding = _phase_winding(h, "holonomy sample too close to zero")
         if winding is not None:
             return winding, h
@@ -573,7 +564,8 @@ def chern_sweep(conn, family, N=256, M=64, max_family_grid=4096):
 
 
 def chern_winding(conn, family, N=256, M=64, max_family_grid=4096):
-    """The winding number of `chern_sweep`, without the sweep."""
+    """The winding of `chern_sweep`; out of __all__, kept while the
+    benchmark metric `transport.chern_winding.self_s` names it."""
     return chern_sweep(conn, family, N, M, max_family_grid)[0]
 
 

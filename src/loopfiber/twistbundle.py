@@ -17,7 +17,7 @@ module over scalar loops.
 """
 
 import copy
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,15 +113,13 @@ class TwistedSection:
     """Samples sigma(t_i), i = 0..N, with seam sigma_N = tau(0) sigma_0.
 
     `twist` is the GaugeTwist tau on the section's own grid.  The seam is
-    checked on construction (to 1e-7); pass validate=False to build a
-    deliberately broken section.
+    checked on construction (to 1e-7).
     """
 
     samples: np.ndarray
     twist: GaugeTwist
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate):
+    def __post_init__(self):
         arr = np.array(self.samples, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] < 2:
             raise ValueError("samples must have shape (N + 1, n) with N >= 1")
@@ -130,10 +128,9 @@ class TwistedSection:
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         _require_match(self.twist, self)
-        if validate:
-            residual = self.seam_residual()
-            if not (residual <= SEAM_TOL):
-                raise PeriodicityDefect(residual)
+        residual = self.seam_residual()
+        if not (residual <= SEAM_TOL):
+            raise PeriodicityDefect(residual)
 
     @property
     def N(self):
@@ -201,18 +198,18 @@ def module_scale(f, section):
                           section.twist)
 
 
-def phi_inverse(frame, section, check=True):
+def phi_inverse(frame, section):
     """Untwist a section into an ordinary loop: p(t) = T(t)^* sigma(t).
 
     For a section quasi-periodic under the frame's own holonomy twist, p is
     1-periodic; its first N samples determine the coefficient loop on the
     band [-N/2, N/2 - 1].  The periodicity residual ||p_N - p_0|| is
-    enforced (1e-7) unless check=False.
+    enforced (1e-7): a section under another twist is refused.
     """
     _require_match(frame, section)
     p = np.einsum("tji,tj->ti", frame.Ts.conj(), section.samples)
     residual = float(np.linalg.norm(p[-1] - p[0]))
-    if check and not (residual <= SEAM_TOL):
+    if not (residual <= SEAM_TOL):
         raise PeriodicityDefect(residual)
     return from_grid_samples(p[:-1])
 

@@ -9,6 +9,7 @@ import pytest
 from loopfiber import decomp
 from loopfiber.decomp import (
     _audit_point,
+    _window_key,
     audit_family,
     build_model_decomposition,
     family_from_dict,
@@ -18,7 +19,7 @@ from loopfiber.decomp import (
     SubspaceFamily,
 )
 from loopfiber.errors import NonConstantReducedTransition
-from loopfiber.fourier import basis_loop, TruncatedLoop
+from loopfiber.fourier import basis_loop, shift, TruncatedLoop
 from loopfiber.loopgroup import (
     apply,
     constant_element,
@@ -304,6 +305,43 @@ class TestFiltration:
                 cols.extend(expand_filtration(filtration(fam, k).psi[0]).columns)
             merged = orthonormalize(cols)
             assert merged.dim == 7 * n
+
+
+    def test_shift_moves_each_generator(self):
+        g = random_loop(2, band=2, seed=43)
+        fam = SubspaceFamily((0,), (), (FiltrationSubspace(
+            [g.column(j) for j in range(2)], 2),))
+        for k in (1, 3):
+            got = filtration(fam, k).psi[0]
+            assert got.depth == 2
+            for a, b in zip(got.generators, fam.psi[0].generators):
+                want = shift(b, -k)
+                assert a.kmin == want.kmin
+                assert a.data.tobytes() == want.data.tobytes()
+
+
+class TestWindowKey:
+    @staticmethod
+    def window(zero, depth=2, kmin=0):
+        # a generator whose first block holds `zero` beside a nonzero entry
+        return FiltrationSubspace([
+            TruncatedLoop(2, {kmin: [zero, 1.0], kmin + 1: [0.5j, 0.0]}),
+            basis_loop(2, component=1, frequency=kmin - 1)], depth)
+
+    def test_equal_for_a_window_and_its_dict_round_trip(self):
+        g = random_loop(2, band=2, seed=44)
+        for f in (self.window(-0.0),
+                  FiltrationSubspace([g.column(j) for j in range(2)], 3)):
+            back = filtration_from_dict(json.loads(json.dumps(
+                filtration_to_dict(f))))
+            assert _window_key(back) == _window_key(f)
+
+    def test_signed_zero_depth_and_band_tell_windows_apart(self):
+        key = _window_key(self.window(0.0))
+        assert _window_key(self.window(0.0)) == key
+        assert _window_key(self.window(-0.0)) != key
+        assert _window_key(self.window(0.0, depth=3)) != key
+        assert _window_key(self.window(0.0, kmin=1)) != key
 
 
 class TestFamilyStructure:

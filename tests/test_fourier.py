@@ -164,6 +164,22 @@ class TestEvaluation:
         want = evaluate_grid(TruncatedLoop(1, {0: [1.0], 3: [2.0j]}), 8)
         assert np.array_equal(evaluate_grid(a, 8), want)
 
+    def test_frequency_beyond_float_precision_refused(self):
+        # the message names the band
+        with pytest.raises(ValueError, match=rf"\[{10 ** 30}, {10 ** 30}\]"):
+            TruncatedLoop(1, {10 ** 30: [1.0]}).evaluate(0.3)
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            evaluate(TruncatedLoop(1, {-2 ** 53 - 1: [1.0]}), 0.3)
+
+    @pytest.mark.parametrize("k", [2 ** 53, -2 ** 53])
+    def test_band_reaching_float_precision_evaluates(self, k):
+        a = TruncatedLoop(1, {k: [1.0], k - np.sign(k): [0.5]})
+        th = np.array([0.0, 0.3])
+        want = np.exp(1j * th * float(k)) + 0.5 * np.exp(
+            1j * th * float(k - np.sign(k)))
+        np.testing.assert_allclose(a.evaluate(th), want[:, None], rtol=0,
+                                   atol=1e-15)
+
     def test_dft_roundtrip_256(self):
         rng = np.random.default_rng(7)
         a = random_loop_vec(rng, 2, band=10, modes=6)

@@ -18,9 +18,9 @@ package under test, and stored:
     x2 = -0.2 + 0.7 sin 2 pi t sampled at t = j/37, written with the `repr`
     of each float;
   * the rest by `write_inputs_from_numpy` below: a coefficient loop for
-    `project`, a frame for `subspace-loop`, and two families for `audit`,
-    one with a single window at every point and one whose windows all
-    differ.
+    `project`, a frame and a filtration window of one loop for
+    `subspace-loop`, and two families for `audit`, one with a single
+    window at every point and one whose windows all differ.
 
 A change that alters an answer on purpose rewrites the reports with
 
@@ -144,6 +144,9 @@ def write_inputs_from_numpy():
     files["frame-n2.json"] = {"n": 2, "columns": [
         {"n": 2, "coeffs": pairs(dict(enumerate(Q[..., c])))}
         for c in range(Q.shape[2])]}
+    # the window of the same g as a filtration file: its two columns
+    files["filtration-n2.json"] = {
+        "generators": [column(g, j) for j in range(2)], "depth": depth}
 
     # one window at every point; then windows of V R(t_x) diag(1, z) W
     # diag(1, z) W_x, which differ bit for bit and span nearby subspaces
@@ -204,7 +207,7 @@ CASES = sorted(p.stem for p in GOLDEN.glob("*.json"))
 
 
 def test_golden_directory_is_small():
-    assert len(CASES) == 14
+    assert len(CASES) == 16
     assert sum(p.stat().st_size for p in GOLDEN.rglob("*")
                if p.is_file()) < 100_000
 

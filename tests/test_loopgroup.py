@@ -10,7 +10,7 @@ from loopfiber.loopgroup import _block_major, _entry_major
 from loopfiber.errors import (IntersectionDimension, PhaseStepTooLarge,
                               UnitarityViolation)
 from loopfiber.fourier import (TruncatedLoop, basis_loop, inner_product,
-                               evaluate, loop_allclose)
+                               evaluate, loop_allclose, shift)
 from loopfiber.loopgroup import (LoopGroupElement, apply, constant_element,
                                  det_winding, diag_zpowers, element_from_dict,
                                  element_to_dict, identity_element, inverse,
@@ -589,6 +589,18 @@ class TestLoopFromSubspace:
         assert got.dim == want.dim == n * (depth + 1)
         for a, b in zip(got.columns, want.columns):
             assert a.kmin == b.kmin and np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_window_frame_is_the_shifted_columns(self, n):
+        # the columns of g placed at each shift are g.column(j) shifted
+        g = random_loop(n, 2, seed=40 + n)
+        for depth in (0, 1, 4):
+            want = orthonormalize([shift(g.column(j), p)
+                                   for p in range(depth + 1)
+                                   for j in range(n)])
+            got = window_frame(g, depth)
+            assert got.stack.kmin == want.stack.kmin
+            assert np.array_equal(got.stack.data, want.stack.data)
 
     def test_winding_detected_through_subspace(self):
         g = diag_zpowers([1, 0])

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from loopfiber import subspaces
 from loopfiber.errors import RankDeficiency
-from loopfiber.fourier import (MAX_BAND_WIDTH, TruncatedLoop, basis_loop,
-                               inner_product, loop_allclose, loop_from_dict,
-                               norm, shift, stack_columns)
+from loopfiber.fourier import (MAX_BAND_WIDTH, BandStack, TruncatedLoop,
+                               basis_loop, inner_product, loop_allclose,
+                               loop_from_dict, norm, shift, stack_columns,
+                               union_band)
 from loopfiber.loopgroup import apply, random_loop
 from loopfiber.subspaces import (FiltrationSubspace, SubspaceFrame,
-                                 _leading_frame, cross_gram, expand_filtration,
+                                 _leading_frame, _shifted_stack, cross_gram,
+                                 expand_filtration,
                                  filtration_from_dict, filtration_to_dict,
                                  frame_from_dict, frame_to_dict,
                                  intersect_shift_complement, orthonormalize,
@@ -205,7 +207,7 @@ class TestExpandFiltration:
         # depth 3000 on two generators in C^2: 6002 members of 6002
         # entries, about 0.6 GB once stacked
         monkeypatch.setattr(np.linalg, "qr", refuse_call)
-        monkeypatch.setattr(subspaces, "stack_columns", refuse_call)
+        monkeypatch.setattr(subspaces, "_shifted_stack", refuse_call)
         with pytest.raises(ValueError, match="more than 16777216"):
             expand_filtration(plus_filtration(2, 3000))
 
@@ -268,6 +270,90 @@ class TestLeadingFrame:
                 assert head.stack.data.shape == want.stack.data.shape
                 np.testing.assert_allclose(head.stack.data, want.stack.data,
                                            rtol=0, atol=1e-14)
+
+
+def signed_zero_window(rng, n, count, depth):
+    """A window of `count` generators in C^n, each over its own random band
+    of one to four frequencies (three or four for the first), the first
+    holding a -0.0 inside its band, where no trim reaches it."""
+    gens = []
+    for i in range(count):
+        lo, width = int(rng.integers(-3, 3)), int(rng.integers(1, 5))
+        width = max(width, 3) if i == 0 else width
+        gens.append({k: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                     for k in range(lo, lo + width)})
+    gens[0][min(gens[0]) + 1][0] = complex(-0.0, -0.0)
+    return FiltrationSubspace([TruncatedLoop(n, g) for g in gens], depth)
+
+
+def reference_shifted_stack(f, depth):
+    """The shifted family as loops: z^p g_j by `shift`, stacked over the
+    hull of the generators' bands widened by the depth."""
+    kmin, kmax = union_band(f.generators)
+    return stack_columns([shift(g, p) for p in range(depth + 1)
+                          for g in f.generators], (kmin, kmax + depth))
+
+
+def reference_frame(stack):
+    """The frame of a full-rank stack: numpy's Q with R's diagonal made
+    real and positive."""
+    width, n, m = stack.data.shape
+    Q, R = np.linalg.qr(stack.data.reshape(width * n, m))
+    d = np.diagonal(R)
+    return (Q * (d / np.abs(d))).reshape(width, n, m)
+
+
+class TestWindowStack:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shifted_family_is_the_shifted_loops(self, n):
+        rng = np.random.default_rng(70 + n)
+        for depth in range(5):
+            f = signed_zero_window(rng, n, int(rng.integers(1, n + 1)),
+                                   depth)
+            re = f.stack.data.real
+            assert ((re == 0) & np.signbit(re)).any()  # the -0.0 is kept
+            want = reference_shifted_stack(f, depth)
+            got = _shifted_stack(f.stack, depth)
+            assert (got.n, got.kmin) == (want.n, want.kmin)
+            assert got.data.shape == want.data.shape
+            assert got.data.tobytes() == want.data.tobytes()
+            frame = expand_filtration(f)
+            assert frame.stack.kmin == want.kmin
+            assert np.array_equal(frame.stack.data, reference_frame(want))
+
+    def test_window_stores_its_stack_and_depth(self):
+        f = signed_zero_window(np.random.default_rng(80), 2, 2, 3)
+        assert set(vars(f)) == {"stack", "depth"}
+        assert f.n == 2 and f.depth == 3
+        with pytest.raises(ValueError):
+            f.stack.data[0, 0, 0] = 1.0
+        back = stack_columns(f.generators)
+        assert back.kmin == f.stack.kmin
+        assert back.data.tobytes() == f.stack.data.tobytes()
+
+    def test_window_refusals(self):
+        e1 = basis_loop(2)
+        with pytest.raises(ValueError, match="need at least one generator"):
+            FiltrationSubspace([], 1)
+        with pytest.raises(ValueError, match="generator dimension mismatch"):
+            FiltrationSubspace([e1, basis_loop(1)], 1)
+        with pytest.raises(ValueError, match="zero generator"):
+            FiltrationSubspace([e1, TruncatedLoop(2, {})], 1)
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            FiltrationSubspace([e1], -1)
+        data = np.zeros((2, 2, 1), dtype=complex)
+        data[0, 0, 0], data[1, 1, 0] = 1.0, np.nan
+        with pytest.raises(ValueError, match="finite"):
+            FiltrationSubspace(BandStack(2, 0, data), 1)
+        with pytest.raises(ValueError, match="finite"):
+            filtration_from_dict({"generators": [
+                {"n": 1, "coeffs": {"0": [[1.0, 0.0]],
+                                    "1": [[float("nan"), 0.0]]}}],
+                "depth": 1})
+        with pytest.raises(ValueError, match="zero generator"):
+            filtration_from_dict({"generators": [
+                {"n": 1, "coeffs": {"0": [[1.0, 0.0]]}},
+                {"n": 1, "coeffs": {"3": [[0.0, -0.0]]}}], "depth": 1})
 
 
 class TestIntersectShiftComplement:

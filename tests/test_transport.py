@@ -25,7 +25,7 @@ from loopfiber.transport import (
     _transport_chain,
     _tree_product,
     abelian2d,
-    chern_winding,
+    chern_sweep,
     flat,
     holonomy,
     latitude_family,
@@ -201,7 +201,7 @@ class TestMonopole:
 
     @pytest.mark.parametrize("q", [1, 2, -1])
     def test_family_winding_equals_charge(self, q):
-        assert chern_winding(monopole(q), latitude_family()) == q
+        assert chern_sweep(monopole(q), latitude_family())[0] == q
 
     def test_flat_family_winding_zero(self):
         fam = latitude_family()
@@ -211,11 +211,11 @@ class TestMonopole:
 
         conn = ConnectionSpec(1, 3, lambda x, v: np.zeros(x.shape[:-1] + (1, 1)),
                               name="flat3")
-        assert chern_winding(conn, flat3_family, N=32, M=16) == 0
+        assert chern_sweep(conn, flat3_family, N=32, M=16)[0] == 0
 
     def test_winding_rejects_matrix_connection(self):
         with pytest.raises(ValueError, match="n = 1"):
-            chern_winding(su2sample(), latitude_family())
+            chern_sweep(su2sample(), latitude_family())[0]
 
     def test_unresolvable_family_raises(self):
         # discontinuous family: a 0.9 pi phase jump survives every
@@ -226,7 +226,7 @@ class TestMonopole:
             return BaseLoop.circle(0.5 if s < 0.5 else 1.0)
 
         with pytest.raises(PhaseStepTooLarge):
-            chern_winding(conn, family, N=64, M=8, max_family_grid=64)
+            chern_sweep(conn, family, N=64, M=8, max_family_grid=64)[0]
 
 
 class TestSu2:
