@@ -384,7 +384,7 @@ def cmd_subspace_loop(args):
 
     payload = {"input": args.input, "n": frame.n, "subspace_dim": frame.dim}
     try:
-        g, defect = loopgroup._certified_loop(frame, args.unitarity_tol)
+        g = loopgroup.loop_from_subspace(frame, args.unitarity_tol)
     except (IntersectionDimension, UnitarityViolation) as exc:
         payload.update({
             "status": "failed",
@@ -396,7 +396,7 @@ def cmd_subspace_loop(args):
         "status": "ok",
         "diagnostic": None,
         "element": loopgroup.element_to_dict(g),
-        "unitarity_defect": defect,
+        "unitarity_defect": loopgroup.unitarity_defect(g)[0],
         "det_winding": loopgroup.det_winding(g),
     })
     return _report(args, "subspace-loop", payload), EXIT_OK

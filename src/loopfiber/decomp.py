@@ -28,7 +28,10 @@ from .errors import (
 )
 from .fourier import _integer, _to_pairs, basis_loop
 from .loopgroup import (
+    UNITARITY_TOL,
+    _entry_major,
     _polar,
+    _stack_defect,
     constant_element,
     det_winding,
     element_from_dict,
@@ -59,7 +62,6 @@ __all__ = [
 SHIFT_RESIDUAL_TOL = 1e-8
 CONTINUITY_COS = 0.9
 VARIATION_TOL = 1e-6
-COCYCLE_UNITARY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,10 +182,7 @@ def _audit_point(x, f):
 
     # loop_from_subspace raises IntersectionDimension unless the
     # intersection has dimension n
-    inter_dim = n
-    defect = None
-    failure = ""
-    gamma = None
+    inter_dim, defect, failure, gamma = n, None, "", None
     try:
         gamma = loop_from_subspace(frame_p)
     except IntersectionDimension as exc:
@@ -193,7 +192,7 @@ def _audit_point(x, f):
         failure = str(exc)
         defect = exc.defect
     else:
-        defect = unitarity_defect(gamma)[0]
+        defect = unitarity_defect(gamma)[0]  # the certificate gamma keeps
     return PointAudit(
         point=x,
         shift_residual=residual,
@@ -289,7 +288,9 @@ def reduction_cocycle(fam, variation_tol=VARIATION_TOL, audit=None):
     the loop parameter; the constants form the reduced cocycle.  A
     variation above `variation_tol` raises NonConstantReducedTransition
     carrying the total determinant winding of the input transitions, the
-    integer obstruction that forbids any such reduction.
+    integer obstruction that forbids any such reduction.  A mean with a
+    unitarity defect above 2 var + var^2 + UNITARITY_TOL, more than a
+    unitary loop within var of it allows, raises ValueError (not in LU(n)).
 
     `audit`, the audit_family report of this same family, lends the loops
     it certified; the others are rebuilt, once per distinct window under
@@ -322,6 +323,10 @@ def reduction_cocycle(fam, variation_tol=VARIATION_TOL, audit=None):
         if not (var <= variation_tol):
             total = sum(det_winding(t) for t in fam.transitions)
             raise NonConstantReducedTransition((i, j), var, winding_sum=total)
+        defect = _stack_defect(mean[:, :, None])[0]
+        if not (defect <= 2.0 * var + var * var + UNITARITY_TOL):
+            raise ValueError(f"transition {e_idx} on edge {(i, j)} is not "
+                             f"unitary: reduced mean defect {defect:.3e}")
         constants.append(_polar(mean))
         variations.append(float(var))
     return ReductionCertificate(fam.edges, tuple(constants),
@@ -339,12 +344,10 @@ def build_model_decomposition(U_cocycle, depth=3):
     if not mats:
         raise ValueError("inconsistent cocycle: no transitions given")
     n = mats[0].shape[0]
-    for U in mats:
-        if U.shape != (n, n):
-            raise ValueError("inconsistent cocycle: mixed matrix shapes")
-        if not (np.linalg.norm(U.conj().T @ U - np.eye(n))
-                <= COCYCLE_UNITARY_TOL):
-            raise ValueError("inconsistent cocycle: transition not unitary")
+    if any(U.shape != (n, n) for U in mats):
+        raise ValueError("inconsistent cocycle: mixed matrix shapes")
+    if not (_stack_defect(_entry_major(np.array(mats)))[0] <= UNITARITY_TOL):
+        raise ValueError("inconsistent cocycle: transition not unitary")
     m = len(mats)
     gens = [basis_loop(n, component=j, frequency=0) for j in range(n)]
     window = FiltrationSubspace(gens, depth)

@@ -55,7 +55,7 @@ class PhaseStepTooLarge(LoopFiberError):
     Raised when successive grid refinement still leaves a phase step of
     pi/2 or more between samples, when a determinant passes too close to
     zero for its phase to mean anything, or when a loop's frequencies need
-    a certificate grid beyond loopgroup.WINDING_MAX_GRID.
+    a first grid beyond loopgroup.WINDING_MAX_GRID.
     """
 
 

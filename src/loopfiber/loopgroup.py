@@ -9,16 +9,20 @@ truncate; unitarity defects only ever come from the inputs.
 The central constructor is loop_from_subspace, which rebuilds the loop
 gamma from the subspace W = gamma . (truncated nonnegative-frequency
 space): the columns of gamma are an orthonormal basis of W cap (zW)^perp,
-and pointwise unitarity of the result certifies the construction.
+and pointwise unitarity of the result certifies the construction; each
+loop computes that certificate once.  Every check starts on the grid of
+one rule, `_first_grid`, and every winding refines in `_phase_winding`.
 """
+
+from functools import cached_property
 
 import numpy as np
 
 from .errors import IntersectionDimension, PhaseStepTooLarge, UnitarityViolation
 from .fourier import (BandStack, TruncatedLoop, _BandedLoop, _bands_from_pairs,
                       _blocks_to_pairs, _convolve, _integer)
-from .subspaces import (_shifted_stack, intersect_shift_complement,
-                        orthonormalize)
+from .subspaces import (FiltrationSubspace, expand_filtration,
+                        intersect_shift_complement)
 
 __all__ = [
     "LoopGroupElement",
@@ -38,9 +42,9 @@ __all__ = [
     "element_from_dict",
 ]
 
-UNITARITY_TOL = 1e-8
-WINDING_START_GRID = 256     # det_winding's first grid
-WINDING_MAX_GRID = 2 ** 16   # det_winding's largest grid
+UNITARITY_TOL = 1e-8         # every unitarity check of the package
+WINDING_START_GRID = 256     # least first grid of a certificate or winding
+WINDING_MAX_GRID = 2 ** 16   # largest grid of a certificate or winding
 CANONICAL_SV_TOL = 1e-8      # least singular value of an invertible block
 RANDOM_LOOP_SCALE = 0.8      # random_loop's generator amplitude
 RANDOM_LOOP_GRID = 512       # random_loop's exponentiation grid
@@ -59,6 +63,13 @@ class LoopGroupElement(_BandedLoop):
 
     _block_ndim = 2
     mcoeffs = property(_BandedLoop._nonzero_blocks)
+
+    @cached_property
+    def _certificate(self):
+        """unitarity_defect's (defect, theta), kept: data is read-only."""
+        N, S = _certificate_samples(self)
+        defect, i = _stack_defect(_entry_major(S))
+        return defect, 2.0 * np.pi * i / N
 
     def column(self, j):
         """Column j as a TruncatedLoop (gamma(theta) e_j)."""
@@ -109,18 +120,27 @@ def apply(g, a):
     return TruncatedLoop.from_band(a.n, kmin, out[..., 0])
 
 
-def _certificate_samples(g):
-    """(N, grid values) for N the least power of two >= max(256, 4 (kmax -
-    kmin), max |k| + 1); PhaseStepTooLarge past WINDING_MAX_GRID.  gamma^H
-    gamma - I reaches frequency kmax - kmin, and four samples per period of
-    it keep a defect from hiding between grid points; above every |k|, no
-    nonzero frequency (as of z^256 U) folds onto the grid mean."""
-    kmin, kmax = g.band
-    need = max(256, 4 * (kmax - kmin), abs(kmin) + 1, abs(kmax) + 1)
-    N = 1 << (need - 1).bit_length()
+def _first_grid(g, need, kind):
+    """The first grid of a check on g's samples: the least power of two >=
+    max(WINDING_START_GRID, need).  PhaseStepTooLarge, naming g's band and
+    the `kind` of grid, past WINDING_MAX_GRID."""
+    N = 1 << (max(WINDING_START_GRID, need) - 1).bit_length()
     if N > WINDING_MAX_GRID:
-        raise PhaseStepTooLarge(f"band [{kmin}, {kmax}] needs a certificate "
-                                f"grid of {N}, beyond {WINDING_MAX_GRID}")
+        kmin, kmax = g.band
+        raise PhaseStepTooLarge(f"band [{kmin}, {kmax}] needs a {kind} grid "
+                                f"of {N}, beyond {WINDING_MAX_GRID}")
+    return N
+
+
+def _certificate_samples(g):
+    """(N, grid values) on the certificate grid, need max(4 (kmax - kmin),
+    max |k| + 1).  gamma^H gamma - I reaches frequency kmax - kmin, and four
+    samples per period of it keep a defect from hiding between grid points;
+    above every |k|, no nonzero frequency (as of z^256 U) folds onto the
+    grid mean."""
+    kmin, kmax = g.band
+    N = _first_grid(g, max(4 * (kmax - kmin), abs(kmin) + 1, abs(kmax) + 1),
+                    "certificate")
     return N, g.grid_samples(N)
 
 
@@ -259,20 +279,25 @@ def _stack_defect(S):
     return float(D[i]), i
 
 
-def _phase_winding(z, near_zero):
-    """Turns of the phase along the closed path z[0], ..., z[-1] ~ z[0].
+def _phase_winding(sample, N, top, near_zero):
+    """(turns of the phase along the closed path z = sample(N), that z).
 
-    Sums the phase steps between neighbours and rounds to whole turns, or
-    returns None when a step is not below pi/2 (the grid is too coarse to
-    tell the winding).  Raises PhaseStepTooLarge(near_zero) when some |z|
-    is below 1e-8 or NaN, where the phase means nothing.
+    N doubles until every step between neighbours z[0], ..., z[-1] ~ z[0]
+    is below pi/2; the steps then sum to the turns, rounded.  Raises
+    PhaseStepTooLarge once N would pass `top`, and (near_zero) when some
+    |z| is below 1e-8 or NaN, where the phase means nothing.
     """
-    if not (np.abs(z).min() >= 1e-8):
-        raise PhaseStepTooLarge(near_zero)
-    steps = np.angle(z[1:] / z[:-1])
-    if np.abs(steps).max() < np.pi / 2:
-        return int(round(steps.sum() / (2.0 * np.pi)))
-    return None
+    while True:
+        z = sample(N)
+        if not (np.abs(z).min() >= 1e-8):
+            raise PhaseStepTooLarge(near_zero)
+        steps = np.angle(z[1:] / z[:-1])
+        if np.abs(steps).max() < np.pi / 2:
+            return int(round(steps.sum() / (2.0 * np.pi))), z
+        N *= 2
+        if N > top:
+            raise PhaseStepTooLarge(
+                f"phase steps still exceed pi/2 at grid {top}")
 
 
 def _det(S):
@@ -299,13 +324,9 @@ def _det(S):
 
 
 def unitarity_defect(g):
-    """Max Frobenius defect ||gamma^H gamma - I|| over a grid sized by the band.
-
-    Returns (defect, theta_at_max).
-    """
-    N, S = _certificate_samples(g)
-    defect, i = _stack_defect(_entry_major(S))
-    return defect, 2.0 * np.pi * i / N
+    """(max Frobenius defect ||gamma^H gamma - I|| on the certificate grid,
+    theta at the max), computed once per loop and kept (`_certificate`)."""
+    return g._certificate
 
 
 def det_winding(g):
@@ -316,31 +337,18 @@ def det_winding(g):
     below 1e-8 (impossible for genuinely unitary values, so it signals a
     corrupt input rather than insufficient resolution).
 
-    The start grid is sized from the frequency band: a near-unitary
-    determinant is close to a unimodular monomial c z^w with |w| bounded
-    by n * max|k|, so sampling 8x faster than that rules out phase
-    aliasing that the step criterion alone cannot detect.  The grid
-    determinants are closed-form cofactor expansions up to n = 3 (`_det`).
+    The first grid needs 8 n max|k|: a near-unitary determinant is close to
+    a unimodular monomial c z^w with |w| bounded by n * max|k|, so sampling
+    8x faster than that rules out phase aliasing that the step criterion
+    alone cannot detect.  The grid determinants are closed-form cofactor
+    expansions up to n = 3 (`_det`).
     """
     kmin, kmax = g.band
-    speed = g.n * max(abs(kmin), abs(kmax), 1)
-    N = WINDING_START_GRID
-    while N < 8 * speed:
-        N *= 2
-        if N > WINDING_MAX_GRID:
-            raise PhaseStepTooLarge(f"band implies phase speed ~{speed}, "
-                                    f"beyond grid {WINDING_MAX_GRID}")
-    while True:
-        d = _det(_entry_major(g.grid_samples(N)))
-        winding = _phase_winding(
-            np.append(d, d[:1]),
-            "determinant passes near zero; input is not a unitary loop")
-        if winding is not None:
-            return winding
-        N *= 2
-        if N > WINDING_MAX_GRID:
-            raise PhaseStepTooLarge(
-                f"phase steps still exceed pi/2 at grid {WINDING_MAX_GRID}")
+    N = _first_grid(g, 8 * g.n * max(abs(kmin), abs(kmax), 1), "winding")
+    return _phase_winding(  # np.resize wraps: the N dets, then the first
+        lambda N: np.resize(_det(_entry_major(g.grid_samples(N))), N + 1),
+        N, WINDING_MAX_GRID,
+        "determinant passes near zero; input is not a unitary loop")[0]
 
 
 def theta_variation(g):
@@ -423,9 +431,9 @@ def _canonical_basis_rotation(kmin, blocks):
 
 def window_frame(g, depth):
     """Orthonormal frame of the window g . span{z^p e_j : 0 <= p <= depth},
-    the subspace `loop_from_subspace` rebuilds g from."""
-    return orthonormalize(_shifted_stack(BandStack(g.n, g.kmin, g.data),
-                                         depth))
+    the subspace `loop_from_subspace` rebuilds g from, rank-checked."""
+    return expand_filtration(FiltrationSubspace(
+        BandStack(g.n, g.kmin, g.data), depth))
 
 
 def loop_from_subspace(W, tol=UNITARITY_TOL):
@@ -444,12 +452,6 @@ def loop_from_subspace(W, tol=UNITARITY_TOL):
     it is canonicalized so the lowest-frequency invertible coefficient
     block comes out Hermitian positive definite.
     """
-    return _certified_loop(W, tol)[0]
-
-
-def _certified_loop(W, tol):
-    """(gamma, its unitarity defect) for `loop_from_subspace`, which
-    returns gamma alone; the same refusals."""
     inter = intersect_shift_complement(W)
     d = 0 if inter is None else inter.dim
     if d != W.n:
@@ -460,7 +462,7 @@ def _certified_loop(W, tol):
     defect, theta = unitarity_defect(g)
     if not (defect <= tol):
         raise UnitarityViolation(defect, theta)
-    return g, defect
+    return g
 
 
 def element_to_dict(g):

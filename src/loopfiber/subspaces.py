@@ -11,7 +11,7 @@ import numpy as np
 from .errors import RankDeficiency
 from .fourier import (BandStack, TruncatedLoop, _bands_from_pairs,
                       _check_band, _integer, inner_product, loop_to_dict,
-                      stack_columns, union_band)  # noqa: F401 (re-exported)
+                      stack_columns)
 
 __all__ = [
     "SubspaceFrame",

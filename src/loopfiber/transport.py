@@ -64,7 +64,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonAntiHermitianSample, PhaseStepTooLarge
+from .errors import NonAntiHermitianSample
 from .loopgroup import (_adjoint, _block_major, _entry_major, _fro_norms,
                         _matmul, _phase_winding, _polar, _stack_defect)
 
@@ -90,6 +90,7 @@ __all__ = [
 
 CLOSURE_TOL = 1e-12
 ANTIHERM_TOL = 1e-10
+SWEEP_MAX_GRID = 4096  # chern_sweep's largest family grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -538,35 +539,29 @@ def latitude_family():
     return family
 
 
-def chern_sweep(conn, family, N=256, M=64, max_family_grid=4096):
+def chern_sweep(conn, family, N=256, M=64):
     """Winding number of s -> holonomy(family(s)) for a U(1) connection,
     with the sweep it was read from.
 
     The family grid M doubles until successive phase steps are below
-    pi/2; PhaseStepTooLarge is raised beyond `max_family_grid`.  For a
-    closed family (constant endpoint loops) the sum of steps is a whole
-    number of turns, which is the first Chern number of the bundle the
-    family sweeps out.  Returns (winding, h) with h[j] the holonomy of
-    family(j / (len(h) - 1)).
+    pi/2 (loopgroup._phase_winding); PhaseStepTooLarge is raised beyond
+    SWEEP_MAX_GRID.  For a closed family (constant endpoint loops) the sum
+    of steps is a whole number of turns, which is the first Chern number
+    of the bundle the family sweeps out.  Returns (winding, h) with h[j]
+    the holonomy of family(j / (len(h) - 1)).
     """
     if conn.n != 1:
         raise ValueError("winding needs a U(1) connection (n = 1)")
-    while True:
-        h = np.array([holonomy(conn, family(j / M), N)[0, 0]
-                      for j in range(M + 1)])
-        winding = _phase_winding(h, "holonomy sample too close to zero")
-        if winding is not None:
-            return winding, h
-        M *= 2
-        if M > max_family_grid:
-            raise PhaseStepTooLarge(
-                f"family phase steps still exceed pi/2 at grid {max_family_grid}")
+    return _phase_winding(
+        lambda M: np.array([holonomy(conn, family(j / M), N)[0, 0]
+                            for j in range(M + 1)]),
+        M, SWEEP_MAX_GRID, "holonomy sample too close to zero")
 
 
-def chern_winding(conn, family, N=256, M=64, max_family_grid=4096):
+def chern_winding(conn, family, N=256, M=64):
     """The winding of `chern_sweep`; out of __all__, kept while the
     benchmark metric `transport.chern_winding.self_s` names it."""
-    return chern_sweep(conn, family, N, M, max_family_grid)[0]
+    return chern_sweep(conn, family, N, M)[0]
 
 
 def save_loop_csv(loop, path, M=256):

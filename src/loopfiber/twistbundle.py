@@ -24,8 +24,8 @@ import numpy as np
 from .errors import PeriodicityDefect
 from .fourier import (evaluate_grid, from_grid_samples, project_minus,
                       project_plus)
-from .loopgroup import (_adjoint, _block_major, _entry_major, _matmul,
-                        _stack_defect)
+from .loopgroup import (UNITARITY_TOL, _adjoint, _block_major, _entry_major,
+                        _matmul, _stack_defect)
 
 __all__ = [
     "GaugeTwist",
@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 SEAM_TOL = 1e-7
-TWIST_UNITARY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +65,7 @@ class GaugeTwist:
                 f"twist values must have shape {(self.N, self.n, self.n)}, "
                 f"got {vals.shape}")
         defect = _stack_defect(_entry_major(vals))[0]
-        if not (defect <= TWIST_UNITARY_TOL):
+        if not (defect <= UNITARITY_TOL):
             raise ValueError(f"twist values not unitary: defect {defect:.3e}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

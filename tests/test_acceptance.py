@@ -87,7 +87,7 @@ def test_criterion_2_frequency_splitting_counts():
         assert upper.dim - lower.dim == n
 
         shifted = [fourier.shift(w, 1) for w in lower.columns]
-        band = subspaces.union_band(list(shifted) + list(upper.columns))
+        band = fourier.union_band(list(shifted) + list(upper.columns))
         # one row per loop over the common band, so the Euclidean pairing
         # of rows is the loop inner product
         rows, basis = [fourier.stack_columns(loops, band).data

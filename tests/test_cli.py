@@ -12,6 +12,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,18 +221,21 @@ class TestSubspaceLoop:
         assert np.linalg.norm(const - np.eye(2)) < 1e-8
 
     def test_defect_certified_once(self, capsys, tmp_path, monkeypatch):
-        # the reported defect is the one the certificate computed
+        # one certificate grid is sampled, and the report carries the
+        # defect the loop kept from it
         src = write_json(tmp_path / "filt.json", plus_filtration_dict(2))
-        defects = []
+        sampled = []
+        certificate_samples = loopgroup._certificate_samples
 
         def recorded(g):
-            defects.append(unitarity_defect(g))
-            return defects[-1]
+            sampled.append(g)
+            return certificate_samples(g)
 
-        monkeypatch.setattr(loopgroup, "unitarity_defect", recorded)
+        monkeypatch.setattr(loopgroup, "_certificate_samples", recorded)
         code, rep = run_cli(capsys, ["subspace-loop", src, "--no-meta"])
-        assert code == 0 and len(defects) == 1
-        assert rep["unitarity_defect"] == defects[0][0]
+        assert code == 0 and len(sampled) == 1
+        assert rep["unitarity_defect"] == unitarity_defect(sampled[0])[0]
+        assert len(sampled) == 1  # the loop's kept certificate
 
     def test_shifted_window_winds_once(self, capsys, tmp_path):
         gens = (fourier.basis_loop(1, frequency=1),)
@@ -802,6 +806,24 @@ class TestAudit:
         assert red["winding_sum"] == 1
         assert red["variation"] > 0.1
         assert "failed" in red
+
+    @pytest.mark.parametrize("mcoeffs,defect", [
+        ({}, "1.414e+00"),                                 # ||0 - I||
+        ({"0": [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]}, "4.243e+00"),  # 2 I
+    ])
+    def test_nonunitary_transition_exit2(self, capsys, tmp_path, mcoeffs,
+                                         defect):
+        # the golden constant family with transition 0 replaced: its
+        # reduced mean is 0 or 2 I, not a unitary to take the polar of
+        fam = json.loads((Path(__file__).parent / "golden" / "inputs"
+                          / "family-constant.json").read_text())
+        fam["transitions"][0]["mcoeffs"] = mcoeffs
+        src = write_json(tmp_path / "fam.json", fam)
+        assert cli.main(["audit", src, "--no-meta"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: transition 0 on edge (0, 1) is not "
+                                f"unitary: reduced mean defect {defect}\n")
 
     @pytest.mark.parametrize("K", [256, 1024])
     def test_transition_at_a_grid_multiple_exit5(self, capsys, tmp_path, K):

@@ -2,11 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from loopfiber import decomp
+from loopfiber import decomp, loopgroup
 from loopfiber.decomp import (
     _audit_point,
     _window_key,
@@ -28,6 +29,7 @@ from loopfiber.loopgroup import (
     identity_element,
     multiply,
     random_loop,
+    unitarity_defect,
 )
 from loopfiber.subspaces import (expand_filtration, FiltrationSubspace,
                                  filtration_from_dict, filtration_to_dict,
@@ -46,6 +48,24 @@ def symmetric_window(depth=3):
 
 
 class TestAudit:
+    def test_one_certificate_per_loop(self, monkeypatch):
+        # the audit reports the certificate its one loop kept from
+        # loop_from_subspace, at every point, without sampling again
+        fam = build_model_decomposition([np.eye(2)] * 3)
+        sampled = []
+        certificate_samples = loopgroup._certificate_samples
+
+        def recorded(g):
+            sampled.append(g)
+            return certificate_samples(g)
+
+        monkeypatch.setattr(loopgroup, "_certificate_samples", recorded)
+        report = audit_family(fam)
+        assert len(sampled) == 1 and sampled[0] is report.gammas[0]
+        defect = unitarity_defect(report.gammas[0])[0]
+        assert [p.unitarity_defect for p in report.point_audits] == [defect] * 3
+        assert len(sampled) == 1
+
     def test_model_family_passes(self):
         fam = build_model_decomposition([np.eye(2)] * 3)
         report = audit_family(fam)
@@ -240,6 +260,43 @@ class TestReduction:
         assert cert.gammas[0] is cert.gammas[1] is cert.gammas[2]
         assert cert.gamma_windings == (0, 0, 0)
 
+    @pytest.mark.parametrize("transition,defect", [
+        ({}, "1.414e+00"),                              # ||0 - I|| = sqrt 2
+        ({0: 2.0 * np.eye(2)}, "4.243e+00"),            # ||4I - I|| = 3 sqrt 2
+        ({0: (1.0 + 6e-9) * np.eye(2)}, "1.697e-08"),   # sqrt 2 (2 delta + ...)
+    ])
+    def test_nonunitary_reduced_mean_refused(self, transition, defect):
+        # constant transitions reduce with zero variation, so the mean's
+        # unitarity defect alone (bound UNITARITY_TOL) refuses them
+        window = plus_window(2)
+        fam = SubspaceFamily(
+            points=(0, 1), edges=((0, 1), (1, 0)), psi=(window, window),
+            transitions=(identity_element(2),
+                         loopgroup.LoopGroupElement(2, transition)))
+        with pytest.raises(ValueError, match=r"transition 1 on edge \(1, 0\) "
+                           r"is not unitary: .* " + re.escape(defect)):
+            reduction_cocycle(fam)
+
+    def test_near_unitary_reduced_mean_accepted(self):
+        # (1 + 3e-9) I has defect sqrt 2 (6e-9 + 9e-18), within 1e-8
+        window = plus_window(2)
+        fam = SubspaceFamily(
+            points=(0, 1), edges=((0, 1), (1, 0)), psi=(window, window),
+            transitions=(identity_element(2),
+                         constant_element((1.0 + 3e-9) * np.eye(2))))
+        assert reduction_cocycle(fam).max_variation < 1e-12
+
+    def test_unitary_loop_passes_the_mean_check(self):
+        # diag(z, 1) is unitary, with mean diag(0, 1) (defect 1) and
+        # variation 1: within 2 var + var^2 = 3, so a loose variation
+        # tolerance reduces it to the polar factor of diag(0, 1)
+        window = plus_window(2)
+        fam = SubspaceFamily(
+            points=(0, 1), edges=((0, 1), (1, 0)), psi=(window, window),
+            transitions=(identity_element(2), diag_zpowers([1, 0])))
+        cert = reduction_cocycle(fam, variation_tol=10.0)
+        assert cert.variations[1] == pytest.approx(1.0, abs=1e-12)
+
     def test_audit_of_another_family_refused(self):
         fam = build_model_decomposition([np.eye(1)] * 3)
         report = audit_family(build_model_decomposition([np.eye(1)] * 2))
@@ -260,6 +317,16 @@ class TestReduction:
 
 
 class TestModelBuilder:
+    @pytest.mark.parametrize("delta,ok", [(4e-9, True), (6e-9, False)])
+    def test_unitarity_tolerance(self, delta, ok):
+        # diag(1, 1 + delta) has defect 2 delta + delta^2 against 1e-8
+        U = np.diag([1.0, 1.0 + delta])
+        if ok:
+            build_model_decomposition([np.eye(2), U])
+        else:
+            with pytest.raises(ValueError, match="not unitary"):
+                build_model_decomposition([np.eye(2), U])
+
     def test_rejects_nonunitary(self):
         with pytest.raises(ValueError, match="inconsistent cocycle"):
             build_model_decomposition([np.eye(2) * 2.0])

@@ -154,6 +154,40 @@ class TestDetWinding:
         g = multiply(V, multiply(diag_zpowers(powers), W))
         assert det_winding(g) == sum(powers)
 
+    # (powers, first grid): the first grid is the least power of two at or
+    # above 8 n max|k|.  With n = 3 that need 24 K is never a power of two,
+    # so the case on one takes n = 4 (32 * 32 = 1024).
+    @pytest.mark.parametrize("powers,grid", [
+        ((42, -5, 2), 1024),       # 8 * 3 * 42 = 1008, just below 1024
+        ((32, -3, 0, 5), 1024),    # 8 * 4 * 32 = 1024, on it
+        ((-43, 7, 1), 2048),       # 8 * 3 * 43 = 1032, just above 1024
+    ])
+    def test_first_grid_around_a_power_of_two(self, powers, grid,
+                                              monkeypatch):
+        # det V diag(z^a, z^b, ...) W = det V det W z^(a + b + ...), whose
+        # phase steps resolve on the first grid
+        rng = np.random.default_rng(len(powers) + abs(powers[0]))
+        V, W = (constant_element(haar_unitary(len(powers), rng))
+                for _ in "VW")
+        g = multiply(V, multiply(diag_zpowers(powers), W))
+        assert g.band == (min(powers), max(powers))
+        grids = []
+        phase_winding = loopgroup._phase_winding
+
+        def recorded(sample, N, *args):
+            grids.append(N)
+            return phase_winding(sample, N, *args)
+
+        monkeypatch.setattr(loopgroup, "_phase_winding", recorded)
+        assert det_winding(g) == sum(powers)
+        assert grids == [grid]
+
+    def test_band_past_the_largest_first_grid_rejected(self):
+        # 8 * 3 * 2731 = 65544 needs a first grid of 2^17
+        g = diag_zpowers([2731, 0, 0])
+        with pytest.raises(PhaseStepTooLarge, match="winding grid of 131072"):
+            det_winding(g)
+
     def test_singular_loop_rejected(self):
         # det V diag(1, 1, (1 + z) / 2) W vanishes at theta = pi, a node
         # of every grid
@@ -500,6 +534,42 @@ class TestFroNorms:
 
 
 class TestCertificateGrid:
+    @pytest.mark.parametrize("need,grid", [
+        (0, 256), (1, 256), (256, 256), (257, 512), (1008, 1024),
+        (1024, 1024), (1032, 2048), (2 ** 16, 2 ** 16)])
+    def test_one_grid_rule(self, need, grid):
+        # the least power of two at or above max(256, need)
+        g = identity_element(1)
+        assert loopgroup._first_grid(g, need, "certificate") == grid
+
+    def test_one_grid_rule_refuses_past_the_largest_grid(self):
+        g = diag_zpowers([7])
+        with pytest.raises(PhaseStepTooLarge,
+                           match=r"band \[7, 7\] needs a certificate grid"
+                                 r" of 131072, beyond 65536"):
+            loopgroup._first_grid(g, 2 ** 16 + 1, "certificate")
+
+    def test_one_certificate_per_loop(self, monkeypatch):
+        # loop_from_subspace certifies its loop once; unitarity_defect then
+        # returns that value without sampling again
+        W = window_frame(random_loop(2, 2, seed=5), 3)
+        sampled = []
+        certificate_samples = loopgroup._certificate_samples
+
+        def recorded(g):
+            sampled.append(g)
+            return certificate_samples(g)
+
+        monkeypatch.setattr(loopgroup, "_certificate_samples", recorded)
+        g = loop_from_subspace(W)
+        assert sampled == [g]
+        first = unitarity_defect(g)
+        assert unitarity_defect(g) == first and sampled == [g]
+        N, S = certificate_samples(g)
+        want = np.linalg.norm(np.conj(np.swapaxes(S, 1, 2)) @ S - np.eye(2),
+                              axis=(1, 2)).max()
+        assert first[0] == pytest.approx(want, rel=1e-6, abs=1e-15)
+
     def test_grid_resolves_the_band(self):
         # gamma = 1 + i sin(256 theta) equals 1 at every point of a 256-grid
         g = LoopGroupElement(1, {0: [[1.0]], 256: [[0.5]], -256: [[-0.5]]})

@@ -1,6 +1,7 @@
 """The package declares what it imports."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -33,3 +34,16 @@ def test_third_party_imports_are_dependencies():
     third_party = imported_top_level_modules() - set(sys.stdlib_module_names)
     assert {"numpy", "orjson"} <= third_party
     assert third_party == declared
+
+
+@pytest.mark.parametrize("name", sorted(
+    "loopfiber" if p.stem == "__init__" else f"loopfiber.{p.stem}"
+    for p in (ROOT / "src" / "loopfiber").glob("*.py")
+    if p.stem != "__main__"))  # which runs the command on import
+def test_every_exported_name_resolves(name):
+    # a name deleted from a module but left in its __all__ breaks
+    # `from loopfiber.<module> import *` only when someone runs it
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ())
+               if not hasattr(module, attr)]
+    assert missing == []

@@ -217,7 +217,7 @@ class TestMonopole:
         with pytest.raises(ValueError, match="n = 1"):
             chern_sweep(su2sample(), latitude_family())[0]
 
-    def test_unresolvable_family_raises(self):
+    def test_unresolvable_family_raises(self, monkeypatch):
         # discontinuous family: a 0.9 pi phase jump survives every
         # refinement, so the sweep must refuse rather than alias
         conn = abelian2d(1.2)
@@ -225,8 +225,23 @@ class TestMonopole:
         def family(s):
             return BaseLoop.circle(0.5 if s < 0.5 else 1.0)
 
+        monkeypatch.setattr(transport, "SWEEP_MAX_GRID", 64)
         with pytest.raises(PhaseStepTooLarge):
-            chern_sweep(conn, family, N=64, M=8, max_family_grid=64)[0]
+            chern_sweep(conn, family, N=64, M=8)[0]
+
+    def test_sweep_refines_until_steps_resolve(self):
+        # the holonomy phase -3 pi (1 - cos u), u = pi (1 - s), moves
+        # fastest at s = 1/2, by 3 pi sin(pi / M) over one step: 1.84 at
+        # M = 16 and 0.92 at M = 32 against pi/2, so from M = 2 the grid
+        # doubles to 32
+        winding, h = chern_sweep(monopole(3), latitude_family(), N=64, M=2)
+        assert winding == 3 and len(h) == 33
+
+    def test_sweep_refused_at_its_limit(self, monkeypatch):
+        # the same sweep needs M = 32; a limit of 16 refuses it
+        monkeypatch.setattr(transport, "SWEEP_MAX_GRID", 16)
+        with pytest.raises(PhaseStepTooLarge, match="at grid 16"):
+            chern_sweep(monopole(3), latitude_family(), N=64, M=2)
 
 
 class TestSu2:
