@@ -10,9 +10,10 @@ comparison of two commits is one `diff`:
     PYTHONPATH=<tree B>/src python scripts/report_digests.py DIR > b.txt
     diff a.txt b.txt
 
-The list is the benchmark's commands (perfbench/workloads.py), every argv
-stored in tests/golden, and `subspace-loop` and `audit` on each
-`seed*/frame.json` and `seed*/family.json` under DIR.  `--write-inputs`
+The list is the benchmark's commands (perfbench/workloads.py), a few
+transport commands on other grids, every argv stored in tests/golden, and
+`subspace-loop` and `audit` on each `seed*/frame.json` and
+`seed*/family.json` under DIR.  `--write-inputs`
 writes those files for seeds 3 and 7 with the benchmark's
 `prepare_reconstruct` and prints their digests too.  That function builds
 them with the `random_loop` of the tree on the path, so the inputs are
@@ -48,6 +49,20 @@ def benchmark_commands():
     yield "bench-obstruction-monopole", [
         "obstruction", "--preset", "monopole", "--q", "1", "--N", "256",
         "--M", "64", "--csv", "bench-obstruction.csv", "--no-meta"]
+
+
+def transport_commands():
+    """(name, argv) of transport commands on grids the others do not
+    reach: N = 1000, not a power of two; a 3 x 3 form on 7 steps; and a
+    sweep refined from M = 2, with its CSV."""
+    for command in ("holonomy", "twistcheck"):
+        yield f"{command}-su2sample-N1000", [
+            command, "--preset", "su2sample", "--N", "1000", "--no-meta"]
+    yield "holonomy-flat-n3-N7", [
+        "holonomy", "--preset", "flat", "--n", "3", "--N", "7", "--no-meta"]
+    yield "obstruction-monopole-q3-M2", [
+        "obstruction", "--preset", "monopole", "--q", "3", "--M", "2",
+        "--N", "64", "--csv", "obstruction-q3.csv", "--no-meta"]
 
 
 def golden_commands():
@@ -114,8 +129,8 @@ def main():
     os.chdir(args.dir)
     if args.write_inputs:
         write_inputs()
-    commands = [*benchmark_commands(), *golden_commands(),
-                *reconstruct_commands()]
+    commands = [*benchmark_commands(), *transport_commands(),
+                *golden_commands(), *reconstruct_commands()]
     for name, argv, *inputs in commands:
         run(name, argv, *inputs)
 

@@ -290,12 +290,15 @@ def _write_atomic(path, text):
         raise
 
 
-def _report(args, command, payload):
+def _report(args, command, payload, meta=None):
+    """The report of a command; `meta` (how the answer was reached) goes
+    under "meta" with the timestamp, which --no-meta drops."""
     report = {"schema": SCHEMA, "command": command}
     report.update(payload)
     if not args.no_meta:
         report["meta"] = {
-            "timestamp": datetime.now(timezone.utc).isoformat()}
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            **(meta or {})}
     return report
 
 
@@ -408,8 +411,8 @@ def cmd_holonomy(args):
     frame = transport.parallel_transport(conn, loop, N=args.N)
     hol, defect = frame.holonomy, frame.unitarity_defect()
     raw_drift = frame.raw_defect
-    del frame  # its step offsets need not stay alive through the 2N run
-    again = transport.holonomy(conn, loop, N=2 * args.N)
+    # the 2N run takes its step ends from the frame's samples
+    again = transport.holonomy(conn, loop, N=2 * args.N, coarse=frame)
     payload = {
         "preset": conn.name,
         "N": args.N,
@@ -433,18 +436,24 @@ def cmd_obstruction(args):
         "winding": winding,
         "csv": args.csv,
     }
+    # the family grid the winding was read from, after refinement
+    grid = len(hols) - 1
     if args.csv:
-        # the sweep the winding was read from, on its refined grid if any
-        M = len(hols) - 1
         lines = ["s,re,im"]
         for j, h in enumerate(hols.tolist()):
-            lines.append(f"{j / M!r},{h.real!r},{h.imag!r}")
+            lines.append(f"{j / grid!r},{h.real!r},{h.imag!r}")
         _write_atomic(args.csv, "\n".join(lines) + "\n")
-    return _report(args, "obstruction", payload), EXIT_OK
+    return (_report(args, "obstruction", payload, {"family_grid": grid}),
+            EXIT_OK)
 
 
 def _twistcheck_residuals(conn, loop, N, band, seed):
-    frame = transport.parallel_transport(conn, loop, N=N)
+    # the loop and the loop rotated by a quarter turn, in one batched pass;
+    # the rotated frame is transported on its own samples, never rebuilt
+    # from the first frame's steps, so rotation_equivariance checks transport
+    steps = N // 4
+    frame, rot_frame = transport.parallel_transport(
+        conn, [loop, loop.rotated(steps / N)], N=N)
     rng = np.random.default_rng(seed)
     n = conn.n
 
@@ -474,9 +483,6 @@ def _twistcheck_residuals(conn, loop, N, band, seed):
     seam = max(embed.seam_residual(), extend.seam_residual(),
                section.seam_residual())
 
-    steps = N // 4
-    rot_frame = transport.parallel_transport(
-        conn, loop.rotated(steps / N), N=N)
     lhs = twistbundle.rotate(embed, steps)
     rhs = twistbundle.j_embed(rot_frame, frame.Ts[steps] @ v)
     rotation_res = float(np.abs(lhs.samples - rhs.samples).max())

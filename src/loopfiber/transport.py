@@ -18,16 +18,20 @@ positions and velocities of shape t.shape + (d,), and a connection's
 calls either per point.
 
 The ODE is linear, so one RK4 step of size h is a matrix P_i applied to
-T(t_i).  Transport runs as one batched pipeline for every fiber dimension n,
-on entry-major stacks: a stack of S matrices has shape (n, n, S), so each
-matrix entry is one contiguous array over the stack (loopgroup._entry_major).
+T(t_i).  Transport runs as one batched pipeline for every fiber dimension n
+and for a whole family of loops at once, on entry-major stacks: a stack of
+matrices has shape (n, n, B, S) for B loops of S steps each, so each matrix
+entry is one contiguous array over the stack (loopgroup._entry_major), and
+every kernel works per step along the last axis.  A lone loop is the batch
+of one.
 
-  1. sample the loop and -A in one call each on all 2 steps + 1 half-step
-     nodes t0 + j h/2 (a step's endpoint is the next step's start), the
-     step ends first and the midpoints after them; check every sample for
-     shape and anti-Hermiticity, and copy the samples once into an
-     entry-major stack, in which the starts, ends and midpoints of the
-     steps are three contiguous runs;
+  1. sample each loop on all 2 steps + 1 half-step nodes t0 + j h/2 (a
+     step's endpoint is the next step's start), the step ends first and the
+     midpoints after them, and -A in one call on the B (2 steps + 1) nodes
+     of all the loops; check every sample for shape and anti-Hermiticity,
+     and copy the samples once into an entry-major stack, in which the
+     starts, ends and midpoints of each loop's steps are three contiguous
+     runs;
   2. build every propagator P_i = I + h/6 (k1 + 2 k2 + 2 k3 + k4) with
      stacked matrix products;
   3. unitarize each step once, Q_i = polar(P_i), by Newton-Schulz steps
@@ -36,16 +40,29 @@ matrix entry is one contiguous array over the stack (loopgroup._entry_major).
   4. form T(t_i) = Q_{i-1} ... Q_0 by a work-efficient (Blelloch) scan of
      about 2 steps products, re-project T with one more batched polar so the
      frame stays unitary to roundoff, and lay the frames out as the
-     (steps + 1, n, n) array `TransportFrame.Ts`, the one conversion back.
+     (steps + 1, n, n) arrays `TransportFrame.Ts`, the one conversion back.
 
 Every stacked product of steps 2-4 goes through loopgroup._matmul: for the
 small blocks of transport (n <= 3) it builds each entry of the product with
 one multiply-add of two contiguous arrays over the stack per inner index,
 where np.matmul would make one BLAS call per block, and it hands larger
 blocks to np.matmul; the path is the same for every n.  The stacked
-Frobenius norms of the checks go through loopgroup._fro_norms, which sums
-the squares of a block of fewer than 8 entries over the entry axis in the
-same way and hands larger blocks to np.linalg.norm.
+Frobenius norms of the unitarity checks go through loopgroup._fro_norms,
+which sums the squares of a block of fewer than 8 entries over the entry
+axis in the same way and hands larger blocks to np.linalg.norm; the
+anti-Hermiticity check of step 1 sums its squares entry by entry itself.
+
+Each matrix of the stack depends on its own loop's samples alone, so every
+loop of a batch gets the bits it gets alone.  Loops go through the pipeline
+in chunks of at most TRANSPORT_NODE_BUDGET nodes (at least one loop per
+chunk): a batch too large for the cache runs slower than one loop at a time.
+A batch raises what its first failing loop raises alone: a chunk that fails
+runs again loop by loop.
+
+A refinement run reuses samples: the 2N run's step ends are the N run's
+nodes, because linspace(0, 1, 4N + 1)[2i] == linspace(0, 1, 2N + 1)[i] bit
+for bit (fl(1/4N) is fl(1/2N) / 2).  A `TransportFrame` keeps its samples,
+and `holonomy(conn, loop, 2N, coarse=frame)` samples only the 2N midpoints.
 
 A holonomy alone needs only T(1): `holonomy` runs the scan's up-sweep, a
 pairwise tree product of the Q_i, to its root and takes one final polar; it
@@ -64,7 +81,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonAntiHermitianSample
+from .errors import NonAntiHermitianSample, PhaseStepTooLarge
 from .loopgroup import (_adjoint, _block_major, _entry_major, _fro_norms,
                         _matmul, _phase_winding, _polar, _stack_defect)
 
@@ -91,6 +108,7 @@ __all__ = [
 CLOSURE_TOL = 1e-12
 ANTIHERM_TOL = 1e-10
 SWEEP_MAX_GRID = 4096  # chern_sweep's largest family grid
+TRANSPORT_NODE_BUDGET = 2 ** 14  # half-step nodes of one batched pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,7 +324,9 @@ class TransportFrame:
     the prefix product, so Ts[i] is unitary to roundoff.  The never-corrected
     chain P_{i-1} ... P_0 is built from the stored step offsets only when
     `raw_defect` (its worst unitarity defect) or `raw_holonomy` (its
-    endpoint) is first read.
+    endpoint) is first read.  `samples` is -A at the 2N + 1 nodes j/(2N),
+    entry-major (n, n, 2N + 1), the N + 1 step ends first and the N
+    midpoints after them: the step ends of the 2N run (`holonomy(coarse=)`).
     """
 
     loop: BaseLoop
@@ -314,6 +334,7 @@ class TransportFrame:
     N: int
     Ts: np.ndarray
     step_offsets: np.ndarray
+    samples: np.ndarray
 
     @property
     def n(self):
@@ -400,80 +421,214 @@ def _tree_product(E):
     return E[..., 0]
 
 
-def _sample_forms(conn, xv, ts):
-    """-A at every node t in ts as an entry-major (n, n, len(ts)) stack,
-    checked for shape and anti-Hermiticity; a failure names the least t."""
-    n = conn.n
-    A = np.asarray(conn.form(*xv(ts)), dtype=complex)
-    if A.shape != (len(ts), n, n):
-        raise ValueError(f"connection form on {len(ts)} nodes has shape "
-                         f"{A.shape}, expected ({len(ts)}, {n}, {n})")
-    A = _entry_major(A)
-    with np.errstate(invalid="ignore"):
-        defect = _fro_norms(A + _adjoint(A))
+def _sample_forms(conn, xvs, ts):
+    """-A at every node t in ts along each loop sampler of xvs, as an
+    entry-major (n, n, B, len(ts)) stack, from one form call on the
+    concatenated B len(ts) nodes; checked for shape and anti-Hermiticity, a
+    failure names the least failing t.
+
+    -A is written once, straight into the entry-major layout, and the
+    defect ||A + A^H|| is summed over the entries on and above the diagonal
+    (the (j, i) entry of A + A^H is the conjugate of the (i, j) entry) in
+    real arithmetic, so that no temporary the size of the whole stack is
+    made.
+    """
+    T = len(ts)
+    n, nodes = conn.n, len(xvs) * T
+    samples = [xv(ts) for xv in xvs]
+    x, v = samples[0] if len(samples) == 1 else (
+        np.concatenate(parts) for parts in zip(*samples))
+    A = np.asarray(conn.form(x, v), dtype=complex)
+    if A.shape != (nodes, n, n):
+        raise ValueError(f"connection form on {nodes} nodes has shape "
+                         f"{A.shape}, expected ({nodes}, {n}, {n})")
+    M = np.empty((n, n, len(xvs), T), dtype=complex)
+    np.negative(np.moveaxis(A, (1, 2), (0, 1)), out=M.reshape(n, n, nodes))
+    squares = np.zeros(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            for j in range(i, n):
+                re = M[i, j].real + M[j, i].real
+                im = M[i, j].imag - M[j, i].imag
+                re *= re
+                im *= im
+                re += im
+                squares += re.ravel() if i == j else 2.0 * re.ravel()
+    defect = np.sqrt(squares)
     # written so that a NaN defect fails the check too
     bad = np.flatnonzero(~(defect <= ANTIHERM_TOL))
     if bad.size:
-        i = bad[np.argmin(ts[bad])]
-        raise NonAntiHermitianSample(float(defect[i]), float(ts[i]))
-    return -A
+        k = bad[np.argmin(ts[bad % T])]
+        raise NonAntiHermitianSample(float(defect[k]), float(ts[k % T]))
+    return M
 
 
-def _step_offsets(conn, xv, t0, t1, steps):
-    """The entry-major (n, n, steps) stack of the D_i with P_i = I + D_i
-    the RK4 propagator of step i; ValueError at the first step that
-    overflows."""
+def _step_offsets(conn, xvs, t0, t1, steps, coarse=None):
+    """(D, M) for the loop samplers xvs: D is the entry-major
+    (n, n, B, steps) stack of the D_i with P_i = I + D_i the RK4 propagator
+    of step i, M the (n, n, B, 2 steps + 1) samples of -A it came from, the
+    step ends first and the midpoints after them; ValueError at the first
+    step that overflows.
+
+    `coarse`, the samples M of the steps/2 run on [0, 1] over the same
+    loops, gives the step ends, so only the midpoints are sampled; then M is
+    None.
+    """
     h = (t1 - t0) / steps
     ts = np.linspace(t0, t1, 2 * steps + 1)
-    M = _sample_forms(conn, xv, np.concatenate([ts[::2], ts[1::2]]))
-    M0, M1, Mh = M[..., :steps], M[..., 1:steps + 1], M[..., steps + 1:]
+    if coarse is None:
+        M = _sample_forms(conn, xvs, np.concatenate([ts[::2], ts[1::2]]))
+        ends, Mh = M[..., :steps + 1], M[..., steps + 1:]
+    else:
+        # the coarse nodes, its step ends and then its midpoints, are the
+        # even and then the odd step ends here
+        M, half = None, steps // 2
+        Mh = _sample_forms(conn, xvs, ts[1::2])
+        ends = np.empty(Mh.shape[:3] + (steps + 1,), dtype=complex)
+        ends[..., ::2] = coarse[..., :half + 1]
+        ends[..., 1::2] = coarse[..., half + 1:]
+    M0, M1 = ends[..., :steps], ends[..., 1:]
+    # K2 = Mh + h/2 Mh M0, K3 = Mh + h/2 Mh K2, K4 = M1 + h M1 K3 and
+    # D = h/6 (M0 + 2 K2 + 2 K3 + K4), each operation in place where its
+    # operand is not needed again: the same bits with three fewer temporary
+    # stacks alive at once
     with np.errstate(over="ignore", invalid="ignore"):
-        K2 = Mh + (0.5 * h) * _matmul(Mh, M0)
-        K3 = Mh + (0.5 * h) * _matmul(Mh, K2)
-        K4 = M1 + h * _matmul(M1, K3)
-        D = (h / 6.0) * (M0 + 2.0 * K2 + 2.0 * K3 + K4)
+        K2 = _matmul(Mh, M0)
+        K2 *= 0.5 * h
+        K2 += Mh
+        K3 = _matmul(Mh, K2)
+        K3 *= 0.5 * h
+        K3 += Mh
+        K4 = _matmul(M1, K3)
+        K4 *= h
+        K4 += M1
+        D = K2
+        D *= 2.0
+        D += M0
+        K3 *= 2.0
+        D += K3
+        D += K4
+        D *= h / 6.0
     bad = np.flatnonzero(~np.isfinite(D).all(axis=(0, 1)))
     if bad.size:
         raise ValueError(
-            f"transport step at t={t0 + bad[0] * h:.6f} is not finite "
-            f"(N={steps}): the connection form is too large for the grid")
-    return D
+            f"transport step at t={t0 + bad[0] % steps * h:.6f} is not "
+            f"finite (N={steps}): the connection form is too large for the "
+            "grid")
+    return D, M
 
 
-def _transport_chain(conn, xv, t0, t1, steps):
-    """Frames T(t0 + i h), i = 0..steps, and the step offsets they came from."""
-    I = np.eye(conn.n, dtype=complex)[:, :, None]  # a stack of one
-    D = _step_offsets(conn, xv, t0, t1, steps)
-    Ts = _polar(I + _prefix_products(_polar(I + D) - I))
-    return _block_major(np.concatenate([I, Ts], axis=-1)), D
+def _loop_scan(scan, Q):
+    """scan(Q) along the steps of each loop of an (n, n, B, steps) stack, as
+    an (n, n, B, ...) stack.  A batch of one is scanned as an (n, n, steps)
+    stack: numpy does not fold the unit axis away, and the many small
+    slices of the scan took about a fifth longer on four axes (2048 steps,
+    n = 2)."""
+    if Q.shape[2] > 1:
+        return scan(Q)
+    return scan(Q[:, :, 0])[:, :, None]
 
 
-def _end_transport(conn, xv, t0, t1, steps):
-    """T(t1) alone: the polar of the tree product of the step polar factors."""
-    I = np.eye(conn.n, dtype=complex)[:, :, None]  # a stack of one
-    D = _step_offsets(conn, xv, t0, t1, steps)
-    return _polar(I[..., 0] + _tree_product(_polar(I + D) - I))
+def _transport_chain(conn, xvs, t0, t1, steps):
+    """Frames T(t0 + i h), i = 0..steps, of each loop sampler of xvs, as a
+    (B, steps + 1, n, n) array, with the step offsets and samples (n, n, B,
+    ...) they came from."""
+    I = np.eye(conn.n, dtype=complex)[:, :, None, None]  # a stack of one
+    D, M = _step_offsets(conn, xvs, t0, t1, steps)
+    Ts = _polar(I + _loop_scan(_prefix_products, _polar(I + D) - I))
+    starts = np.broadcast_to(I, Ts.shape[:3] + (1,))
+    return _block_major(np.concatenate([starts, Ts], axis=-1)), D, M
 
 
-def _check_grid(conn, loop, N):
-    if conn.d != loop.d:
-        raise ValueError(
-            f"chart dimension mismatch: connection d={conn.d}, loop d={loop.d}")
+def _end_transport(conn, xvs, t0, t1, steps, coarse=None):
+    """T(t1) alone of each loop sampler of xvs, a (B, n, n) array: the polar
+    of the tree product of the step polar factors."""
+    I = np.eye(conn.n, dtype=complex)[:, :, None, None]  # a stack of one
+    # the offsets and samples are dropped before the polar factors are made
+    # the offsets and samples are dropped before the polar factors are made
+    P = I + _step_offsets(conn, xvs, t0, t1, steps, coarse)[0]
+    return _block_major(_polar(
+        I[..., 0] + _loop_scan(_tree_product, _polar(P) - I)))
+
+
+def _batch(conn, loop, N):
+    """(the loops of `loop`, a BaseLoop or a sequence of them, as a list,
+    whether it was one BaseLoop), each checked against conn and N."""
+    single = isinstance(loop, BaseLoop)
+    loops = [loop] if single else list(loop)
+    for one in loops:
+        if conn.d != one.d:
+            raise ValueError(f"chart dimension mismatch: connection "
+                             f"d={conn.d}, loop d={one.d}")
     if N < 1:
         raise ValueError("N must be >= 1")
+    return loops, single
+
+
+def _in_chunks(run, loops, steps):
+    """[run(chunk) for each chunk], the loops cut into chunks of
+    TRANSPORT_NODE_BUDGET // (2 steps + 1) loops, at least one.  A chunk of
+    several loops that fails a check runs again loop by loop, so it raises
+    what its first failing loop raises alone."""
+    size = max(1, TRANSPORT_NODE_BUDGET // (2 * steps + 1))
+    out = []
+    for lo in range(0, len(loops), size):
+        chunk = loops[lo:lo + size]
+        try:
+            out.append(run(chunk))
+        except (ValueError, NonAntiHermitianSample):
+            if len(chunk) > 1:
+                for one in chunk:
+                    run([one])
+            raise
+    return out
 
 
 def parallel_transport(conn, loop, N=2048):
-    """Integrate the transport frame over the whole loop on an N-grid."""
-    _check_grid(conn, loop, N)
-    return TransportFrame(loop, conn, N, *_transport_chain(
-        conn, loop.xv, 0.0, 1.0, N))
+    """Integrate the transport frame over the whole loop on an N-grid.
+
+    For a sequence of loops, the list of their frames, from one batched
+    pass; each is bit for bit the frame of its loop alone.
+    """
+    loops, single = _batch(conn, loop, N)
+
+    def run(chunk):
+        Ts, D, M = _transport_chain(conn, [one.xv for one in chunk],
+                                    0.0, 1.0, N)
+        return [TransportFrame(one, conn, N, Ts[b], D[:, :, b], M[:, :, b])
+                for b, one in enumerate(chunk)]
+
+    frames = [frame for part in _in_chunks(run, loops, N) for frame in part]
+    return frames[0] if single else frames
 
 
-def holonomy(conn, loop, N=2048):
-    """Transport once around: Hol = T(1)."""
-    _check_grid(conn, loop, N)
-    return _end_transport(conn, loop.xv, 0.0, 1.0, N)
+def holonomy(conn, loop, N=2048, coarse=None):
+    """Transport once around: Hol = T(1).
+
+    For a sequence of loops, the (B, n, n) array of their holonomies, from
+    one batched pass; each is bit for bit the holonomy of its loop alone.
+    `coarse`, the frame `parallel_transport(conn, loop, N // 2)` of a single
+    loop, gives the step ends, so only the N midpoints are sampled; a frame
+    of another connection, loop or grid is refused with ValueError.
+    """
+    loops, single = _batch(conn, loop, N)
+    ends = None
+    if coarse is not None:
+        if (coarse.conn is not conn or coarse.loop is not loop
+                or 2 * coarse.N != N):
+            raise ValueError(f"a coarse frame must be the N={N / 2:g} "
+                             "transport of the same connection and loop")
+        ends = coarse.samples[:, :, None]
+
+    def run(chunk):
+        return _end_transport(conn, [one.xv for one in chunk], 0.0, 1.0, N,
+                              ends)
+
+    parts = _in_chunks(run, loops, N)
+    if single:
+        return parts[0][0]
+    return np.concatenate(parts) if parts else np.empty((0, conn.n, conn.n),
+                                                         dtype=complex)
 
 
 def transport_reversed(conn, loop, t, N=2048):
@@ -488,13 +643,14 @@ def transport_reversed(conn, loop, t, N=2048):
         x, v = loop.xv(t - s)
         return x, -v
 
-    return _end_transport(conn, xv, 0.0, t, steps)
+    return _end_transport(conn, [xv], 0.0, t, steps)[0]
 
 
 def refinement_delta(conn, loop, N=2048):
     """Frobenius change of the holonomy when the grid is refined to 2N."""
-    return float(np.linalg.norm(holonomy(conn, loop, N)
-                                - holonomy(conn, loop, 2 * N)))
+    frame = parallel_transport(conn, loop, N)
+    return float(np.linalg.norm(
+        frame.holonomy - holonomy(conn, loop, 2 * N, coarse=frame)))
 
 
 def rotated_twist(frame, t):
@@ -544,18 +700,51 @@ def chern_sweep(conn, family, N=256, M=64):
     with the sweep it was read from.
 
     The family grid M doubles until successive phase steps are below
-    pi/2 (loopgroup._phase_winding); PhaseStepTooLarge is raised beyond
-    SWEEP_MAX_GRID.  For a closed family (constant endpoint loops) the sum
-    of steps is a whole number of turns, which is the first Chern number
-    of the bundle the family sweeps out.  Returns (winding, h) with h[j]
-    the holonomy of family(j / (len(h) - 1)).
+    pi/2 (loopgroup._phase_winding), and then until the winding read on
+    twice the grid agrees, so that a sweep whose samples alias (all near 1
+    at q = 2, M = 2) is not taken for a winding; PhaseStepTooLarge is
+    raised beyond SWEEP_MAX_GRID.  For a closed family (constant endpoint
+    loops) the sum of steps is a whole number of turns, which is the first
+    Chern number of the bundle the family sweeps out.  Returns (winding, h)
+    with h[j] the holonomy of family(j / (len(h) - 1)), on the coarser of
+    the two agreeing grids.
+
+    Each grid takes one batched `holonomy` call.  family(2j / 2M) is
+    family(j / M) bit for bit, so a doubled grid keeps the holonomies it
+    has and transports only its odd j.
     """
     if conn.n != 1:
         raise ValueError("winding needs a U(1) connection (n = 1)")
-    return _phase_winding(
-        lambda M: np.array([holonomy(conn, family(j / M), N)[0, 0]
-                            for j in range(M + 1)]),
-        M, SWEEP_MAX_GRID, "holonomy sample too close to zero")
+    last = np.empty(0, dtype=complex)  # the holonomies of the last grid
+
+    def sample(M):
+        nonlocal last
+        if 2 * (len(last) - 1) == M:
+            z = np.empty(M + 1, dtype=complex)
+            z[::2] = last
+            z[1::2] = holonomy(conn, [family(j / M) for j in range(1, M, 2)],
+                               N)[:, 0, 0]
+        else:
+            z = holonomy(conn, [family(j / M) for j in range(M + 1)],
+                         N)[:, 0, 0]
+        last = z
+        return z
+
+    def sweep(M):
+        return _phase_winding(sample, M, SWEEP_MAX_GRID,
+                              "holonomy sample too close to zero")
+
+    winding, z = sweep(M)
+    while True:
+        grid = len(z) - 1
+        if 2 * grid > SWEEP_MAX_GRID:
+            raise PhaseStepTooLarge(
+                f"sweep winding {winding} at grid {grid} is not confirmed "
+                f"on a finer grid within {SWEEP_MAX_GRID}")
+        finer, fine_z = sweep(2 * grid)
+        if finer == winding:
+            return winding, z
+        winding, z = finer, fine_z
 
 
 def chern_winding(conn, family, N=256, M=64):

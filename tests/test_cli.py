@@ -560,18 +560,34 @@ class TestObstruction:
         assert s_end == 1.0
         assert abs(complex(re_end, im_end) - 1.0) < 1e-6
 
-    @pytest.mark.parametrize("M, grid, sweeps", [(32, 32, 33), (2, 8, 3 + 5 + 9)])
+    @pytest.mark.parametrize("M, grid, batches",
+                             [(32, 32, [33, 32]), (2, 8, [3, 2, 4, 8])],
+                             ids=["32-32", "2-8"])
     def test_csv_is_the_winding_sweep(self, capsys, tmp_path, monkeypatch,
-                                      M, grid, sweeps):
-        # each holonomy is computed once, and the CSV holds those the winding
-        # was read from, on the grid where the refinement stopped
-        real, hols = transport.holonomy, []
+                                      M, grid, batches):
+        # each holonomy is computed once, in one batched call per grid: a
+        # doubled grid transports only its odd samples, and the winding is
+        # confirmed on twice the grid where the refinement stopped; the CSV
+        # holds the holonomies the winding was read from, on that grid
+        real_family, real_holonomy = transport.latitude_family(), \
+            transport.holonomy
+        made, hols, sizes = {}, {}, []
 
-        def counted(*args, **kwargs):
-            h = real(*args, **kwargs)
-            hols.append(complex(h[0, 0]))
+        def family(s):
+            loop = real_family(s)
+            made[id(loop)] = (s, loop)
+            return loop
+
+        def counted(conn, loops, N):
+            h = real_holonomy(conn, loops, N)
+            sizes.append(len(loops))
+            for loop, hol in zip(loops, h):
+                s = made[id(loop)][0]
+                assert s not in hols
+                hols[s] = complex(hol[0, 0])
             return h
 
+        monkeypatch.setattr(transport, "latitude_family", lambda: family)
         monkeypatch.setattr(transport, "holonomy", counted)
         csv = str(tmp_path / "sweep.csv")
         code, rep = run_cli(capsys,
@@ -580,12 +596,33 @@ class TestObstruction:
                              "--no-meta"])
         assert code == 0
         assert rep["winding"] == 1 and rep["M"] == M
-        assert len(hols) == sweeps
+        assert sizes == batches and len(hols) == sum(batches)
         rows = [line.split(",") for line in open(csv).read().splitlines()[1:]]
         assert [float(s) for s, _, _ in rows] == [j / grid
                                                   for j in range(grid + 1)]
         assert [complex(float(re), float(im)) for _, re, im in rows] \
-            == hols[-(grid + 1):]
+            == [hols[j / grid] for j in range(grid + 1)]
+
+    def test_aliased_sweep_is_refined(self, capsys):
+        # at q = 2 the three M = 2 samples all alias to 1; the winding is
+        # confirmed on finer grids and read on grid 16, where the largest
+        # phase step 2 q pi sin(pi / 2M) = 1.23 is below pi/2
+        argv = ["obstruction", "--preset", "monopole", "--q", "2",
+                "--M", "2", "--N", "64"]
+        code, rep = run_cli(capsys, argv + ["--no-meta"])
+        assert code == 0 and rep["winding"] == 2
+
+    def test_meta_names_the_family_grid(self, capsys):
+        # the phase -3 pi (1 + cos pi s) steps by at most 6 pi sin(pi / 2M):
+        # 1.84 at M = 16, 0.92 at M = 32
+        argv = ["obstruction", "--preset", "monopole", "--q", "3",
+                "--M", "2", "--N", "64"]
+        code, rep = run_cli(capsys, argv)
+        assert code == 0 and rep["winding"] == 3
+        assert rep["meta"]["family_grid"] == 32
+        code, bare = run_cli(capsys, argv + ["--no-meta"])
+        del rep["meta"]
+        assert rep == bare
 
     def test_higher_charge(self, capsys):
         code, rep = run_cli(capsys,
@@ -629,6 +666,30 @@ class TestTwistcheck:
         assert rep["failures"] == []
         assert rep["residuals"]["embed_roundtrip"] < 1e-8
         assert rep["residuals"]["rotation_equivariance"] < 1e-6
+
+    def test_loop_and_rotated_loop_in_one_pass(self, capsys, monkeypatch):
+        # one batched transport of the loop and of the loop rotated by N/4
+        # steps, each sampled on its own nodes: the rotated frame is the
+        # transport of the rotated loop alone, bit for bit
+        real, runs = transport.parallel_transport, []
+
+        def spy(conn, loops, N):
+            frames = real(conn, loops, N)
+            runs.append((conn, loops, N, frames))
+            return frames
+
+        monkeypatch.setattr(transport, "parallel_transport", spy)
+        code, rep = run_cli(capsys,
+                            ["twistcheck", "--preset", "su2sample", "--N",
+                             "64", "--seed", "3", "--no-meta"])
+        assert code == 0 and rep["all_ok"]
+        assert len(runs) == 1
+        conn, (loop, rotated), N, (_, rot_frame) = runs[0]
+        ts = np.linspace(0.0, 0.5, 5)
+        assert np.array_equal(rotated.point(ts), loop.point(ts + 0.25))
+        alone = real(conn, loop.rotated(16 / 64), N)
+        assert np.array_equal(rot_frame.Ts, alone.Ts)
+        assert np.array_equal(rot_frame.samples, alone.samples)
 
     def test_field_that_overflows_raw_chain(self, capsys):
         # twistcheck never reads the raw chain, so the field of

@@ -38,11 +38,12 @@ def run_script(script, args):
 
 
 def test_report_digests_cover_every_command(tmp_path):
-    # without inputs in the directory, the benchmark's transport commands
-    # and the golden argvs: one digest per report and per CSV, all exit 0
+    # without inputs in the directory, the benchmark's transport commands,
+    # the other transport commands and the golden argvs: one digest per
+    # report and per CSV, all exit 0
     lines = run_script("report_digests.py", [str(tmp_path)]).splitlines()
     golden = len(list((ROOT / "tests" / "golden").glob("*.json")))
-    assert len(lines) == 4 + 1 + golden + 1
+    assert len(lines) == 4 + 1 + 4 + 1 + golden + 1
     for line in lines:
         digest, name = line.split("  ", 1)
         assert len(digest) == 64 and int(digest, 16) >= 0

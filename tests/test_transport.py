@@ -243,6 +243,34 @@ class TestMonopole:
         with pytest.raises(PhaseStepTooLarge, match="at grid 16"):
             chern_sweep(monopole(3), latitude_family(), N=64, M=2)
 
+    def test_aliased_sweep_confirmed_on_finer_grids(self):
+        # at q = 2 the holonomy exp(-i q pi (1 + cos pi s)) is 1 at s = 0,
+        # 1/2 and 1, so the M = 2 sweep has phase steps of ~0 and reads
+        # winding 0; on twice the grid the steps reach 1.84, the grid
+        # refines to 16 (largest step 2 q pi sin(pi / 32) = 1.23) and the
+        # winding 2 read there is confirmed on grid 32
+        fam = latitude_family()
+        aliased = holonomy(monopole(2), [fam(0.0), fam(0.5), fam(1.0)], N=64)
+        assert np.abs(aliased[:, 0, 0] - 1.0).max() < 1e-3
+        winding, h = chern_sweep(monopole(2), fam, N=64, M=2)
+        assert winding == 2 and len(h) == 17
+
+    def test_unconfirmed_sweep_refused(self, monkeypatch):
+        # the q = 3 sweep resolves on grid 32; a limit of 32 leaves no
+        # finer grid to confirm it on
+        monkeypatch.setattr(transport, "SWEEP_MAX_GRID", 32)
+        with pytest.raises(PhaseStepTooLarge, match="not confirmed"):
+            chern_sweep(monopole(3), latitude_family(), N=64, M=2)
+
+    def test_doubled_grid_keeps_its_holonomies(self):
+        # family(2j / 2M) is family(j / M) bit for bit, so the even samples
+        # of a doubled grid are the holonomies already known
+        fam = latitude_family()
+        winding, h = chern_sweep(monopole(1), fam, N=32, M=8)
+        assert winding == 1
+        fine = holonomy(monopole(1), [fam(j / 16) for j in range(17)], N=32)
+        assert np.array_equal(fine[::2, 0, 0], h)
+
 
 class TestSu2:
     def test_curvature_helper_matches_frozen_matrix(self):
@@ -296,8 +324,8 @@ class TestSegments:
         conn = su2sample()
         loop = BaseLoop.circle(1.3, center=(0.2, -0.1))
         frame = parallel_transport(conn, loop, N=512)
-        first, _ = _transport_chain(conn, loop.xv, 0.0, 0.5, 256)
-        second, _ = _transport_chain(conn, loop.xv, 0.5, 1.0, 256)
+        (first,), _, _ = _transport_chain(conn, [loop.xv], 0.0, 0.5, 256)
+        (second,), _, _ = _transport_chain(conn, [loop.xv], 0.5, 1.0, 256)
         assert np.linalg.norm(second[-1] @ first[-1] - frame.holonomy) < 1e-8
         assert np.linalg.norm(first[-1] - frame.Ts[256]) < 1e-10
 
@@ -539,7 +567,7 @@ class TestKernels:
     def test_step_polars_match_svd(self, name, N):
         conn, loop = REFERENCE_CASES[name]
         P = np.eye(conn.n) + _block_major(
-            _step_offsets(conn, loop.xv, 0.0, 1.0, N))
+            _step_offsets(conn, [loop.xv], 0.0, 1.0, N)[0][:, :, 0])
         U, _, Vh = np.linalg.svd(P)
         Q = _block_major(_polar(_entry_major(P)))
         assert np.abs(Q - U @ Vh).max() < 1e-15
@@ -573,7 +601,7 @@ class TestKernels:
         K = 1e200j * np.diag(np.arange(1.0, n + 1.0))
         conn = constant_generator(K)
         with pytest.raises(ValueError, match=r"not finite \(N=16\)"):
-            _step_offsets(conn, BaseLoop.circle(1.0).xv, 0.0, 1.0, 16)
+            _step_offsets(conn, [BaseLoop.circle(1.0).xv], 0.0, 1.0, 16)
 
     def test_raw_chain_built_only_when_read(self, monkeypatch):
         calls = []
@@ -589,6 +617,178 @@ class TestKernels:
             assert frame.raw_defect < 1e-6
             assert frame.raw_holonomy.shape == (2, 2)
         assert calls.count(64) == 2  # one raw-chain scan, then cached
+
+
+def spline_loop(d, seed):
+    """A periodic spline through 16 points near the unit circle of the
+    x1 x2 plane, lifted to x3 = 0.5 when d = 3 (off the monopole string)."""
+    rng = np.random.default_rng(seed)
+    theta = 2.0 * math.pi * np.arange(16) / 16
+    pts = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    pts = pts * (1.0 + 0.1 * rng.standard_normal((16, 1)))
+    if d == 3:
+        pts = np.concatenate([pts, np.full((16, 1), 0.5)], axis=-1)
+    return BaseLoop.from_samples(pts)
+
+
+def family_of_five(d):
+    """Five distinct loops on a d-dimensional chart, one a spline."""
+    if d == 2:
+        loops = [BaseLoop.circle(r, center=(0.3 * r, -0.2))
+                 for r in (0.4, 0.9, 1.3, 1.7)]
+    else:
+        loops = [latitude_loop(u) for u in (0.3, 1.1, 1.9, 2.6)]
+    return loops[:2] + [spline_loop(d, seed=d)] + loops[2:]
+
+
+# fiber dimensions 1, 2 and 3: every preset, and a dense 3 x 3 form
+BATCH_CASES = {
+    "flat-n1": flat(n=1),
+    "flat-n3": flat(n=3),
+    "abelian2d": abelian2d(1.7),
+    "monopole": monopole(2),
+    "su2sample": su2sample(),
+    "constant-n3": CONSTANT_CASES["constant-n3"][0],
+}
+
+
+def assert_same_frame(batched, alone):
+    assert batched.loop is alone.loop and batched.N == alone.N
+    for name in ("Ts", "step_offsets", "samples"):
+        assert np.array_equal(getattr(batched, name), getattr(alone, name))
+    assert np.array_equal(batched.raw_holonomy, alone.raw_holonomy)
+    assert batched.raw_defect == alone.raw_defect
+
+
+class TestFamilyBatch:
+    """A family of loops in one batched pass gets the bits of each loop
+    alone: frames, step offsets, samples, raw chains and holonomies."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_CASES))
+    @pytest.mark.parametrize("B", [1, 2, 5])
+    @pytest.mark.parametrize("N", [1, 7, 64, 1000])
+    def test_batch_matches_loops_alone(self, name, B, N):
+        conn = BATCH_CASES[name]
+        loops = family_of_five(conn.d)[:B]
+        frames = parallel_transport(conn, loops, N=N)
+        hols = holonomy(conn, loops, N=N)
+        fine = holonomy(conn, loops, N=2 * N)
+        assert len(frames) == B and hols.shape == fine.shape == (B, conn.n,
+                                                                 conn.n)
+        for b, loop in enumerate(loops):
+            alone = parallel_transport(conn, loop, N=N)
+            assert_same_frame(frames[b], alone)
+            assert np.array_equal(hols[b], holonomy(conn, loop, N=N))
+            assert np.array_equal(hols[b], alone.holonomy)
+            assert np.array_equal(fine[b], holonomy(conn, loop, N=2 * N))
+            # the 2N run on the frame's samples, from a batch or alone
+            for frame in (frames[b], alone):
+                assert np.array_equal(
+                    fine[b], holonomy(conn, loop, N=2 * N, coarse=frame))
+
+    @pytest.mark.parametrize("loops_per_chunk", [1, 2])
+    def test_chunk_boundaries(self, monkeypatch, loops_per_chunk):
+        conn, N = su2sample(), 7
+        loops = family_of_five(2)
+        frames = parallel_transport(conn, loops, N=N)
+        hols = holonomy(conn, loops, N=N)
+        monkeypatch.setattr(transport, "TRANSPORT_NODE_BUDGET",
+                            loops_per_chunk * (2 * N + 1) + 2 * N)
+        for b, frame in enumerate(parallel_transport(conn, loops, N=N)):
+            assert_same_frame(frame, frames[b])
+        assert np.array_equal(holonomy(conn, loops, N=N), hols)
+
+    def test_one_form_call_per_chunk(self, monkeypatch):
+        conn, loop = REFERENCE_CASES["su2sample"]
+        calls = []
+
+        def counted(x, v):
+            calls.append(x.shape)
+            return conn.form(x, v)
+
+        spec = ConnectionSpec(conn.n, conn.d, counted)
+        loops = [loop] * 5
+        parallel_transport(spec, loops, N=7)
+        assert calls == [(5 * 15, 2)]
+        calls.clear()
+        monkeypatch.setattr(transport, "TRANSPORT_NODE_BUDGET", 2 * 15)
+        holonomy(spec, loops, N=7)
+        assert calls == [(30, 2), (30, 2), (15, 2)]
+
+    def test_coarse_frame_samples_only_midpoints(self):
+        conn, loop = REFERENCE_CASES["su2sample"]
+        calls = []
+
+        def counted(x, v):
+            calls.append(x.shape)
+            return conn.form(x, v)
+
+        spec = ConnectionSpec(conn.n, conn.d, counted)
+        frame = parallel_transport(spec, loop, N=64)
+        calls.clear()
+        h = holonomy(spec, loop, N=128, coarse=frame)
+        assert calls == [(128, 2)]
+        assert np.array_equal(h, holonomy(spec, loop, N=128))
+        assert refinement_delta(spec, loop, N=64) == float(
+            np.linalg.norm(frame.holonomy - h))
+
+    def test_coarse_frame_of_another_run_refused(self):
+        conn, loop = REFERENCE_CASES["su2sample"]
+        frame = parallel_transport(conn, loop, N=64)
+        for other, N in [(dict(conn=su2sample()), 128),
+                         (dict(loop=BaseLoop.circle(1.3)), 128),
+                         ({}, 64), ({}, 256)]:
+            args = {"conn": conn, "loop": loop, **other}
+            with pytest.raises(ValueError, match="coarse frame"):
+                holonomy(args["conn"], args["loop"], N=N, coarse=frame)
+        with pytest.raises(ValueError, match="coarse frame"):
+            holonomy(conn, [loop], N=128, coarse=frame)
+
+    @pytest.mark.parametrize("run", [parallel_transport, holonomy])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (2, 1, 0)])
+    def test_batch_raises_its_first_failing_loop(self, run, order):
+        # the form overflows RK4's products on the loop right of x1 = 5 and
+        # is NaN on the loop left of x1 = -5; a batch raises what its first
+        # failing loop raises alone, even where a later loop fails earlier
+        # in the pipeline (NaN samples are seen before any step)
+        def form(x, v):
+            scale = np.where(x[..., 0] > 5.0, 1e200, 1.0)
+            scale = np.where(x[..., 0] < -5.0, np.nan, scale)
+            return 1j * scale[..., None, None] * np.diag([1.0, 2.0])
+
+        conn = ConnectionSpec(2, 2, form)
+        loops = [BaseLoop.circle(1.0, center=(c, 0.0))
+                 for c in (0.0, 10.0, -10.0)]
+        batch = [loops[i] for i in order]
+        first = next(loop for loop in batch if loop is not loops[0])
+        errors = (ValueError, NonAntiHermitianSample)
+        with pytest.raises(errors) as alone:
+            run(conn, first, N=16)
+        with pytest.raises(errors) as batched:
+            run(conn, batch, N=16)
+        assert type(batched.value) is type(alone.value)
+        assert str(batched.value) == str(alone.value)
+        kinds = {1: "not finite", 2: "anti-Hermitian"}
+        assert kinds[loops.index(first)] in str(alone.value)
+
+    def test_nan_node_of_the_first_failing_loop(self):
+        # NaN below x2 = 0: the circle about (0, 0.5) first dips there at
+        # t = 19/32 on the N = 16 half-step grid, the unit circle at 17/32
+        def form(x, v):
+            lower = (x[..., 1] < 0)[..., None, None]
+            return np.where(lower, np.nan, 0.0) * np.ones((1, 1), complex)
+
+        conn = ConnectionSpec(1, 2, form)
+        loops = [BaseLoop.circle(1.0, center=(0.0, 5.0)),
+                 BaseLoop.circle(1.0, center=(0.0, 0.5)),
+                 BaseLoop.circle(1.0)]
+        with pytest.raises(NonAntiHermitianSample) as info:
+            holonomy(conn, loops, N=16)
+        assert info.value.t == 19 / 32
+
+    def test_empty_batch(self):
+        assert parallel_transport(su2sample(), [], N=8) == []
+        assert holonomy(su2sample(), [], N=8).shape == (0, 2, 2)
 
 
 class TestCsv:
