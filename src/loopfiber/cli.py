@@ -5,7 +5,7 @@ Exit codes are a stable contract:
   0  success
   2  malformed input, bad parameters or an unwritable output file,
      including a connection form that turns non-finite or
-     non-anti-Hermitian on the loop
+     non-anti-Hermitian on the loop and a family transition outside LU(n)
   3  subspace-to-loop failure (wrong intersection dimension or unitarity)
   4  numerical refinement failure (phase steps cannot be resolved)
   5  audit or reduction failure
@@ -13,7 +13,8 @@ Exit codes are a stable contract:
 Reports are JSON objects with a fixed "schema" version, emitted to stdout
 and optionally to files (written atomically).  With --no-meta the report
 carries no timestamp, so identical configurations produce byte-identical
-output.
+output.  Every certificate takes its fixed module constant as its
+tolerance (loopgroup.UNITARITY_TOL, decomp.VARIATION_TOL, TWISTCHECK_TOLS).
 """
 
 import argparse
@@ -63,10 +64,6 @@ class InputError(ValueError):
     """Raised for malformed files or inconsistent parameters (exit 2)."""
 
 
-def _positive(value):
-    return math.isfinite(value) and value > 0
-
-
 # (dest, admissible, message) for every checked option, in checking order;
 # each test fails on NaN, and the float tests also on +-inf.  An option its
 # subcommand lacks, or left at a None default, is not checked.
@@ -77,13 +74,11 @@ _OPTION_CHECKS = (
     ("band", lambda v: v >= 0, "band must be >= 0"),
     ("seed", lambda v: v >= 0, "seed must be >= 0"),
     ("B", math.isfinite, "B must be finite"),
-    ("radius", _positive, "radius must be positive and finite"),
+    ("radius", lambda v: math.isfinite(v) and v > 0,
+     "radius must be positive and finite"),
     ("n", lambda v: v >= 1, "n must be a positive integer"),
     ("latitude", lambda v: 0 < v < math.pi,
      "latitude must lie strictly between 0 and pi"),
-    ("tol_scale", _positive, "tol-scale must be positive and finite"),
-    ("variation_tol", _positive, "variation-tol must be positive and finite"),
-    ("unitarity_tol", _positive, "unitarity-tol must be positive and finite"),
 )
 
 
@@ -275,19 +270,24 @@ def _array_layout(newline, shape):
 
 
 def _write_atomic(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write text to path through a renamed temp file, with the mode that
+    open(path, "w") gives under the umask; InputError naming path on any
+    OSError, with no temp file left behind."""
+    umask = os.umask(0o022)  # reading the umask means setting it
+    os.umask(umask)
+    tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
-    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   suffix=".part")
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _report(args, command, payload, meta=None):
@@ -310,10 +310,6 @@ _PRESETS = {
     "monopole": lambda args: transport.monopole(args.q),
     "su2sample": lambda args: transport.su2sample(),
 }
-
-
-def _connection(args):
-    return _PRESETS[args.preset](args)
 
 
 def _base_loop(args, conn):
@@ -387,7 +383,7 @@ def cmd_subspace_loop(args):
 
     payload = {"input": args.input, "n": frame.n, "subspace_dim": frame.dim}
     try:
-        g = loopgroup.loop_from_subspace(frame, args.unitarity_tol)
+        g = loopgroup.loop_from_subspace(frame)
     except (IntersectionDimension, UnitarityViolation) as exc:
         payload.update({
             "status": "failed",
@@ -406,7 +402,7 @@ def cmd_subspace_loop(args):
 
 
 def cmd_holonomy(args):
-    conn = _connection(args)
+    conn = _PRESETS[args.preset](args)
     loop = _base_loop(args, conn)
     frame = transport.parallel_transport(conn, loop, N=args.N)
     hol, defect = frame.holonomy, frame.unitarity_defect()
@@ -425,7 +421,7 @@ def cmd_holonomy(args):
 
 
 def cmd_obstruction(args):
-    conn = _connection(args)
+    conn = _PRESETS[args.preset](args)
     family = transport.latitude_family()
     winding, hols = transport.chern_sweep(conn, family, N=args.N, M=args.M)
     payload = {
@@ -506,18 +502,18 @@ TWISTCHECK_TOLS = {
 
 
 def cmd_twistcheck(args):
-    conn = _connection(args)
+    conn = _PRESETS[args.preset](args)
     loop = _base_loop(args, conn)
     residuals = _twistcheck_residuals(conn, loop, args.N, args.band, args.seed)
-    tols = {k: t * args.tol_scale for k, t in TWISTCHECK_TOLS.items()}
-    failures = [k for k, r in residuals.items() if not r <= tols[k]]
+    failures = [k for k, r in residuals.items()
+                if not r <= TWISTCHECK_TOLS[k]]
     payload = {
         "preset": conn.name,
         "N": args.N,
         "band": args.band,
         "seed": args.seed,
         "residuals": residuals,
-        "tolerances": tols,
+        "tolerances": dict(TWISTCHECK_TOLS),
         "failures": failures,
         "all_ok": not failures,
     }
@@ -532,8 +528,7 @@ def cmd_audit(args):
     code = EXIT_OK if report.all_ok else EXIT_AUDIT
     if fam.transitions is not None and report.axioms_ok:
         try:
-            cert = decomp.reduction_cocycle(
-                fam, variation_tol=args.variation_tol, audit=report)
+            cert = decomp.reduction_cocycle(fam, audit=report)
         except NonConstantReducedTransition as exc:
             payload["reduction"] = {
                 "failed": str(exc),
@@ -582,8 +577,6 @@ def _build_parser():
     p.add_argument("input", help="filtration or frame JSON file")
     p.add_argument("--depth", type=int, default=None,
                    help="override the filtration depth")
-    p.add_argument("--unitarity-tol", type=float,
-                   default=loopgroup.UNITARITY_TOL)
 
     p = loop_options = argparse.ArgumentParser(add_help=False)
     p.add_argument("--preset", required=True, choices=list(_PRESETS))
@@ -616,13 +609,10 @@ def _build_parser():
     p.add_argument("--band", type=int, default=4,
                    help="frequency band of the random test data")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-scale", type=float, default=1.0)
 
     p = sub.add_parser("audit", parents=[common],
                        help="audit a subspace family and reduce its cocycle")
     p.add_argument("input", help="family JSON file")
-    p.add_argument("--variation-tol", type=float,
-                   default=decomp.VARIATION_TOL)
 
     return parser
 

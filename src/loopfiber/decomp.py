@@ -10,11 +10,12 @@ that make the family a genuine frequency-split structure:
   (c) the fiber meets the shifted complement in exactly n directions and
       those directions assemble into a pointwise-unitary loop.
 
-`reduction_cocycle` conjugates each transition by the per-point loops from
-(c); for a certified family the conjugated transitions are constant in the
-loop parameter, producing a plain unitary cocycle.  A transition with
-nonzero determinant winding can never reduce this way, and the failure is
-reported together with the family's total winding.
+`reduction_cocycle` conjugates each transition, certified unitary, by the
+per-point loops from (c); for a certified family the conjugated transitions
+are constant in the loop parameter, producing a plain unitary cocycle.  A
+transition with nonzero determinant winding can never reduce this way, and
+the failure is reported together with the family's total winding.  Each
+certificate takes its module constant as its tolerance.
 """
 
 from dataclasses import dataclass, field, replace
@@ -279,18 +280,19 @@ class ReductionCertificate:
         }
 
 
-def reduction_cocycle(fam, variation_tol=VARIATION_TOL, audit=None):
+def reduction_cocycle(fam, audit=None):
     """Conjugate each transition into a constant unitary, or refuse.
 
-    Per point, the filtration window determines a pointwise-unitary loop
-    gamma_x; each transition c over an edge (x, y) is replaced by
-    gamma_y^{-1} c gamma_x.  For a certified family this is constant in
-    the loop parameter; the constants form the reduced cocycle.  A
-    variation above `variation_tol` raises NonConstantReducedTransition
+    A transition with a unitarity defect above UNITARITY_TOL raises
+    ValueError (not in LU(n)).  Per point, the filtration window determines
+    a pointwise-unitary loop gamma_x; each transition c over an edge (x, y)
+    is replaced by gamma_y^{-1} c gamma_x.  For a certified family this is
+    constant in the loop parameter; the constants form the reduced cocycle.
+    A variation above VARIATION_TOL raises NonConstantReducedTransition
     carrying the total determinant winding of the input transitions, the
     integer obstruction that forbids any such reduction.  A mean with a
     unitarity defect above 2 var + var^2 + UNITARITY_TOL, more than a
-    unitary loop within var of it allows, raises ValueError (not in LU(n)).
+    unitary loop within var of it allows, raises ValueError.
 
     `audit`, the audit_family report of this same family, lends the loops
     it certified; the others are rebuilt, once per distinct window under
@@ -300,6 +302,11 @@ def reduction_cocycle(fam, variation_tol=VARIATION_TOL, audit=None):
     """
     if fam.transitions is None:
         raise ValueError("family carries no transition data")
+    for e_idx, c in enumerate(fam.transitions):  # each certificate is kept
+        defect = unitarity_defect(c)[0]
+        if not (defect <= UNITARITY_TOL):
+            raise ValueError(f"transition {e_idx} on edge {fam.edges[e_idx]} "
+                             f"is not unitary: defect {defect:.3e}")
     known = (None,) * fam.size if audit is None else audit.gammas
     if len(known) != fam.size:
         raise ValueError("audit report is not of this family")
@@ -320,7 +327,7 @@ def reduction_cocycle(fam, variation_tol=VARIATION_TOL, audit=None):
         c = fam.transitions[e_idx]
         reduced = multiply(inverse(gammas[j]), multiply(c, gammas[i]))
         var, mean = theta_variation(reduced)
-        if not (var <= variation_tol):
+        if not (var <= VARIATION_TOL):
             total = sum(det_winding(t) for t in fam.transitions)
             raise NonConstantReducedTransition((i, j), var, winding_sum=total)
         defect = _stack_defect(mean[:, :, None])[0]

@@ -436,7 +436,7 @@ def window_frame(g, depth):
         BandStack(g.n, g.kmin, g.data), depth))
 
 
-def loop_from_subspace(W, tol=UNITARITY_TOL):
+def loop_from_subspace(W):
     """Rebuild the unitary loop whose shifted column span is W.
 
     W must be an orthonormal frame for gamma . span{ z^p e_j : 0 <= p <= P }.
@@ -444,9 +444,9 @@ def loop_from_subspace(W, tol=UNITARITY_TOL):
     exactly n (else IntersectionDimension).  Its orthonormal basis loops
     w_1..w_n become the columns of gamma, i.e. the k-th Fourier coefficient
     of w_j is column j of A_k, so gamma(theta) e_j = w_j(theta).  Pointwise
-    unitarity on the band-sized grid of unitarity_defect certifies the
-    result (UnitarityViolation otherwise); it is equivalent to the w_j
-    forming orthonormal frames of the values for every theta.
+    unitarity to UNITARITY_TOL on the band-sized grid of unitarity_defect
+    certifies the result (UnitarityViolation otherwise); it is equivalent
+    to the w_j forming orthonormal frames of the values for every theta.
 
     The basis of the intersection is only defined up to a constant unitary;
     it is canonicalized so the lowest-frequency invertible coefficient
@@ -460,7 +460,7 @@ def loop_from_subspace(W, tol=UNITARITY_TOL):
     blocks = stack.data @ _canonical_basis_rotation(stack.kmin, stack.data)
     g = LoopGroupElement.from_band(W.n, stack.kmin, blocks)
     defect, theta = unitarity_defect(g)
-    if not (defect <= tol):
+    if not (defect <= UNITARITY_TOL):
         raise UnitarityViolation(defect, theta)
     return g
 

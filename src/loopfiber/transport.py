@@ -545,7 +545,6 @@ def _end_transport(conn, xvs, t0, t1, steps, coarse=None):
     of the tree product of the step polar factors."""
     I = np.eye(conn.n, dtype=complex)[:, :, None, None]  # a stack of one
     # the offsets and samples are dropped before the polar factors are made
-    # the offsets and samples are dropped before the polar factors are made
     P = I + _step_offsets(conn, xvs, t0, t1, steps, coarse)[0]
     return _block_major(_polar(
         I[..., 0] + _loop_scan(_tree_product, _polar(P) - I)))

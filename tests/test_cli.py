@@ -9,6 +9,8 @@ import decimal
 import itertools
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -56,6 +58,12 @@ def winding_cycle_dict(seed=5):
     transitions[-1] = multiply(diag_zpowers([1, 0]), transitions[-1])
     return decomp.family_to_dict(decomp.SubspaceFamily(
         fam.points, fam.edges, fam.psi, tuple(transitions)))
+
+
+def golden_family():
+    """The checked-in constant family of the golden audit, as a dict."""
+    return json.loads((Path(__file__).parent / "golden" / "inputs"
+                       / "family-constant.json").read_text())
 
 
 def shifted_transition(fam, K):
@@ -349,20 +357,17 @@ class TestSubspaceLoop:
         assert out == ""
         assert err.startswith("error:") and "--depth" in err
 
-    def test_unitarity_tol(self, capsys, tmp_path):
+    def test_unitarity_tol(self, capsys, tmp_path, monkeypatch):
         # a rebuilt loop is unitary only to roundoff, so a tolerance far
-        # below it fails the certificate; a nonpositive one is refused
+        # below it fails the certificate, which reads the constant per call
         frame = window_frame(random_loop(2, 2, seed=4), 3)
         src = write_json(tmp_path / "frame.json",
                          subspaces.frame_to_dict(frame))
-        code, rep = run_cli(capsys, ["subspace-loop", src, "--no-meta",
-                                     "--unitarity-tol", "1e-300"])
+        monkeypatch.setattr(loopgroup, "UNITARITY_TOL", 1e-300)
+        code, rep = run_cli(capsys, ["subspace-loop", src, "--no-meta"])
         assert code == 3
         assert rep["status"] == "failed"
         assert "unitarity defect" in rep["diagnostic"]
-        for bad in ("0", "-1e-8"):
-            assert cli.main(["subspace-loop", src, "--no-meta",
-                             f"--unitarity-tol={bad}"]) == 2
 
 
 class TestHolonomy:
@@ -492,6 +497,36 @@ class TestHolonomy:
         assert captured.err.startswith("error: cannot write")
         assert captured.out == ""
         assert list(tmp_path.rglob("*")) == []
+
+    def test_output_directory_exit2(self, capsys, tmp_path):
+        # a directory cannot be replaced by the report; the message names
+        # the path given, not the temp file, and the temp file is removed
+        out = tmp_path / "outdir"
+        out.mkdir()
+        code = cli.main(["holonomy", "--preset", "flat", "--N", "8",
+                         "--no-meta", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: cannot write {out}: Is a directory\n"
+        assert list(tmp_path.rglob("*")) == [out]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+    def test_written_file_modes(self, capsys, tmp_path, umask, mode):
+        # reports and CSVs get the mode open(path, "w") gives, not the
+        # 0600 of their temp files
+        report, csv = tmp_path / "report.json", tmp_path / "sweep.csv"
+        old = os.umask(umask)
+        try:
+            assert cli.main(["holonomy", "--preset", "flat", "--N", "8",
+                             "--no-meta", "-o", str(report)]) == 0
+            assert cli.main(["obstruction", "--preset", "monopole", "--N",
+                             "64", "--M", "8", "--no-meta", "--csv",
+                             str(csv)]) == 0
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        assert stat.S_IMODE(report.stat().st_mode) == mode
+        assert stat.S_IMODE(csv.stat().st_mode) == mode
 
     def test_nan_t_csv_exit2(self, capsys, tmp_path):
         path = tmp_path / "nan_t.csv"
@@ -703,10 +738,12 @@ class TestTwistcheck:
         assert captured.err == ""
         assert json.loads(captured.out)["all_ok"]
 
-    def test_impossible_tolerance_exit5(self, capsys):
+    def test_impossible_tolerance_exit5(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "TWISTCHECK_TOLS", {
+            k: t * 1e-18 for k, t in cli.TWISTCHECK_TOLS.items()})
         code, rep = run_cli(capsys,
                             ["twistcheck", "--preset", "flat", "--N", "64",
-                             "--tol-scale", "1e-18", "--no-meta"])
+                             "--no-meta"])
         assert code == 5
         assert not rep["all_ok"]
         assert rep["failures"]
@@ -874,17 +911,36 @@ class TestAudit:
     ])
     def test_nonunitary_transition_exit2(self, capsys, tmp_path, mcoeffs,
                                          defect):
-        # the golden constant family with transition 0 replaced: its
-        # reduced mean is 0 or 2 I, not a unitary to take the polar of
-        fam = json.loads((Path(__file__).parent / "golden" / "inputs"
-                          / "family-constant.json").read_text())
+        # the golden constant family with transition 0 replaced by a loop
+        # outside LU(n), refused before it is reduced
+        fam = golden_family()
         fam["transitions"][0]["mcoeffs"] = mcoeffs
         src = write_json(tmp_path / "fam.json", fam)
         assert cli.main(["audit", src, "--no-meta"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"error: transition 0 on edge (0, 1) is not "
-                                f"unitary: reduced mean defect {defect}\n")
+                                f"unitary: defect {defect}\n")
+
+    @pytest.mark.parametrize("eps,defect", [(1e-9, None),
+                                            (1e-7, "2.175e-07")])
+    def test_transition_certificate(self, capsys, tmp_path, eps, defect):
+        # eps I z^64 moves the reduced transition by eps sqrt 2, within the
+        # variation tolerance, and leaves its mean unitary, but it puts
+        # c_0 + eps I z^64 about 2 eps off unitary: only the transition's
+        # own certificate refuses it
+        fam = golden_family()
+        fam["transitions"][0]["mcoeffs"]["64"] = [[[eps, 0], [0, 0]],
+                                                  [[0, 0], [eps, 0]]]
+        src = write_json(tmp_path / "fam.json", fam)
+        code = cli.main(["audit", src, "--no-meta"])
+        captured = capsys.readouterr()
+        if defect is None:
+            assert code == 0 and json.loads(captured.out)["all_ok"]
+        else:
+            assert code == 2 and captured.out == ""
+            assert captured.err == (f"error: transition 0 on edge (0, 1) is "
+                                    f"not unitary: defect {defect}\n")
 
     @pytest.mark.parametrize("K", [256, 1024])
     def test_transition_at_a_grid_multiple_exit5(self, capsys, tmp_path, K):
@@ -918,25 +974,21 @@ class TestAudit:
         assert not rep["audit"]["axioms_ok"]
         assert rep["reduction"] is None
 
-    def test_variation_tol(self, capsys, tmp_path):
+    def test_variation_tol(self, capsys, tmp_path, monkeypatch):
         # over windows twisted by a random loop the reduced transitions
-        # vary by roundoff, far above 1e-300; a nonpositive tolerance is
-        # refused
+        # vary by roundoff, far above 1e-300
         g = random_loop(2, 2, seed=23)
         window = subspaces.FiltrationSubspace(
             [g.column(j) for j in range(2)], 3)
         fam = decomp.SubspaceFamily((0, 1), ((0, 1), (1, 0)), (window,) * 2,
                                     (identity_element(2),) * 2)
         src = write_json(tmp_path / "fam.json", decomp.family_to_dict(fam))
-        code, rep = run_cli(capsys, ["audit", src, "--no-meta",
-                                     "--variation-tol", "1e-300"])
+        monkeypatch.setattr(decomp, "VARIATION_TOL", 1e-300)
+        code, rep = run_cli(capsys, ["audit", src, "--no-meta"])
         assert code == 5
         assert rep["audit"]["axioms_ok"]
         assert "failed" in rep["reduction"]
         assert not rep["all_ok"]
-        for bad in ("0", "-1e-6"):
-            assert cli.main(["audit", src, "--no-meta",
-                             f"--variation-tol={bad}"]) == 2
 
     def test_dependent_generators_exit2(self, capsys, tmp_path):
         e1 = fourier.basis_loop(2)
@@ -1239,9 +1291,7 @@ class TestOptions:
     # values at or past the edge of each checked option's range
     REFUSED = {
         "N": [0], "M": [0], "depth": [-1], "band": [-1], "n": [0],
-        "radius": [0.0, math.inf], "latitude": [0.0, math.pi],
-        "tol_scale": [0.0, math.inf], "variation_tol": [0.0, math.inf],
-        "unitarity_tol": [0.0, math.inf], "seed": [-1],
+        "radius": [0.0, math.inf], "latitude": [0.0, math.pi], "seed": [-1],
         "B": [math.inf, -math.inf],
     }
 
@@ -1278,8 +1328,9 @@ class TestOptions:
         ("--tol-scale", "tol-scale"), ("--variation-tol", "variation-tol"),
         ("--unitarity-tol", "unitarity-tol"), ("--circle", "radius")])
     def test_non_finite_refused(self, capsys, tmp_path, option, named, value):
-        # at --variation-tol inf the winding cycle would be certified as
-        # reduced to constants, exit 0
+        # the tolerance options are gone, so argparse refuses them before
+        # any value is read: at --variation-tol inf the winding cycle can
+        # no more be certified as reduced to constants
         if option == "--variation-tol":
             argv = ["audit", write_json(tmp_path / "fam.json",
                                         winding_cycle_dict())]
@@ -1290,11 +1341,37 @@ class TestOptions:
         else:
             argv = ["twistcheck" if option == "--tol-scale" else "holonomy",
                     "--preset", "abelian2d", "--N", "64"]
-        code = cli.main(argv + ["--no-meta", f"{option}={value}"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert f"error: {named} must be positive and finite" in captured.err
+        argv += ["--no-meta", f"{option}={value}"]
+        if option == "--circle":
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert f"error: {named} must be positive and finite" in captured.err
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            captured = capsys.readouterr()
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {option}={value}" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("option", ["--unitarity-tol", "--variation-tol",
+                                        "--tol-scale"])
+    def test_tolerance_options_removed(self, capsys, tmp_path, option):
+        # no option resets a certificate's tolerance: argparse refuses each
+        # one on every subcommand, so the winding cycle exits 5 only
+        fam = write_json(tmp_path / "fam.json", winding_cycle_dict())
+        for argv in (["project", "f.json"], ["subspace-loop", "f.json"],
+                     ["holonomy", "--preset", "flat", "--N", "8"],
+                     ["obstruction", "--preset", "monopole"],
+                     ["twistcheck", "--preset", "flat", "--N", "8"],
+                     ["audit", fam]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + ["--no-meta", option, "10"])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2 and captured.out == ""
+            assert f"unrecognized arguments: {option} 10" in captured.err
+        assert cli.main(["audit", fam, "--no-meta"]) == 5
 
 
 class TestEntryPoint:

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -266,16 +267,30 @@ class TestReduction:
         ({0: (1.0 + 6e-9) * np.eye(2)}, "1.697e-08"),   # sqrt 2 (2 delta + ...)
     ])
     def test_nonunitary_reduced_mean_refused(self, transition, defect):
-        # constant transitions reduce with zero variation, so the mean's
-        # unitarity defect alone (bound UNITARITY_TOL) refuses them
+        # constant transitions reduce with zero variation, to a mean with
+        # the transition's defect; the transition's own certificate (bound
+        # UNITARITY_TOL) refuses them before any reduction
         window = plus_window(2)
         fam = SubspaceFamily(
             points=(0, 1), edges=((0, 1), (1, 0)), psi=(window, window),
             transitions=(identity_element(2),
                          loopgroup.LoopGroupElement(2, transition)))
         with pytest.raises(ValueError, match=r"transition 1 on edge \(1, 0\) "
-                           r"is not unitary: .* " + re.escape(defect)):
+                           r"is not unitary: defect " + re.escape(defect)):
             reduction_cocycle(fam)
+
+    def test_mean_check_refuses_lent_nonunitary_loops(self):
+        # the mean check still guards the reduction itself: loops lent as
+        # 2 I reduce the identity transitions to 4 I, defect 15 sqrt 2
+        window = plus_window(2)
+        fam = SubspaceFamily(
+            points=(0, 1), edges=((0, 1), (1, 0)), psi=(window, window),
+            transitions=(identity_element(2),) * 2)
+        audit = replace(audit_family(fam),
+                        gammas=(constant_element(2.0 * np.eye(2)),) * 2)
+        with pytest.raises(ValueError, match=r"transition 0 on edge \(0, 1\) "
+                           r"is not unitary: reduced mean defect 2\.121e\+01"):
+            reduction_cocycle(fam, audit=audit)
 
     def test_near_unitary_reduced_mean_accepted(self):
         # (1 + 3e-9) I has defect sqrt 2 (6e-9 + 9e-18), within 1e-8
@@ -286,7 +301,7 @@ class TestReduction:
                          constant_element((1.0 + 3e-9) * np.eye(2))))
         assert reduction_cocycle(fam).max_variation < 1e-12
 
-    def test_unitary_loop_passes_the_mean_check(self):
+    def test_unitary_loop_passes_the_mean_check(self, monkeypatch):
         # diag(z, 1) is unitary, with mean diag(0, 1) (defect 1) and
         # variation 1: within 2 var + var^2 = 3, so a loose variation
         # tolerance reduces it to the polar factor of diag(0, 1)
@@ -294,7 +309,8 @@ class TestReduction:
         fam = SubspaceFamily(
             points=(0, 1), edges=((0, 1), (1, 0)), psi=(window, window),
             transitions=(identity_element(2), diag_zpowers([1, 0])))
-        cert = reduction_cocycle(fam, variation_tol=10.0)
+        monkeypatch.setattr(decomp, "VARIATION_TOL", 10.0)
+        cert = reduction_cocycle(fam)
         assert cert.variations[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_audit_of_another_family_refused(self):
