@@ -10,11 +10,13 @@ Exit codes are a stable contract:
   4  numerical refinement failure (phase steps cannot be resolved)
   5  audit or reduction failure
 
-Reports are JSON objects with a fixed "schema" version, emitted to stdout
-and optionally to files (written atomically).  With --no-meta the report
-carries no timestamp, so identical configurations produce byte-identical
-output.  Every certificate takes its fixed module constant as its
-tolerance (loopgroup.UNITARITY_TOL, decomp.VARIATION_TOL, TWISTCHECK_TOLS).
+Reports are JSON objects with a fixed "schema" version, laid out by json
+(sorted keys, indent 2) with their float arrays written by orjson, and
+emitted to stdout and optionally to files (written atomically).  With
+--no-meta the report carries no timestamp, so identical configurations
+produce byte-identical output.  Every certificate takes its fixed module
+constant as its tolerance (loopgroup.UNITARITY_TOL, decomp.VARIATION_TOL,
+TWISTCHECK_TOLS).
 """
 
 import argparse
@@ -22,6 +24,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from datetime import datetime, timezone
@@ -64,6 +67,9 @@ class InputError(ValueError):
     """Raised for malformed files or inconsistent parameters (exit 2)."""
 
 
+# twistcheck's random loops span 2 band + 1 frequencies
+_MAX_BAND = (fourier.MAX_BAND_WIDTH - 1) // 2
+
 # (dest, admissible, message) for every checked option, in checking order;
 # each test fails on NaN, and the float tests also on +-inf.  An option its
 # subcommand lacks, or left at a None default, is not checked.
@@ -71,7 +77,8 @@ _OPTION_CHECKS = (
     ("N", lambda v: v >= 1, "N must be a positive integer"),
     ("M", lambda v: v >= 1, "M must be a positive integer"),
     ("depth", lambda v: v >= 0, "depth must be >= 0"),
-    ("band", lambda v: v >= 0, "band must be >= 0"),
+    ("band", lambda v: 0 <= v <= _MAX_BAND,
+     f"band must be between 0 and {_MAX_BAND}"),
     ("seed", lambda v: v >= 0, "seed must be >= 0"),
     ("B", math.isfinite, "B must be finite"),
     ("radius", lambda v: math.isfinite(v) and v > 0,
@@ -118,80 +125,59 @@ def _load_input(path, parse, what):
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_encode_scalar = json.JSONEncoder(allow_nan=False).encode
+# json's spelling of the string "\x00<i>" that _stubbed puts in place of
+# the i-th float array
+_STUB = re.compile(r'"\\u0000([0-9]+)"')
 
 
 def _dump(report):
     """json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n",
     byte for byte, so a NaN or inf in a report raises ValueError (exit 2).
 
-    json's indent=2 encoder is pure Python, one generator step per value;
-    here the floats of each rectangular list, and of each dict of such
-    lists of one shape, are written by one orjson call, and strings and
-    other scalars go to json's own C encoders.
+    json's indent=2 encoder is pure Python, one generator step per value,
+    so it lays out a copy of the report in which each float array is one
+    stub string (_stubbed); the floats of each array, written by one orjson
+    call, replace its stub at the indent of the stub's line.  A report
+    string that reads like a stub leaves more stubs than arrays, and such a
+    report is written by json alone.
     """
-    out = []
-    _emit(report, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    arrays = []
+    text = json.dumps(_stubbed(report, arrays), sort_keys=True, indent=2,
+                      allow_nan=False)
+    parts = _STUB.split(text)  # text, index, text, ..., text
+    if len(parts) // 2 > len(arrays):
+        return json.dumps(report, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
+    for i in range(1, len(parts), 2):
+        line = parts[i - 1][parts[i - 1].rfind("\n") + 1:]
+        newline = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        keys, shape, leaves = arrays[int(parts[i])]
+        parts[i] = (_float_dict(keys, shape, leaves, newline) if keys else
+                    _interleave(_array_layout(newline, shape),
+                                _float_texts(leaves)))
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _emit(value, newline, out):
-    """Append the indent=2 text of `value` to `out`; `newline` is a line
-    break and the indent of the line `value` starts on."""
-    inner = newline + "  "
+def _stubbed(value, arrays):
+    """A copy of `value` in which each rectangular float list, and each dict
+    of two or more str keys to float arrays of one shape, is the string
+    "\x00<i>", with arrays[i] = (its sorted keys or None, shape, leaves)."""
     if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        items = sorted(value.items())
-        found = _float_leaves([item for _, item in items])
-        if found is not None and len(found[0]) > 1:
-            out.append(_float_dict([key for key, _ in items], *found,
-                                   newline))
-            return
-        sep = "{" + inner
-        for key, item in items:
-            out.append(sep + _encode_key(key) + ": ")
-            _emit(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
+        if len(value) > 1 and all(isinstance(key, str) for key in value):
+            keys = sorted(value)
+            found = _float_leaves([value[key] for key in keys])
+            if found is not None and len(found[0]) > 1:
+                arrays.append((keys, *found))
+                return f"\x00{len(arrays) - 1}"
+        return {key: _stubbed(item, arrays) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
         found = _float_leaves(value)
         if found is not None:
-            out.append(_interleave(_array_layout(newline, found[0]),
-                                   _float_texts(found[1])))
-            return
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _emit(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    else:
-        out.append(_scalar(value))
-
-
-def _scalar(value):
-    """The JSON text of a value that is no list or dict, as json writes it."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"Out of range float values are not JSON "
-                         f"compliant: {value!r}")
-    return _encode_scalar(value)
-
-
-def _encode_key(key):
-    """A dict key as json writes it: other scalars as the string of their
-    JSON text."""
-    if isinstance(key, str):
-        return _encode_str(key)
-    if key is None or isinstance(key, (int, float)):
-        return _encode_str(_scalar(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {type(key).__name__}")
+            arrays.append((None, *found))
+            return f"\x00{len(arrays) - 1}"
+        return [_stubbed(item, arrays) for item in value]
+    return value
 
 
 def _float_leaves(value):
@@ -218,7 +204,7 @@ def _float_dict(keys, shape, leaves, newline):
     head, *between, tail = _array_layout(inner, shape[1:])
     size = len(between) + 1  # leaves per array
     seps = [None, *between] * shape[0] + [None]
-    opens = [_encode_key(key) + ": " + head for key in keys]
+    opens = [_encode_str(key) + ": " + head for key in keys]
     seps[0::size] = (["{" + inner + opens[0]]
                      + [tail + "," + inner + text for text in opens[1:]]
                      + [tail + newline + "}"])
@@ -245,8 +231,7 @@ def _float_texts(leaves):
     """
     text = orjson.dumps(leaves).decode()
     if "n" in text:  # only "null" holds one
-        for x in leaves:
-            _scalar(x)  # raises json's ValueError on the first
+        json.dumps(leaves, allow_nan=False)  # raises json's ValueError
     texts = np.array(text[1:-1].split(","), dtype=object)
     values = np.array(leaves)
     size = np.abs(values)
@@ -405,17 +390,13 @@ def cmd_holonomy(args):
     conn = _PRESETS[args.preset](args)
     loop = _base_loop(args, conn)
     frame = transport.parallel_transport(conn, loop, N=args.N)
-    hol, defect = frame.holonomy, frame.unitarity_defect()
-    raw_drift = frame.raw_defect
-    # the 2N run takes its step ends from the frame's samples
-    again = transport.holonomy(conn, loop, N=2 * args.N, coarse=frame)
     payload = {
         "preset": conn.name,
         "N": args.N,
-        "holonomy": fourier._to_pairs(hol),
-        "unitarity_defect": defect,
-        "raw_drift": raw_drift,
-        "refinement_delta": float(np.linalg.norm(hol - again)),
+        "holonomy": fourier._to_pairs(frame.holonomy),
+        "unitarity_defect": frame.unitarity_defect(),
+        "raw_drift": frame.raw_defect,
+        "refinement_delta": transport.refinement_delta(frame),
     }
     return _report(args, "holonomy", payload), EXIT_OK
 
@@ -528,7 +509,7 @@ def cmd_audit(args):
     code = EXIT_OK if report.all_ok else EXIT_AUDIT
     if fam.transitions is not None and report.axioms_ok:
         try:
-            cert = decomp.reduction_cocycle(fam, audit=report)
+            cert = decomp.reduction_cocycle(report)
         except NonConstantReducedTransition as exc:
             payload["reduction"] = {
                 "failed": str(exc),

@@ -10,8 +10,9 @@ that make the family a genuine frequency-split structure:
   (c) the fiber meets the shifted complement in exactly n directions and
       those directions assemble into a pointwise-unitary loop.
 
-`reduction_cocycle` conjugates each transition, certified unitary, by the
-per-point loops from (c); for a certified family the conjugated transitions
+`reduction_cocycle` takes an audit report, which carries its family and the
+per-point loops from (c), and conjugates each transition, certified
+unitary, by those loops; for a certified family the conjugated transitions
 are constant in the loop parameter, producing a plain unitary cocycle.  A
 transition with nonzero determinant winding can never reduce this way, and
 the failure is reported together with the family's total winding.  Each
@@ -140,13 +141,14 @@ class PointAudit:
 @dataclass(frozen=True)
 class AuditReport:
     """The audit of a family.  gammas[x] is the loop certified at point x,
-    or None where (c) failed; it is kept for reduction_cocycle, not
-    reported."""
+    or None where (c) failed; it and the audited family are kept for
+    reduction_cocycle, not reported."""
 
     point_audits: tuple
     edge_cosines: tuple
     continuity_ok: bool
     gammas: tuple = field(repr=False, compare=False)
+    family: SubspaceFamily = field(repr=False, compare=False)
 
     @property
     def axioms_ok(self):
@@ -216,12 +218,6 @@ def _window_key(f):
     return f.depth, f.stack.kmin, f.stack.data.shape, f.stack.data.tobytes()
 
 
-def _first_points(fam):
-    """For each point, the first point whose window has the same key."""
-    first = {}
-    return [first.setdefault(_window_key(f), x) for x, f in enumerate(fam.psi)]
-
-
 def audit_family(fam):
     """Check the fiberwise axioms at every base point.
 
@@ -235,7 +231,8 @@ def audit_family(fam):
     point: the other points share its result and its loop, and each edge
     takes the principal angles of its pair of windows once.
     """
-    first = _first_points(fam)
+    keys = {}  # window key -> the first point with that window
+    first = [keys.setdefault(_window_key(f), x) for x, f in enumerate(fam.psi)]
     audited = {x: _audit_point(x, fam.psi[x]) for x in dict.fromkeys(first)}
     point_audits = tuple(
         audited[x0][0] if x0 == x else replace(audited[x0][0], point=x)
@@ -247,7 +244,7 @@ def audit_family(fam):
               for i, j in dict.fromkeys(edges)}
     cosines = tuple(angles[e] for e in edges)
     continuity_ok = all(c >= CONTINUITY_COS for c in cosines)
-    return AuditReport(point_audits, cosines, continuity_ok, gammas)
+    return AuditReport(point_audits, cosines, continuity_ok, gammas, fam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,13 +277,16 @@ class ReductionCertificate:
         }
 
 
-def reduction_cocycle(fam, audit=None):
-    """Conjugate each transition into a constant unitary, or refuse.
+def reduction_cocycle(audit):
+    """Conjugate each transition of the audited family into a constant
+    unitary, or refuse.
 
-    A transition with a unitarity defect above UNITARITY_TOL raises
-    ValueError (not in LU(n)).  Per point, the filtration window determines
-    a pointwise-unitary loop gamma_x; each transition c over an edge (x, y)
-    is replaced by gamma_y^{-1} c gamma_x.  For a certified family this is
+    `audit` is the audit_family report of the family; an audit whose
+    axioms failed raises ValueError, as does a family without transitions
+    or with a transition whose unitarity defect is above UNITARITY_TOL
+    (not in LU(n)).  Each transition c over an edge (x, y) is replaced by
+    gamma_y^{-1} c gamma_x, with gamma_x the pointwise-unitary loop the
+    audit certified at x from axiom (c).  For a certified family this is
     constant in the loop parameter; the constants form the reduced cocycle.
     A variation above VARIATION_TOL raises NonConstantReducedTransition
     carrying the total determinant winding of the input transitions, the
@@ -294,28 +294,20 @@ def reduction_cocycle(fam, audit=None):
     unitarity defect above 2 var + var^2 + UNITARITY_TOL, more than a
     unitary loop within var of it allows, raises ValueError.
 
-    `audit`, the audit_family report of this same family, lends the loops
-    it certified; the others are rebuilt, once per distinct window under
-    audit_family's bitwise key.  The determinant winding (from closed-form
-    determinants up to n = 3, see det_winding) is taken once per distinct
-    loop object.
+    The audit shares one loop object among equal windows; the determinant
+    winding (from closed-form determinants up to n = 3, see det_winding)
+    is taken once per distinct loop object.
     """
+    fam, gammas = audit.family, audit.gammas
     if fam.transitions is None:
         raise ValueError("family carries no transition data")
+    if not audit.axioms_ok:
+        raise ValueError("the audit of this family failed its axioms")
     for e_idx, c in enumerate(fam.transitions):  # each certificate is kept
         defect = unitarity_defect(c)[0]
         if not (defect <= UNITARITY_TOL):
             raise ValueError(f"transition {e_idx} on edge {fam.edges[e_idx]} "
                              f"is not unitary: defect {defect:.3e}")
-    known = (None,) * fam.size if audit is None else audit.gammas
-    if len(known) != fam.size:
-        raise ValueError("audit report is not of this family")
-    gammas = list(known)
-    for x, x0 in enumerate(_first_points(fam)):
-        if gammas[x] is None:  # gammas[x0] is set by now where x0 < x
-            gammas[x] = (gammas[x0] if x0 < x else
-                         loop_from_subspace(expand_filtration(fam.psi[x])))
-    gammas = tuple(gammas)
     windings = {}
     for g in gammas:
         if id(g) not in windings:

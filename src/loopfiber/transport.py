@@ -62,7 +62,8 @@ runs again loop by loop.
 A refinement run reuses samples: the 2N run's step ends are the N run's
 nodes, because linspace(0, 1, 4N + 1)[2i] == linspace(0, 1, 2N + 1)[i] bit
 for bit (fl(1/4N) is fl(1/2N) / 2).  A `TransportFrame` keeps its samples,
-and `holonomy(conn, loop, 2N, coarse=frame)` samples only the 2N midpoints.
+and `holonomy(conn, loop, 2N, coarse=frame)` samples only the 2N midpoints;
+`refinement_delta(frame)` runs it.
 
 A holonomy alone needs only T(1): `holonomy` runs the scan's up-sweep, a
 pairwise tree product of the Q_i, to its root and takes one final polar; it
@@ -645,11 +646,11 @@ def transport_reversed(conn, loop, t, N=2048):
     return _end_transport(conn, [xv], 0.0, t, steps)[0]
 
 
-def refinement_delta(conn, loop, N=2048):
-    """Frobenius change of the holonomy when the grid is refined to 2N."""
-    frame = parallel_transport(conn, loop, N)
-    return float(np.linalg.norm(
-        frame.holonomy - holonomy(conn, loop, 2 * N, coarse=frame)))
+def refinement_delta(frame):
+    """Frobenius change of a frame's holonomy when its grid N is refined to
+    2N; the 2N run takes its step ends from the frame's samples."""
+    return float(np.linalg.norm(frame.holonomy - holonomy(
+        frame.conn, frame.loop, 2 * frame.N, coarse=frame)))
 
 
 def rotated_twist(frame, t):
@@ -702,11 +703,11 @@ def chern_sweep(conn, family, N=256, M=64):
     pi/2 (loopgroup._phase_winding), and then until the winding read on
     twice the grid agrees, so that a sweep whose samples alias (all near 1
     at q = 2, M = 2) is not taken for a winding; PhaseStepTooLarge is
-    raised beyond SWEEP_MAX_GRID.  For a closed family (constant endpoint
-    loops) the sum of steps is a whole number of turns, which is the first
-    Chern number of the bundle the family sweeps out.  Returns (winding, h)
-    with h[j] the holonomy of family(j / (len(h) - 1)), on the coarser of
-    the two agreeing grids.
+    raised beyond SWEEP_MAX_GRID, before any transport when 2M is beyond
+    it.  For a closed family (constant endpoint loops) the sum of steps is
+    a whole number of turns, which is the first Chern number of the bundle
+    the family sweeps out.  Returns (winding, h) with h[j] the holonomy of
+    family(j / (len(h) - 1)), on the coarser of the two agreeing grids.
 
     Each grid takes one batched `holonomy` call.  family(2j / 2M) is
     family(j / M) bit for bit, so a doubled grid keeps the holonomies it
@@ -714,6 +715,10 @@ def chern_sweep(conn, family, N=256, M=64):
     """
     if conn.n != 1:
         raise ValueError("winding needs a U(1) connection (n = 1)")
+    if 2 * M > SWEEP_MAX_GRID:  # the grid never shrinks below M
+        raise PhaseStepTooLarge(
+            f"sweep grid M={M} cannot be confirmed on a finer grid within "
+            f"{SWEEP_MAX_GRID}")
     last = np.empty(0, dtype=complex)  # the holonomies of the last grid
 
     def sample(M):

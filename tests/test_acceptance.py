@@ -236,7 +236,7 @@ def test_criterion_7_model_families_and_winding_refusal():
         fam = build_model_decomposition(cocycle, depth=3)
         report = audit_family(fam)
         assert report.all_ok
-        cert = reduction_cocycle(fam)
+        cert = reduction_cocycle(report)
         assert cert.gamma_windings == (0,) * m
         for got, want in zip(cert.constants, cocycle):
             worst = max(worst, float(np.linalg.norm(got - want)))
@@ -250,7 +250,7 @@ def test_criterion_7_model_families_and_winding_refusal():
     bad = SubspaceFamily(fam.points, fam.edges, fam.psi, tuple(transitions))
     assert audit_family(bad).all_ok
     with pytest.raises(NonConstantReducedTransition) as info:
-        reduction_cocycle(bad)
+        reduction_cocycle(audit_family(bad))
     assert info.value.winding_sum == 1
     assert info.value.variation > 1e-3
     print(f"ACCEPTANCE 7 model families and winding refusal: PASS "

@@ -676,6 +676,15 @@ class TestObstruction:
         assert code == 4
         assert "phase step" in capsys.readouterr().err
 
+    def test_unconfirmable_family_grid_exit4(self, capsys):
+        # a grid of M = 2049 has no finer grid within 4096 to confirm it on
+        code = cli.main(["obstruction", "--preset", "monopole", "--M", "2049",
+                         "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == ("error: sweep grid M=2049 cannot be confirmed "
+                                "on a finer grid within 4096\n")
+
     def test_wrong_preset_exit2(self, capsys):
         with pytest.raises(SystemExit):
             # argparse itself rejects non-monopole presets here
@@ -1201,6 +1210,15 @@ class TestDump:
               "coeffs": {"-1": [[1e-6, 1.5e-5]], "-10": [[1e16, -0.0]],
                          "2": [[-9.999999999999999e-05, 1e-9]]},
               "blocks": {"a": [1.0], "b": [[2.0]], "c": [3, 4.0]}})
+    # strings that json writes as the writer's stubs, beside float arrays
+    # and float dicts, send the report to json alone
+    @example({"s": "\x000", "a": [1.5, -0.0], "d": {"x": [1e-6], "y": [2.0]}})
+    @example({"\x001": [[1.0, 2.0]], "d": {"p": [[3.0]], "q": [[4.0]]}})
+    @example({'a"\x000': {"x": [1.0], "y": [2.0]}, "b": ["\x000", [5e-5]]})
+    @example(["\x000", [1.0], {"\x001": [2.0], "z": [3.0]}])
+    # a one-key float dict, and float arrays under keys that are not str
+    @example({"one": {"k": [[1.0, 2.0]]}, "ints": {2: [1.0], -1: [2.0]},
+              "floats": {0.5: [[3.0]], 1.5: [[4.0]]}, "none": {None: [1.0]}})
     def test_matches_json_indent_encoder(self, report):
         assert cli._dump(report) == reference_dump(report)
 
@@ -1314,6 +1332,15 @@ class TestOptions:
                      ["obstruction", "--preset", "monopole", "--N", "1",
                       "--M", "1"]):
             cli._check_options(parser.parse_args(argv))
+
+    def test_band_bounded_by_the_widest_loop(self):
+        # --band B gives loops of 2 B + 1 frequencies, at most MAX_BAND_WIDTH
+        widest = (fourier.MAX_BAND_WIDTH - 1) // 2
+        assert widest == 524287
+        cli._check_options(argparse.Namespace(band=widest))
+        with pytest.raises(cli.InputError,
+                           match="^band must be between 0 and 524287$"):
+            cli._check_options(argparse.Namespace(band=widest + 1))
 
     def test_cached_parser_keeps_no_state(self):
         parser = cli._build_parser()

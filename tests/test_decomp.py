@@ -157,7 +157,7 @@ class TestAudit:
 class TestReduction:
     def test_identity_cocycle_reduces_to_identity(self):
         fam = build_model_decomposition([np.eye(2)] * 4)
-        cert = reduction_cocycle(fam)
+        cert = reduction_cocycle(audit_family(fam))
         for U in cert.constants:
             assert np.linalg.norm(U - np.eye(2)) < 1e-9
         assert cert.max_variation < 1e-9
@@ -166,7 +166,8 @@ class TestReduction:
     def test_constant_cocycle_recovered(self):
         rng = np.random.default_rng(17)
         mats = [haar_unitary(2, rng) for _ in range(4)]
-        cert = reduction_cocycle(build_model_decomposition(mats))
+        cert = reduction_cocycle(
+            audit_family(build_model_decomposition(mats)))
         for U, M in zip(cert.constants, mats):
             assert np.linalg.norm(U - M) < 1e-9
 
@@ -180,7 +181,7 @@ class TestReduction:
             psi=(window,) * 3,
             transitions=tuple(constant_element(M) for M in mats),
         )
-        cert = reduction_cocycle(fam)
+        cert = reduction_cocycle(audit_family(fam))
         for U, M in zip(cert.constants, mats):
             assert np.linalg.norm(U - M) < 1e-9
 
@@ -199,7 +200,7 @@ class TestReduction:
             transitions=transitions,
         )
         with pytest.raises(NonConstantReducedTransition) as info:
-            reduction_cocycle(fam)
+            reduction_cocycle(audit_family(fam))
         assert info.value.edge == (3, 0)
         assert info.value.winding_sum == 1
         assert info.value.variation > 0.1
@@ -213,7 +214,7 @@ class TestReduction:
             transitions=(diag_zpowers([1, 0]), identity_element(2)),
         )
         with pytest.raises(NonConstantReducedTransition) as info:
-            reduction_cocycle(fam)
+            reduction_cocycle(audit_family(fam))
         assert info.value.winding_sum == 1
         assert "winding" in str(info.value)
 
@@ -228,7 +229,7 @@ class TestReduction:
             psi=(window,) * 3,
             transitions=(identity_element(2),) * 3,
         )
-        cert = reduction_cocycle(fam)
+        cert = reduction_cocycle(audit_family(fam))
         assert len(set(cert.gamma_windings)) == 1
         assert cert.gamma_windings[0] == det_winding(g)
 
@@ -237,15 +238,15 @@ class TestReduction:
         fam = build_model_decomposition([haar_unitary(2, rng)
                                          for _ in range(3)])
         report = audit_family(fam)
-        cert = reduction_cocycle(fam, audit=report)
+        cert = reduction_cocycle(report)
         assert all(g is h for g, h in zip(cert.gammas, report.gammas))
-        again = reduction_cocycle(fam)
+        again = reduction_cocycle(audit_family(fam))
         for U, V in zip(cert.constants, again.constants):
             assert np.array_equal(U, V)
 
     def test_loops_and_windings_once_per_window(self, monkeypatch):
-        # without an audit, one loop and one winding serve the three equal
-        # windows read back from a file
+        # the audit builds one loop for the three equal windows read back
+        # from a file, and the reduction takes its winding once
         rng = np.random.default_rng(12)
         fam = family_from_dict(json.loads(json.dumps(family_to_dict(
             build_model_decomposition([haar_unitary(2, rng)
@@ -256,7 +257,7 @@ class TestReduction:
                 calls.append(_name)
                 return _f(*args)
             monkeypatch.setattr(decomp, name, counted)
-        cert = reduction_cocycle(fam)
+        cert = reduction_cocycle(audit_family(fam))
         assert calls == ["loop_from_subspace", "det_winding"]
         assert cert.gammas[0] is cert.gammas[1] is cert.gammas[2]
         assert cert.gamma_windings == (0, 0, 0)
@@ -277,7 +278,7 @@ class TestReduction:
                          loopgroup.LoopGroupElement(2, transition)))
         with pytest.raises(ValueError, match=r"transition 1 on edge \(1, 0\) "
                            r"is not unitary: defect " + re.escape(defect)):
-            reduction_cocycle(fam)
+            reduction_cocycle(audit_family(fam))
 
     def test_mean_check_refuses_lent_nonunitary_loops(self):
         # the mean check still guards the reduction itself: loops lent as
@@ -290,7 +291,7 @@ class TestReduction:
                         gammas=(constant_element(2.0 * np.eye(2)),) * 2)
         with pytest.raises(ValueError, match=r"transition 0 on edge \(0, 1\) "
                            r"is not unitary: reduced mean defect 2\.121e\+01"):
-            reduction_cocycle(fam, audit=audit)
+            reduction_cocycle(audit)
 
     def test_near_unitary_reduced_mean_accepted(self):
         # (1 + 3e-9) I has defect sqrt 2 (6e-9 + 9e-18), within 1e-8
@@ -299,7 +300,7 @@ class TestReduction:
             points=(0, 1), edges=((0, 1), (1, 0)), psi=(window, window),
             transitions=(identity_element(2),
                          constant_element((1.0 + 3e-9) * np.eye(2))))
-        assert reduction_cocycle(fam).max_variation < 1e-12
+        assert reduction_cocycle(audit_family(fam)).max_variation < 1e-12
 
     def test_unitary_loop_passes_the_mean_check(self, monkeypatch):
         # diag(z, 1) is unitary, with mean diag(0, 1) (defect 1) and
@@ -310,22 +311,30 @@ class TestReduction:
             points=(0, 1), edges=((0, 1), (1, 0)), psi=(window, window),
             transitions=(identity_element(2), diag_zpowers([1, 0])))
         monkeypatch.setattr(decomp, "VARIATION_TOL", 10.0)
-        cert = reduction_cocycle(fam)
+        cert = reduction_cocycle(audit_family(fam))
         assert cert.variations[1] == pytest.approx(1.0, abs=1e-12)
 
-    def test_audit_of_another_family_refused(self):
-        fam = build_model_decomposition([np.eye(1)] * 3)
-        report = audit_family(build_model_decomposition([np.eye(1)] * 2))
-        with pytest.raises(ValueError, match="not of this family"):
-            reduction_cocycle(fam, audit=report)
+    def test_failed_audit_refused(self):
+        # axiom (c) fails at the symmetric window, which has no loop to
+        # conjugate by, so the family has no reduction
+        fam = SubspaceFamily(
+            points=(0, 1), edges=((0, 1), (1, 0)),
+            psi=(plus_window(1), symmetric_window()),
+            transitions=(identity_element(1),) * 2)
+        report = audit_family(fam)
+        assert not report.point_audits[1].passed_c
+        assert report.gammas[1] is None
+        with pytest.raises(ValueError, match="failed its axioms"):
+            reduction_cocycle(report)
 
     def test_requires_transitions(self):
         fam = SubspaceFamily(points=(0,), edges=(), psi=(plus_window(1),))
         with pytest.raises(ValueError, match="transition"):
-            reduction_cocycle(fam)
+            reduction_cocycle(audit_family(fam))
 
     def test_certificate_serializes(self):
-        cert = reduction_cocycle(build_model_decomposition([np.eye(1)] * 2))
+        cert = reduction_cocycle(
+            audit_family(build_model_decomposition([np.eye(1)] * 2)))
         d = cert.to_dict()
         blob = json.dumps(d, sort_keys=True)
         assert d["gamma_windings"] == [0, 0]
@@ -469,8 +478,8 @@ class TestFamilyStructure:
         back = family_from_dict(json.loads(blob))
         assert back.points == fam.points
         assert back.edges == fam.edges
-        cert0 = reduction_cocycle(fam)
-        cert1 = reduction_cocycle(back)
+        cert0 = reduction_cocycle(audit_family(fam))
+        cert1 = reduction_cocycle(audit_family(back))
         for a, b in zip(cert0.constants, cert1.constants):
             assert np.allclose(a, b, atol=1e-12)
 

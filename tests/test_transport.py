@@ -162,7 +162,8 @@ class TestFlux:
         assert 12.0 < ratio < 20.0
 
     def test_refinement_delta_small(self):
-        delta = refinement_delta(abelian2d(1.0), BaseLoop.circle(1.0), N=512)
+        frame = parallel_transport(abelian2d(1.0), BaseLoop.circle(1.0), N=512)
+        delta = refinement_delta(frame)
         assert delta < 1e-10
 
 
@@ -270,6 +271,23 @@ class TestMonopole:
         assert winding == 1
         fine = holonomy(monopole(1), [fam(j / 16) for j in range(17)], N=32)
         assert np.array_equal(fine[::2, 0, 0], h)
+
+    def test_unconfirmable_grid_refused_before_transport(self, monkeypatch):
+        # no grid of M = 9 or more has a finer grid within a limit of 16 to
+        # confirm it on, so nothing is transported; M = 8 is confirmed on 16
+        monkeypatch.setattr(transport, "SWEEP_MAX_GRID", 16)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return holonomy(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "holonomy", counted)
+        with pytest.raises(PhaseStepTooLarge, match="grid M=9 .* within 16"):
+            chern_sweep(monopole(1), latitude_family(), N=32, M=9)
+        assert calls == []
+        assert chern_sweep(monopole(1), latitude_family(), N=32, M=8)[0] == 1
+        assert len(calls) == 2
 
 
 class TestSu2:
@@ -729,7 +747,7 @@ class TestFamilyBatch:
         h = holonomy(spec, loop, N=128, coarse=frame)
         assert calls == [(128, 2)]
         assert np.array_equal(h, holonomy(spec, loop, N=128))
-        assert refinement_delta(spec, loop, N=64) == float(
+        assert refinement_delta(frame) == float(
             np.linalg.norm(frame.holonomy - h))
 
     def test_coarse_frame_of_another_run_refused(self):
