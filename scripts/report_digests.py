@@ -53,8 +53,10 @@ def benchmark_commands():
 
 def transport_commands():
     """(name, argv) of transport commands on grids the others do not
-    reach: N = 1000, not a power of two; a 3 x 3 form on 7 steps; and a
-    sweep refined from M = 2, with its CSV."""
+    reach: N = 1000, not a power of two; a 3 x 3 form on 7 steps; and two
+    sweeps on the family grid M = 2, with their CSVs, whose three samples
+    cannot tell the charge (a phase step of pi at q = 3, all near 1 at
+    q = 6)."""
     for command in ("holonomy", "twistcheck"):
         yield f"{command}-su2sample-N1000", [
             command, "--preset", "su2sample", "--N", "1000", "--no-meta"]
@@ -63,6 +65,9 @@ def transport_commands():
     yield "obstruction-monopole-q3-M2", [
         "obstruction", "--preset", "monopole", "--q", "3", "--M", "2",
         "--N", "64", "--csv", "obstruction-q3.csv", "--no-meta"]
+    yield "obstruction-monopole-q6-M2", [
+        "obstruction", "--preset", "monopole", "--q", "6", "--M", "2",
+        "--N", "256", "--csv", "obstruction-q6.csv", "--no-meta"]
 
 
 def golden_commands():

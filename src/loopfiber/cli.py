@@ -7,7 +7,8 @@ Exit codes are a stable contract:
      including a connection form that turns non-finite or
      non-anti-Hermitian on the loop and a family transition outside LU(n)
   3  subspace-to-loop failure (wrong intersection dimension or unitarity)
-  4  numerical refinement failure (phase steps cannot be resolved)
+  4  numerical refinement failure: a grid that cannot resolve its loop,
+     or an obstruction sweep whose transports do not resolve its winding
   5  audit or reduction failure
 
 Reports are JSON objects with a fixed "schema" version, laid out by json
@@ -403,8 +404,8 @@ def cmd_holonomy(args):
 
 def cmd_obstruction(args):
     conn = _PRESETS[args.preset](args)
-    family = transport.latitude_family()
-    winding, hols = transport.chern_sweep(conn, family, N=args.N, M=args.M)
+    winding, hols, turns, rho = transport.chern_sweep(
+        conn, transport.latitude_family(), N=args.N, M=args.M)
     payload = {
         "preset": conn.name,
         "q": args.q,
@@ -413,15 +414,14 @@ def cmd_obstruction(args):
         "winding": winding,
         "csv": args.csv,
     }
-    # the family grid the winding was read from, after refinement
-    grid = len(hols) - 1
     if args.csv:
         lines = ["s,re,im"]
         for j, h in enumerate(hols.tolist()):
-            lines.append(f"{j / grid!r},{h.real!r},{h.imag!r}")
+            lines.append(f"{j / args.M!r},{h.real!r},{h.imag!r}")
         _write_atomic(args.csv, "\n".join(lines) + "\n")
-    return (_report(args, "obstruction", payload, {"family_grid": grid}),
-            EXIT_OK)
+    # the turns the winding was rounded from, and the step h |A| they rest on
+    meta = {"winding_turns": turns, "step_resolution": rho}
+    return _report(args, "obstruction", payload, meta), EXIT_OK
 
 
 def _twistcheck_residuals(conn, loop, N, band, seed):

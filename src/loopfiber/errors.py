@@ -52,10 +52,10 @@ class UnitarityViolation(LoopFiberError):
 class PhaseStepTooLarge(LoopFiberError):
     """A grid cannot resolve a loop: a winding number, or a certificate.
 
-    Raised when successive grid refinement still leaves a phase step of
-    pi/2 or more between samples, when a determinant passes too close to
-    zero for its phase to mean anything, or when a loop's frequencies need
-    a first grid beyond loopgroup.WINDING_MAX_GRID.
+    Raised when a determinant's phase steps stay at pi/2 or more, or it
+    passes too close to zero for its phase to mean anything; when a loop's
+    frequencies need a first grid beyond loopgroup.WINDING_MAX_GRID; or
+    when transport.chern_sweep's transports do not resolve its winding.
     """
 
 

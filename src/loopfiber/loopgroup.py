@@ -11,7 +11,7 @@ gamma from the subspace W = gamma . (truncated nonnegative-frequency
 space): the columns of gamma are an orthonormal basis of W cap (zW)^perp,
 and pointwise unitarity of the result certifies the construction; each
 loop computes that certificate once.  Every check starts on the grid of
-one rule, `_first_grid`, and every winding refines in `_phase_winding`.
+one rule, `_first_grid`; the determinant winding refines in `_phase_winding`.
 """
 
 from functools import cached_property
@@ -279,25 +279,26 @@ def _stack_defect(S):
     return float(D[i]), i
 
 
-def _phase_winding(sample, N, top, near_zero):
+def _phase_winding(sample, N):
     """(turns of the phase along the closed path z = sample(N), that z).
 
     N doubles until every step between neighbours z[0], ..., z[-1] ~ z[0]
     is below pi/2; the steps then sum to the turns, rounded.  Raises
-    PhaseStepTooLarge once N would pass `top`, and (near_zero) when some
-    |z| is below 1e-8 or NaN, where the phase means nothing.
+    PhaseStepTooLarge once N would pass WINDING_MAX_GRID, and when some |z|
+    is below 1e-8 or NaN, where the phase means nothing.
     """
     while True:
         z = sample(N)
         if not (np.abs(z).min() >= 1e-8):
-            raise PhaseStepTooLarge(near_zero)
+            raise PhaseStepTooLarge(
+                "determinant passes near zero; input is not a unitary loop")
         steps = np.angle(z[1:] / z[:-1])
         if np.abs(steps).max() < np.pi / 2:
             return int(round(steps.sum() / (2.0 * np.pi))), z
         N *= 2
-        if N > top:
+        if N > WINDING_MAX_GRID:
             raise PhaseStepTooLarge(
-                f"phase steps still exceed pi/2 at grid {top}")
+                f"phase steps still exceed pi/2 at grid {WINDING_MAX_GRID}")
 
 
 def _det(S):
@@ -347,8 +348,7 @@ def det_winding(g):
     N = _first_grid(g, 8 * g.n * max(abs(kmin), abs(kmax), 1), "winding")
     return _phase_winding(  # np.resize wraps: the N dets, then the first
         lambda N: np.resize(_det(_entry_major(g.grid_samples(N))), N + 1),
-        N, WINDING_MAX_GRID,
-        "determinant passes near zero; input is not a unitary loop")[0]
+        N)[0]
 
 
 def theta_variation(g):

@@ -84,7 +84,7 @@ import numpy as np
 
 from .errors import NonAntiHermitianSample, PhaseStepTooLarge
 from .loopgroup import (_adjoint, _block_major, _entry_major, _fro_norms,
-                        _matmul, _phase_winding, _polar, _stack_defect)
+                        _matmul, _polar, _stack_defect)
 
 __all__ = [
     "BaseLoop",
@@ -108,7 +108,9 @@ __all__ = [
 
 CLOSURE_TOL = 1e-12
 ANTIHERM_TOL = 1e-10
-SWEEP_MAX_GRID = 4096  # chern_sweep's largest family grid
+SWEEP_MAX_GRID = 4096  # chern_sweep's largest family grid M
+STEP_RESOLUTION_MAX = math.pi / 2  # chern_sweep's largest step h |A|
+WINDING_MARGIN = 0.1  # chern_sweep's largest distance of turns from a whole
 TRANSPORT_NODE_BUDGET = 2 ** 14  # half-step nodes of one batched pass
 
 
@@ -684,9 +686,11 @@ def latitude_family():
     """Latitude circles on the unit sphere, swept from south pole to north.
 
     family(s) is the counterclockwise latitude circle at polar angle
-    u = pi (1 - s); the endpoint loops are the constant loops at the poles,
-    so a holonomy along the family is a closed path in U(1).  Under the
-    monopole(q) preset the winding of that path is exactly q.
+    u = pi (1 - s).  family(1) is the constant loop at the north pole;
+    family(0) circles the monopole's Dirac string at radius sin(pi) ~
+    1.2e-16, where its holonomy e^{-2 pi i q} is 1, so a holonomy along
+    the family is a closed path in U(1).  Under the monopole(q) preset the
+    winding of that path is exactly q.
     """
 
     def family(s):
@@ -696,59 +700,43 @@ def latitude_family():
 
 
 def chern_sweep(conn, family, N=256, M=64):
-    """Winding number of s -> holonomy(family(s)) for a U(1) connection,
-    with the sweep it was read from.
+    """(winding of s -> holonomy(family(s)), h, turns, rho) for a U(1)
+    connection, h[j] the holonomy of family(j / M), j = 0..M.
 
-    The family grid M doubles until successive phase steps are below
-    pi/2 (loopgroup._phase_winding), and then until the winding read on
-    twice the grid agrees, so that a sweep whose samples alias (all near 1
-    at q = 2, M = 2) is not taken for a winding; PhaseStepTooLarge is
-    raised beyond SWEEP_MAX_GRID, before any transport when 2M is beyond
-    it.  For a closed family (constant endpoint loops) the sum of steps is
-    a whole number of turns, which is the first Chern number of the bundle
-    the family sweeps out.  Returns (winding, h) with h[j] the holonomy of
-    family(j / (len(h) - 1)), on the coarser of the two agreeing grids.
-
-    Each grid takes one batched `holonomy` call.  family(2j / 2M) is
-    family(j / M) bit for bit, so a doubled grid keeps the holonomies it
-    has and transports only its odd j.
+    A loop's holonomy is e^{i Phi}, Phi the sum of the principal angles of
+    its N step propagators: i times the flux of dA it encloses, continuous
+    along a family of loops in the form's chart (the abelian Wilson loop of
+    Yu, Qi, Bernevig, Fang and Dai, PRB 84, 075119, 2011).  So the winding
+    is turns = (Phi(1) - Phi(0)) / 2 pi, rounded; for a closed family, the
+    first Chern number.  Every loop must lie in the chart: the monopole's
+    latitude_family()(0.0) circles the Dirac string at radius sin(pi), and
+    its Phi(0) = -2 pi q arg R(i theta) / theta carries the charge (R the
+    RK4 stability polynomial, theta = 2 pi q / N).  rho = max h |A| over
+    both ends; up to rho = pi/2 an RK4 step of a constant form lags by at
+    most rho^5 / 120, so the ends lag by lag = N rho^5 / (120 pi) turns.
+    PhaseStepTooLarge unless rho <= STEP_RESOLUTION_MAX, |turns - winding|
+    <= WINDING_MARGIN and lag + WINDING_MARGIN < 1; ValueError, before any
+    transport, for an M outside [1, SWEEP_MAX_GRID].
     """
     if conn.n != 1:
         raise ValueError("winding needs a U(1) connection (n = 1)")
-    if 2 * M > SWEEP_MAX_GRID:  # the grid never shrinks below M
+    if not 1 <= M <= SWEEP_MAX_GRID:
+        raise ValueError(
+            f"family grid M={M} must be between 1 and {SWEEP_MAX_GRID}")
+    ends = parallel_transport(conn, [family(0.0), family(1.0)], N)
+    phi = [float(np.angle(1.0 + f.step_offsets[0, 0]).sum()) for f in ends]
+    rho = max(float(np.abs(f.samples).max()) for f in ends) / N
+    turns = (phi[1] - phi[0]) / (2.0 * math.pi)
+    winding = round(turns)
+    lag = N * rho ** 5 / (120.0 * math.pi)
+    if not (rho <= STEP_RESOLUTION_MAX
+            and abs(turns - winding) <= WINDING_MARGIN
+            and lag + WINDING_MARGIN < 1.0):
         raise PhaseStepTooLarge(
-            f"sweep grid M={M} cannot be confirmed on a finer grid within "
-            f"{SWEEP_MAX_GRID}")
-    last = np.empty(0, dtype=complex)  # the holonomies of the last grid
-
-    def sample(M):
-        nonlocal last
-        if 2 * (len(last) - 1) == M:
-            z = np.empty(M + 1, dtype=complex)
-            z[::2] = last
-            z[1::2] = holonomy(conn, [family(j / M) for j in range(1, M, 2)],
-                               N)[:, 0, 0]
-        else:
-            z = holonomy(conn, [family(j / M) for j in range(M + 1)],
-                         N)[:, 0, 0]
-        last = z
-        return z
-
-    def sweep(M):
-        return _phase_winding(sample, M, SWEEP_MAX_GRID,
-                              "holonomy sample too close to zero")
-
-    winding, z = sweep(M)
-    while True:
-        grid = len(z) - 1
-        if 2 * grid > SWEEP_MAX_GRID:
-            raise PhaseStepTooLarge(
-                f"sweep winding {winding} at grid {grid} is not confirmed "
-                f"on a finer grid within {SWEEP_MAX_GRID}")
-        finer, fine_z = sweep(2 * grid)
-        if finer == winding:
-            return winding, z
-        winding, z = finer, fine_z
+            f"sweep of {turns:.4f} turns is not resolved at N={N}: step "
+            f"resolution {rho:.4f}, RK4 phase lag up to {lag:.4f} turns")
+    h = holonomy(conn, [family(j / M) for j in range(M + 1)], N)[:, 0, 0]
+    return winding, h, turns, rho
 
 
 def chern_winding(conn, family, N=256, M=64):

@@ -595,15 +595,12 @@ class TestObstruction:
         assert s_end == 1.0
         assert abs(complex(re_end, im_end) - 1.0) < 1e-6
 
-    @pytest.mark.parametrize("M, grid, batches",
-                             [(32, 32, [33, 32]), (2, 8, [3, 2, 4, 8])],
+    @pytest.mark.parametrize("M, N", [(32, 32), (2, 8)],
                              ids=["32-32", "2-8"])
     def test_csv_is_the_winding_sweep(self, capsys, tmp_path, monkeypatch,
-                                      M, grid, batches):
-        # each holonomy is computed once, in one batched call per grid: a
-        # doubled grid transports only its odd samples, and the winding is
-        # confirmed on twice the grid where the refinement stopped; the CSV
-        # holds the holonomies the winding was read from, on that grid
+                                      M, N):
+        # each holonomy is computed once, in one batched call of the M + 1
+        # loops s = j / M, and the CSV holds them on that grid
         real_family, real_holonomy = transport.latitude_family(), \
             transport.holonomy
         made, hols, sizes = {}, {}, []
@@ -627,34 +624,39 @@ class TestObstruction:
         csv = str(tmp_path / "sweep.csv")
         code, rep = run_cli(capsys,
                             ["obstruction", "--preset", "monopole", "--q", "1",
-                             "--N", "64", "--M", str(M), "--csv", csv,
+                             "--N", str(N), "--M", str(M), "--csv", csv,
                              "--no-meta"])
         assert code == 0
         assert rep["winding"] == 1 and rep["M"] == M
-        assert sizes == batches and len(hols) == sum(batches)
+        assert sizes == [M + 1] and len(hols) == M + 1
         rows = [line.split(",") for line in open(csv).read().splitlines()[1:]]
-        assert [float(s) for s, _, _ in rows] == [j / grid
-                                                  for j in range(grid + 1)]
+        assert [float(s) for s, _, _ in rows] == [j / M for j in range(M + 1)]
         assert [complex(float(re), float(im)) for _, re, im in rows] \
-            == [hols[j / grid] for j in range(grid + 1)]
+            == [hols[j / M] for j in range(M + 1)]
 
     def test_aliased_sweep_is_refined(self, capsys):
         # at q = 2 the three M = 2 samples all alias to 1; the winding is
-        # confirmed on finer grids and read on grid 16, where the largest
-        # phase step 2 q pi sin(pi / 2M) = 1.23 is below pi/2
+        # read from the end transports' phases, not from the samples
         argv = ["obstruction", "--preset", "monopole", "--q", "2",
                 "--M", "2", "--N", "64"]
         code, rep = run_cli(capsys, argv + ["--no-meta"])
         assert code == 0 and rep["winding"] == 2
 
     def test_meta_names_the_family_grid(self, capsys):
-        # the phase -3 pi (1 + cos pi s) steps by at most 6 pi sin(pi / 2M):
-        # 1.84 at M = 16, 0.92 at M = 32
+        # meta names the turns the winding was rounded from, q arg R(i
+        # theta) / theta for the RK4 polynomial R and theta = 2 pi q / N,
+        # and the step resolution theta they rest on; the CSV grid is M
         argv = ["obstruction", "--preset", "monopole", "--q", "3",
                 "--M", "2", "--N", "64"]
         code, rep = run_cli(capsys, argv)
         assert code == 0 and rep["winding"] == 3
-        assert rep["meta"]["family_grid"] == 32
+        theta = 6.0 * math.pi / 64
+        z = 1j * theta
+        R = 1.0 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+        meta = rep["meta"]
+        assert set(meta) == {"timestamp", "winding_turns", "step_resolution"}
+        assert abs(meta["winding_turns"] - 3 * np.angle(R) / theta) < 1e-9
+        assert abs(meta["step_resolution"] - theta) < 1e-12
         code, bare = run_cli(capsys, argv + ["--no-meta"])
         del rep["meta"]
         assert rep == bare
@@ -677,13 +679,35 @@ class TestObstruction:
         assert "phase step" in capsys.readouterr().err
 
     def test_unconfirmable_family_grid_exit4(self, capsys):
-        # a grid of M = 2049 has no finer grid within 4096 to confirm it on
-        code = cli.main(["obstruction", "--preset", "monopole", "--M", "2049",
+        # the family grid is bounded by SWEEP_MAX_GRID = 4096 itself: 4096
+        # is a grid like any other, 4097 is a bad parameter (exit 2)
+        code = cli.main(["obstruction", "--preset", "monopole", "--M", "4097",
                          "--no-meta"])
         captured = capsys.readouterr()
-        assert code == 4 and captured.out == ""
-        assert captured.err == ("error: sweep grid M=2049 cannot be confirmed "
-                                "on a finer grid within 4096\n")
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: family grid M=4097 must be between 1 "
+                                "and 4096\n")
+
+    def test_windings_fail_closed_on_a_scan(self, capsys):
+        # every run reports the charge, or exits 4 with nothing on stdout
+        codes = {}
+        for q, N, M in itertools.product((1, 2, 3, 6, 30, 100),
+                                         (16, 64, 256, 2048), (2, 8, 64)):
+            code = cli.main(["obstruction", "--preset", "monopole",
+                             "--q", str(q), "--N", str(N), "--M", str(M),
+                             "--no-meta"])
+            out = capsys.readouterr().out
+            assert code in (0, 4), (q, N, M, code)
+            if code == 0:
+                assert json.loads(out)["winding"] == q, (q, N, M)
+            else:
+                assert out == "", (q, N, M)
+            codes[q, N, M] = code
+        # a winding counted from sampled family grids aliases to 0, 0, 46
+        # and 129 on these; the end transports resolve the first two and
+        # refuse the others (steps of 2.95 and 2.45 > pi/2)
+        assert [codes[6, 256, 2], codes[100, 2048, 2], codes[30, 64, 2],
+                codes[100, 256, 2]] == [0, 0, 4, 4]
 
     def test_wrong_preset_exit2(self, capsys):
         with pytest.raises(SystemExit):

@@ -218,76 +218,97 @@ class TestMonopole:
         with pytest.raises(ValueError, match="n = 1"):
             chern_sweep(su2sample(), latitude_family())[0]
 
-    def test_unresolvable_family_raises(self, monkeypatch):
-        # discontinuous family: a 0.9 pi phase jump survives every
-        # refinement, so the sweep must refuse rather than alias
+    def test_unresolvable_family_raises(self):
+        # discontinuous family: the end circles of radius 0.5 and 1 enclose
+        # the fluxes 0.3 pi and 1.2 pi, so the transports read 0.45 turns,
+        # far from any whole number, and the sweep must refuse rather than
+        # round
         conn = abelian2d(1.2)
 
         def family(s):
             return BaseLoop.circle(0.5 if s < 0.5 else 1.0)
 
-        monkeypatch.setattr(transport, "SWEEP_MAX_GRID", 64)
-        with pytest.raises(PhaseStepTooLarge):
-            chern_sweep(conn, family, N=64, M=8)[0]
+        with pytest.raises(PhaseStepTooLarge, match=r"sweep of 0\.4500 turns"):
+            chern_sweep(conn, family, N=64, M=8)
 
     def test_sweep_refines_until_steps_resolve(self):
-        # the holonomy phase -3 pi (1 - cos u), u = pi (1 - s), moves
-        # fastest at s = 1/2, by 3 pi sin(pi / M) over one step: 1.84 at
-        # M = 16 and 0.92 at M = 32 against pi/2, so from M = 2 the grid
-        # doubles to 32
-        winding, h = chern_sweep(monopole(3), latitude_family(), N=64, M=2)
-        assert winding == 3 and len(h) == 33
-
-    def test_sweep_refused_at_its_limit(self, monkeypatch):
-        # the same sweep needs M = 32; a limit of 16 refuses it
-        monkeypatch.setattr(transport, "SWEEP_MAX_GRID", 16)
-        with pytest.raises(PhaseStepTooLarge, match="at grid 16"):
-            chern_sweep(monopole(3), latitude_family(), N=64, M=2)
+        # the winding is read from the two end transports, so no family
+        # grid is refined: M = 2 reads q = 3 and keeps its 3 holonomies
+        winding, h, _, _ = chern_sweep(monopole(3), latitude_family(), N=64,
+                                       M=2)
+        assert winding == 3 and len(h) == 3
 
     def test_aliased_sweep_confirmed_on_finer_grids(self):
         # at q = 2 the holonomy exp(-i q pi (1 + cos pi s)) is 1 at s = 0,
-        # 1/2 and 1, so the M = 2 sweep has phase steps of ~0 and reads
-        # winding 0; on twice the grid the steps reach 1.84, the grid
-        # refines to 16 (largest step 2 q pi sin(pi / 32) = 1.23) and the
-        # winding 2 read there is confirmed on grid 32
+        # 1/2 and 1, so the M = 2 samples alias to a winding of 0; the
+        # transports' own phases still read 2
         fam = latitude_family()
         aliased = holonomy(monopole(2), [fam(0.0), fam(0.5), fam(1.0)], N=64)
         assert np.abs(aliased[:, 0, 0] - 1.0).max() < 1e-3
-        winding, h = chern_sweep(monopole(2), fam, N=64, M=2)
-        assert winding == 2 and len(h) == 17
-
-    def test_unconfirmed_sweep_refused(self, monkeypatch):
-        # the q = 3 sweep resolves on grid 32; a limit of 32 leaves no
-        # finer grid to confirm it on
-        monkeypatch.setattr(transport, "SWEEP_MAX_GRID", 32)
-        with pytest.raises(PhaseStepTooLarge, match="not confirmed"):
-            chern_sweep(monopole(3), latitude_family(), N=64, M=2)
+        winding, h, _, _ = chern_sweep(monopole(2), fam, N=64, M=2)
+        assert winding == 2 and len(h) == 3
 
     def test_doubled_grid_keeps_its_holonomies(self):
-        # family(2j / 2M) is family(j / M) bit for bit, so the even samples
-        # of a doubled grid are the holonomies already known
+        # the sweep is the grid's own batched holonomy call, bit for bit
         fam = latitude_family()
-        winding, h = chern_sweep(monopole(1), fam, N=32, M=8)
+        winding, h, _, _ = chern_sweep(monopole(1), fam, N=32, M=8)
         assert winding == 1
-        fine = holonomy(monopole(1), [fam(j / 16) for j in range(17)], N=32)
-        assert np.array_equal(fine[::2, 0, 0], h)
+        grid = holonomy(monopole(1), [fam(j / 8) for j in range(9)], N=32)
+        assert np.array_equal(grid[:, 0, 0], h)
 
     def test_unconfirmable_grid_refused_before_transport(self, monkeypatch):
-        # no grid of M = 9 or more has a finer grid within a limit of 16 to
-        # confirm it on, so nothing is transported; M = 8 is confirmed on 16
+        # SWEEP_MAX_GRID bounds M itself: past it, and below 1, nothing is
+        # transported; M = SWEEP_MAX_GRID runs
         monkeypatch.setattr(transport, "SWEEP_MAX_GRID", 16)
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return holonomy(*args, **kwargs)
+        def counted(run):
+            def call(*args, **kwargs):
+                calls.append(run.__name__)
+                return run(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(transport, "holonomy", counted)
-        with pytest.raises(PhaseStepTooLarge, match="grid M=9 .* within 16"):
-            chern_sweep(monopole(1), latitude_family(), N=32, M=9)
+        for run in (parallel_transport, holonomy):
+            monkeypatch.setattr(transport, run.__name__, counted(run))
+        for M in (17, 0):
+            with pytest.raises(ValueError, match=f"M={M} must be between 1 "
+                               "and 16"):
+                chern_sweep(monopole(1), latitude_family(), N=32, M=M)
         assert calls == []
-        assert chern_sweep(monopole(1), latitude_family(), N=32, M=8)[0] == 1
-        assert len(calls) == 2
+        winding, h, _, _ = chern_sweep(monopole(1), latitude_family(), N=32,
+                                       M=16)
+        assert winding == 1 and len(h) == 17
+        assert calls == ["parallel_transport", "holonomy"]
+
+    @pytest.mark.parametrize("q, N", [(1, 256), (-1, 256), (3, 64),
+                                      (30, 256), (100, 2048)])
+    def test_turns_are_the_rk4_phase(self, q, N):
+        # the s = 0 loop circles the Dirac string with h |A| = theta =
+        # 2 pi |q| / N at every node, so its N steps turn by
+        # N arg R(-i theta) for R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and
+        # the north pole loop does not turn: turns = q arg R(i theta) /
+        # theta with theta = 2 pi q / N (q = 30, N = 256 reads 29.9402)
+        theta = 2.0 * math.pi * q / N
+        z = 1j * theta
+        R = 1.0 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+        winding, _, turns, rho = chern_sweep(monopole(q), latitude_family(),
+                                             N=N, M=2)
+        assert winding == q
+        assert abs(turns - q * np.angle(R) / theta) < 1e-9
+        assert abs(rho - abs(theta)) < 1e-12
+
+    @pytest.mark.parametrize("q, N, message", [
+        # steps of 1.1997 < pi/2 lag by 0.907 turns in all, so the ends
+        # read 96.093 turns, within the margin of the wrong winding 96; the
+        # lag bound N rho^5 / (120 pi) = 3.35 refuses it
+        (97, 508, r"sweep of 96\.0934 turns .* lag up to 3\.3494 turns"),
+        # steps of 1.885 > pi/2, where rho^5 / 120 no longer bounds a
+        # step's lag: refused, though its 3.0014 turns round to q
+        (3, 10, r"sweep of 3\.0014 turns .* step resolution 1\.8850"),
+    ], ids=["lag", "step"])
+    def test_unresolved_ends_refused(self, q, N, message):
+        with pytest.raises(PhaseStepTooLarge, match=message):
+            chern_sweep(monopole(q), latitude_family(), N=N, M=2)
 
 
 class TestSu2:
