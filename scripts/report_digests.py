@@ -39,16 +39,20 @@ SEEDS = (3, 7)  # of the twistcheck test data and the reconstruct inputs
 
 
 def benchmark_commands():
-    """(name, argv) of the transport commands of perfbench/workloads.py."""
+    """(name, argv) of the transport commands of perfbench/workloads.py,
+    and the benchmark's `obstruction` without its CSV."""
     yield "bench-holonomy-su2sample", [
         "holonomy", "--preset", "su2sample", "--N", "2048", "--no-meta"]
     for seed in SEEDS:
         yield f"bench-twistcheck-su2sample-seed{seed}", [
             "twistcheck", "--preset", "su2sample", "--circle", "1.3",
             "--N", "1024", "--seed", str(seed), "--no-meta"]
-    yield "bench-obstruction-monopole", [
-        "obstruction", "--preset", "monopole", "--q", "1", "--N", "256",
-        "--M", "64", "--csv", "bench-obstruction.csv", "--no-meta"]
+    obstruction = ["obstruction", "--preset", "monopole", "--q", "1",
+                   "--N", "256", "--M", "64", "--no-meta"]
+    yield "bench-obstruction-monopole", obstruction + [
+        "--csv", "bench-obstruction.csv"]
+    # the winding alone, read from the two end loops without the sweep
+    yield "bench-obstruction-monopole-no-csv", obstruction
 
 
 def transport_commands():

@@ -70,13 +70,15 @@ class InputError(ValueError):
 
 # twistcheck's random loops span 2 band + 1 frequencies
 _MAX_BAND = (fourier.MAX_BAND_WIDTH - 1) // 2
+SWEEP_MAX_GRID = 4096  # obstruction's largest CSV grid M
 
 # (dest, admissible, message) for every checked option, in checking order;
 # each test fails on NaN, and the float tests also on +-inf.  An option its
 # subcommand lacks, or left at a None default, is not checked.
 _OPTION_CHECKS = (
     ("N", lambda v: v >= 1, "N must be a positive integer"),
-    ("M", lambda v: v >= 1, "M must be a positive integer"),
+    ("M", lambda v: 1 <= v <= SWEEP_MAX_GRID,
+     f"M must be between 1 and {SWEEP_MAX_GRID}"),
     ("depth", lambda v: v >= 0, "depth must be >= 0"),
     ("band", lambda v: 0 <= v <= _MAX_BAND,
      f"band must be between 0 and {_MAX_BAND}"),
@@ -404,8 +406,8 @@ def cmd_holonomy(args):
 
 def cmd_obstruction(args):
     conn = _PRESETS[args.preset](args)
-    winding, hols, turns, rho = transport.chern_sweep(
-        conn, transport.latitude_family(), N=args.N, M=args.M)
+    family = transport.latitude_family()
+    winding, turns, rho = transport.chern_winding(conn, family, N=args.N)
     payload = {
         "preset": conn.name,
         "q": args.q,
@@ -415,9 +417,10 @@ def cmd_obstruction(args):
         "csv": args.csv,
     }
     if args.csv:
-        lines = ["s,re,im"]
-        for j, h in enumerate(hols.tolist()):
-            lines.append(f"{j / args.M!r},{h.real!r},{h.imag!r}")
+        s = [j / args.M for j in range(args.M + 1)]
+        hols = transport.holonomy(conn, [family(x) for x in s], args.N)
+        lines = ["s,re,im"] + [f"{x!r},{h.real!r},{h.imag!r}"
+                               for x, h in zip(s, hols[:, 0, 0].tolist())]
         _write_atomic(args.csv, "\n".join(lines) + "\n")
     # the turns the winding was rounded from, and the step h |A| they rest on
     meta = {"winding_turns": turns, "step_resolution": rho}
@@ -580,7 +583,7 @@ def _build_parser():
     p.add_argument("--preset", required=True, choices=["monopole"])
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--N", type=int, default=256, help="transport grid")
-    p.add_argument("--M", type=int, default=64, help="family grid")
+    p.add_argument("--M", type=int, default=64, help="grid s = j/M of --csv")
     p.add_argument("--csv", default=None,
                    help="write the per-parameter holonomy sweep here")
 

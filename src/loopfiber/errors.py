@@ -55,7 +55,7 @@ class PhaseStepTooLarge(LoopFiberError):
     Raised when a determinant's phase steps stay at pi/2 or more, or it
     passes too close to zero for its phase to mean anything; when a loop's
     frequencies need a first grid beyond loopgroup.WINDING_MAX_GRID; or
-    when transport.chern_sweep's transports do not resolve its winding.
+    when the ends of transport.chern_winding do not resolve its winding.
     """
 
 

@@ -101,17 +101,17 @@ __all__ = [
     "rotated_twist",
     "latitude_loop",
     "latitude_family",
-    "chern_sweep",
+    "chern_winding",
     "save_loop_csv",
     "load_loop_csv",
 ]
 
 CLOSURE_TOL = 1e-12
 ANTIHERM_TOL = 1e-10
-SWEEP_MAX_GRID = 4096  # chern_sweep's largest family grid M
-STEP_RESOLUTION_MAX = math.pi / 2  # chern_sweep's largest step h |A|
-WINDING_MARGIN = 0.1  # chern_sweep's largest distance of turns from a whole
+STEP_RESOLUTION_MAX = math.pi / 2  # chern_winding's largest step h |A|
+WINDING_MARGIN = 0.1  # chern_winding's largest distance of turns from a whole
 TRANSPORT_NODE_BUDGET = 2 ** 14  # half-step nodes of one batched pass
+TRANSPORT_MAX_STEPS = 2 ** 19  # steps of one loop's pass, ~0.75 GB at n = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -555,7 +555,8 @@ def _end_transport(conn, xvs, t0, t1, steps, coarse=None):
 
 def _batch(conn, loop, N):
     """(the loops of `loop`, a BaseLoop or a sequence of them, as a list,
-    whether it was one BaseLoop), each checked against conn and N."""
+    whether it was one BaseLoop), checked against conn and
+    1 <= N <= TRANSPORT_MAX_STEPS before any sampling."""
     single = isinstance(loop, BaseLoop)
     loops = [loop] if single else list(loop)
     for one in loops:
@@ -564,6 +565,9 @@ def _batch(conn, loop, N):
                              f"d={conn.d}, loop d={one.d}")
     if N < 1:
         raise ValueError("N must be >= 1")
+    if N > TRANSPORT_MAX_STEPS:
+        raise ValueError(f"N={N} exceeds the {TRANSPORT_MAX_STEPS} steps "
+                         "one loop's transport may take")
     return loops, single
 
 
@@ -699,9 +703,9 @@ def latitude_family():
     return family
 
 
-def chern_sweep(conn, family, N=256, M=64):
-    """(winding of s -> holonomy(family(s)), h, turns, rho) for a U(1)
-    connection, h[j] the holonomy of family(j / M), j = 0..M.
+def chern_winding(conn, family, N=256):
+    """(winding of s -> holonomy(family(s)), turns, rho) for a U(1)
+    connection, read from the step offsets of family(0.0) and family(1.0).
 
     A loop's holonomy is e^{i Phi}, Phi the sum of the principal angles of
     its N step propagators: i times the flux of dA it encloses, continuous
@@ -715,17 +719,14 @@ def chern_sweep(conn, family, N=256, M=64):
     both ends; up to rho = pi/2 an RK4 step of a constant form lags by at
     most rho^5 / 120, so the ends lag by lag = N rho^5 / (120 pi) turns.
     PhaseStepTooLarge unless rho <= STEP_RESOLUTION_MAX, |turns - winding|
-    <= WINDING_MARGIN and lag + WINDING_MARGIN < 1; ValueError, before any
-    transport, for an M outside [1, SWEEP_MAX_GRID].
+    <= WINDING_MARGIN and lag + WINDING_MARGIN < 1.
     """
     if conn.n != 1:
         raise ValueError("winding needs a U(1) connection (n = 1)")
-    if not 1 <= M <= SWEEP_MAX_GRID:
-        raise ValueError(
-            f"family grid M={M} must be between 1 and {SWEEP_MAX_GRID}")
-    ends = parallel_transport(conn, [family(0.0), family(1.0)], N)
-    phi = [float(np.angle(1.0 + f.step_offsets[0, 0]).sum()) for f in ends]
-    rho = max(float(np.abs(f.samples).max()) for f in ends) / N
+    loops, _ = _batch(conn, [family(0.0), family(1.0)], N)
+    ends = [_step_offsets(conn, [one.xv], 0.0, 1.0, N) for one in loops]
+    phi = [float(np.angle(1.0 + D[0, 0, 0]).sum()) for D, _ in ends]
+    rho = max(float(np.abs(M).max()) for _, M in ends) / N
     turns = (phi[1] - phi[0]) / (2.0 * math.pi)
     winding = round(turns)
     lag = N * rho ** 5 / (120.0 * math.pi)
@@ -735,14 +736,7 @@ def chern_sweep(conn, family, N=256, M=64):
         raise PhaseStepTooLarge(
             f"sweep of {turns:.4f} turns is not resolved at N={N}: step "
             f"resolution {rho:.4f}, RK4 phase lag up to {lag:.4f} turns")
-    h = holonomy(conn, [family(j / M) for j in range(M + 1)], N)[:, 0, 0]
-    return winding, h, turns, rho
-
-
-def chern_winding(conn, family, N=256, M=64):
-    """The winding of `chern_sweep`; out of __all__, kept while the
-    benchmark metric `transport.chern_winding.self_s` names it."""
-    return chern_sweep(conn, family, N, M)[0]
+    return winding, turns, rho
 
 
 def save_loop_csv(loop, path, M=256):

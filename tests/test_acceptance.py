@@ -133,8 +133,8 @@ def test_criterion_4_winding_obstruction_integers():
     family = transport.latitude_family()
     got = {}
     for q in (1, 2, -1):
-        w = transport.chern_sweep(transport.monopole(q), family,
-                                  N=256, M=64)[0]
+        w = transport.chern_winding(transport.monopole(q), family,
+                                    N=256)[0]
         got[q] = w
         assert w == q
     elapsed = time.monotonic() - start

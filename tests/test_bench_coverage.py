@@ -1,11 +1,14 @@
 """The benchmark's workloads call every layer function it counts on.
 
-For each workload BENCHMARK.json declares, the tiny inputs of
-perfbench/workloads.py are written, each command runs through `cli.main`
-under perfbench/tracing.py's span recorder, and every function named by a
-`<layer>.<function>.*` metric of perfbench/selftest.py's EXERCISED table
-must have a span.  A change that stops calling a traced function fails
-here, and not only in the benchmark's own self-test.
+For every workload of perfbench/workloads.py, declared in BENCHMARK.json or
+not, the tiny inputs are written, each command runs in process through
+`cli.main` under perfbench/tracing.py's span recorder, and every function
+named by a `<layer>.<function>.*` metric of perfbench/selftest.py's
+EXERCISED table must have a span.  Every such metric BENCHMARK.json
+declares must name a public function, as perfbench/run.py's
+`layer_function` demands of a traced run.  A change that stops calling a
+traced function, or deletes one, fails here, and not only in the
+benchmark's own self-test.
 """
 
 import contextlib
@@ -20,15 +23,16 @@ from loopfiber import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
+import run  # noqa: E402
 import selftest  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
-DECLARED = [w["name"] for w in json.loads(
-    (ROOT / "BENCHMARK.json").read_text())["workloads"]]
+PER_LAYER = [m["name"] for m in json.loads(
+    (ROOT / "BENCHMARK.json").read_text())["per_layer"]]
 
 
-@pytest.mark.parametrize("name", DECLARED)
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
 def test_exercised_functions_are_called(tmp_path, name):
     commands = workloads.WORKLOADS[name].prepare(tmp_path, 7, True)
     tracer = tracing.Tracer()
@@ -47,3 +51,8 @@ def test_exercised_functions_are_called(tmp_path, name):
     assert functions and functions <= called, sorted(functions - called)
     if "transport.form_evals" in selftest.EXERCISED[name]:
         assert sum(tracer.form_evals.values()) > 0
+
+
+@pytest.mark.parametrize("metric", [m for m in PER_LAYER if m.count(".") == 2])
+def test_per_function_metric_names_a_public_function(metric):
+    run.layer_function(metric)  # HarnessError when it names none

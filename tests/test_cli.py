@@ -633,6 +633,29 @@ class TestObstruction:
         assert [float(s) for s, _, _ in rows] == [j / M for j in range(M + 1)]
         assert [complex(float(re), float(im)) for _, re, im in rows] \
             == [hols[j / M] for j in range(M + 1)]
+        # bit for bit the grid's own batch, run afresh
+        grid = real_holonomy(transport.monopole(1),
+                             [real_family(j / M) for j in range(M + 1)], N)
+        assert [hols[j / M] for j in range(M + 1)] == grid[:, 0, 0].tolist()
+
+    def test_winding_alone_transports_no_family(self, capsys, monkeypatch):
+        # without --csv, the winding is read from the two end loops' step
+        # offsets: no frame and no holonomy is computed
+        calls = []
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(name)
+            return call
+
+        for name in ("parallel_transport", "holonomy"):
+            monkeypatch.setattr(transport, name, refuse(name))
+        code, rep = run_cli(capsys,
+                            ["obstruction", "--preset", "monopole", "--q", "2",
+                             "--N", "256", "--M", "64", "--no-meta"])
+        assert code == 0 and rep["winding"] == 2 and rep["csv"] is None
+        assert calls == []
 
     def test_aliased_sweep_is_refined(self, capsys):
         # at q = 2 the three M = 2 samples all alias to 1; the winding is
@@ -672,42 +695,69 @@ class TestObstruction:
         def blow_up(*args, **kwargs):
             raise PhaseStepTooLarge("phase step stuck above pi/2")
 
-        monkeypatch.setattr(cli.transport, "chern_sweep", blow_up)
+        monkeypatch.setattr(cli.transport, "chern_winding", blow_up)
         code = cli.main(["obstruction", "--preset", "monopole",
                          "--no-meta"])
         assert code == 4
         assert "phase step" in capsys.readouterr().err
 
-    def test_unconfirmable_family_grid_exit4(self, capsys):
-        # the family grid is bounded by SWEEP_MAX_GRID = 4096 itself: 4096
-        # is a grid like any other, 4097 is a bad parameter (exit 2)
-        code = cli.main(["obstruction", "--preset", "monopole", "--M", "4097",
-                         "--no-meta"])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == ("error: family grid M=4097 must be between 1 "
-                                "and 4096\n")
+    def test_unconfirmable_family_grid_exit4(self, capsys, monkeypatch,
+                                             tmp_path):
+        # the CSV grid is bounded by cli.SWEEP_MAX_GRID = 4096: an M outside
+        # [1, 4096] is a bad parameter (exit 2), refused before any
+        # transport; 4096 is a grid like any other
+        real, calls = transport._batch, []
 
-    def test_windings_fail_closed_on_a_scan(self, capsys):
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(transport, "_batch", counted)
+        csv = str(tmp_path / "sweep.csv")
+        for M, message in (("4097", "M must be between 1 and 4096"),
+                           ("0", "M must be between 1 and 4096")):
+            code = cli.main(["obstruction", "--preset", "monopole", "--M", M,
+                             "--csv", csv, "--no-meta"])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == f"error: {message}\n"
+        assert calls == [] and not os.path.exists(csv)
+        code, rep = run_cli(capsys,
+                            ["obstruction", "--preset", "monopole", "--N", "8",
+                             "--M", "4096", "--csv", csv, "--no-meta"])
+        assert code == 0 and rep["winding"] == 1
+        assert len(calls) == 2 and len(calls[1][1]) == 4097
+        assert len(open(csv).read().splitlines()) == 4098
+
+    def test_windings_fail_closed_on_a_scan(self, capsys, tmp_path):
         # every run reports the charge, or exits 4 with nothing on stdout
         codes = {}
-        for q, N, M in itertools.product((1, 2, 3, 6, 30, 100),
-                                         (16, 64, 256, 2048), (2, 8, 64)):
+        charges = [*range(-3, 41), 50, 60, 80, 100]
+        for q, N in itertools.product(charges, (16, 64, 128, 256, 2048)):
             code = cli.main(["obstruction", "--preset", "monopole",
-                             "--q", str(q), "--N", str(N), "--M", str(M),
-                             "--no-meta"])
+                             "--q", str(q), "--N", str(N), "--no-meta"])
             out = capsys.readouterr().out
-            assert code in (0, 4), (q, N, M, code)
+            assert code in (0, 4), (q, N, code)
             if code == 0:
-                assert json.loads(out)["winding"] == q, (q, N, M)
+                assert json.loads(out)["winding"] == q, (q, N)
             else:
-                assert out == "", (q, N, M)
-            codes[q, N, M] = code
-        # a winding counted from sampled family grids aliases to 0, 0, 46
-        # and 129 on these; the end transports resolve the first two and
-        # refuse the others (steps of 2.95 and 2.45 > pi/2)
-        assert [codes[6, 256, 2], codes[100, 2048, 2], codes[30, 64, 2],
-                codes[100, 256, 2]] == [0, 0, 4, 4]
+                assert out == "", (q, N)
+            codes[q, N] = code
+        # a winding counted from sampled family grids of M = 2 aliases to
+        # 0, 0, 46 and 129 on these; the end transports resolve the first
+        # two and refuse the others (steps of 2.95 and 2.45 > pi/2)
+        assert [codes[6, 256], codes[100, 2048], codes[30, 64],
+                codes[100, 256]] == [0, 0, 4, 4]
+        # a CSV does not change the winding: M + 1 rows and the same report
+        csv = str(tmp_path / "sweep.csv")
+        for q, N, M in ((1, 16, 2), (6, 256, 2), (-3, 128, 8), (40, 2048, 64)):
+            argv = ["obstruction", "--preset", "monopole", "--q", str(q),
+                    "--N", str(N), "--M", str(M), "--no-meta"]
+            code, rep = run_cli(capsys, argv + ["--csv", csv])
+            assert code == codes[q, N] == 0, (q, N, M)
+            assert len(open(csv).read().splitlines()) == M + 2
+            code, bare = run_cli(capsys, argv)
+            assert rep == {**bare, "csv": csv}
 
     def test_wrong_preset_exit2(self, capsys):
         with pytest.raises(SystemExit):
@@ -1332,7 +1382,7 @@ class TestDump:
 class TestOptions:
     # values at or past the edge of each checked option's range
     REFUSED = {
-        "N": [0], "M": [0], "depth": [-1], "band": [-1], "n": [0],
+        "N": [0], "M": [0, 4097], "depth": [-1], "band": [-1], "n": [0],
         "radius": [0.0, math.inf], "latitude": [0.0, math.pi], "seed": [-1],
         "B": [math.inf, -math.inf],
     }
@@ -1365,6 +1415,38 @@ class TestOptions:
         with pytest.raises(cli.InputError,
                            match="^band must be between 0 and 524287$"):
             cli._check_options(argparse.Namespace(band=widest + 1))
+
+    @pytest.mark.parametrize("argv", [
+        ["holonomy", "--preset", "su2sample"],
+        ["obstruction", "--preset", "monopole"],
+        ["twistcheck", "--preset", "su2sample"]],
+        ids=["holonomy", "obstruction", "twistcheck"])
+    def test_grid_past_the_transport_bound_exit2(self, capsys, monkeypatch,
+                                                 argv):
+        # a grid no transport may take is refused before the connection
+        # form is called, not left to fail allocating its stacks
+        calls, presets = [], dict(cli._PRESETS)
+
+        def spied(make):
+            def build(args):
+                conn = make(args)
+
+                def form(x, v):
+                    calls.append(len(x))
+                    return conn.form(x, v)
+
+                return transport.ConnectionSpec(conn.n, conn.d, form,
+                                                conn.name)
+            return build
+
+        monkeypatch.setattr(cli, "_PRESETS",
+                            {k: spied(make) for k, make in presets.items()})
+        code = cli.main(argv + ["--N", str(10 ** 15), "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and calls == []
+        assert captured.err == (
+            f"error: N={10 ** 15} exceeds the {transport.TRANSPORT_MAX_STEPS}"
+            " steps one loop's transport may take\n")
 
     def test_cached_parser_keeps_no_state(self):
         parser = cli._build_parser()

@@ -43,7 +43,7 @@ def test_report_digests_cover_every_command(tmp_path):
     # report and per CSV, all exit 0
     lines = run_script("report_digests.py", [str(tmp_path)]).splitlines()
     golden = len(list((ROOT / "tests" / "golden").glob("*.json")))
-    assert len(lines) == 4 + 1 + 5 + 2 + golden + 1
+    assert len(lines) == 5 + 1 + 5 + 2 + golden + 1
     for line in lines:
         digest, name = line.split("  ", 1)
         assert len(digest) == 64 and int(digest, 16) >= 0

@@ -25,7 +25,7 @@ from loopfiber.transport import (
     _transport_chain,
     _tree_product,
     abelian2d,
-    chern_sweep,
+    chern_winding,
     flat,
     holonomy,
     latitude_family,
@@ -202,7 +202,7 @@ class TestMonopole:
 
     @pytest.mark.parametrize("q", [1, 2, -1])
     def test_family_winding_equals_charge(self, q):
-        assert chern_sweep(monopole(q), latitude_family())[0] == q
+        assert chern_winding(monopole(q), latitude_family())[0] == q
 
     def test_flat_family_winding_zero(self):
         fam = latitude_family()
@@ -212,73 +212,67 @@ class TestMonopole:
 
         conn = ConnectionSpec(1, 3, lambda x, v: np.zeros(x.shape[:-1] + (1, 1)),
                               name="flat3")
-        assert chern_sweep(conn, flat3_family, N=32, M=16)[0] == 0
+        assert chern_winding(conn, flat3_family, N=32)[0] == 0
 
     def test_winding_rejects_matrix_connection(self):
         with pytest.raises(ValueError, match="n = 1"):
-            chern_sweep(su2sample(), latitude_family())[0]
+            chern_winding(su2sample(), latitude_family())
 
     def test_unresolvable_family_raises(self):
         # discontinuous family: the end circles of radius 0.5 and 1 enclose
         # the fluxes 0.3 pi and 1.2 pi, so the transports read 0.45 turns,
-        # far from any whole number, and the sweep must refuse rather than
-        # round
+        # far from any whole number, and the winding must refuse rather
+        # than round
         conn = abelian2d(1.2)
 
         def family(s):
             return BaseLoop.circle(0.5 if s < 0.5 else 1.0)
 
         with pytest.raises(PhaseStepTooLarge, match=r"sweep of 0\.4500 turns"):
-            chern_sweep(conn, family, N=64, M=8)
+            chern_winding(conn, family, N=64)
 
-    def test_sweep_refines_until_steps_resolve(self):
-        # the winding is read from the two end transports, so no family
-        # grid is refined: M = 2 reads q = 3 and keeps its 3 holonomies
-        winding, h, _, _ = chern_sweep(monopole(3), latitude_family(), N=64,
-                                       M=2)
-        assert winding == 3 and len(h) == 3
+    def test_winding_reads_only_the_end_loops(self, monkeypatch):
+        # the winding samples the loops s = 0 and 1 once each, on their
+        # 2N + 1 half-step nodes, and builds no frame or holonomy
+        fam, made, nodes = latitude_family(), [], []
+        conn = monopole(3)
+
+        def family(s):
+            made.append(s)
+            return fam(s)
+
+        def form(x, v):
+            nodes.append(len(x))
+            return conn.form(x, v)
+
+        for run in ("parallel_transport", "holonomy", "_transport_chain",
+                    "_end_transport"):
+            monkeypatch.setattr(transport, run, None)
+        winding, _, _ = chern_winding(ConnectionSpec(1, 3, form), family,
+                                      N=64)
+        assert winding == 3
+        assert made == [0.0, 1.0] and nodes == [129, 129]
 
     def test_aliased_sweep_confirmed_on_finer_grids(self):
         # at q = 2 the holonomy exp(-i q pi (1 + cos pi s)) is 1 at s = 0,
-        # 1/2 and 1, so the M = 2 samples alias to a winding of 0; the
-        # transports' own phases still read 2
+        # 1/2 and 1, so three samples of the family alias to a winding of
+        # 0; the transports' own phases still read 2
         fam = latitude_family()
         aliased = holonomy(monopole(2), [fam(0.0), fam(0.5), fam(1.0)], N=64)
         assert np.abs(aliased[:, 0, 0] - 1.0).max() < 1e-3
-        winding, h, _, _ = chern_sweep(monopole(2), fam, N=64, M=2)
-        assert winding == 2 and len(h) == 3
+        assert chern_winding(monopole(2), fam, N=64)[0] == 2
 
-    def test_doubled_grid_keeps_its_holonomies(self):
-        # the sweep is the grid's own batched holonomy call, bit for bit
+    def test_turns_are_the_end_frames_phases(self):
+        # the phases are those of the end loops' full transport frames, bit
+        # for bit: no frame is built, but the step offsets are the same
         fam = latitude_family()
-        winding, h, _, _ = chern_sweep(monopole(1), fam, N=32, M=8)
-        assert winding == 1
-        grid = holonomy(monopole(1), [fam(j / 8) for j in range(9)], N=32)
-        assert np.array_equal(grid[:, 0, 0], h)
-
-    def test_unconfirmable_grid_refused_before_transport(self, monkeypatch):
-        # SWEEP_MAX_GRID bounds M itself: past it, and below 1, nothing is
-        # transported; M = SWEEP_MAX_GRID runs
-        monkeypatch.setattr(transport, "SWEEP_MAX_GRID", 16)
-        calls = []
-
-        def counted(run):
-            def call(*args, **kwargs):
-                calls.append(run.__name__)
-                return run(*args, **kwargs)
-            return call
-
-        for run in (parallel_transport, holonomy):
-            monkeypatch.setattr(transport, run.__name__, counted(run))
-        for M in (17, 0):
-            with pytest.raises(ValueError, match=f"M={M} must be between 1 "
-                               "and 16"):
-                chern_sweep(monopole(1), latitude_family(), N=32, M=M)
-        assert calls == []
-        winding, h, _, _ = chern_sweep(monopole(1), latitude_family(), N=32,
-                                       M=16)
-        assert winding == 1 and len(h) == 17
-        assert calls == ["parallel_transport", "holonomy"]
+        ends = parallel_transport(monopole(5), [fam(0.0), fam(1.0)], N=128)
+        phi = [float(np.angle(1.0 + f.step_offsets[0, 0]).sum())
+               for f in ends]
+        rho = max(float(np.abs(f.samples).max()) for f in ends) / 128
+        _, turns, got = chern_winding(monopole(5), fam, N=128)
+        assert turns == (phi[1] - phi[0]) / (2.0 * math.pi)
+        assert got == rho
 
     @pytest.mark.parametrize("q, N", [(1, 256), (-1, 256), (3, 64),
                                       (30, 256), (100, 2048)])
@@ -291,8 +285,8 @@ class TestMonopole:
         theta = 2.0 * math.pi * q / N
         z = 1j * theta
         R = 1.0 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
-        winding, _, turns, rho = chern_sweep(monopole(q), latitude_family(),
-                                             N=N, M=2)
+        winding, turns, rho = chern_winding(monopole(q), latitude_family(),
+                                            N=N)
         assert winding == q
         assert abs(turns - q * np.angle(R) / theta) < 1e-9
         assert abs(rho - abs(theta)) < 1e-12
@@ -308,7 +302,7 @@ class TestMonopole:
     ], ids=["lag", "step"])
     def test_unresolved_ends_refused(self, q, N, message):
         with pytest.raises(PhaseStepTooLarge, match=message):
-            chern_sweep(monopole(q), latitude_family(), N=N, M=2)
+            chern_winding(monopole(q), latitude_family(), N=N)
 
 
 class TestSu2:
@@ -427,6 +421,28 @@ class TestValidation:
         for run in (parallel_transport, holonomy):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 run(abelian2d(1.0), latitude_loop(1.0))
+
+    def test_grid_bounded_by_the_step_limit(self, monkeypatch):
+        # TRANSPORT_MAX_STEPS bounds every transport's grid: at the bound a
+        # loop runs, past it each entry point refuses before sampling
+        monkeypatch.setattr(transport, "TRANSPORT_MAX_STEPS", 16)
+        fam, nodes = latitude_family(), []
+
+        def form(x, v):
+            nodes.append(len(x))
+            return monopole(1).form(x, v)
+
+        conn = ConnectionSpec(1, 3, form)
+        for run in (parallel_transport, holonomy):
+            with pytest.raises(ValueError, match="^N=17 exceeds the 16 steps"):
+                run(conn, fam(0.5), N=17)
+        with pytest.raises(ValueError, match="^N=17 exceeds the 16 steps"):
+            chern_winding(conn, fam, N=17)
+        assert nodes == []
+        frame = parallel_transport(conn, fam(0.5), N=16)
+        with pytest.raises(ValueError, match="^N=32 exceeds the 16 steps"):
+            refinement_delta(frame)
+        assert nodes == [33]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_nan_sample_rejected_at_its_node(self, n):
