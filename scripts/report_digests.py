@@ -10,18 +10,21 @@ comparison of two commits is one `diff`:
     PYTHONPATH=<tree B>/src python scripts/report_digests.py DIR > b.txt
     diff a.txt b.txt
 
-The list is the benchmark's commands (perfbench/workloads.py), a few
-transport commands on other grids, every argv stored in tests/golden, and
-`subspace-loop` and `audit` on each `seed*/frame.json` and
-`seed*/family.json` under DIR.  `--write-inputs`
-writes those files for seeds 3 and 7 with the benchmark's
-`prepare_reconstruct` and prints their digests too.  That function builds
-them with the `random_loop` of the tree on the path, so the inputs are
-written once and shared: reports of two trees compare only on the same
-input bytes.  Commands run with DIR as the working directory.  The input
-files a golden case names (from tests/golden/inputs) are copied there
-before the command runs, and they and each CSV the command writes are
-removed after it.
+The list is the commands of the benchmark's transport and `cold-cli`
+workloads (perfbench/workloads.py), a few transport commands on other
+grids, every argv stored in tests/golden, and `subspace-loop` and `audit`
+on each `seed*/frame.json` and `seed*/family.json` under DIR.
+
+The workloads are prepared for seeds 3 and 7 into the subdirectory `bench`
+of DIR, from numpy alone, and removed after their commands ran.  The
+`reconstruct` inputs are built with the `random_loop` of the tree on the
+path, so they are written once and shared: reports of two trees compare
+only on the same input bytes.  `--write-inputs` writes them for seeds 3 and
+7 with the benchmark's `prepare_reconstruct` and prints their digests too.
+
+Commands run with DIR as the working directory.  The input files a golden
+case names (from tests/golden/inputs) are copied there before the command
+runs, and they and each CSV the command writes are removed after it.
 """
 
 import argparse
@@ -30,37 +33,42 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
-SEEDS = (3, 7)  # of the twistcheck test data and the reconstruct inputs
+SEEDS = (3, 7)  # of the benchmark's workloads and the reconstruct inputs
+BENCH_WORKLOADS = ("transport-nonabelian", "sweep-abelian", "cold-cli")
 
 
-def benchmark_commands():
-    """(name, argv) of the transport commands of perfbench/workloads.py,
-    and the benchmark's `obstruction` without its CSV."""
-    yield "bench-holonomy-su2sample", [
-        "holonomy", "--preset", "su2sample", "--N", "2048", "--no-meta"]
+def run_benchmark_commands():
+    """Prepare each workload of BENCH_WORKLOADS for each seed into `bench`,
+    run every command it prepares, and remove what was written."""
+    from workloads import WORKLOADS
+
+    workdir = Path("bench")
     for seed in SEEDS:
-        yield f"bench-twistcheck-su2sample-seed{seed}", [
-            "twistcheck", "--preset", "su2sample", "--circle", "1.3",
-            "--N", "1024", "--seed", str(seed), "--no-meta"]
-    obstruction = ["obstruction", "--preset", "monopole", "--q", "1",
-                   "--N", "256", "--M", "64", "--no-meta"]
-    yield "bench-obstruction-monopole", obstruction + [
-        "--csv", "bench-obstruction.csv"]
-    # the winding alone, read from the two end loops without the sweep
-    yield "bench-obstruction-monopole-no-csv", obstruction
+        for name in BENCH_WORKLOADS:
+            workdir.mkdir()
+            try:
+                for command in WORKLOADS[name].prepare(workdir, seed, False):
+                    run(f"bench-{name}-{command.label}-seed{seed}",
+                        list(command.argv))
+            finally:
+                shutil.rmtree(workdir)
 
 
 def transport_commands():
-    """(name, argv) of transport commands on grids the others do not
-    reach: N = 1000, not a power of two; a 3 x 3 form on 7 steps; and two
-    sweeps on the family grid M = 2, with their CSVs, whose three samples
-    cannot tell the charge (a phase step of pi at q = 3, all near 1 at
-    q = 6)."""
+    """(name, argv) of transport commands the benchmark does not run:
+    `obstruction` without its CSV, the winding alone; N = 1000, not a power
+    of two; a 3 x 3 form on 7 steps; and two sweeps on the family grid
+    M = 2, with their CSVs, whose three samples cannot tell the charge (a
+    phase step of pi at q = 3, all near 1 at q = 6)."""
+    yield "obstruction-monopole-no-csv", [
+        "obstruction", "--preset", "monopole", "--q", "1", "--N", "256",
+        "--M", "64", "--no-meta"]
     for command in ("holonomy", "twistcheck"):
         yield f"{command}-su2sample-N1000", [
             command, "--preset", "su2sample", "--N", "1000", "--no-meta"]
@@ -95,7 +103,6 @@ def digest(data):
 
 def write_inputs():
     """Write the `reconstruct` inputs of SEEDS; print their digests."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import prepare_reconstruct
 
     for seed in SEEDS:
@@ -136,10 +143,12 @@ def main():
     args = ap.parse_args()
     os.makedirs(args.dir, exist_ok=True)
     os.chdir(args.dir)
+    sys.path.insert(0, str(ROOT / "perfbench"))
     if args.write_inputs:
         write_inputs()
-    commands = [*benchmark_commands(), *transport_commands(),
-                *golden_commands(), *reconstruct_commands()]
+    run_benchmark_commands()
+    commands = [*transport_commands(), *golden_commands(),
+                *reconstruct_commands()]
     for name, argv, *inputs in commands:
         run(name, argv, *inputs)
 

@@ -87,6 +87,9 @@ _OPTION_CHECKS = (
     ("radius", lambda v: math.isfinite(v) and v > 0,
      "radius must be positive and finite"),
     ("n", lambda v: v >= 1, "n must be a positive integer"),
+    # a float holds every integer up to 2**53, so the form's charge is q
+    ("q", lambda v: abs(v) <= 2 ** 53,
+     f"q must be at most {2 ** 53} in absolute value"),
     ("latitude", lambda v: 0 < v < math.pi,
      "latitude must lie strictly between 0 and pi"),
 )
@@ -392,6 +395,12 @@ def cmd_subspace_loop(args):
 def cmd_holonomy(args):
     conn = _PRESETS[args.preset](args)
     loop = _base_loop(args, conn)
+    # ask the transport's door for the 2N refinement run before any work
+    try:
+        transport._batch(conn, loop, 2 * args.N)
+    except ValueError as exc:
+        raise InputError(f"the holonomy command refines N={args.N} to 2N, "
+                         f"and {exc}") from exc
     frame = transport.parallel_transport(conn, loop, N=args.N)
     payload = {
         "preset": conn.name,

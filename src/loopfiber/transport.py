@@ -25,9 +25,9 @@ entry is one contiguous array over the stack (loopgroup._entry_major), and
 every kernel works per step along the last axis.  A lone loop is the batch
 of one.
 
-  1. sample each loop on all 2 steps + 1 half-step nodes t0 + j h/2 (a
-     step's endpoint is the next step's start), the step ends first and the
-     midpoints after them, and -A in one call on the B (2 steps + 1) nodes
+  1. sample each loop on all 2 steps + 1 half-step nodes j h/2, h = 1/steps
+     (a step's endpoint is the next step's start), the step ends first and
+     the midpoints after them, and -A in one call on the B (2 steps + 1) nodes
      of all the loops; check every sample for shape and anti-Hermiticity,
      and copy the samples once into an entry-major stack, in which the
      starts, ends and midpoints of each loop's steps are three contiguous
@@ -57,7 +57,8 @@ loop of a batch gets the bits it gets alone.  Loops go through the pipeline
 in chunks of at most TRANSPORT_NODE_BUDGET nodes (at least one loop per
 chunk): a batch too large for the cache runs slower than one loop at a time.
 A batch raises what its first failing loop raises alone: a chunk that fails
-runs again loop by loop.
+runs again loop by loop.  One loop's step stack may hold at most
+TRANSPORT_MAX_ENTRIES matrix entries (n^2 N), checked before any work.
 
 A refinement run reuses samples: the 2N run's step ends are the N run's
 nodes, because linspace(0, 1, 4N + 1)[2i] == linspace(0, 1, 2N + 1)[i] bit
@@ -111,7 +112,7 @@ ANTIHERM_TOL = 1e-10
 STEP_RESOLUTION_MAX = math.pi / 2  # chern_winding's largest step h |A|
 WINDING_MARGIN = 0.1  # chern_winding's largest distance of turns from a whole
 TRANSPORT_NODE_BUDGET = 2 ** 14  # half-step nodes of one batched pass
-TRANSPORT_MAX_STEPS = 2 ** 19  # steps of one loop's pass, ~0.75 GB at n = 2
+TRANSPORT_MAX_ENTRIES = 2 ** 21  # n^2 N of one loop's pass, under 0.6 GB
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,19 +467,18 @@ def _sample_forms(conn, xvs, ts):
     return M
 
 
-def _step_offsets(conn, xvs, t0, t1, steps, coarse=None):
+def _step_offsets(conn, xvs, steps, coarse=None):
     """(D, M) for the loop samplers xvs: D is the entry-major
     (n, n, B, steps) stack of the D_i with P_i = I + D_i the RK4 propagator
     of step i, M the (n, n, B, 2 steps + 1) samples of -A it came from, the
     step ends first and the midpoints after them; ValueError at the first
     step that overflows.
 
-    `coarse`, the samples M of the steps/2 run on [0, 1] over the same
-    loops, gives the step ends, so only the midpoints are sampled; then M is
-    None.
+    `coarse`, the samples M of the steps/2 run over the same loops, gives
+    the step ends, so only the midpoints are sampled; then M is None.
     """
-    h = (t1 - t0) / steps
-    ts = np.linspace(t0, t1, 2 * steps + 1)
+    h = 1.0 / steps
+    ts = np.linspace(0.0, 1.0, 2 * steps + 1)
     if coarse is None:
         M = _sample_forms(conn, xvs, np.concatenate([ts[::2], ts[1::2]]))
         ends, Mh = M[..., :steps + 1], M[..., steps + 1:]
@@ -515,7 +515,7 @@ def _step_offsets(conn, xvs, t0, t1, steps, coarse=None):
     bad = np.flatnonzero(~np.isfinite(D).all(axis=(0, 1)))
     if bad.size:
         raise ValueError(
-            f"transport step at t={t0 + bad[0] % steps * h:.6f} is not "
+            f"transport step at t={bad[0] % steps * h:.6f} is not "
             f"finite (N={steps}): the connection form is too large for the "
             "grid")
     return D, M
@@ -532,31 +532,10 @@ def _loop_scan(scan, Q):
     return scan(Q[:, :, 0])[:, :, None]
 
 
-def _transport_chain(conn, xvs, t0, t1, steps):
-    """Frames T(t0 + i h), i = 0..steps, of each loop sampler of xvs, as a
-    (B, steps + 1, n, n) array, with the step offsets and samples (n, n, B,
-    ...) they came from."""
-    I = np.eye(conn.n, dtype=complex)[:, :, None, None]  # a stack of one
-    D, M = _step_offsets(conn, xvs, t0, t1, steps)
-    Ts = _polar(I + _loop_scan(_prefix_products, _polar(I + D) - I))
-    starts = np.broadcast_to(I, Ts.shape[:3] + (1,))
-    return _block_major(np.concatenate([starts, Ts], axis=-1)), D, M
-
-
-def _end_transport(conn, xvs, t0, t1, steps, coarse=None):
-    """T(t1) alone of each loop sampler of xvs, a (B, n, n) array: the polar
-    of the tree product of the step polar factors."""
-    I = np.eye(conn.n, dtype=complex)[:, :, None, None]  # a stack of one
-    # the offsets and samples are dropped before the polar factors are made
-    P = I + _step_offsets(conn, xvs, t0, t1, steps, coarse)[0]
-    return _block_major(_polar(
-        I[..., 0] + _loop_scan(_tree_product, _polar(P) - I)))
-
-
 def _batch(conn, loop, N):
     """(the loops of `loop`, a BaseLoop or a sequence of them, as a list,
-    whether it was one BaseLoop), checked against conn and
-    1 <= N <= TRANSPORT_MAX_STEPS before any sampling."""
+    whether it was one BaseLoop), checked against conn, N >= 1 and
+    n^2 N <= TRANSPORT_MAX_ENTRIES before anything is allocated."""
     single = isinstance(loop, BaseLoop)
     loops = [loop] if single else list(loop)
     for one in loops:
@@ -565,9 +544,11 @@ def _batch(conn, loop, N):
                              f"d={conn.d}, loop d={one.d}")
     if N < 1:
         raise ValueError("N must be >= 1")
-    if N > TRANSPORT_MAX_STEPS:
-        raise ValueError(f"N={N} exceeds the {TRANSPORT_MAX_STEPS} steps "
-                         "one loop's transport may take")
+    n = conn.n
+    if n * n * N > TRANSPORT_MAX_ENTRIES:
+        raise ValueError(f"N={N} steps of n={n} exceed the "
+                         f"{TRANSPORT_MAX_ENTRIES} matrix entries (n^2 N) one "
+                         "loop's transport may hold")
     return loops, single
 
 
@@ -599,8 +580,11 @@ def parallel_transport(conn, loop, N=2048):
     loops, single = _batch(conn, loop, N)
 
     def run(chunk):
-        Ts, D, M = _transport_chain(conn, [one.xv for one in chunk],
-                                    0.0, 1.0, N)
+        I = np.eye(conn.n, dtype=complex)[:, :, None, None]  # a stack of one
+        D, M = _step_offsets(conn, [one.xv for one in chunk], N)
+        Ts = _polar(I + _loop_scan(_prefix_products, _polar(I + D) - I))
+        starts = np.broadcast_to(I, Ts.shape[:3] + (1,))
+        Ts = _block_major(np.concatenate([starts, Ts], axis=-1))
         return [TransportFrame(one, conn, N, Ts[b], D[:, :, b], M[:, :, b])
                 for b, one in enumerate(chunk)]
 
@@ -627,8 +611,12 @@ def holonomy(conn, loop, N=2048, coarse=None):
         ends = coarse.samples[:, :, None]
 
     def run(chunk):
-        return _end_transport(conn, [one.xv for one in chunk], 0.0, 1.0, N,
-                              ends)
+        # T(1) alone: the polar of the tree product of the step polar
+        # factors; the offsets and samples are dropped before those are made
+        I = np.eye(conn.n, dtype=complex)[:, :, None, None]  # a stack of one
+        P = I + _step_offsets(conn, [one.xv for one in chunk], N, ends)[0]
+        return _block_major(_polar(
+            I[..., 0] + _loop_scan(_tree_product, _polar(P) - I)))
 
     parts = _in_chunks(run, loops, N)
     if single:
@@ -638,18 +626,19 @@ def holonomy(conn, loop, N=2048, coarse=None):
 
 
 def transport_reversed(conn, loop, t, N=2048):
-    """Transport along the time-reversed partial path s -> x(t - s), s in [0, t].
+    """Transport along the time-reversed partial path from x(t) back to x(0).
 
-    Starts at x(t) and runs backwards to x(0); the result approximates
-    T(t)^{-1}, which is how untwisting maps are realized geometrically.
+    The path s -> x(t (1 - s)), s in [0, 1], with velocity -t x'(t (1 - s)),
+    runs through `holonomy` on round(t N) steps, at least one; the result
+    approximates T(t)^{-1}, which is how untwisting maps are realized
+    geometrically.
     """
-    steps = max(int(round(t * N)), 1)
 
-    def xv(s):
-        x, v = loop.xv(t - s)
-        return x, -v
+    def fn(s):
+        x, v = loop.xv(t * (1.0 - s))
+        return x, -t * v
 
-    return _end_transport(conn, [xv], 0.0, t, steps)[0]
+    return holonomy(conn, BaseLoop(loop.d, fn), max(round(t * N), 1))
 
 
 def refinement_delta(frame):
@@ -724,7 +713,7 @@ def chern_winding(conn, family, N=256):
     if conn.n != 1:
         raise ValueError("winding needs a U(1) connection (n = 1)")
     loops, _ = _batch(conn, [family(0.0), family(1.0)], N)
-    ends = [_step_offsets(conn, [one.xv], 0.0, 1.0, N) for one in loops]
+    ends = [_step_offsets(conn, [one.xv], N) for one in loops]
     phi = [float(np.angle(1.0 + D[0, 0, 0]).sum()) for D, _ in ends]
     rho = max(float(np.abs(M).max()) for _, M in ends) / N
     turns = (phi[1] - phi[0]) / (2.0 * math.pi)

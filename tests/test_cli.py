@@ -1384,7 +1384,7 @@ class TestOptions:
     REFUSED = {
         "N": [0], "M": [0, 4097], "depth": [-1], "band": [-1], "n": [0],
         "radius": [0.0, math.inf], "latitude": [0.0, math.pi], "seed": [-1],
-        "B": [math.inf, -math.inf],
+        "B": [math.inf, -math.inf], "q": [2 ** 53 + 1, -2 ** 53 - 1],
     }
 
     def test_table_names_parser_options(self):
@@ -1406,6 +1406,19 @@ class TestOptions:
                      ["obstruction", "--preset", "monopole", "--N", "1",
                       "--M", "1"]):
             cli._check_options(parser.parse_args(argv))
+        cli._check_options(argparse.Namespace(q=2 ** 53))
+        cli._check_options(argparse.Namespace(q=-2 ** 53))
+
+    @pytest.mark.parametrize("command", ["holonomy", "obstruction"])
+    def test_charge_past_a_float_exit2(self, capsys, command):
+        # a charge no float holds is refused, not left to overflow in the
+        # monopole form
+        code = cli.main([command, "--preset", "monopole", "--q",
+                         "1" + "0" * 400, "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: q must be at most 9007199254740992 "
+                                "in absolute value\n")
 
     def test_band_bounded_by_the_widest_loop(self):
         # --band B gives loops of 2 B + 1 frequencies, at most MAX_BAND_WIDTH
@@ -1424,7 +1437,57 @@ class TestOptions:
     def test_grid_past_the_transport_bound_exit2(self, capsys, monkeypatch,
                                                  argv):
         # a grid no transport may take is refused before the connection
-        # form is called, not left to fail allocating its stacks
+        # form is called, not left to fail allocating its stacks; the
+        # holonomy command asks for its 2N refinement run first
+        calls = self.spy_forms(monkeypatch)
+        N = 10 ** 15
+        code = cli.main(argv + ["--N", str(N), "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and calls == []
+        n = 1 if argv[0] == "obstruction" else 2
+        refined = argv[0] == "holonomy"
+        door = (f"N={2 * N if refined else N} steps of n={n} exceed the "
+                f"{transport.TRANSPORT_MAX_ENTRIES} matrix entries (n^2 N) "
+                "one loop's transport may hold")
+        assert captured.err == "error: " + (
+            f"the holonomy command refines N={N} to 2N, and " + door
+            if refined else door) + "\n"
+
+    def test_refinement_grid_refused_up_front(self, capsys, monkeypatch):
+        # N = 33 passes the door but its 2N = 66 run does not: refused
+        # before the N frame is built, naming the N given
+        calls = self.spy_forms(monkeypatch)
+        monkeypatch.setattr(transport, "TRANSPORT_MAX_ENTRIES", 4 * 64)
+        argv = ["holonomy", "--preset", "su2sample", "--no-meta", "--N"]
+        assert cli.main(argv + ["32"]) == 0
+        assert calls == [65, 64]  # the N run, then the 2N midpoints
+        capsys.readouterr()
+        calls.clear()
+        code = cli.main(argv + ["33"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and calls == []
+        assert captured.err == (
+            "error: the holonomy command refines N=33 to 2N, and N=66 steps "
+            "of n=2 exceed the 256 matrix entries (n^2 N) one loop's "
+            "transport may hold\n")
+
+    @pytest.mark.parametrize("command", ["holonomy", "twistcheck"])
+    def test_fiber_past_the_transport_bound_exit2(self, capsys, monkeypatch,
+                                                  command):
+        # the bound counts n^2 entries per step, so a flat fiber too large
+        # for one step is refused before anything n x n is allocated
+        calls = self.spy_forms(monkeypatch)
+        code = cli.main([command, "--preset", "flat", "--n", "1000000",
+                         "--N", "16", "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and calls == []
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "n=1000000 exceed" in line
+
+    @staticmethod
+    def spy_forms(monkeypatch):
+        """The node counts of every connection form call the presets'
+        connections make from now on."""
         calls, presets = [], dict(cli._PRESETS)
 
         def spied(make):
@@ -1441,12 +1504,7 @@ class TestOptions:
 
         monkeypatch.setattr(cli, "_PRESETS",
                             {k: spied(make) for k, make in presets.items()})
-        code = cli.main(argv + ["--N", str(10 ** 15), "--no-meta"])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == "" and calls == []
-        assert captured.err == (
-            f"error: N={10 ** 15} exceeds the {transport.TRANSPORT_MAX_STEPS}"
-            " steps one loop's transport may take\n")
+        return calls
 
     def test_cached_parser_keeps_no_state(self):
         parser = cli._build_parser()

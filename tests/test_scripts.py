@@ -38,12 +38,14 @@ def run_script(script, args):
 
 
 def test_report_digests_cover_every_command(tmp_path):
-    # without inputs in the directory, the benchmark's transport commands,
-    # the other transport commands and the golden argvs: one digest per
-    # report and per CSV, all exit 0
+    # without inputs in the directory, the commands of the benchmark's
+    # transport and cold-cli workloads at two seeds (5 reports and a CSV
+    # each), the other transport commands and the golden argvs: one digest
+    # per report and per CSV, all exit 0
     lines = run_script("report_digests.py", [str(tmp_path)]).splitlines()
     golden = len(list((ROOT / "tests" / "golden").glob("*.json")))
-    assert len(lines) == 5 + 1 + 5 + 2 + golden + 1
+    assert len(lines) == 2 * (5 + 1) + 6 + 2 + golden + 1
+    assert sum(line.endswith("-project-seed7 (exit 0)") for line in lines) == 1
     for line in lines:
         digest, name = line.split("  ", 1)
         assert len(digest) == 64 and int(digest, 16) >= 0

@@ -22,7 +22,6 @@ from loopfiber.transport import (
     TransportFrame,
     _prefix_products,
     _step_offsets,
-    _transport_chain,
     _tree_product,
     abelian2d,
     chern_winding,
@@ -245,8 +244,7 @@ class TestMonopole:
             nodes.append(len(x))
             return conn.form(x, v)
 
-        for run in ("parallel_transport", "holonomy", "_transport_chain",
-                    "_end_transport"):
+        for run in ("parallel_transport", "holonomy"):
             monkeypatch.setattr(transport, run, None)
         winding, _, _ = chern_winding(ConnectionSpec(1, 3, form), family,
                                       N=64)
@@ -357,10 +355,19 @@ class TestSegments:
         conn = su2sample()
         loop = BaseLoop.circle(1.3, center=(0.2, -0.1))
         frame = parallel_transport(conn, loop, N=512)
-        (first,), _, _ = _transport_chain(conn, [loop.xv], 0.0, 0.5, 256)
-        (second,), _, _ = _transport_chain(conn, [loop.xv], 0.5, 1.0, 256)
-        assert np.linalg.norm(second[-1] @ first[-1] - frame.holonomy) < 1e-8
-        assert np.linalg.norm(first[-1] - frame.Ts[256]) < 1e-10
+
+        def half(start):
+            # the half loop s -> x(start + s / 2), s in [0, 1]
+            def fn(s):
+                x, v = loop.xv(start + 0.5 * s)
+                return x, 0.5 * v
+            return BaseLoop(2, fn)
+
+        first, second = parallel_transport(conn, [half(0.0), half(0.5)],
+                                           N=256)
+        assert np.linalg.norm(second.holonomy @ first.holonomy
+                              - frame.holonomy) < 1e-8
+        assert np.linalg.norm(first.holonomy - frame.Ts[256]) < 1e-10
 
     @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
     def test_reversed_partial_path_inverts(self, t):
@@ -421,11 +428,14 @@ class TestValidation:
         for run in (parallel_transport, holonomy):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 run(abelian2d(1.0), latitude_loop(1.0))
+        # the reversed path goes through the same door
+        with pytest.raises(ValueError, match="^chart dimension mismatch"):
+            transport_reversed(monopole(1), BaseLoop.circle(1.0), 0.5)
 
     def test_grid_bounded_by_the_step_limit(self, monkeypatch):
-        # TRANSPORT_MAX_STEPS bounds every transport's grid: at the bound a
-        # loop runs, past it each entry point refuses before sampling
-        monkeypatch.setattr(transport, "TRANSPORT_MAX_STEPS", 16)
+        # TRANSPORT_MAX_ENTRIES bounds every transport's grid: at the bound
+        # a loop runs, past it each entry point refuses before sampling
+        monkeypatch.setattr(transport, "TRANSPORT_MAX_ENTRIES", 16)
         fam, nodes = latitude_family(), []
 
         def form(x, v):
@@ -433,16 +443,31 @@ class TestValidation:
             return monopole(1).form(x, v)
 
         conn = ConnectionSpec(1, 3, form)
+        past = "^N=17 steps of n=1 exceed the 16 matrix entries"
         for run in (parallel_transport, holonomy):
-            with pytest.raises(ValueError, match="^N=17 exceeds the 16 steps"):
+            with pytest.raises(ValueError, match=past):
                 run(conn, fam(0.5), N=17)
-        with pytest.raises(ValueError, match="^N=17 exceeds the 16 steps"):
+        with pytest.raises(ValueError, match=past):
             chern_winding(conn, fam, N=17)
+        # round(t N) steps of the reversed path
+        with pytest.raises(ValueError, match=past):
+            transport_reversed(conn, fam(0.5), 0.5, N=34)
         assert nodes == []
-        frame = parallel_transport(conn, fam(0.5), N=16)
-        with pytest.raises(ValueError, match="^N=32 exceeds the 16 steps"):
-            refinement_delta(frame)
+        transport_reversed(conn, fam(0.5), 0.5, N=32)
         assert nodes == [33]
+        frame = parallel_transport(conn, fam(0.5), N=16)
+        with pytest.raises(ValueError, match="^N=32 steps of n=1 exceed"):
+            refinement_delta(frame)
+        assert nodes == [33, 33]
+
+    def test_step_limit_scales_with_the_fiber(self, monkeypatch):
+        # n^2 N entries: an n = 2 form may take a quarter of the n = 1 steps
+        monkeypatch.setattr(transport, "TRANSPORT_MAX_ENTRIES", 16)
+        loop = BaseLoop.circle(1.0)
+        assert np.array_equal(holonomy(flat(n=2), loop, N=4), np.eye(2))
+        for run in (parallel_transport, holonomy):
+            with pytest.raises(ValueError, match="^N=5 steps of n=2 exceed"):
+                run(flat(n=2), loop, N=5)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_nan_sample_rejected_at_its_node(self, n):
@@ -622,7 +647,7 @@ class TestKernels:
     def test_step_polars_match_svd(self, name, N):
         conn, loop = REFERENCE_CASES[name]
         P = np.eye(conn.n) + _block_major(
-            _step_offsets(conn, [loop.xv], 0.0, 1.0, N)[0][:, :, 0])
+            _step_offsets(conn, [loop.xv], N)[0][:, :, 0])
         U, _, Vh = np.linalg.svd(P)
         Q = _block_major(_polar(_entry_major(P)))
         assert np.abs(Q - U @ Vh).max() < 1e-15
@@ -656,7 +681,7 @@ class TestKernels:
         K = 1e200j * np.diag(np.arange(1.0, n + 1.0))
         conn = constant_generator(K)
         with pytest.raises(ValueError, match=r"not finite \(N=16\)"):
-            _step_offsets(conn, [BaseLoop.circle(1.0).xv], 0.0, 1.0, 16)
+            _step_offsets(conn, [BaseLoop.circle(1.0).xv], 16)
 
     def test_raw_chain_built_only_when_read(self, monkeypatch):
         calls = []
