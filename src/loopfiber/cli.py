@@ -495,6 +495,10 @@ TWISTCHECK_TOLS = {
 
 
 def cmd_twistcheck(args):
+    # an N-point grid resolves (N - 1) // 2 frequencies on each side
+    if args.N < 2 * args.band + 1:
+        raise InputError(f"N={args.N} cannot resolve the test loops' band "
+                         f"{args.band}: N must be at least 2 band + 1")
     conn = _PRESETS[args.preset](args)
     loop = _base_loop(args, conn)
     residuals = _twistcheck_residuals(conn, loop, args.N, args.band, args.seed)

@@ -31,7 +31,6 @@ from .errors import (
 from .fourier import _integer, _to_pairs, basis_loop
 from .loopgroup import (
     UNITARITY_TOL,
-    _entry_major,
     _polar,
     _stack_defect,
     constant_element,
@@ -322,7 +321,7 @@ def reduction_cocycle(audit):
         if not (var <= VARIATION_TOL):
             total = sum(det_winding(t) for t in fam.transitions)
             raise NonConstantReducedTransition((i, j), var, winding_sum=total)
-        defect = _stack_defect(mean[:, :, None])[0]
+        defect = _stack_defect(mean[None])[0]
         if not (defect <= 2.0 * var + var * var + UNITARITY_TOL):
             raise ValueError(f"transition {e_idx} on edge {(i, j)} is not "
                              f"unitary: reduced mean defect {defect:.3e}")
@@ -345,7 +344,7 @@ def build_model_decomposition(U_cocycle, depth=3):
     n = mats[0].shape[0]
     if any(U.shape != (n, n) for U in mats):
         raise ValueError("inconsistent cocycle: mixed matrix shapes")
-    if not (_stack_defect(_entry_major(np.array(mats)))[0] <= UNITARITY_TOL):
+    if not (_stack_defect(np.array(mats))[0] <= UNITARITY_TOL):
         raise ValueError("inconsistent cocycle: transition not unitary")
     m = len(mats)
     gens = [basis_loop(n, component=j, frequency=0) for j in range(n)]

@@ -324,18 +324,6 @@ def _to_pairs(a):
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _from_pairs(value, what):
-    """Inverse of _to_pairs, bit-exact; ValueError naming `what` unless the
-    innermost lists are [re, im] pairs."""
-    try:
-        a = np.ascontiguousarray(value, dtype=float)
-    except ValueError as exc:  # ragged lists
-        raise ValueError(f"{what} is not [re, im] pairs") from exc
-    if a.shape[-1:] != (2,):
-        raise ValueError(f"{what} is not [re, im] pairs")
-    return a.view(complex)[..., 0]
-
-
 def _read_leaves(values, shape):
     """The leaves of `values`, nested lists each of `shape`, as one float
     array; None unless every list has its length and every leaf is a JSON
@@ -358,12 +346,15 @@ def _name_bad_block(pairs, block):
     dict whose block is not nested [re, im] pairs of numbers of `block`."""
     for k, v in pairs.items():
         what = f"coefficient at k={k}"
-        try:
-            shape = _from_pairs(v, what).shape
-        except TypeError as exc:  # a leaf float() refuses, such as a dict
+        try:  # ragged lists, or a leaf float() refuses, such as a dict
+            shape = np.asarray(v, dtype=float).shape
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{what} is not [re, im] pairs") from exc
-        if shape != block:
-            raise ValueError(f"{what} has shape {shape}, expected {block}")
+        if shape[-1:] != (2,):
+            raise ValueError(f"{what} is not [re, im] pairs")
+        if shape[:-1] != block:
+            raise ValueError(
+                f"{what} has shape {shape[:-1]}, expected {block}")
         if _read_leaves([v], block + (2,)) is None:
             raise ValueError(f"{what} holds a value that is not a number")
 

@@ -11,7 +11,7 @@ gamma from the subspace W = gamma . (truncated nonnegative-frequency
 space): the columns of gamma are an orthonormal basis of W cap (zW)^perp,
 and pointwise unitarity of the result certifies the construction; each
 loop computes that certificate once.  Every check starts on the grid of
-one rule, `_first_grid`; the determinant winding refines in `_phase_winding`.
+one rule, `_first_grid`; the determinant winding refines in `det_winding`.
 """
 
 from functools import cached_property
@@ -68,7 +68,7 @@ class LoopGroupElement(_BandedLoop):
     def _certificate(self):
         """unitarity_defect's (defect, theta), kept: data is read-only."""
         N, S = _certificate_samples(self)
-        defect, i = _stack_defect(_entry_major(S))
+        defect, i = _stack_defect(S)
         return defect, 2.0 * np.pi * i / N
 
     def column(self, j):
@@ -147,8 +147,9 @@ def _certificate_samples(g):
 def _entry_major(S):
     """A contiguous copy of a stack of (n, m) blocks, shape (..., n, m),
     laid out entry-major, shape (n, m, ...): entry S[i, j] is one
-    contiguous array over the stack.  Every stacked kernel below takes and
-    returns this layout; a single (n, m) matrix is both layouts at once."""
+    contiguous array over the stack.  Every stacked kernel below but
+    `_stack_defect` takes and returns this layout; a single (n, m) matrix
+    is both layouts at once."""
     return np.ascontiguousarray(np.moveaxis(S, (-2, -1), (0, 1)))
 
 
@@ -271,34 +272,11 @@ def _polar(S):
 
 
 def _stack_defect(S):
-    """(max over t of ||S_t^H S_t - I||, the first t attaining it) for an
-    entry-major stack S of square matrices, shape (n, n, T); a NaN defect
-    is the max."""
-    D = _gram_defects(S)[1]
+    """(max over t of ||S_t^H S_t - I||, the first t attaining it) for a
+    stack S of square matrices, shape (T, n, n); a NaN defect is the max."""
+    D = _gram_defects(_entry_major(S))[1]
     i = int(np.argmax(D))
     return float(D[i]), i
-
-
-def _phase_winding(sample, N):
-    """(turns of the phase along the closed path z = sample(N), that z).
-
-    N doubles until every step between neighbours z[0], ..., z[-1] ~ z[0]
-    is below pi/2; the steps then sum to the turns, rounded.  Raises
-    PhaseStepTooLarge once N would pass WINDING_MAX_GRID, and when some |z|
-    is below 1e-8 or NaN, where the phase means nothing.
-    """
-    while True:
-        z = sample(N)
-        if not (np.abs(z).min() >= 1e-8):
-            raise PhaseStepTooLarge(
-                "determinant passes near zero; input is not a unitary loop")
-        steps = np.angle(z[1:] / z[:-1])
-        if np.abs(steps).max() < np.pi / 2:
-            return int(round(steps.sum() / (2.0 * np.pi))), z
-        N *= 2
-        if N > WINDING_MAX_GRID:
-            raise PhaseStepTooLarge(
-                f"phase steps still exceed pi/2 at grid {WINDING_MAX_GRID}")
 
 
 def _det(S):
@@ -333,10 +311,12 @@ def unitarity_defect(g):
 def det_winding(g):
     """Winding number of theta -> det gamma(theta) by phase accumulation.
 
-    The grid doubles until every successive phase step is below pi/2;
-    PhaseStepTooLarge is raised past WINDING_MAX_GRID, or when |det| falls
-    below 1e-8 (impossible for genuinely unitary values, so it signals a
-    corrupt input rather than insufficient resolution).
+    The grid doubles until every step between neighbouring determinants,
+    the last to the first included, is below pi/2; the steps then sum to
+    the turns, rounded.  PhaseStepTooLarge is raised past WINDING_MAX_GRID,
+    or when |det| falls below 1e-8 or is NaN (impossible for genuinely
+    unitary values, so it signals a corrupt input rather than insufficient
+    resolution).
 
     The first grid needs 8 n max|k|: a near-unitary determinant is close to
     a unimodular monomial c z^w with |w| bounded by n * max|k|, so sampling
@@ -346,9 +326,18 @@ def det_winding(g):
     """
     kmin, kmax = g.band
     N = _first_grid(g, 8 * g.n * max(abs(kmin), abs(kmax), 1), "winding")
-    return _phase_winding(  # np.resize wraps: the N dets, then the first
-        lambda N: np.resize(_det(_entry_major(g.grid_samples(N))), N + 1),
-        N)[0]
+    while True:
+        z = _det(_entry_major(g.grid_samples(N)))
+        if not (np.abs(z).min() >= 1e-8):
+            raise PhaseStepTooLarge(
+                "determinant passes near zero; input is not a unitary loop")
+        steps = np.angle(np.roll(z, -1) / z)  # z[1] / z[0], ..., z[0] / z[-1]
+        if np.abs(steps).max() < np.pi / 2:
+            return int(round(steps.sum() / (2.0 * np.pi)))
+        N *= 2
+        if N > WINDING_MAX_GRID:
+            raise PhaseStepTooLarge(
+                f"phase steps still exceed pi/2 at grid {WINDING_MAX_GRID}")
 
 
 def theta_variation(g):

@@ -84,8 +84,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonAntiHermitianSample, PhaseStepTooLarge
-from .loopgroup import (_adjoint, _block_major, _entry_major, _fro_norms,
-                        _matmul, _polar, _stack_defect)
+from .loopgroup import (_adjoint, _block_major, _fro_norms, _matmul, _polar,
+                        _stack_defect)
 
 __all__ = [
     "BaseLoop",
@@ -349,7 +349,7 @@ class TransportFrame:
         return self.Ts[-1]
 
     def unitarity_defect(self):
-        return _stack_defect(_entry_major(self.Ts))[0]
+        return _stack_defect(self.Ts)[0]
 
     @cached_property
     def _raw_chain(self):
@@ -694,7 +694,8 @@ def latitude_family():
 
 def chern_winding(conn, family, N=256):
     """(winding of s -> holonomy(family(s)), turns, rho) for a U(1)
-    connection, read from the step offsets of family(0.0) and family(1.0).
+    connection, read from the step offsets of family(0.0) and family(1.0),
+    transported as one batch.
 
     A loop's holonomy is e^{i Phi}, Phi the sum of the principal angles of
     its N step propagators: i times the flux of dA it encloses, continuous
@@ -713,9 +714,14 @@ def chern_winding(conn, family, N=256):
     if conn.n != 1:
         raise ValueError("winding needs a U(1) connection (n = 1)")
     loops, _ = _batch(conn, [family(0.0), family(1.0)], N)
-    ends = [_step_offsets(conn, [one.xv], N) for one in loops]
-    phi = [float(np.angle(1.0 + D[0, 0, 0]).sum()) for D, _ in ends]
-    rho = max(float(np.abs(M).max()) for _, M in ends) / N
+
+    def run(chunk):
+        D, M = _step_offsets(conn, [one.xv for one in chunk], N)
+        return np.angle(1.0 + D[0, 0]).sum(-1), np.abs(M).max()
+
+    parts = _in_chunks(run, loops, N)
+    phi = np.concatenate([part for part, _ in parts]).tolist()
+    rho = float(max(m for _, m in parts)) / N
     turns = (phi[1] - phi[0]) / (2.0 * math.pi)
     winding = round(turns)
     lag = N * rho ** 5 / (120.0 * math.pi)
@@ -748,6 +754,8 @@ def load_loop_csv(path):
     d = len(rows[0]) - 1
     if d < 1:
         raise ValueError("no coordinate columns")
+    if len(rows) < 2:
+        raise ValueError("no sample rows")
     data = np.array([[float(c) for c in row] for row in rows[1:]])
     if data.ndim != 2 or data.shape[1] != d + 1:
         raise ValueError("ragged CSV rows")

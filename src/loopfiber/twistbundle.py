@@ -64,7 +64,7 @@ class GaugeTwist:
             raise ValueError(
                 f"twist values must have shape {(self.N, self.n, self.n)}, "
                 f"got {vals.shape}")
-        defect = _stack_defect(_entry_major(vals))[0]
+        defect = _stack_defect(vals)[0]
         if not (defect <= UNITARITY_TOL):
             raise ValueError(f"twist values not unitary: defect {defect:.3e}")
         vals.setflags(write=False)

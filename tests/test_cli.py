@@ -840,6 +840,23 @@ class TestTwistcheck:
         assert captured.err == "error: seed must be >= 0\n"
 
 
+    @pytest.mark.parametrize("N,code", [(8, 2), (9, 0)])
+    def test_grid_must_resolve_the_band(self, capsys, N, code):
+        # band 4 loops span 9 frequencies, which 8 grid points alias: the
+        # run is refused before any transport instead of failing the
+        # extend round trip
+        got = cli.main(["twistcheck", "--preset", "flat", "--n", "2",
+                        "--N", str(N), "--band", "4", "--no-meta"])
+        captured = capsys.readouterr()
+        assert got == code
+        if code:
+            assert captured.out == ""
+            assert captured.err == ("error: N=8 cannot resolve the test "
+                                    "loops' band 4: N must be at least "
+                                    "2 band + 1\n")
+        else:
+            assert json.loads(captured.out)["all_ok"]
+
     def test_nan_residual_fails(self, capsys, monkeypatch):
         # a NaN residual is a failure, not a pass of `r > tol`
         def residuals(*args):

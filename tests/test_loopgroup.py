@@ -109,6 +109,19 @@ class TestAlgebra:
                                    atol=1e-10)
 
 
+@pytest.fixture
+def sampled_grids(monkeypatch):
+    """The grid N of every LoopGroupElement.grid_samples call, in order."""
+    grids, grid_samples = [], LoopGroupElement.grid_samples
+
+    def recorded(self, N):
+        grids.append(N)
+        return grid_samples(self, N)
+
+    monkeypatch.setattr(LoopGroupElement, "grid_samples", recorded)
+    return grids
+
+
 class TestDetWinding:
     def test_identity_winds_zero(self):
         assert det_winding(identity_element(2)) == 0
@@ -163,7 +176,7 @@ class TestDetWinding:
         ((-43, 7, 1), 2048),       # 8 * 3 * 43 = 1032, just above 1024
     ])
     def test_first_grid_around_a_power_of_two(self, powers, grid,
-                                              monkeypatch):
+                                              sampled_grids):
         # det V diag(z^a, z^b, ...) W = det V det W z^(a + b + ...), whose
         # phase steps resolve on the first grid
         rng = np.random.default_rng(len(powers) + abs(powers[0]))
@@ -171,16 +184,28 @@ class TestDetWinding:
                 for _ in "VW")
         g = multiply(V, multiply(diag_zpowers(powers), W))
         assert g.band == (min(powers), max(powers))
-        grids = []
-        phase_winding = loopgroup._phase_winding
-
-        def recorded(sample, N, *args):
-            grids.append(N)
-            return phase_winding(sample, N, *args)
-
-        monkeypatch.setattr(loopgroup, "_phase_winding", recorded)
         assert det_winding(g) == sum(powers)
-        assert grids == [grid]
+        assert sampled_grids == [grid]
+
+    # det(a + z) = a + z winds once around 0 for |a| < 1 and not at all for
+    # |a| > 1; near a = 1 its phase turns by almost pi around theta = pi,
+    # faster than the first grid resolves when |a| < 1
+    @pytest.mark.parametrize("a,grids,winding", [
+        (1.0 - 1e-5, [256, 512, 1024, 2048], 1),
+        (1.0 + 1e-5, [256], 0),
+    ])
+    def test_grid_doubles_until_the_steps_resolve(self, a, grids, winding,
+                                                  sampled_grids):
+        g = LoopGroupElement(1, {0: [[a]], 1: [[1.0]]})
+        assert det_winding(g) == winding
+        assert sampled_grids == grids
+
+    def test_doubling_past_the_largest_grid_rejected(self, monkeypatch):
+        monkeypatch.setattr(loopgroup, "WINDING_MAX_GRID", 1024)
+        g = LoopGroupElement(1, {0: [[1.0 - 1e-5]], 1: [[1.0]]})
+        with pytest.raises(PhaseStepTooLarge,
+                           match="still exceed pi/2 at grid 1024"):
+            det_winding(g)
 
     def test_band_past_the_largest_first_grid_rejected(self):
         # 8 * 3 * 2731 = 65544 needs a first grid of 2^17

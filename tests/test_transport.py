@@ -232,13 +232,19 @@ class TestMonopole:
 
     def test_winding_reads_only_the_end_loops(self, monkeypatch):
         # the winding samples the loops s = 0 and 1 once each, on their
-        # 2N + 1 half-step nodes, and builds no frame or holonomy
-        fam, made, nodes = latitude_family(), [], []
+        # 2N + 1 half-step nodes, in one form call on both, and builds no
+        # frame or holonomy
+        fam, sampled, nodes = latitude_family(), [], []
         conn = monopole(3)
 
         def family(s):
-            made.append(s)
-            return fam(s)
+            loop = fam(s)
+
+            def fn(t):
+                sampled.append((s, len(t)))
+                return loop.fn(t)
+
+            return BaseLoop(loop.d, fn)
 
         def form(x, v):
             nodes.append(len(x))
@@ -249,7 +255,26 @@ class TestMonopole:
         winding, _, _ = chern_winding(ConnectionSpec(1, 3, form), family,
                                       N=64)
         assert winding == 3
-        assert made == [0.0, 1.0] and nodes == [129, 129]
+        assert sampled == [(0.0, 129), (1.0, 129)] and nodes == [258]
+
+    def test_winding_raises_its_first_failing_end(self):
+        # the form overflows RK4's products on family(0.0), below the
+        # equator, and is NaN on family(1.0): the NaN samples fail the
+        # batch first, but the winding raises what family(0.0) raises alone
+        fam = latitude_family()
+
+        def form(x, v):
+            south = (x[..., 2] < 0.0)[..., None, None]
+            return np.where(south, 1e200j, np.nan) * np.ones((1, 1))
+
+        spec = ConnectionSpec(1, 3, form)
+        with pytest.raises(ValueError) as alone:
+            holonomy(spec, fam(0.0), N=64)
+        assert "not finite" in str(alone.value)
+        with pytest.raises(ValueError) as info:
+            chern_winding(spec, fam, N=64)
+        assert type(info.value) is type(alone.value)
+        assert str(info.value) == str(alone.value)
 
     def test_aliased_sweep_confirmed_on_finer_grids(self):
         # at q = 2 the holonomy exp(-i q pi (1 + cos pi s)) is 1 at s = 0,
@@ -917,6 +942,13 @@ class TestCsv:
                 x2 = value if j == 3 else repr(math.sin(j * math.pi / 4))
                 fh.write(f"{j / 8!r},{math.cos(j * math.pi / 4)!r},{x2}\n")
         with pytest.raises(ValueError, match="finite"):
+            load_loop_csv(path)
+
+    def test_header_without_rows_rejected(self, tmp_path):
+        path = os.path.join(tmp_path, "h.csv")
+        with open(path, "w") as fh:
+            fh.write("t,x1,x2\n")
+        with pytest.raises(ValueError, match="^no sample rows$"):
             load_loop_csv(path)
 
     def test_nonuniform_grid_rejected(self, tmp_path):
