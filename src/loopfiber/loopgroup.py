@@ -14,6 +14,7 @@ loop computes that certificate once.  Every check starts on the grid of
 one rule, `_first_grid`; the determinant winding refines in `det_winding`.
 """
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -54,6 +55,7 @@ POLAR_MAX_STEPS = 8          # Newton-Schulz steps before _polar takes the SVD
 # largest was 1 eps at n = 1 and under 4 eps at n = 8)
 POLAR_ROUNDOFF = 4.0 * np.finfo(float).eps
 MATMUL_ENTRYWISE_MAX = 3     # largest block _matmul builds entry by entry
+MATMUL_BROADCAST_MAX = 1024  # longest stack _matmul builds in one broadcast
 
 
 class LoopGroupElement(_BandedLoop):
@@ -165,11 +167,11 @@ def _matmul(A, B):
 
     np.matmul makes one BLAS call per block, which dominates for the small
     blocks of transport.  Blocks no larger than MATMUL_ENTRYWISE_MAX are
-    instead built entry by entry: out[i, k] is A[i, 0] B[0, k] plus
-    A[i, j] B[j, k] for j = 1..m-1 in turn, one product of two contiguous
-    arrays over the whole stack per term.  On 4096 complex n x n blocks
-    (2-vCPU Xeon, OpenBLAS 0.3.31 on one thread) it takes, against
-    np.matmul on the same blocks laid out as a C-ordered (4096, n, n) array,
+    instead built from products of contiguous arrays over the whole stack,
+    adding A[i, 0] B[0, k] and then A[i, j] B[j, k] for j = 1..m-1 in turn
+    into out[i, k].  On 4096 complex n x n blocks (2-vCPU Xeon, OpenBLAS
+    0.3.31 on one thread) entry by entry takes, against np.matmul on the
+    same blocks laid out as a C-ordered (4096, n, n) array,
 
         n           1      2      3      4      5      6      7      8
         entrywise  0.005  0.04   0.15   0.42   1.0    1.9    2.8    4.3  ms
@@ -178,8 +180,32 @@ def _matmul(A, B):
     (single runs on a shared host, which differ by up to a third from run
     to run).  Larger blocks go to np.matmul through a block-major copy.
     Entry by entry would still win at n = 4 and 5, but np.matmul keeps the
-    bits those blocks have always had.  Both ways each block of the result
-    depends only on its own operands, and NaN and inf propagate.
+    bits those blocks have always had.
+
+    Within MATMUL_ENTRYWISE_MAX there are two ways, which add the same
+    products in the same order and so give the same bits:
+
+      * a stack of at most MATMUL_BROADCAST_MAX blocks (the product of the
+        broadcast batch shape: the upper levels of the scan and of the tree
+        product, the polars of tree roots) takes one broadcast product of
+        A's column j and B's row j per inner index, 2m - 1 numpy calls in
+        all, where entry by entry would pay numpy's per-call dispatch, not
+        arithmetic, n p (2m - 1) times (12 calls at n = 2, 45 at n = 3).
+        Both operands first get the same number of batch axes;
+      * a longer stack (a whole frame, a refinement) is built entry by
+        entry, whose temporaries are one entry long: there the broadcast's
+        temporaries the size of the whole product cost more than the calls
+        they save.
+
+    Against the entry loop at every length, a cutoff of 256, 1024, 2048
+    or 4096 blocks changed the median transport-nonabelian iteration by
+    -1.2%, -1.0%, +8.1% or +3.8% (in-process, interleaved over 150 rounds
+    on a noisy 2-vCPU host), and the broadcast at every length made it
+    2.5-4.9% slower in three of three benchmark pairs.  Each block of the
+    result depends only on its own operands and gets the bits it gets in
+    any stack (the entry loop never sees a one-block stack, on whose single
+    elements numpy may round a complex product without its vector loop's
+    fused multiply-add), and NaN and inf propagate.
     """
     (n, m), p = A.shape[:2], B.shape[1]
     if B.shape[0] != m:
@@ -190,6 +216,15 @@ def _matmul(A, B):
     batch = A.shape[2:]
     if batch != B.shape[2:]:
         batch = np.broadcast_shapes(batch, B.shape[2:])
+    if math.prod(batch) <= MATMUL_BROADCAST_MAX:
+        if A.ndim != B.ndim:
+            k = len(batch) + 2
+            A = A.reshape(A.shape[:2] + (1,) * (k - A.ndim) + A.shape[2:])
+            B = B.reshape(B.shape[:2] + (1,) * (k - B.ndim) + B.shape[2:])
+        out = A[:, 0, None] * B[None, 0]
+        for j in range(1, m):
+            out += A[:, j, None] * B[None, j]
+        return out
     out = np.empty((n, p) + batch, dtype=np.result_type(A, B))
     for i in range(n):
         for k in range(p):

@@ -42,11 +42,16 @@ of one.
      frame stays unitary to roundoff, and lay the frames out as the
      (steps + 1, n, n) arrays `TransportFrame.Ts`, the one conversion back.
 
-Every stacked product of steps 2-4 goes through loopgroup._matmul: for the
-small blocks of transport (n <= 3) it builds each entry of the product with
-one multiply-add of two contiguous arrays over the stack per inner index,
-where np.matmul would make one BLAS call per block, and it hands larger
-blocks to np.matmul; the path is the same for every n.  The stacked
+Every stacked product of steps 2-4 goes through loopgroup._matmul, the
+same path for every n.  For the small blocks of transport (n <= 3), where
+np.matmul would make one BLAS call per block, it adds one product of
+contiguous arrays over the stack per inner index: on a stack of at most
+loopgroup.MATMUL_BROADCAST_MAX blocks (the scan's and the tree's upper
+levels, the polars of tree roots) one broadcast product for all entries at
+once, since there numpy's per-call dispatch costs more than the arithmetic;
+on a longer stack (the frame, a refinement) one product per entry, whose
+temporaries are one entry long.  Both give the same bits.  Larger blocks go
+to np.matmul.  The stacked
 Frobenius norms of the unitarity checks go through loopgroup._fro_norms,
 which sums the squares of a block of fewer than 8 entries over the entry
 axis in the same way and hands larger blocks to np.linalg.norm; the
@@ -756,9 +761,11 @@ def load_loop_csv(path):
         raise ValueError("no coordinate columns")
     if len(rows) < 2:
         raise ValueError("no sample rows")
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != d + 1:
+            raise ValueError(f"ragged CSV rows: line {line} has {len(row)} "
+                             f"fields, the header {d + 1}")
     data = np.array([[float(c) for c in row] for row in rows[1:]])
-    if data.ndim != 2 or data.shape[1] != d + 1:
-        raise ValueError("ragged CSV rows")
     ts, pts = data[:, 0], data[:, 1:]
     M = len(ts)
     # written so that a NaN anywhere in t fails

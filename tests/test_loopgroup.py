@@ -494,6 +494,74 @@ class TestMatmul:
         E = np.zeros((0, n, m), dtype=complex)
         assert matmul(E, B[:0]).shape == (0, n, p)
 
+    @pytest.mark.parametrize("n, m, p", list(itertools.product([1, 2, 3],
+                                                                repeat=3)))
+    def test_broadcast_and_entry_loop_agree_bit_for_bit(self, n, m, p,
+                                                        monkeypatch):
+        # stacks of at most MATMUL_BROADCAST_MAX blocks take one broadcast
+        # product per inner index, longer ones the entry loop; with the
+        # cutoff at 0 every call takes the entry loop
+        rng = np.random.default_rng(1000 + 100 * n + 10 * m + p)
+        cutoff = loopgroup.MATMUL_BROADCAST_MAX
+        cases = []
+        for L in (1, 7, cutoff, cutoff + 1):
+            b = next((d for d in range(2, L + 1) if L % d == 0), 1)
+            for batch in ((L,), (b, L // b)):
+                A = _entry_major(random_blocks(rng, *batch, n, m))
+                B = _entry_major(random_blocks(rng, *batch, m, p))
+                cases += [(A, B), (A, B[..., *(0,) * len(batch)]),
+                          (A[..., *(0,) * len(batch)], B)]
+            # batch axes that broadcast against each other, (b, 1) by (L,);
+            # the one-block case is test_one_block_gets_its_bits_in_any_stack
+            if L > 1:
+                cases.append((_entry_major(random_blocks(rng, b, 1, n, m)),
+                              _entry_major(random_blocks(rng, L, m, p))))
+        got = [loopgroup._matmul(X, Y) for X, Y in cases]
+        monkeypatch.setattr(loopgroup, "MATMUL_BROADCAST_MAX", 0)
+        for (X, Y), C in zip(cases, got):
+            want = loopgroup._matmul(X, Y)
+            assert C.shape == want.shape
+            assert np.array_equal(C, want)
+
+    @pytest.mark.parametrize("n, m, p", list(itertools.product([1, 2, 3],
+                                                                repeat=3)))
+    def test_one_block_gets_its_bits_in_any_stack(self, n, m, p,
+                                                  monkeypatch):
+        # the entry loop on one block of two lone matrices, or of batch
+        # ranks that differ, multiplies single elements, for which numpy
+        # leaves its vector loop for a scalar one that may round a complex
+        # product differently (without fused multiply-add); the broadcast
+        # gives the bits the block gets in a longer stack
+        rng = np.random.default_rng(2000 + 100 * n + 10 * m + p)
+        for batch_a, batch_b in [((), ()), ((1, 1), (1,)), ((1,), (1, 1))]:
+            for _ in range(20):
+                A = random_blocks(rng, n, m, *batch_a)
+                B = random_blocks(rng, m, p, *batch_b)
+                C = loopgroup._matmul(A, B)
+                with monkeypatch.context() as mp:
+                    mp.setattr(loopgroup, "MATMUL_BROADCAST_MAX", 0)
+                    D = loopgroup._matmul(np.stack([A, A], axis=-1),
+                                          np.stack([B, B], axis=-1))
+                assert C.shape == D.shape[:-1]
+                assert np.array_equal(C, D[..., 0])
+
+    @pytest.mark.parametrize("L", [7, 1025])
+    def test_broadcast_and_entry_loop_agree_on_nan_and_inf(self, L,
+                                                           monkeypatch):
+        rng = np.random.default_rng(60 + L)
+        A, B = random_blocks(rng, L, 3, 3), random_blocks(rng, L, 3, 3)
+        A[2, 0, 1], A[2, 1, 2], B[2, 2, 0] = np.nan, np.inf, -np.inf
+        A, B = _entry_major(A), _entry_major(B)
+        with np.errstate(invalid="ignore"):
+            C = loopgroup._matmul(A, B)
+            monkeypatch.setattr(loopgroup, "MATMUL_BROADCAST_MAX", 0)
+            D = loopgroup._matmul(A, B)
+        for part in (np.real, np.imag):
+            assert np.array_equal(part(C), part(D), equal_nan=True)
+            assert np.array_equal(np.isinf(part(C)), np.isinf(part(D)))
+        assert np.isnan(C[..., 2]).any() and np.isinf(C[..., 2]).any()
+        assert np.isfinite(np.delete(C, 2, axis=-1)).all()
+
     @pytest.mark.parametrize("n", range(4, 9))
     def test_bit_exact_against_matmul_above_entrywise_max(self, n):
         rng = np.random.default_rng(70 + n)

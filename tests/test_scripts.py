@@ -51,3 +51,30 @@ def test_report_digests_cover_every_command(tmp_path):
         assert len(digest) == 64 and int(digest, 16) >= 0
         assert name.endswith((" (exit 0)", " csv")), name
     assert not list(tmp_path.iterdir())  # the CSVs are removed
+
+
+def test_bench_pairs_summary():
+    # medians and quartiles per side, per-pair ratios, and wins by each
+    # metric's own direction, ties counting for neither side
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        from bench_pairs import summarize
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    base = [4.0, 1.0, 3.0, 2.0, 5.0]
+    head = [2.0, 1.0, 1.5, 2.5, 2.5]
+    pairs = [{"base": {"t": b, "rate": 10.0 * b, "n": 3.0},
+              "head": {"t": h, "rate": 10.0 * h, "n": 3.0}}
+             for b, h in zip(base, head)]
+    s = summarize(pairs, {"t": "lower", "rate": "higher"})
+    assert s["t"]["base"] == (2.0, 3.0, 4.0)
+    assert s["t"]["head"] == (1.5, 2.0, 2.5)
+    assert s["t"]["change"] == pytest.approx(2.0 / 3.0 - 1.0)
+    assert s["t"]["ratios"] == [0.5, 1.0, 0.5, 1.25, 0.5]
+    assert (s["t"]["wins"], s["t"]["ties"]) == (3, 1)
+    # the same values where higher is better: the one pair the head lost
+    assert (s["rate"]["wins"], s["rate"]["ties"]) == (1, 1)
+    assert s["rate"]["base"] == (20.0, 30.0, 40.0)
+    # a metric BENCHMARK.json does not rank is summarized without wins
+    assert s["n"]["wins"] is None and s["n"]["ties"] == 5
+    assert s["n"]["change"] == 0.0

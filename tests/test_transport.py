@@ -951,6 +951,22 @@ class TestCsv:
         with pytest.raises(ValueError, match="^no sample rows$"):
             load_loop_csv(path)
 
+    @pytest.mark.parametrize("text, line, fields", [
+        ("t,x1,x2\n0.0,1.0,0.0\n0.5,-1.0,0.0\n\n", 4, 0),
+        ("t,x1,x2\n0.0,1.0,0.0\n0.25,0.0,1.0\n0.5,-1.0\n0.75,0.0,-1.0\n",
+         4, 2),
+        ("t,x1,x2\n0.0,1.0,0.0,9.0\n0.5,-1.0,0.0,9.0\n", 2, 4)])
+    def test_ragged_rows_rejected(self, tmp_path, text, line, fields):
+        # the first row whose length differs from the header's is named,
+        # also when the other rows are full length
+        path = os.path.join(tmp_path, "ragged.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(ValueError, match=f"^ragged CSV rows: line {line} "
+                                             f"has {fields} fields, the "
+                                             f"header 3$"):
+            load_loop_csv(path)
+
     def test_nonuniform_grid_rejected(self, tmp_path):
         path = os.path.join(tmp_path, "bad.csv")
         with open(path, "w") as fh:
