@@ -18,9 +18,14 @@ emitted to stdout and optionally to files (written atomically).  With
 produce byte-identical output.  Every certificate takes its fixed module
 constant as its tolerance (loopgroup.UNITARITY_TOL, decomp.VARIATION_TOL,
 TWISTCHECK_TOLS).
+
+The first main() of a process fixes glibc's mmap and trim thresholds
+(_steady_heap), so transport's freed stacks stay resident between commands;
+importing the package sets nothing.
 """
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -499,6 +504,10 @@ def cmd_twistcheck(args):
     if args.N < 2 * args.band + 1:
         raise InputError(f"N={args.N} cannot resolve the test loops' band "
                          f"{args.band}: N must be at least 2 band + 1")
+    # the quarter turn of rotation_equivariance is N // 4 steps, none below 4
+    if args.N < 4:
+        raise InputError(f"N={args.N} leaves no step for the quarter-turn "
+                         f"rotation check: N must be at least 4")
     conn = _PRESETS[args.preset](args)
     loop = _base_loop(args, conn)
     residuals = _twistcheck_residuals(conn, loop, args.N, args.band, args.seed)
@@ -614,7 +623,29 @@ def _build_parser():
     return parser
 
 
+@functools.cache
+def _steady_heap():
+    """Fix glibc's mmap threshold at 32 MiB, its own ceiling for the dynamic
+    threshold, and its trim threshold at 64 MiB, once per process; nothing
+    where there is no glibc.
+
+    By default glibc raises the mmap threshold to the largest mmapped block
+    freed so far and trims the heap top past twice that, so each command's
+    transport stacks (128-512 KB) go back to the system at its end and fault
+    in again on the next.  The mmap threshold goes first: fixing the trim
+    threshold alone switches the dynamic mmap threshold off, and every such
+    stack is then mmapped afresh.  Allocation never touches the arithmetic.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None):
+    _steady_heap()
     args = _build_parser().parse_args(argv)
     try:
         _check_options(args)

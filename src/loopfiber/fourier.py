@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "TruncatedLoop",
-    "zero_loop",
     "constant_loop",
     "basis_loop",
     "inner_product",
@@ -35,7 +34,6 @@ __all__ = [
     "evaluate_grid",
     "from_grid_samples",
     "scalar_multiply",
-    "loop_allclose",
     "loop_to_dict",
     "loop_from_dict",
 ]
@@ -122,10 +120,6 @@ class _BandedLoop:
     def band(self):
         """Frequency window (kmin, kmax); (0, 0) for the zero loop."""
         return (self.kmin, self.kmin + max(len(self.data) - 1, 0))
-
-    @property
-    def is_zero(self):
-        return not len(self.data)
 
     def evaluate(self, theta):
         """Values sum_k c_k e^{ik theta} at scalar or array theta, shape
@@ -234,10 +228,6 @@ class TruncatedLoop(_BandedLoop):
         return (-1.0) * self
 
 
-def zero_loop(n):
-    return TruncatedLoop(n, {})
-
-
 def constant_loop(vector):
     """The constant loop with value `vector`."""
     v = np.asarray(vector, dtype=complex)
@@ -311,11 +301,6 @@ def scalar_multiply(f, a):
         raise ValueError(f"scalar factor must have n=1, got n={f.n}")
     kmin, out = _convolve(a.kmin, a.data[..., None], f.kmin, f.data[..., None])
     return TruncatedLoop.from_band(a.n, kmin, out[..., 0])
-
-
-def loop_allclose(a, b, tol=1e-12):
-    """True when ||a - b|| <= tol in the loop norm."""
-    return norm(a - b) <= tol
 
 
 def _to_pairs(a):

@@ -20,7 +20,6 @@ __all__ = [
     "expand_filtration",
     "intersect_shift_complement",
     "principal_angles",
-    "project_onto",
     "frame_to_dict",
     "frame_from_dict",
     "filtration_to_dict",
@@ -230,13 +229,6 @@ def principal_angles(A, B):
     """
     s = np.linalg.svd(cross_gram(A.stack, B.stack), compute_uv=False)
     return np.clip(s, 0.0, 1.0)
-
-
-def project_onto(frame, a):
-    """Orthogonal projection of the loop `a` onto span(frame)."""
-    stack = frame.stack
-    weights = inner_product(stack, a)  # <w_i, a>
-    return TruncatedLoop.from_band(a.n, stack.kmin, stack.data @ weights)
 
 
 def _residual_norms(frame, stack):

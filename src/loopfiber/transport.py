@@ -112,7 +112,6 @@ __all__ = [
     "load_loop_csv",
 ]
 
-CLOSURE_TOL = 1e-12
 ANTIHERM_TOL = 1e-10
 STEP_RESOLUTION_MAX = math.pi / 2  # chern_winding's largest step h |A|
 WINDING_MARGIN = 0.1  # chern_winding's largest distance of turns from a whole
@@ -131,15 +130,6 @@ class BaseLoop:
 
     d: int
     fn: object
-
-    @classmethod
-    def from_function(cls, d, fn):
-        loop = cls(d, fn)
-        x, _ = loop.xv(np.array([0.0, 1.0]))
-        gap = float(np.linalg.norm(x[1] - x[0]))
-        if not (gap <= CLOSURE_TOL):
-            raise ValueError(f"loop does not close: |x(1)-x(0)| = {gap:.3e}")
-        return loop
 
     @classmethod
     def from_samples(cls, points):
@@ -285,11 +275,6 @@ def monopole(q):
     return ConnectionSpec(1, 3, form, name="monopole")
 
 
-_S1 = np.array([[0, 1], [1, 0]], dtype=complex)
-_S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_S3 = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
 def su2sample():
     """A fixed nonabelian SU(2) form on the plane with polynomial coefficients.
 
@@ -312,15 +297,6 @@ def su2sample():
         return A
 
     return ConnectionSpec(2, 2, form, name="su2sample")
-
-
-def su2sample_curvature(x):
-    """Analytic curvature F_01 = d0 A1 - d1 A0 + [A0, A1] of su2sample."""
-    a, b, c, dd, e = 0.3, 0.2, 0.4, -0.1, 0.15
-    coef1 = dd + 2.0 * b * c * x[1]
-    coef2 = 2.0 * a * e - 2.0 * b * dd * x[0] * x[1]
-    coef3 = -(b + 2.0 * a * c)
-    return 1j * (coef1 * _S1 + coef2 * _S2 + coef3 * _S3)
 
 
 @dataclass(frozen=True, eq=False)

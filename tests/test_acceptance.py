@@ -20,10 +20,7 @@ from loopfiber.decomp import (
 )
 from loopfiber.errors import NonConstantReducedTransition
 
-from util import haar_unitary
-
-_S1 = np.array([[0, 1], [1, 0]], dtype=complex)
-_S3 = np.array([[1, 0], [0, -1]], dtype=complex)
+from util import S1, S3, haar_unitary, loop_allclose, loop_from_function
 
 
 def u1_dist(a, b):
@@ -69,8 +66,8 @@ def test_criterion_2_frequency_splitting_counts():
         a = fourier.TruncatedLoop(n, coeffs)
 
         pp, pm = fourier.project_plus(a), fourier.project_minus(a)
-        assert fourier.loop_allclose(fourier.project_plus(pp), pp, tol=1e-12)
-        assert fourier.loop_allclose(pp + pm, a, tol=1e-12)
+        assert loop_allclose(fourier.project_plus(pp), pp, tol=1e-12)
+        assert loop_allclose(pp + pm, a, tol=1e-12)
         assert abs(fourier.inner_product(pp, pm)) <= 1e-12
 
         depth = int(rng.integers(0, 5))
@@ -157,7 +154,7 @@ def _five_plane_loops():
         transport.BaseLoop.circle(0.6),
         transport.BaseLoop.circle(1.3, center=(0.4, -0.3)),
         transport.BaseLoop.circle(0.85, center=(-0.5, 0.6)),
-        transport.BaseLoop.from_function(2, wobble),
+        loop_from_function(2, wobble),
     ]
 
 
@@ -305,6 +302,6 @@ def _perturbed_su2():
 
     def form(x, v):
         v0, v1 = v[..., 0, None, None], v[..., 1, None, None]
-        return base.form(x, v) + 0.1j * (v0 * _S3 + v1 * _S1)
+        return base.form(x, v) + 0.1j * (v0 * S3 + v1 * S1)
 
     return transport.ConnectionSpec(2, 2, form, name="su2perturbed")

@@ -5,11 +5,13 @@ except one subprocess test for the module entry point.
 
 import argparse
 import cmath
+import ctypes
 import decimal
 import itertools
 import json
 import math
 import os
+import platform
 import stat
 import subprocess
 import sys
@@ -857,6 +859,23 @@ class TestTwistcheck:
         else:
             assert json.loads(captured.out)["all_ok"]
 
+    @pytest.mark.parametrize("N,band", [(1, 0), (2, 0), (3, 1), (4, 1)])
+    def test_quarter_turn_needs_four_steps(self, capsys, N, band):
+        # the rotation check turns the loop by N // 4 steps; below N = 4 that
+        # is no turn, and the frame was compared with its own copy (N = 3
+        # read rotation_equivariance 0.0 and all_ok)
+        code = cli.main(["twistcheck", "--preset", "abelian2d", "--B", "1e6",
+                         "--band", str(band), "--N", str(N), "--no-meta"])
+        captured = capsys.readouterr()
+        if N < 4:
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == (f"error: N={N} leaves no step for the "
+                                    "quarter-turn rotation check: N must be "
+                                    "at least 4\n")
+        else:
+            assert code == 0 and json.loads(captured.out)["all_ok"]
+
     def test_nan_residual_fails(self, capsys, monkeypatch):
         # a NaN residual is a failure, not a pass of `r > tol`
         def residuals(*args):
@@ -1591,3 +1610,83 @@ class TestEntryPoint:
         assert proc.returncode == 0
         rep = json.loads(proc.stdout)
         assert rep["command"] == "holonomy"
+
+
+GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+
+
+class TestSteadyHeap:
+    ARGV = ["holonomy", "--preset", "su2sample", "--N", "2048", "--no-meta"]
+
+    @pytest.fixture(autouse=True)
+    def fresh_helper(self):
+        # the helper runs once per process; each test starts and ends with
+        # it uncalled, so the next main() sets the real thresholds again
+        cli._steady_heap.cache_clear()
+        yield
+        cli._steady_heap.cache_clear()
+
+    @pytest.mark.skipif(not GLIBC, reason="glibc's allocator only")
+    def test_repeated_command_faults_no_pages_in(self):
+        # in a fresh process, so no earlier test has grown glibc's dynamic
+        # thresholds: with its defaults the third run faults about 700
+        # pages of transport stacks back in
+        script = (
+            "import contextlib, io, resource\n"
+            "from loopfiber import cli\n"
+            "def run():\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert cli.main({self.ARGV!r}) == 0\n"
+            "run(); run()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+            " - before)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 64
+
+    @pytest.mark.parametrize("libc", ["missing", "no mallopt"])
+    def test_runs_without_mallopt(self, capsys, monkeypatch, libc):
+        assert cli.main(self.ARGV) == 0
+        expected = capsys.readouterr().out
+        cli._steady_heap.cache_clear()
+
+        def cdll(name):
+            if libc == "missing":
+                raise OSError(f"{name}: cannot open shared object file")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert cli.main(self.ARGV) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_sets_both_thresholds_once(self, capsys, monkeypatch):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        assert cli.main(self.ARGV) == 0
+        assert cli.main(self.ARGV) == 0
+        capsys.readouterr()
+        # M_MMAP_THRESHOLD first: M_TRIM_THRESHOLD alone switches glibc's
+        # dynamic mmap threshold off
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_import_sets_nothing(self):
+        script = (
+            "import ctypes\n"
+            "opened, real = [], ctypes.CDLL\n"
+            "ctypes.CDLL = lambda name, *a, **k: ("
+            "opened.append(name), real(name, *a, **k))[1]\n"
+            "import loopfiber, loopfiber.transport, loopfiber.cli\n"
+            "assert 'libc.so.6' not in opened, opened\n"
+            "assert loopfiber.cli._steady_heap.cache_info().misses == 0\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

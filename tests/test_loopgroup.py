@@ -10,7 +10,7 @@ from loopfiber.loopgroup import _block_major, _entry_major
 from loopfiber.errors import (IntersectionDimension, PhaseStepTooLarge,
                               UnitarityViolation)
 from loopfiber.fourier import (TruncatedLoop, basis_loop, inner_product,
-                               evaluate, loop_allclose, shift)
+                               evaluate, shift)
 from loopfiber.loopgroup import (LoopGroupElement, apply, constant_element,
                                  det_winding, diag_zpowers, element_from_dict,
                                  element_to_dict, identity_element, inverse,
@@ -20,7 +20,7 @@ from loopfiber.loopgroup import (LoopGroupElement, apply, constant_element,
 from loopfiber.subspaces import (FiltrationSubspace, SubspaceFrame,
                                  expand_filtration, orthonormalize)
 
-from util import haar_unitary
+from util import haar_unitary, loop_allclose
 
 S2 = 1.0 / np.sqrt(2.0)
 

@@ -35,13 +35,10 @@ from loopfiber.transport import (
     rotated_twist,
     save_loop_csv,
     su2sample,
-    su2sample_curvature,
     transport_reversed,
 )
 
-S1 = np.array([[0, 1], [1, 0]], dtype=complex)
-S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-S3 = np.array([[1, 0], [0, -1]], dtype=complex)
+from util import S1, S2, S3, loop_from_function, su2sample_curvature
 
 
 def u1_distance(h, exact):
@@ -71,7 +68,7 @@ class TestBaseLoop:
 
     def test_open_curve_rejected(self):
         with pytest.raises(ValueError, match="does not close"):
-            BaseLoop.from_function(2, lambda t: (
+            loop_from_function(2, lambda t: (
                 np.stack([t, np.zeros_like(t)], axis=-1),
                 np.stack([np.ones_like(t), np.zeros_like(t)], axis=-1)))
 
@@ -176,7 +173,7 @@ class TestMonopole:
                 assert u1_distance(h, exact) < 1e-8
 
     def test_constant_loop_at_pole(self):
-        north = BaseLoop.from_function(
+        north = loop_from_function(
             3, lambda t: (np.zeros(t.shape + (3,)) + [0.0, 0.0, 1.0],
                           np.zeros(t.shape + (3,))))
         h = holonomy(monopole(1), north, N=16)[0, 0]

@@ -14,7 +14,6 @@ from loopfiber.errors import PeriodicityDefect
 from loopfiber.fourier import (
     basis_loop,
     constant_loop,
-    loop_allclose,
     scalar_multiply,
     TruncatedLoop,
 )
@@ -41,6 +40,8 @@ from loopfiber.twistbundle import (
     shifted_twist,
     untwisted_comparison,
 )
+
+from util import loop_allclose
 
 N = 256
 
