@@ -19,7 +19,8 @@ package under test, and stored:
     of each float;
   * the rest by `write_inputs_from_numpy` below: a coefficient loop for
     `project`, a frame and a filtration window of one loop for
-    `subspace-loop`, and two families for `audit`, one with a single
+    `subspace-loop`, a filtration window of an n = 3 loop of negative
+    determinant winding, and two families for `audit`, one with a single
     window at every point and one whose windows all differ.
 
 A change that alters an answer on purpose rewrites the reports with
@@ -95,7 +96,13 @@ def pairs(blocks):
 
 
 def column(loop, j):
-    return {"n": 2, "coeffs": pairs({k: A[:, j] for k, A in loop.items()})}
+    n = len(next(iter(loop.values())))
+    return {"n": n, "coeffs": pairs({k: A[:, j] for k, A in loop.items()})}
+
+
+def zpowers(*powers):
+    """diag(z^p_1, ..., z^p_n) as {k: block}."""
+    return {p: np.diag([float(q == p) for q in powers]) for p in set(powers)}
 
 
 def twisted(V, W):
@@ -158,6 +165,16 @@ def write_inputs_from_numpy():
         loops.append(product(twisted(V @ np.array([[c, -s], [s, c]]), W),
                              {0: haar_unitary(2, rng)}))
     files["family-distinct.json"] = family(loops, rng)
+
+    # the window of V diag(1, 1/z, 1/z^2) W diag(1/z^2, 1/z, 1), drawn from
+    # its own generator so that the files above keep their bytes: n = 3,
+    # band (-4, 0), det winding -6, and a z^-2 block V diag(W) that is
+    # invertible, so the rebuilt loop is unique
+    rng = np.random.default_rng(7)
+    g = product({0: haar_unitary(3, rng)}, zpowers(0, -1, -2),
+                {0: haar_unitary(3, rng)}, zpowers(-2, -1, 0))
+    files["filtration-n3.json"] = {
+        "generators": [column(g, j) for j in range(3)], "depth": 2}
     for name, data in files.items():
         (INPUTS / name).write_text(json.dumps(data, sort_keys=True) + "\n")
         print(name, file=sys.stderr)
@@ -207,7 +224,7 @@ CASES = sorted(p.stem for p in GOLDEN.glob("*.json"))
 
 
 def test_golden_directory_is_small():
-    assert len(CASES) == 16
+    assert len(CASES) == 17
     assert sum(p.stat().st_size for p in GOLDEN.rglob("*")
                if p.is_file()) < 100_000
 
