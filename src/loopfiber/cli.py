@@ -7,8 +7,10 @@ Exit codes are a stable contract:
      including a connection form that turns non-finite or
      non-anti-Hermitian on the loop and a family transition outside LU(n)
   3  subspace-to-loop failure (wrong intersection dimension or unitarity)
-  4  numerical refinement failure: a grid that cannot resolve its loop,
-     or an obstruction sweep whose transports do not resolve its winding
+  4  numerical refinement failure: a loop whose frequencies no
+     certificate grid resolves, a determinant winding not certainly
+     whole, or an obstruction sweep whose transports do not resolve its
+     winding
   5  audit or reduction failure
 
 Reports are JSON objects with a fixed "schema" version, laid out by json

@@ -293,9 +293,9 @@ def reduction_cocycle(audit):
     unitarity defect above 2 var + var^2 + UNITARITY_TOL, more than a
     unitary loop within var of it allows, raises ValueError.
 
-    The audit shares one loop object among equal windows; the determinant
-    winding (from closed-form determinants up to n = 3, see det_winding)
-    is taken once per distinct loop object.
+    The loops' determinant windings, read from their bands (det_winding),
+    are taken after every edge has reduced: a loop lent without being
+    unitary meets the mean check first.
     """
     fam, gammas = audit.family, audit.gammas
     if fam.transitions is None:
@@ -307,11 +307,6 @@ def reduction_cocycle(audit):
         if not (defect <= UNITARITY_TOL):
             raise ValueError(f"transition {e_idx} on edge {fam.edges[e_idx]} "
                              f"is not unitary: defect {defect:.3e}")
-    windings = {}
-    for g in gammas:
-        if id(g) not in windings:
-            windings[id(g)] = det_winding(g)
-    gamma_windings = tuple(windings[id(g)] for g in gammas)
     constants = []
     variations = []
     for e_idx, (i, j) in enumerate(fam.edges):
@@ -328,7 +323,8 @@ def reduction_cocycle(audit):
         constants.append(_polar(mean))
         variations.append(float(var))
     return ReductionCertificate(fam.edges, tuple(constants),
-                                tuple(variations), gammas, gamma_windings)
+                                tuple(variations), gammas,
+                                tuple(det_winding(g) for g in gammas))
 
 
 def build_model_decomposition(U_cocycle, depth=3):

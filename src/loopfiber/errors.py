@@ -50,12 +50,13 @@ class UnitarityViolation(LoopFiberError):
 
 
 class PhaseStepTooLarge(LoopFiberError):
-    """A grid cannot resolve a loop: a winding number, or a certificate.
+    """A winding number or a certificate cannot be resolved.
 
-    Raised when a determinant's phase steps stay at pi/2 or more, or it
-    passes too close to zero for its phase to mean anything; when a loop's
-    frequencies need a first grid beyond loopgroup.WINDING_MAX_GRID; or
-    when the ends of transport.chern_winding do not resolve its winding.
+    Raised when a loop's frequencies need a certificate grid beyond
+    loopgroup.CERTIFICATE_MAX_GRID; when the determinant winding read from
+    a certified loop's band is not certainly the nearest whole number
+    (loopgroup.det_winding); or when the ends of transport.chern_winding
+    do not resolve its winding.
     """
 
 

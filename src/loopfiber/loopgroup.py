@@ -10,8 +10,9 @@ The central constructor is loop_from_subspace, which rebuilds the loop
 gamma from the subspace W = gamma . (truncated nonnegative-frequency
 space): the columns of gamma are an orthonormal basis of W cap (zW)^perp,
 and pointwise unitarity of the result certifies the construction; each
-loop computes that certificate once.  Every check starts on the grid of
-one rule, `_first_grid`; the determinant winding refines in `det_winding`.
+loop computes that certificate once, on the grid of one rule,
+`_first_grid`.  The determinant winding is read from the coefficients of a
+certified loop (`det_winding`) and samples no grid of its own.
 """
 
 import math
@@ -44,8 +45,8 @@ __all__ = [
 ]
 
 UNITARITY_TOL = 1e-8         # every unitarity check of the package
-WINDING_START_GRID = 256     # least first grid of a certificate or winding
-WINDING_MAX_GRID = 2 ** 16   # largest grid of a certificate or winding
+CERTIFICATE_START_GRID = 256    # least grid of a certificate
+CERTIFICATE_MAX_GRID = 2 ** 16  # largest grid of a certificate
 CANONICAL_SV_TOL = 1e-8      # least singular value of an invertible block
 RANDOM_LOOP_SCALE = 0.8      # random_loop's generator amplitude
 RANDOM_LOOP_GRID = 512       # random_loop's exponentiation grid
@@ -122,15 +123,15 @@ def apply(g, a):
     return TruncatedLoop.from_band(a.n, kmin, out[..., 0])
 
 
-def _first_grid(g, need, kind):
-    """The first grid of a check on g's samples: the least power of two >=
-    max(WINDING_START_GRID, need).  PhaseStepTooLarge, naming g's band and
-    the `kind` of grid, past WINDING_MAX_GRID."""
-    N = 1 << (max(WINDING_START_GRID, need) - 1).bit_length()
-    if N > WINDING_MAX_GRID:
+def _first_grid(g, need):
+    """The grid of a check on g's samples: the least power of two >=
+    max(CERTIFICATE_START_GRID, need).  PhaseStepTooLarge, naming g's band,
+    past CERTIFICATE_MAX_GRID."""
+    N = 1 << (max(CERTIFICATE_START_GRID, need) - 1).bit_length()
+    if N > CERTIFICATE_MAX_GRID:
         kmin, kmax = g.band
-        raise PhaseStepTooLarge(f"band [{kmin}, {kmax}] needs a {kind} grid "
-                                f"of {N}, beyond {WINDING_MAX_GRID}")
+        raise PhaseStepTooLarge(f"band [{kmin}, {kmax}] needs a certificate "
+                                f"grid of {N}, beyond {CERTIFICATE_MAX_GRID}")
     return N
 
 
@@ -141,8 +142,7 @@ def _certificate_samples(g):
     above every |k|, no nonzero frequency (as of z^256 U) folds onto the
     grid mean."""
     kmin, kmax = g.band
-    N = _first_grid(g, max(4 * (kmax - kmin), abs(kmin) + 1, abs(kmax) + 1),
-                    "certificate")
+    N = _first_grid(g, max(4 * (kmax - kmin), abs(kmin) + 1, abs(kmax) + 1))
     return N, g.grid_samples(N)
 
 
@@ -314,65 +314,49 @@ def _stack_defect(S):
     return float(D[i]), i
 
 
-def _det(S):
-    """The determinant of every matrix of an entry-major stack (n, n, ...).
-
-    np.linalg.det makes one LAPACK LU call per matrix, which dominates for
-    the small matrices of det_winding.  Up to MATMUL_ENTRYWISE_MAX the
-    determinant is instead the closed-form cofactor expansion along the
-    first row, a few products of contiguous arrays over the whole stack: on
-    2048 3 x 3 complex matrices 0.07 ms against 0.51 ms (2-vCPU Xeon,
-    OpenBLAS on one thread).  The two agree to roundoff, not bit for bit;
-    larger n go to np.linalg.det.  NaN and inf propagate.
-    """
-    n = S.shape[0]
-    if n > MATMUL_ENTRYWISE_MAX:
-        return np.linalg.det(_block_major(S))
-    if n == 1:
-        return S[0, 0].copy()
-    if n == 2:
-        return S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-    return (S[0, 0] * (S[1, 1] * S[2, 2] - S[1, 2] * S[2, 1])
-            - S[0, 1] * (S[1, 0] * S[2, 2] - S[1, 2] * S[2, 0])
-            + S[0, 2] * (S[1, 0] * S[2, 1] - S[1, 1] * S[2, 0]))
-
-
 def unitarity_defect(g):
     """(max Frobenius defect ||gamma^H gamma - I|| on the certificate grid,
     theta at the max), computed once per loop and kept (`_certificate`)."""
     return g._certificate
 
 
+def _certified(g):
+    """g, once its certificate shows it unitary to UNITARITY_TOL;
+    UnitarityViolation at the theta of the largest defect otherwise."""
+    defect, theta = unitarity_defect(g)
+    if not (defect <= UNITARITY_TOL):
+        raise UnitarityViolation(defect, theta)
+    return g
+
+
 def det_winding(g):
-    """Winding number of theta -> det gamma(theta) by phase accumulation.
+    """Winding number of theta -> det gamma(theta), read from the band of a
+    loop certified unitary (UnitarityViolation otherwise).
 
-    The grid doubles until every step between neighbouring determinants,
-    the last to the first included, is below pi/2; the steps then sum to
-    the turns, rounded.  PhaseStepTooLarge is raised past WINDING_MAX_GRID,
-    or when |det| falls below 1e-8 or is NaN (impossible for genuinely
-    unitary values, so it signals a corrupt input rather than insufficient
-    resolution).
-
-    The first grid needs 8 n max|k|: a near-unitary determinant is close to
-    a unimodular monomial c z^w with |w| bounded by n * max|k|, so sampling
-    8x faster than that rules out phase aliasing that the step criterion
-    alone cannot detect.  The grid determinants are closed-form cofactor
-    expansions up to n = 3 (`_det`).
+    For unitary values d log det gamma = tr(gamma^H gamma') dtheta, so by
+    Parseval the winding is s = sum_k k ||A_k||_F^2, rounded to w; no grid
+    is sampled.  A certified loop is unitary only to within the supremum
+    delta_sup of its defect: w - s = (1/2 pi i) oint tr((gamma^-1 -
+    gamma^H) gamma') dtheta with gamma^-1 - gamma^H = -gamma^-1 (gamma
+    gamma^H - I), so Cauchy-Schwarz and Parseval give |w - s| <= delta_sup
+    / sqrt(1 - delta_sup) * sqrt(sum_k k^2 ||A_k||_F^2).  The certificate
+    delta is a maximum over at least 4 (kmax - kmin) points, so delta_sup
+    <= sqrt(2) delta (Ehlich and Zeller, Math. Z. 86, 1964), and the bound
+    is below 2 delta sqrt(sum_k k^2 ||A_k||_F^2) for every delta <= 0.3.
+    PhaseStepTooLarge unless |s - w| plus that bound is below 1/2.
     """
-    kmin, kmax = g.band
-    N = _first_grid(g, 8 * g.n * max(abs(kmin), abs(kmax), 1), "winding")
-    while True:
-        z = _det(_entry_major(g.grid_samples(N)))
-        if not (np.abs(z).min() >= 1e-8):
-            raise PhaseStepTooLarge(
-                "determinant passes near zero; input is not a unitary loop")
-        steps = np.angle(np.roll(z, -1) / z)  # z[1] / z[0], ..., z[0] / z[-1]
-        if np.abs(steps).max() < np.pi / 2:
-            return int(round(steps.sum() / (2.0 * np.pi)))
-        N *= 2
-        if N > WINDING_MAX_GRID:
-            raise PhaseStepTooLarge(
-                f"phase steps still exceed pi/2 at grid {WINDING_MAX_GRID}")
+    delta = unitarity_defect(_certified(g))[0]
+    k = g.kmin + np.arange(len(g.data), dtype=float)
+    power = (g.data.conj() * g.data).real.sum(axis=(1, 2))  # ||A_k||_F^2
+    s = float(k @ power)
+    w = round(s)
+    slack = abs(s - w) + 2.0 * delta * math.sqrt(float(k * k @ power))
+    if not (slack < 0.5):
+        kmin, kmax = g.band
+        raise PhaseStepTooLarge(
+            f"band [{kmin}, {kmax}] gives a determinant winding of {s:.6g} "
+            f"turns, too far from a whole number: slack {slack:.3g}")
+    return w
 
 
 def theta_variation(g):
@@ -429,11 +413,7 @@ def random_loop(n, band, seed):
     spec2 = np.fft.fft(S_fixed, axis=0) / grid
     mags2 = np.linalg.norm(spec2, axis=(1, 2))
     spec2[mags2 <= 1e-14 * mags2.max()] = 0.0
-    g = LoopGroupElement._from_spectrum(spec2)
-    defect, theta = unitarity_defect(g)
-    if not (defect <= UNITARITY_TOL):
-        raise UnitarityViolation(defect, theta)
-    return g
+    return _certified(LoopGroupElement._from_spectrum(spec2))
 
 
 def _canonical_basis_rotation(kmin, blocks):
@@ -482,11 +462,7 @@ def loop_from_subspace(W):
         raise IntersectionDimension(d, W.n)
     stack = inter.stack  # column j of A_k is w_j's c_k
     blocks = stack.data @ _canonical_basis_rotation(stack.kmin, stack.data)
-    g = LoopGroupElement.from_band(W.n, stack.kmin, blocks)
-    defect, theta = unitarity_defect(g)
-    if not (defect <= UNITARITY_TOL):
-        raise UnitarityViolation(defect, theta)
-    return g
+    return _certified(LoopGroupElement.from_band(W.n, stack.kmin, blocks))
 
 
 def element_to_dict(g):

@@ -42,20 +42,9 @@ of one.
      frame stays unitary to roundoff, and lay the frames out as the
      (steps + 1, n, n) arrays `TransportFrame.Ts`, the one conversion back.
 
-Every stacked product of steps 2-4 goes through loopgroup._matmul, the
-same path for every n.  For the small blocks of transport (n <= 3), where
-np.matmul would make one BLAS call per block, it adds one product of
-contiguous arrays over the stack per inner index: on a stack of at most
-loopgroup.MATMUL_BROADCAST_MAX blocks (the scan's and the tree's upper
-levels, the polars of tree roots) one broadcast product for all entries at
-once, since there numpy's per-call dispatch costs more than the arithmetic;
-on a longer stack (the frame, a refinement) one product per entry, whose
-temporaries are one entry long.  Both give the same bits.  Larger blocks go
-to np.matmul.  The stacked
-Frobenius norms of the unitarity checks go through loopgroup._fro_norms,
-which sums the squares of a block of fewer than 8 entries over the entry
-axis in the same way and hands larger blocks to np.linalg.norm; the
-anti-Hermiticity check of step 1 sums its squares entry by entry itself.
+Every stacked product and norm of steps 2-4 goes through loopgroup._matmul
+and loopgroup._fro_norms, which say how small and large blocks are taken;
+the anti-Hermiticity check of step 1 sums its squares entry by entry itself.
 
 Each matrix of the stack depends on its own loop's samples alone, so every
 loop of a batch gets the bits it gets alone.  Loops go through the pipeline

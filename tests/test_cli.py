@@ -347,6 +347,17 @@ class TestSubspaceLoop:
         assert rep["subspace_dim"] == 2
         assert rep["det_winding"] == loopgroup.det_winding(g)
 
+    def test_winding_past_the_largest_grid(self, capsys, tmp_path):
+        # 8 n max|k| = 65544 points would be past 2^16; the winding is read
+        # from the band of the certified loop
+        g = loopgroup.diag_zpowers([2731, 0, 0])
+        src = write_json(tmp_path / "filt.json", subspaces.filtration_to_dict(
+            subspaces.FiltrationSubspace([g.column(j) for j in range(3)], 0)))
+        code, rep = run_cli(capsys, ["subspace-loop", src, "--no-meta"])
+        assert code == 0 and rep["status"] == "ok"
+        assert rep["unitarity_defect"] < 1e-14
+        assert rep["det_winding"] == 2731
+
     def test_depth_on_frame_file_exit2(self, capsys, tmp_path):
         # a frame file has no depth to override
         frame = subspaces.expand_filtration(subspaces.filtration_from_dict(

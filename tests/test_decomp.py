@@ -246,7 +246,8 @@ class TestReduction:
 
     def test_loops_and_windings_once_per_window(self, monkeypatch):
         # the audit builds one loop for the three equal windows read back
-        # from a file, and the reduction takes its winding once
+        # from a file, and the reduction reads the winding of each point's
+        # loop from its band
         rng = np.random.default_rng(12)
         fam = family_from_dict(json.loads(json.dumps(family_to_dict(
             build_model_decomposition([haar_unitary(2, rng)
@@ -258,7 +259,7 @@ class TestReduction:
                 return _f(*args)
             monkeypatch.setattr(decomp, name, counted)
         cert = reduction_cocycle(audit_family(fam))
-        assert calls == ["loop_from_subspace", "det_winding"]
+        assert calls == ["loop_from_subspace"] + ["det_winding"] * 3
         assert cert.gammas[0] is cert.gammas[1] is cert.gammas[2]
         assert cert.gamma_windings == (0, 0, 0)
 

@@ -143,33 +143,36 @@ class TestDetWinding:
         assert det_winding(g) + det_winding(inverse(g)) == 0
 
     def test_near_zero_determinant_rejected(self):
+        # the band is read only from a loop certified unitary
         bad = LoopGroupElement(1, {0: [[1e-9]]})
-        with pytest.raises(PhaseStepTooLarge):
+        with pytest.raises(UnitarityViolation, match=r"defect 1.000e\+00"):
             det_winding(bad)
 
     def test_grid_refinement_resolves_moderate_winding(self):
-        # winding 200 would alias on the 256-point start grid
+        # winding 200 aliases on a 256-point grid; the band has no grid
         assert det_winding(diag_zpowers([200])) == 200
 
     def test_band_beyond_max_grid_rejected(self):
         fast = diag_zpowers([70000])
-        with pytest.raises(PhaseStepTooLarge):
+        with pytest.raises(PhaseStepTooLarge, match="certificate grid"):
             det_winding(fast)
 
-
     @pytest.mark.parametrize("powers", [(1, -2, 4), (0, 0, 3), (-5, 2, 1),
-                                        (2, -1)])
+                                        (2, -1), (3, -1, 0, 2),
+                                        (-7, 0, 5, 5), (240, -1, 0),
+                                        (-240, 3), (1000, -2000, 0, 7),
+                                        (-16000, 0, 0)])
     def test_rotated_diag_powers(self, powers):
         # det V diag(z^a, z^b, ...) W = det V det W z^(a + b + ...)
-        rng = np.random.default_rng(sum(powers) + 10)
+        rng = np.random.default_rng(abs(sum(powers)) + 10)
         V, W = (constant_element(haar_unitary(len(powers), rng))
                 for _ in "VW")
         g = multiply(V, multiply(diag_zpowers(powers), W))
         assert det_winding(g) == sum(powers)
 
-    # (powers, first grid): the first grid is the least power of two at or
-    # above 8 n max|k|.  With n = 3 that need 24 K is never a power of two,
-    # so the case on one takes n = 4 (32 * 32 = 1024).
+    # (powers, grid): grid is the least power of two at or above 8 n max|k|,
+    # where a winding from sampled phases would start.  The band needs no
+    # grid, so only the loop's certificate grid of 256 points is sampled.
     @pytest.mark.parametrize("powers,grid", [
         ((42, -5, 2), 1024),       # 8 * 3 * 42 = 1008, just below 1024
         ((32, -3, 0, 5), 1024),    # 8 * 4 * 32 = 1024, on it
@@ -177,84 +180,55 @@ class TestDetWinding:
     ])
     def test_first_grid_around_a_power_of_two(self, powers, grid,
                                               sampled_grids):
-        # det V diag(z^a, z^b, ...) W = det V det W z^(a + b + ...), whose
-        # phase steps resolve on the first grid
+        # det V diag(z^a, z^b, ...) W = det V det W z^(a + b + ...)
         rng = np.random.default_rng(len(powers) + abs(powers[0]))
         V, W = (constant_element(haar_unitary(len(powers), rng))
                 for _ in "VW")
         g = multiply(V, multiply(diag_zpowers(powers), W))
         assert g.band == (min(powers), max(powers))
         assert det_winding(g) == sum(powers)
-        assert sampled_grids == [grid]
+        assert grid > 256 and sampled_grids == [256]
 
-    # det(a + z) = a + z winds once around 0 for |a| < 1 and not at all for
-    # |a| > 1; near a = 1 its phase turns by almost pi around theta = pi,
-    # faster than the first grid resolves when |a| < 1
-    @pytest.mark.parametrize("a,grids,winding", [
-        (1.0 - 1e-5, [256, 512, 1024, 2048], 1),
-        (1.0 + 1e-5, [256], 0),
-    ])
-    def test_grid_doubles_until_the_steps_resolve(self, a, grids, winding,
-                                                  sampled_grids):
+    @pytest.mark.parametrize("a", [1.0 - 1e-5, 1.0 + 1e-5])
+    def test_a_plus_z_is_not_unitary(self, a):
+        # |a + z|^2 - 1 reaches (1 + a)^2 - 1, about 3, at theta = 0
         g = LoopGroupElement(1, {0: [[a]], 1: [[1.0]]})
-        assert det_winding(g) == winding
-        assert sampled_grids == grids
-
-    def test_doubling_past_the_largest_grid_rejected(self, monkeypatch):
-        monkeypatch.setattr(loopgroup, "WINDING_MAX_GRID", 1024)
-        g = LoopGroupElement(1, {0: [[1.0 - 1e-5]], 1: [[1.0]]})
-        with pytest.raises(PhaseStepTooLarge,
-                           match="still exceed pi/2 at grid 1024"):
+        with pytest.raises(UnitarityViolation, match=r"defect 3.000e\+00 at "
+                                                     r"theta=0.000000"):
             det_winding(g)
 
-    def test_band_past_the_largest_first_grid_rejected(self):
-        # 8 * 3 * 2731 = 65544 needs a first grid of 2^17
-        g = diag_zpowers([2731, 0, 0])
-        with pytest.raises(PhaseStepTooLarge, match="winding grid of 131072"):
-            det_winding(g)
+    def test_band_past_the_largest_winding_grid(self):
+        # 8 * 3 * 2731 = 65544 is past 2^16, the largest grid; the
+        # certificate needs 4 * 2731 points, and the band none
+        assert det_winding(diag_zpowers([2731, 0, 0])) == 2731
+
+    # gamma = (1 + eps) z^100 has defect (1 + eps)^2 - 1 and band sum
+    # s = 100 (1 + eps)^2; |s - w| + 2 delta sqrt(sum k^2 ||A_k||^2) is
+    # 0.02 + 0.04 at eps = 1e-4, and 0.01 + 4.06 at eps = 0.01, where
+    # rounding s = 102.01 would be wrong by 2
+    @pytest.mark.parametrize("eps,winding", [(1e-4, 100), (0.01, None)])
+    def test_rounding_within_the_certificate_bound(self, eps, winding,
+                                                   monkeypatch):
+        monkeypatch.setattr(loopgroup, "UNITARITY_TOL", 0.1)
+        g = LoopGroupElement(1, {100: [[1.0 + eps]]})
+        if winding is not None:
+            assert det_winding(g) == winding
+        else:
+            with pytest.raises(PhaseStepTooLarge,
+                               match="102.01 turns, too far from a whole "
+                                     "number: slack 4.07"):
+                det_winding(g)
 
     def test_singular_loop_rejected(self):
-        # det V diag(1, 1, (1 + z) / 2) W vanishes at theta = pi, a node
-        # of every grid
+        # det V diag(1, 1, (1 + z) / 2) W vanishes at theta = pi, where
+        # gamma^H gamma - I has norm 1
         rng = np.random.default_rng(9)
         V, W = (constant_element(haar_unitary(3, rng)) for _ in "VW")
         half = LoopGroupElement(3, {0: np.diag([1.0, 1.0, 0.5]),
                                     1: np.diag([0.0, 0.0, 0.5])})
-        with pytest.raises(PhaseStepTooLarge, match="near zero"):
+        with pytest.raises(UnitarityViolation, match=r"defect 1.000e\+00 "
+                                                     r"at theta=3.141593"):
             det_winding(multiply(V, multiply(half, W)))
-
-
-class TestDet:
-    """loopgroup._det, the stacked determinant behind det_winding."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_matches_linalg_det(self, n):
-        rng = np.random.default_rng(60 + n)
-        for S in (random_blocks(rng, 257, n, n),
-                  np.stack([haar_unitary(n, rng) for _ in range(64)])):
-            want = np.linalg.det(S)
-            # to roundoff of Hadamard's bound, the product of column norms
-            tol = 1e-14 * np.prod(np.linalg.norm(S, axis=-2), axis=-1)
-            assert (np.abs(loopgroup._det(_entry_major(S)) - want)
-                    <= tol).all()
-            assert abs(loopgroup._det(S[5]) - want[5]) <= tol[5]
-
-    def test_above_closed_form_is_linalg_det(self):
-        rng = np.random.default_rng(64)
-        S = random_blocks(rng, 33, 4, 4)
-        assert np.array_equal(loopgroup._det(_entry_major(S)),
-                              np.linalg.det(S))
-        assert loopgroup._det(S[3]) == np.linalg.det(S[3])
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_nan_and_inf_propagate(self, n):
-        rng = np.random.default_rng(80 + n)
-        S = random_blocks(rng, 6, n, n)
-        S[2, 0, -1], S[4, -1, 0] = np.nan, np.inf
-        with np.errstate(invalid="ignore"):
-            d = loopgroup._det(_entry_major(S))
-        assert np.isnan(d[2]) and not np.isfinite(d[4])
-        assert np.isfinite(np.delete(d, [2, 4])).all()
 
 
 class TestRandomLoop:
@@ -633,14 +607,14 @@ class TestCertificateGrid:
     def test_one_grid_rule(self, need, grid):
         # the least power of two at or above max(256, need)
         g = identity_element(1)
-        assert loopgroup._first_grid(g, need, "certificate") == grid
+        assert loopgroup._first_grid(g, need) == grid
 
     def test_one_grid_rule_refuses_past_the_largest_grid(self):
         g = diag_zpowers([7])
         with pytest.raises(PhaseStepTooLarge,
                            match=r"band \[7, 7\] needs a certificate grid"
                                  r" of 131072, beyond 65536"):
-            loopgroup._first_grid(g, 2 ** 16 + 1, "certificate")
+            loopgroup._first_grid(g, 2 ** 16 + 1)
 
     def test_one_certificate_per_loop(self, monkeypatch):
         # loop_from_subspace certifies its loop once; unitarity_defect then
@@ -679,7 +653,7 @@ class TestCertificateGrid:
         assert np.abs(mean).max() < 1e-12
 
     def test_frequency_beyond_the_largest_grid_raises(self):
-        top = loopgroup.WINDING_MAX_GRID
+        top = loopgroup.CERTIFICATE_MAX_GRID
         U = haar_unitary(2, np.random.default_rng(0))
         assert theta_variation(LoopGroupElement(2, {top - 1: U}))[0] == \
             pytest.approx(np.sqrt(2.0), abs=1e-12)
