@@ -1,9 +1,9 @@
 """sha256 digests of the `--no-meta` reports of a fixed list of commands.
 
 Runs every command in one process through `loopfiber.cli.main` and prints
-one line `<sha256>  <name>` per report and per CSV it writes.  Two trees
-give the same answers, byte for byte, when their outputs are equal, so a
-comparison of two commits is one `diff`:
+one line `<sha256>  <name>` per report, per CSV it writes and per command
+that writes to stderr.  Two trees give the same answers, byte for byte,
+when their outputs are equal, so a comparison of two commits is one `diff`:
 
     python scripts/report_digests.py DIR --write-inputs   # once
     PYTHONPATH=<tree A>/src python scripts/report_digests.py DIR > a.txt
@@ -12,8 +12,9 @@ comparison of two commits is one `diff`:
 
 The list is the commands of the benchmark's transport and `cold-cli`
 workloads (perfbench/workloads.py), a few transport commands on other
-grids, every argv stored in tests/golden, and `subspace-loop` and `audit`
-on each `seed*/frame.json` and `seed*/family.json` under DIR.
+grids, five transport commands refused as input (exit 2, one `error:`
+line on stderr), every argv stored in tests/golden, and `subspace-loop`
+and `audit` on each `seed*/frame.json` and `seed*/family.json` under DIR.
 
 The workloads are prepared for seeds 3 and 7 into the subdirectory `bench`
 of DIR, from numpy alone, and removed after their commands ran.  The
@@ -41,6 +42,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 SEEDS = (3, 7)  # of the benchmark's workloads and the reconstruct inputs
 BENCH_WORKLOADS = ("transport-nonabelian", "sweep-abelian", "cold-cli")
+REFUSED_CSV = "huge-spline.csv"  # finite points whose spline overflows
 
 
 def run_benchmark_commands():
@@ -82,6 +84,37 @@ def transport_commands():
         "--N", "256", "--csv", "obstruction-q6.csv", "--no-meta"]
 
 
+def refusal_commands():
+    """(name, argv) of transport commands whose finite inputs overflow: a
+    form on a huge circle, a spline through huge points (the CSV that
+    `run_refusals` writes) and a circle whose velocities overflow."""
+    for command, extra in (("holonomy", []),
+                           ("twistcheck", ["--N", "16", "--band", "1"])):
+        yield f"refused-{command}-abelian2d-circle", [
+            command, "--preset", "abelian2d", "--circle", "1e200", *extra,
+            "--no-meta"]
+    yield "refused-holonomy-su2sample-circle", [
+        "holonomy", "--preset", "su2sample", "--circle", "1e160", "--N",
+        "16", "--no-meta"]
+    yield "refused-holonomy-huge-spline", [
+        "holonomy", "--preset", "abelian2d", "--loop", REFUSED_CSV,
+        "--no-meta"]
+    yield "refused-holonomy-flat-circle", [
+        "holonomy", "--preset", "flat", "--n", "2", "--circle", "1e308",
+        "--N", "4", "--no-meta"]
+
+
+def run_refusals():
+    """Run every refusal command with REFUSED_CSV written, then remove it."""
+    Path(REFUSED_CSV).write_text(
+        "t,x1,x2\n0,0,0\n0.25,1e308,0\n0.5,0,1e308\n0.75,-1e308,0\n")
+    try:
+        for name, argv in refusal_commands():
+            run(name, argv)
+    finally:
+        Path(REFUSED_CSV).unlink()
+
+
 def golden_commands():
     """(name, argv, input file names) of every case in tests/golden."""
     for path in sorted(GOLDEN.glob("*.json")):
@@ -115,19 +148,22 @@ def write_inputs():
 
 
 def run(name, argv, inputs=()):
-    """Print the digests of one command's report and CSV; the named
-    tests/golden/inputs files are in the working directory while it runs."""
+    """Print the digests of one command's report, its stderr if it wrote
+    any, and its CSV; the named tests/golden/inputs files are in the
+    working directory while it runs."""
     from loopfiber import cli
 
     for input_name in inputs:
         Path(input_name).write_bytes(
             (GOLDEN / "inputs" / input_name).read_bytes())
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     for input_name in inputs:
         Path(input_name).unlink()
     print(f"{digest(out.getvalue().encode())}  {name} (exit {code})")
+    if err.getvalue():
+        print(f"{digest(err.getvalue().encode())}  {name} stderr")
     if "--csv" in argv:
         csv_path = Path(argv[argv.index("--csv") + 1])
         print(f"{digest(csv_path.read_bytes())}  {name} csv")
@@ -147,6 +183,7 @@ def main():
     if args.write_inputs:
         write_inputs()
     run_benchmark_commands()
+    run_refusals()
     commands = [*transport_commands(), *golden_commands(),
                 *reconstruct_commands()]
     for name, argv, *inputs in commands:

@@ -42,11 +42,11 @@ class IntersectionDimension(LoopFiberError):
 class UnitarityViolation(LoopFiberError):
     """A matrix loop fails pointwise unitarity beyond tolerance."""
 
-    def __init__(self, defect, theta=None):
+    def __init__(self, defect, theta):
         self.defect = defect
         self.theta = theta
-        where = "" if theta is None else f" at theta={theta:.6f}"
-        super().__init__(f"pointwise unitarity defect {defect:.3e}{where}")
+        super().__init__(
+            f"pointwise unitarity defect {defect:.3e} at theta={theta:.6f}")
 
 
 class PhaseStepTooLarge(LoopFiberError):
@@ -63,11 +63,10 @@ class PhaseStepTooLarge(LoopFiberError):
 class NonAntiHermitianSample(LoopFiberError):
     """A connection form returned a sample that is not anti-Hermitian."""
 
-    def __init__(self, defect, t=None):
+    def __init__(self, defect, t):
         self.defect = defect
         self.t = t
-        where = "" if t is None else f" at t={t:.6f}"
-        super().__init__(f"anti-Hermitian defect {defect:.3e}{where}")
+        super().__init__(f"anti-Hermitian defect {defect:.3e} at t={t:.6f}")
 
 
 class PeriodicityDefect(LoopFiberError):
@@ -86,11 +85,10 @@ class NonConstantReducedTransition(LoopFiberError):
     that forbids a constant reduction.
     """
 
-    def __init__(self, edge, variation, winding_sum=None):
+    def __init__(self, edge, variation, winding_sum):
         self.edge = edge
         self.variation = variation
         self.winding_sum = winding_sum
-        msg = f"reduced transition on edge {edge} varies by {variation:.3e}"
-        if winding_sum is not None:
-            msg += f" (total det winding {winding_sum})"
-        super().__init__(msg)
+        super().__init__(
+            f"reduced transition on edge {edge} varies by {variation:.3e} "
+            f"(total det winding {winding_sum})")

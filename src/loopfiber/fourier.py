@@ -188,9 +188,9 @@ class BandStack(NamedTuple):
     data: np.ndarray
 
 
-def stack_columns(loops, band=None):
-    """The BandStack of loops over `band`, by default the hull of theirs."""
-    kmin, kmax = union_band(loops) if band is None else band
+def stack_columns(loops):
+    """The BandStack of loops over the hull of their bands."""
+    kmin, kmax = union_band(loops)
     data = np.zeros((kmax - kmin + 1, loops[0].n, len(loops)), dtype=complex)
     for i, a in enumerate(loops):
         start = a.kmin - kmin

@@ -25,13 +25,13 @@ entry is one contiguous array over the stack (loopgroup._entry_major), and
 every kernel works per step along the last axis.  A lone loop is the batch
 of one.
 
-  1. sample each loop on all 2 steps + 1 half-step nodes j h/2, h = 1/steps
-     (a step's endpoint is the next step's start), the step ends first and
-     the midpoints after them, and -A in one call on the B (2 steps + 1) nodes
-     of all the loops; check every sample for shape and anti-Hermiticity,
-     and copy the samples once into an entry-major stack, in which the
-     starts, ends and midpoints of each loop's steps are three contiguous
-     runs;
+  1. sample each loop on all 2 steps + 1 half-step nodes j h/2, h = 1/steps,
+     in t order, so the step ends are the even nodes (a step's endpoint is
+     the next step's start) and the midpoints the odd ones, and -A in one
+     call on the B (2 steps + 1) nodes of all the loops; refuse a loop
+     sample that is not finite, check every -A for shape and
+     anti-Hermiticity, and copy the samples once into an entry-major stack,
+     whose strided views are the starts, ends and midpoints of the steps;
   2. build every propagator P_i = I + h/6 (k1 + 2 k2 + 2 k3 + k4) with
      stacked matrix products;
   3. unitarize each step once, Q_i = polar(P_i), by Newton-Schulz steps
@@ -55,10 +55,11 @@ runs again loop by loop.  One loop's step stack may hold at most
 TRANSPORT_MAX_ENTRIES matrix entries (n^2 N), checked before any work.
 
 A refinement run reuses samples: the 2N run's step ends are the N run's
-nodes, because linspace(0, 1, 4N + 1)[2i] == linspace(0, 1, 2N + 1)[i] bit
-for bit (fl(1/4N) is fl(1/2N) / 2).  A `TransportFrame` keeps its samples,
-and `holonomy(conn, loop, 2N, coarse=frame)` samples only the 2N midpoints;
-`refinement_delta(frame)` runs it.
+nodes in the same order, because linspace(0, 1, 4N + 1)[2i] ==
+linspace(0, 1, 2N + 1)[i] bit for bit (fl(1/4N) is fl(1/2N) / 2).  A
+`TransportFrame` keeps its samples, and `holonomy(conn, loop, 2N,
+coarse=frame)` takes them as they lie for its step ends and samples only
+the 2N midpoints; `refinement_delta(frame)` runs it.
 
 A holonomy alone needs only T(1): `holonomy` runs the scan's up-sweep, a
 pairwise tree product of the Q_i, to its root and takes one final polar; it
@@ -140,9 +141,15 @@ class BaseLoop:
         if not np.isfinite(pts).all():
             raise ValueError("sample points must be finite (NaN or inf found)")
         M, d = pts.shape
-        bend = np.roll(pts, -1, axis=0) - 2.0 * pts + np.roll(pts, 1, axis=0)
         eig = 4.0 + 2.0 * np.cos(2.0 * math.pi * np.arange(M // 2 + 1) / M)
-        c = np.fft.irfft(np.fft.rfft(bend, axis=0) / eig[:, None], n=M, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bend = (np.roll(pts, -1, axis=0) - 2.0 * pts
+                    + np.roll(pts, 1, axis=0))
+            c = np.fft.irfft(np.fft.rfft(bend, axis=0) / eig[:, None], n=M,
+                             axis=0)
+        if not np.isfinite(c).all():
+            raise ValueError("the spline through the sample points is not "
+                             "finite: the points are too large")
         # closed tables: row M repeats row 0
         y, c = np.vstack([pts, pts[:1]]), np.vstack([c, c[:1]])
 
@@ -298,9 +305,9 @@ class TransportFrame:
     the prefix product, so Ts[i] is unitary to roundoff.  The never-corrected
     chain P_{i-1} ... P_0 is built from the stored step offsets only when
     `raw_defect` (its worst unitarity defect) or `raw_holonomy` (its
-    endpoint) is first read.  `samples` is -A at the 2N + 1 nodes j/(2N),
-    entry-major (n, n, 2N + 1), the N + 1 step ends first and the N
-    midpoints after them: the step ends of the 2N run (`holonomy(coarse=)`).
+    endpoint) is first read.  `samples` is -A at the 2N + 1 nodes j/(2N) in
+    t order, entry-major (n, n, 2N + 1): the step ends of the 2N run
+    (`holonomy(coarse=)`).
     """
 
     loop: BaseLoop
@@ -398,8 +405,11 @@ def _tree_product(E):
 def _sample_forms(conn, xvs, ts):
     """-A at every node t in ts along each loop sampler of xvs, as an
     entry-major (n, n, B, len(ts)) stack, from one form call on the
-    concatenated B len(ts) nodes; checked for shape and anti-Hermiticity, a
-    failure names the least failing t.
+    concatenated B len(ts) nodes.  A loop sample that is not finite is
+    refused with ValueError, and -A is checked for shape and
+    anti-Hermiticity; a failure names the least failing t.  The loops and
+    the form run with numpy's overflow warnings off: what overflows is
+    refused here, as input.
 
     -A is written once, straight into the entry-major layout, and the
     defect ||A + A^H|| is summed over the entries on and above the diagonal
@@ -409,17 +419,21 @@ def _sample_forms(conn, xvs, ts):
     """
     T = len(ts)
     n, nodes = conn.n, len(xvs) * T
-    samples = [xv(ts) for xv in xvs]
-    x, v = samples[0] if len(samples) == 1 else (
-        np.concatenate(parts) for parts in zip(*samples))
-    A = np.asarray(conn.form(x, v), dtype=complex)
-    if A.shape != (nodes, n, n):
-        raise ValueError(f"connection form on {nodes} nodes has shape "
-                         f"{A.shape}, expected ({nodes}, {n}, {n})")
-    M = np.empty((n, n, len(xvs), T), dtype=complex)
-    np.negative(np.moveaxis(A, (1, 2), (0, 1)), out=M.reshape(n, n, nodes))
-    squares = np.zeros(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
+        x, v = (np.concatenate(parts)
+                for parts in zip(*(xv(ts) for xv in xvs)))
+        # flat indices of the (B T, d) samples, divided down to their nodes
+        bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(v))) // x.shape[-1]
+        if bad.size:
+            raise ValueError(f"loop sample at t={ts[bad % T].min():.6f} is "
+                             "not finite")
+        A = np.asarray(conn.form(x, v), dtype=complex)
+        if A.shape != (nodes, n, n):
+            raise ValueError(f"connection form on {nodes} nodes has shape "
+                             f"{A.shape}, expected ({nodes}, {n}, {n})")
+        M = np.empty((n, n, len(xvs), T), dtype=complex)
+        np.negative(np.moveaxis(A, (1, 2), (0, 1)), out=M.reshape(n, n, nodes))
+        squares = np.zeros(nodes)
         for i in range(n):
             for j in range(i, n):
                 re = M[i, j].real + M[j, i].real
@@ -440,27 +454,23 @@ def _sample_forms(conn, xvs, ts):
 def _step_offsets(conn, xvs, steps, coarse=None):
     """(D, M) for the loop samplers xvs: D is the entry-major
     (n, n, B, steps) stack of the D_i with P_i = I + D_i the RK4 propagator
-    of step i, M the (n, n, B, 2 steps + 1) samples of -A it came from, the
-    step ends first and the midpoints after them; ValueError at the first
-    step that overflows.
+    of step i, M the (n, n, B, 2 steps + 1) samples of -A it came from, at
+    the nodes j / (2 steps) in t order: the step ends are the even nodes
+    and the midpoints the odd ones.  ValueError at the first step that
+    overflows.
 
-    `coarse`, the samples M of the steps/2 run over the same loops, gives
-    the step ends, so only the midpoints are sampled; then M is None.
+    `coarse`, the samples M of the steps/2 run over the same loops, is the
+    step ends as it lies, so only the midpoints are sampled; then M is None.
     """
     h = 1.0 / steps
     ts = np.linspace(0.0, 1.0, 2 * steps + 1)
     if coarse is None:
-        M = _sample_forms(conn, xvs, np.concatenate([ts[::2], ts[1::2]]))
-        ends, Mh = M[..., :steps + 1], M[..., steps + 1:]
+        M = _sample_forms(conn, xvs, ts)
+        ends, Mh = M[..., ::2], M[..., 1::2]
     else:
-        # the coarse nodes, its step ends and then its midpoints, are the
-        # even and then the odd step ends here
-        M, half = None, steps // 2
+        M, ends = None, coarse
         Mh = _sample_forms(conn, xvs, ts[1::2])
-        ends = np.empty(Mh.shape[:3] + (steps + 1,), dtype=complex)
-        ends[..., ::2] = coarse[..., :half + 1]
-        ends[..., 1::2] = coarse[..., half + 1:]
-    M0, M1 = ends[..., :steps], ends[..., 1:]
+    M0, M1 = ends[..., :-1], ends[..., 1:]
     # K2 = Mh + h/2 Mh M0, K3 = Mh + h/2 Mh K2, K4 = M1 + h M1 K3 and
     # D = h/6 (M0 + 2 K2 + 2 K3 + K4), each operation in place where its
     # operand is not needed again: the same bits with three fewer temporary
@@ -489,17 +499,6 @@ def _step_offsets(conn, xvs, steps, coarse=None):
             f"finite (N={steps}): the connection form is too large for the "
             "grid")
     return D, M
-
-
-def _loop_scan(scan, Q):
-    """scan(Q) along the steps of each loop of an (n, n, B, steps) stack, as
-    an (n, n, B, ...) stack.  A batch of one is scanned as an (n, n, steps)
-    stack: numpy does not fold the unit axis away, and the many small
-    slices of the scan took about a fifth longer on four axes (2048 steps,
-    n = 2)."""
-    if Q.shape[2] > 1:
-        return scan(Q)
-    return scan(Q[:, :, 0])[:, :, None]
 
 
 def _batch(conn, loop, N):
@@ -552,7 +551,7 @@ def parallel_transport(conn, loop, N=2048):
     def run(chunk):
         I = np.eye(conn.n, dtype=complex)[:, :, None, None]  # a stack of one
         D, M = _step_offsets(conn, [one.xv for one in chunk], N)
-        Ts = _polar(I + _loop_scan(_prefix_products, _polar(I + D) - I))
+        Ts = _polar(I + _prefix_products(_polar(I + D) - I))
         starts = np.broadcast_to(I, Ts.shape[:3] + (1,))
         Ts = _block_major(np.concatenate([starts, Ts], axis=-1))
         return [TransportFrame(one, conn, N, Ts[b], D[:, :, b], M[:, :, b])
@@ -585,8 +584,7 @@ def holonomy(conn, loop, N=2048, coarse=None):
         # factors; the offsets and samples are dropped before those are made
         I = np.eye(conn.n, dtype=complex)[:, :, None, None]  # a stack of one
         P = I + _step_offsets(conn, [one.xv for one in chunk], N, ends)[0]
-        return _block_major(_polar(
-            I[..., 0] + _loop_scan(_tree_product, _polar(P) - I)))
+        return _block_major(_polar(I[..., 0] + _tree_product(_polar(P) - I)))
 
     parts = _in_chunks(run, loops, N)
     if single:

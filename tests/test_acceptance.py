@@ -84,12 +84,11 @@ def test_criterion_2_frequency_splitting_counts():
         assert upper.dim - lower.dim == n
 
         shifted = [fourier.shift(w, 1) for w in lower.columns]
-        band = fourier.union_band(list(shifted) + list(upper.columns))
         # one row per loop over the common band, so the Euclidean pairing
         # of rows is the loop inner product
-        rows, basis = [fourier.stack_columns(loops, band).data
-                       .transpose(2, 0, 1).reshape(len(loops), -1)
-                       for loops in (shifted, upper.columns)]
+        both = fourier.stack_columns(shifted + list(upper.columns)).data
+        both = both.transpose(2, 0, 1).reshape(both.shape[2], -1)
+        rows, basis = both[:len(shifted)], both[len(shifted):]
         resid = rows - (rows @ basis.conj().T) @ basis
         assert float(np.linalg.norm(resid, axis=1).max()) <= 1e-10
     print("ACCEPTANCE 2 frequency splitting and window counts: PASS "

@@ -461,13 +461,46 @@ class TestHolonomy:
             f"{j / 8!r},{1e300 * math.cos(j * math.pi / 4)!r},"
             f"{1e300 * math.sin(j * math.pi / 4)!r}" for j in range(8)]
         path.write_text("\n".join(rows) + "\n")
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = cli.main(["holonomy", "--preset", "abelian2d",
-                             "--loop", str(path), "--N", "16"])
+        code = cli.main(["holonomy", "--preset", "abelian2d",
+                         "--loop", str(path), "--N", "16"])
         captured = capsys.readouterr()
         assert code == 2
-        assert "error:" in captured.err
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["holonomy", "--preset", "abelian2d", "--circle", "1e200"],
+         "anti-Hermitian defect nan at t=0.000000"),
+        (["twistcheck", "--preset", "abelian2d", "--circle", "1e200",
+          "--N", "16", "--band", "1"],
+         "anti-Hermitian defect nan at t=0.000000"),
+        (["holonomy", "--preset", "su2sample", "--circle", "1e160",
+          "--N", "16"],
+         "anti-Hermitian defect nan at t=0.000000"),
+        (["holonomy", "--preset", "abelian2d", "--loop", "huge.csv"],
+         "cannot load loop from huge.csv: the spline through the sample "
+         "points is not finite"),
+        (["holonomy", "--preset", "flat", "--n", "2", "--circle", "1e308",
+          "--N", "4"],
+         "loop sample at t=0.000000 is not finite")],
+        ids=["abelian2d", "twistcheck", "su2sample", "spline", "flat"])
+    def test_overflowing_samples_exit2(self, capsys, monkeypatch, tmp_path,
+                                       argv, message):
+        # finite inputs whose loop, spline or form values overflow: one
+        # error line, and warnings become errors, so a numpy warning on the
+        # way to the refusal fails the test
+        monkeypatch.chdir(tmp_path)
+        Path("huge.csv").write_text(
+            "t,x1,x2\n0,0,0\n0.25,1e308,0\n0.5,0,1e308\n0.75,-1e308,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv + ["--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message)
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("B, message", [
         ("1e300", "error: transport step at t=0.000000 is not finite (N=16)"),

@@ -1,5 +1,6 @@
 """The experiment scripts run end to end at tiny sizes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -40,16 +41,25 @@ def run_script(script, args):
 def test_report_digests_cover_every_command(tmp_path):
     # without inputs in the directory, the commands of the benchmark's
     # transport and cold-cli workloads at two seeds (5 reports and a CSV
-    # each), the other transport commands and the golden argvs: one digest
-    # per report and per CSV, all exit 0
+    # each), the other transport commands, the golden argvs and five
+    # refusals: one digest per report and per CSV, all exit 0, and per
+    # refusal an empty report, exit 2, and its stderr
     lines = run_script("report_digests.py", [str(tmp_path)]).splitlines()
     golden = len(list((ROOT / "tests" / "golden").glob("*.json")))
-    assert len(lines) == 2 * (5 + 1) + 6 + 2 + golden + 1
+    assert len(lines) == 2 * (5 + 1) + 6 + 2 + golden + 1 + 2 * 5
     assert sum(line.endswith("-project-seed7 (exit 0)") for line in lines) == 1
+    empty = hashlib.sha256(b"").hexdigest()
+    refusals = 0
     for line in lines:
         digest, name = line.split("  ", 1)
         assert len(digest) == 64 and int(digest, 16) >= 0
-        assert name.endswith((" (exit 0)", " csv")), name
+        if name.startswith("refused-"):
+            refusals += 1
+            assert name.endswith(" stderr") or (
+                name.endswith(" (exit 2)") and digest == empty), line
+        else:
+            assert name.endswith((" (exit 0)", " csv")), name
+    assert refusals == 2 * 5
     assert not list(tmp_path.iterdir())  # the CSVs are removed
 
 

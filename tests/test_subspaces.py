@@ -9,8 +9,7 @@ from loopfiber import subspaces
 from loopfiber.errors import RankDeficiency
 from loopfiber.fourier import (MAX_BAND_WIDTH, BandStack, TruncatedLoop,
                                basis_loop, inner_product, loop_from_dict,
-                               norm, shift, stack_columns,
-                               union_band)
+                               norm, shift, stack_columns)
 from loopfiber.loopgroup import apply, random_loop
 from loopfiber.subspaces import (FiltrationSubspace, SubspaceFrame,
                                  _leading_frame, _shifted_stack, cross_gram,
@@ -290,10 +289,9 @@ def signed_zero_window(rng, n, count, depth):
 
 def reference_shifted_stack(f, depth):
     """The shifted family as loops: z^p g_j by `shift`, stacked over the
-    hull of the generators' bands widened by the depth."""
-    kmin, kmax = union_band(f.generators)
+    hull of their bands, the generators' hull widened by the depth."""
     return stack_columns([shift(g, p) for p in range(depth + 1)
-                          for g in f.generators], (kmin, kmax + depth))
+                          for g in f.generators])
 
 
 def reference_frame(stack):

@@ -122,6 +122,15 @@ class TestSpline:
         for got, want in [(x, spline(t)), (v, spline.derivative()(t))]:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_overflowing_spline_rejected(self):
+        # finite points whose second differences overflow; warnings become
+        # errors, so the refusal comes without a numpy warning
+        pts = [[0.0, 0.0], [1e308, 0.0], [0.0, 1e308], [-1e308, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="spline .* is not finite"):
+                BaseLoop.from_samples(pts)
+
 
 class TestFlux:
     """Plane with uniform curvature B: holonomy phase equals the flux."""
@@ -532,6 +541,22 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"expected \(33, 2\)"):
             holonomy(flat(n=1), loop, N=16)
 
+    @pytest.mark.parametrize("run", [parallel_transport, holonomy])
+    def test_non_finite_loop_samples_rejected(self, run):
+        # a velocity 1e308 (1 + 4t) that overflows from t = 7/32 on, a NaN
+        # position from 17/32 on: the least failing node is named, with no
+        # numpy warning
+        def fn(t):
+            x = np.stack([np.where(t < 0.5, 0.0, np.nan), t], axis=-1)
+            v = np.stack([np.ones_like(t), 1e308 * (1.0 + 4.0 * t)], axis=-1)
+            return x, v
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^loop sample at "
+                               r"t=0\.218750 is not finite$"):
+                run(flat(n=2), [BaseLoop.circle(1.0), BaseLoop(2, fn)], N=16)
+
 
 def sequential_transport(conn, loop, N):
     """Reference: RK4 step by step, polar re-unitarization after each."""
@@ -833,6 +858,18 @@ class TestFamilyBatch:
         assert np.array_equal(h, holonomy(spec, loop, N=128))
         assert refinement_delta(frame) == float(
             np.linalg.norm(frame.holonomy - h))
+
+    @pytest.mark.parametrize("N", [1, 7, 64])
+    def test_frame_samples_in_t_order(self, N):
+        # samples[:, :, j] is -A at t = j/(2N): the step ends are the even
+        # nodes and the midpoints the odd ones
+        conn, loop = REFERENCE_CASES["su2sample"]
+        frame = parallel_transport(conn, loop, N=N)
+        ts = np.linspace(0.0, 1.0, 2 * N + 1)  # j/(2N), as linspace rounds it
+        A = conn.form(*loop.xv(ts))
+        assert frame.samples.shape == (2, 2, 2 * N + 1)
+        for j in range(2 * N + 1):
+            assert np.array_equal(frame.samples[:, :, j], -A[j])
 
     def test_coarse_frame_of_another_run_refused(self):
         conn, loop = REFERENCE_CASES["su2sample"]
