@@ -23,18 +23,24 @@ TWISTCHECK_TOLS).
 
 The first main() of a process fixes glibc's mmap and trim thresholds
 (_steady_heap), so transport's freed stacks stay resident between commands;
-importing the package sets nothing.
+importing the package sets nothing.  Each input file is decoded with the
+cyclic garbage collector paused (_collector_paused): a decoded file is a
+tree without reference cycles, and its thousands of fresh lists would
+otherwise set off collections that walk it and free nothing.
 """
 
 import argparse
+import contextlib
 import ctypes
 import functools
+import gc
 import json
 import math
 import os
 import re
 import sys
 import tempfile
+import time
 from datetime import datetime, timezone
 from itertools import chain
 
@@ -109,8 +115,29 @@ def _check_options(args):
             raise InputError(message)
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Automatic garbage collection off for the block; on again after it
+    only if it was on when the block was entered.
+
+    For decoding input files only: a decoded file is a tree of fresh lists
+    and dicts with no reference cycle, yet each container counts toward
+    the young generation's threshold (700), so the ~15 000 lists of a
+    benchmark frame set off some 20 collections that walk the live tree
+    and free nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _load_input(path, parse, what):
-    """parse(the JSON in path); InputError naming `what` on any failure.
+    """(parse(the JSON in path), the wall seconds it took), with the
+    collector paused; InputError naming `what` on any failure.
 
     orjson decodes strict JSON only: NaN, Infinity, a literal beyond the
     double range, a byte order mark, bytes that are not UTF-8 and a lone
@@ -120,21 +147,28 @@ def _load_input(path, parse, what):
     does not limit nesting depth, so a parser that recurses into a deep
     tree (a repr in an error message) fails closed on RecursionError.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = orjson.loads(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except orjson.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError(f"not a {what}: expected a JSON object, got "
-                         f"{type(data).__name__}")
-    try:
-        return parse(data)
-    except (KeyError, TypeError, ValueError, OverflowError,
-            RecursionError) as exc:
-        raise InputError(f"not a {what}: {exc}") from exc
+    start = time.perf_counter()
+    with _collector_paused():
+        try:
+            with open(path, "rb") as fh:
+                data = orjson.loads(fh.read())
+        except OSError as exc:
+            raise InputError(f"cannot read {path}: {exc}") from exc
+        except orjson.JSONDecodeError as exc:
+            raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise InputError(f"not a {what}: expected a JSON object, got "
+                             f"{type(data).__name__}")
+        try:
+            value = parse(data)
+        except KeyError as exc:  # str(exc) is the key's repr
+            raise InputError(f"not a {what}: missing key {exc}") from exc
+        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise InputError(f"not a {what}: {exc}") from exc
+        # freed while paused, the tree's containers leave the young
+        # generation's count where it was, so none is due on resuming
+        del data
+    return value, time.perf_counter() - start
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -313,7 +347,8 @@ _PRESETS = {
 def _base_loop(args, conn):
     if args.input is not None:
         try:
-            loop = transport.load_loop_csv(args.input)
+            with _collector_paused():
+                loop = transport.load_loop_csv(args.input)
         except (OSError, ValueError) as exc:
             raise InputError(
                 f"cannot load loop from {args.input}: {exc}") from exc
@@ -330,8 +365,8 @@ def _base_loop(args, conn):
 
 
 def cmd_project(args):
-    loop = _load_input(args.input, fourier.loop_from_dict,
-                       "coefficient loop file")
+    loop, load_s = _load_input(args.input, fourier.loop_from_dict,
+                               "coefficient loop file")
     plus = fourier.project_plus(loop)
     minus = fourier.project_minus(loop)
     payload = {
@@ -361,7 +396,7 @@ def cmd_project(args):
     else:
         payload["plus"] = fourier.loop_to_dict(plus)
         payload["minus"] = fourier.loop_to_dict(minus)
-    return _report(args, "project", payload), EXIT_OK
+    return _report(args, "project", payload, {"load_s": load_s}), EXIT_OK
 
 
 def cmd_subspace_loop(args):
@@ -373,7 +408,8 @@ def cmd_subspace_loop(args):
         raise ValueError("expected a filtration file (generators/depth) or "
                          "a frame file (n/columns)")
 
-    frame = _load_input(args.input, parse, "subspace file")
+    frame, load_s = _load_input(args.input, parse, "subspace file")
+    meta = {"load_s": load_s}
     if isinstance(frame, subspaces.FiltrationSubspace):
         frame = subspaces.expand_filtration(frame, args.depth)
     elif args.depth is not None:
@@ -388,7 +424,7 @@ def cmd_subspace_loop(args):
             "diagnostic": str(exc),
             "element": None,
         })
-        return _report(args, "subspace-loop", payload), EXIT_SUBSPACE
+        return _report(args, "subspace-loop", payload, meta), EXIT_SUBSPACE
     payload.update({
         "status": "ok",
         "diagnostic": None,
@@ -396,7 +432,7 @@ def cmd_subspace_loop(args):
         "unitarity_defect": loopgroup.unitarity_defect(g)[0],
         "det_winding": loopgroup.det_winding(g),
     })
-    return _report(args, "subspace-loop", payload), EXIT_OK
+    return _report(args, "subspace-loop", payload, meta), EXIT_OK
 
 
 def cmd_holonomy(args):
@@ -530,7 +566,8 @@ def cmd_twistcheck(args):
 
 
 def cmd_audit(args):
-    fam = _load_input(args.input, decomp.family_from_dict, "family file")
+    fam, load_s = _load_input(args.input, decomp.family_from_dict,
+                              "family file")
     report = decomp.audit_family(fam)
     payload = {"input": args.input, "audit": report.to_dict()}
     code = EXIT_OK if report.all_ok else EXIT_AUDIT
@@ -550,7 +587,7 @@ def cmd_audit(args):
     else:
         payload["reduction"] = None
     payload["all_ok"] = code == EXIT_OK
-    return _report(args, "audit", payload), code
+    return _report(args, "audit", payload, {"load_s": load_s}), code
 
 
 HANDLERS = {

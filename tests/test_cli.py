@@ -7,6 +7,7 @@ import argparse
 import cmath
 import ctypes
 import decimal
+import gc
 import itertools
 import json
 import math
@@ -1267,7 +1268,7 @@ class TestInputDecoding:
     def test_numbers_read_as_float_reads_them(self, tmp_path_factory, texts):
         path = tmp_path_factory.mktemp("leaves") / "leaves.json"
         path.write_text('{"x": [' + ", ".join(texts) + "]}")
-        leaves = cli._load_input(str(path), lambda d: d["x"], "leaf file")
+        leaves, _ = cli._load_input(str(path), lambda d: d["x"], "leaf file")
         assert [float(v).hex() for v in leaves] == \
             [float(t).hex() for t in texts]
 
@@ -1311,6 +1312,136 @@ class TestInputDecoding:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "expected a JSON object" in captured.err
+
+    @pytest.mark.parametrize("command, data, key", [
+        ("project", {"n": 1, "columns": [COMMAND_FILES["project"]]}, "coeffs"),
+        ("subspace-loop", {"generators":
+                           COMMAND_FILES["subspace-loop"]["generators"]},
+         "depth"),
+        ("audit", {k: v for k, v in COMMAND_FILES["audit"].items()
+                   if k != "psi"}, "psi")])
+    def test_missing_key_named(self, capsys, tmp_path, command, data, key):
+        src = write_json(tmp_path / "input.json", data)
+        assert cli.main([command, src, "--no-meta"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        what = {"project": "coefficient loop file",
+                "subspace-loop": "subspace file", "audit": "family file"}
+        assert captured.err == (f"error: not a {what[command]}: "
+                                f"missing key '{key}'\n")
+
+    @pytest.mark.parametrize("command", list(COMMAND_FILES))
+    def test_load_seconds_under_meta(self, capsys, tmp_path, command):
+        src = write_json(tmp_path / "input.json", COMMAND_FILES[command])
+        code, rep = run_cli(capsys, [command, src])
+        assert code == 0
+        assert type(rep["meta"]["load_s"]) is float
+        assert rep["meta"]["load_s"] >= 0.0
+        code, rep = run_cli(capsys, [command, src, "--no-meta"])
+        assert code == 0
+        assert "meta" not in rep
+
+
+def collections_during(fn, *args):
+    """(fn(*args), the number of garbage collections started meanwhile),
+    counted from empty generations, so none is due when fn starts."""
+    starts = []
+    gc.collect()
+
+    def spy(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(spy)
+    try:
+        return fn(*args), len(starts)
+    finally:
+        gc.callbacks.remove(spy)
+
+
+def benchmark_frame_dict(rng, n=3, blocks=140, dim=27):
+    """A frame file's dict the size of the benchmark's: `dim` orthonormal
+    columns of `blocks` coefficient blocks each, from numpy alone (the
+    Parseval pairing is the coefficients' dot product)."""
+    z = rng.normal(size=(2, blocks * n, dim))
+    q = np.linalg.qr(z[0] + 1j * z[1])[0].reshape(blocks, n, dim)
+    pairs = np.stack([q.real, q.imag], axis=-1)  # (blocks, n, dim, 2)
+    return {"n": n, "columns": [
+        {"n": n, "coeffs": {str(k - blocks // 2): pairs[k, :, j].tolist()
+                            for k in range(blocks)}}
+        for j in range(dim)]}
+
+
+class TestCollectorPause:
+    """Input files decode with automatic garbage collection paused, and the
+    collector is left as the caller had it."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        if request.param:
+            gc.enable()
+        else:
+            gc.disable()
+        yield request.param
+        gc.enable()
+
+    @pytest.mark.parametrize("case", ["ok", "missing", "invalid", "top-list",
+                                      "parse-error", "deep"])
+    def test_collector_state_restored(self, tmp_path, collector, case):
+        path = tmp_path / "input.json"
+        text = {
+            "ok": json.dumps(COMMAND_FILES["project"]),
+            "invalid": "{",
+            "top-list": "[]",
+            "parse-error": '{"n": 0, "coeffs": {}}',
+            "deep": with_integer_field("project", "[" * DEEP + "]" * DEEP),
+        }.get(case)
+        if text is not None:
+            path.write_text(text)
+        if case == "ok":
+            loop, load_s = cli._load_input(str(path), fourier.loop_from_dict,
+                                           "coefficient loop file")
+            assert loop.n == 1 and load_s >= 0.0
+        else:
+            with pytest.raises(cli.InputError):
+                cli._load_input(str(path), fourier.loop_from_dict,
+                                "coefficient loop file")
+        assert gc.isenabled() is collector
+
+    def test_benchmark_frame_decodes_without_collection(self, tmp_path):
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(
+            benchmark_frame_dict(np.random.default_rng(0))))
+        assert path.stat().st_size > 400_000
+        assert gc.isenabled()
+        (frame, _), collections = collections_during(
+            cli._load_input, str(path), subspaces.frame_from_dict,
+            "subspace file")
+        assert frame.n == 3 and frame.dim == 27
+        assert collections == 0
+        assert gc.isenabled()
+
+    def test_csv_loop_decodes_without_collection(self, tmp_path, collector):
+        path = tmp_path / "loop.csv"
+        t = np.arange(4096) / 4096
+        path.write_text("t,x,y\n" + "".join(
+            f"{s!r},{x!r},{y!r}\n" for s, x, y in zip(
+                t.tolist(), np.cos(2 * np.pi * t).tolist(),
+                np.sin(2 * np.pi * t).tolist())))
+        args = argparse.Namespace(input=str(path), latitude=None)
+        loop, collections = collections_during(
+            cli._base_loop, args, transport.abelian2d(1.0))
+        assert loop.d == 2
+        assert collections == 0
+        assert gc.isenabled() is collector
+
+    def test_refused_csv_restores_collector(self, tmp_path, collector):
+        path = tmp_path / "loop.csv"
+        path.write_text("t,x,y\n0,1,0\n0.5,-1\n")
+        args = argparse.Namespace(input=str(path), latitude=None)
+        with pytest.raises(cli.InputError, match="ragged CSV rows"):
+            cli._base_loop(args, transport.abelian2d(1.0))
+        assert gc.isenabled() is collector
 
 
 def reference_dump(report):
