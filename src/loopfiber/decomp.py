@@ -104,10 +104,6 @@ class SubspaceFamily:
                 raise ValueError("transition dimension mismatch")
 
     @property
-    def n(self):
-        return self.psi[0].n
-
-    @property
     def size(self):
         return len(self.points)
 

@@ -172,13 +172,6 @@ def _convolve(ka, A, kb, B):
     return ka + kb, out
 
 
-def union_band(loops):
-    """Hull of the bands of a nonempty list of loops."""
-    kmin = min(a.band[0] for a in loops)
-    kmax = max(a.band[1] for a in loops)
-    return kmin, kmax
-
-
 class BandStack(NamedTuple):
     """m loops padded into one band: column i of data[k - kmin] is c_k of
     loop i, so data has shape (width, n, m).  Not trimmed."""
@@ -190,7 +183,8 @@ class BandStack(NamedTuple):
 
 def stack_columns(loops):
     """The BandStack of loops over the hull of their bands."""
-    kmin, kmax = union_band(loops)
+    kmin = min(a.band[0] for a in loops)
+    kmax = max(a.band[1] for a in loops)
     data = np.zeros((kmax - kmin + 1, loops[0].n, len(loops)), dtype=complex)
     for i, a in enumerate(loops):
         start = a.kmin - kmin

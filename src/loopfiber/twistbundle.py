@@ -13,10 +13,11 @@ sends an ordinary coefficient loop p to sigma(t) = T(t) p(t), and
 `phi_inverse` undoes it, p(t) = T(t)^* sigma(t), which is genuinely
 periodic and so has a Fourier expansion.  `j_embed` and `j_extend` are the
 special cases p = v and p = f v that exhibit the section space as a free
-module over scalar loops.
+module over scalar loops.  A frame's twist is built once, by
+`holonomy_twist`, and shared by every section over the frame; every twist,
+rolled ones included, passes `GaugeTwist`'s unitarity check.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,34 +78,20 @@ def identity_twist(n, N):
 
 
 def holonomy_twist(frame):
-    """tau(t_i) = T_i Hol T_i^* from a transport frame."""
-    Ts = _entry_major(frame.Ts[:-1])
-    vals = _matmul(_matmul(Ts, frame.holonomy), _adjoint(Ts))
-    return GaugeTwist(frame.n, frame.N, _block_major(vals))
-
-
-def _frame_twist(frame):
-    """holonomy_twist(frame), built on the first call for a frame and kept
-    in the frame's instance dict, as functools.cached_property keeps a
-    value: a twist is read-only, so every section over the frame can share
-    it."""
+    """tau(t_i) = T_i Hol T_i^* from a transport frame, built on the first
+    call and kept in the frame's instance dict, as cached_property would."""
     cache = vars(frame)
     if "_holonomy_twist" not in cache:
-        cache["_holonomy_twist"] = holonomy_twist(frame)
+        Ts = _entry_major(frame.Ts[:-1])
+        vals = _matmul(_matmul(Ts, frame.holonomy), _adjoint(Ts))
+        cache["_holonomy_twist"] = GaugeTwist(frame.n, frame.N,
+                                              _block_major(vals))
     return cache["_holonomy_twist"]
 
 
 def shifted_twist(twist, steps):
-    """The twist seen from the loop rotated by steps/N: values rolled.
-
-    The rolled values are the matrices already checked unitary, so the
-    twist is copied without its constructor's check.
-    """
-    vals = np.roll(twist.values, -steps, axis=0)
-    vals.setflags(write=False)
-    rolled = copy.copy(twist)
-    object.__setattr__(rolled, "values", vals)
-    return rolled
+    """The twist seen from the loop rotated by steps/N: values rolled."""
+    return GaugeTwist(twist.n, twist.N, np.roll(twist.values, -steps, axis=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,16 +152,13 @@ def j_embed(frame, v):
     if v.shape != (frame.n,):
         raise ValueError(f"fiber vector must have shape ({frame.n},)")
     samples = np.einsum("tij,j->ti", frame.Ts, v)
-    return TwistedSection(samples, _frame_twist(frame))
+    return TwistedSection(samples, holonomy_twist(frame))
 
 
 def j_extend(frame, f, v):
-    """sigma(t) = f(t) T(t) v for a scalar loop f: the module structure."""
-    if f.n != 1:
-        raise ValueError(f"scalar loop must have n=1, got n={f.n}")
-    v = np.asarray(v, dtype=complex)
-    samples = _closed_grid(f, frame.N) * np.einsum("tij,j->ti", frame.Ts, v)
-    return TwistedSection(samples, _frame_twist(frame))
+    """sigma(t) = f(t) T(t) v for a scalar loop f: the module action
+    f . j(v) = j(f v)."""
+    return module_scale(f, j_embed(frame, v))
 
 
 def section_from_loop(frame, p):
@@ -186,7 +170,7 @@ def section_from_loop(frame, p):
     if p.n != frame.n:
         raise ValueError(f"loop dimension {p.n} != fiber dimension {frame.n}")
     samples = np.einsum("tij,tj->ti", frame.Ts, _closed_grid(p, frame.N))
-    return TwistedSection(samples, _frame_twist(frame))
+    return TwistedSection(samples, holonomy_twist(frame))
 
 
 def module_scale(f, section):

@@ -289,6 +289,15 @@ class TestSubspaceLoop:
         assert rep["subspace_dim"] == frame.dim
         assert rep["det_winding"] == 0
 
+    def test_neither_filtration_nor_frame_exit2(self, capsys, tmp_path):
+        src = write_json(tmp_path / "other.json", {"n": 1, "depth": 2})
+        assert cli.main(["subspace-loop", src, "--no-meta"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: not a subspace file: expected a filtration file "
+            "(generators/depth) or a frame file (n/columns)\n")
+
     def test_rank_deficient_exit2(self, capsys, tmp_path):
         g = fourier.basis_loop(1)
         src = write_json(
@@ -444,6 +453,17 @@ class TestHolonomy:
         assert code == 0
         re, im = rep["holonomy"][0][0]
         assert abs(complex(re, im) - cmath.exp(-1j * math.pi)) < 1e-6
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_monopole_default_loop_is_the_equator(self, capsys, q):
+        # no --latitude: the equator, enclosing solid angle 2 pi
+        code, rep = run_cli(capsys,
+                            ["holonomy", "--preset", "monopole", "--q", str(q),
+                             "--N", "256", "--no-meta"])
+        assert code == 0
+        re, im = rep["holonomy"][0][0]
+        gap = abs(complex(re, im) - cmath.exp(-1j * q * math.pi))
+        assert gap <= 2 * rep["refinement_delta"] + 1e-12
 
     def test_dimension_mismatch_exit2(self, capsys):
         code = cli.main(["holonomy", "--preset", "su2sample",

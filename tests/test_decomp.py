@@ -117,6 +117,21 @@ class TestAudit:
         assert bad.passed_a and bad.passed_b
         assert "dimension" in bad.failure
 
+    def test_nonunitary_rebuilt_loop_fails_c(self, monkeypatch):
+        # 1 + 0.1z spans a shift-stable window whose rebuilt loop is
+        # unitary only to about 2.2e-9: under a 1e-9 tolerance the point
+        # fails (c) with the intersection found and the defect named
+        monkeypatch.setattr(loopgroup, "UNITARITY_TOL", 1e-9)
+        window = FiltrationSubspace([TruncatedLoop(1, {0: [1.0], 1: [0.1]})],
+                                    8)
+        report = audit_family(SubspaceFamily((0,), (), (window,)))
+        point = report.point_audits[0]
+        assert point.passed_a and point.passed_b and not point.passed_c
+        assert point.intersection_dim == 1
+        assert point.unitarity_defect == pytest.approx(2.2e-9, rel=0.01)
+        assert point.failure.startswith("pointwise unitarity defect "
+                                        f"{point.unitarity_defect:.3e} at")
+
     def test_discontinuous_family_flagged(self):
         far = FiltrationSubspace([basis_loop(1, component=0, frequency=7)], 3)
         fam = SubspaceFamily(points=(0, 1), edges=((0, 1),),
@@ -451,6 +466,15 @@ class TestFamilyStructure:
             SubspaceFamily(points=(0, 1), edges=((0, 1),),
                            psi=(plus_window(1), plus_window(1)),
                            transitions=())
+
+    @pytest.mark.parametrize("points, edges, psi, transitions, message", [
+        ((), (), (), None, "family needs at least one base point"),
+        ((0, 1), ((0, 1),), (plus_window(1),) * 2,
+         (constant_element(np.eye(2)),), "transition dimension mismatch"),
+    ], ids=["no-points", "transition-dimension"])
+    def test_refusals(self, points, edges, psi, transitions, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SubspaceFamily(points, edges, psi, transitions)
 
     def test_fiber_dimensions_checked(self):
         with pytest.raises(ValueError, match="dimension"):

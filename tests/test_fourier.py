@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,30 @@ class TestBasics:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             inner_product(basis_loop(1), basis_loop(2))
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: TruncatedLoop(0, {}), ValueError,
+         "dimension must be >= 1, got 0"),
+        (lambda: TruncatedLoop.from_band(2, 0, np.zeros((3, 3))), ValueError,
+         "coefficient blocks have shape (3,), expected (2,)"),
+        # ragged blocks: numpy refuses the stack, the bad key is named
+        (lambda: TruncatedLoop(2, {0: [1, 2], 1: [1, 2, 3]}), ValueError,
+         "coefficient at k=1 has shape (3,), expected (2,)"),
+        (lambda: basis_loop(1) + basis_loop(2), ValueError,
+         "dimension mismatch"),
+        (lambda: basis_loop(1) + 1, TypeError,
+         "unsupported operand type(s) for +: 'TruncatedLoop' and 'int'"),
+        (lambda: basis_loop(1) * basis_loop(1), TypeError,
+         "unsupported operand type(s) for *: 'TruncatedLoop' and "
+         "'TruncatedLoop'"),
+        # a number where the [re, im] pair belongs
+        (lambda: loop_from_dict({"n": 1, "coeffs": {"0": [1.0]}}), ValueError,
+         "coefficient at k=0 is not [re, im] pairs"),
+    ], ids=["n0", "block-shape", "ragged", "add-dim", "add-int", "mul-loop",
+            "leaf-for-pair"])
+    def test_refusals(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestInnerProduct:

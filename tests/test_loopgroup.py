@@ -41,6 +41,14 @@ class TestAlgebra:
         want = g.evaluate(th) @ h.evaluate(th)
         np.testing.assert_allclose(gh.evaluate(th), want, atol=1e-12)
 
+    @pytest.mark.parametrize("call", [
+        lambda: multiply(identity_element(1), identity_element(2)),
+        lambda: apply(identity_element(2), basis_loop(1)),
+    ], ids=["multiply", "apply"])
+    def test_dimension_mismatch_refused(self, call):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            call()
+
     def test_band_adds(self):
         g = diag_zpowers([2, -1])
         h = diag_zpowers([3, 3])

@@ -567,6 +567,9 @@ class TestSerialization:
             frame_from_dict({"n": 2, "columns": [column(0)]})
         with pytest.raises(ValueError, match="^need at least one loop"):
             frame_from_dict({"n": 1, "columns": []})
+        pair = {"n": 2, "coeffs": {"0": [[1.0, 0.0], [0.0, 0.0]]}}
+        with pytest.raises(ValueError, match="^loop dimension mismatch$"):
+            frame_from_dict({"n": 1, "columns": [column(0), pair]})
         with pytest.raises(ValueError, match="^n must be an integer"):
             frame_from_dict({"n": 1.0, "columns": [column(0)]})
 

@@ -7,6 +7,7 @@ solid angle, the small-loop expansion from a hand-computed curvature.
 
 import math
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -462,6 +463,20 @@ class TestValidation:
         # the reversed path goes through the same door
         with pytest.raises(ValueError, match="^chart dimension mismatch"):
             transport_reversed(monopole(1), BaseLoop.circle(1.0), 0.5)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda path: BaseLoop.from_samples(np.zeros((3, 2))),
+         "need at least 4 sample points, shape (M, d)"),
+        (lambda path: parallel_transport(flat(), BaseLoop.circle(1.0), N=0),
+         "N must be >= 1"),
+        (lambda path: load_loop_csv(path), "no coordinate columns"),
+    ], ids=["three-samples", "N0", "csv-without-coordinates"])
+    def test_refusals(self, tmp_path, call, message):
+        path = os.path.join(tmp_path, "t_only.csv")
+        with open(path, "w") as fh:
+            fh.write("t\n0.0\n0.5\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(path)
 
     def test_grid_bounded_by_the_step_limit(self, monkeypatch):
         # TRANSPORT_MAX_ENTRIES bounds every transport's grid: at the bound

@@ -5,6 +5,7 @@ genuine holonomy conjugates, not synthetic unitaries.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,20 @@ def u1_frame():
     return parallel_transport(abelian2d(1.0), BaseLoop.circle(1.0), N=N)
 
 
+@pytest.fixture
+def stack_checks(monkeypatch):
+    """The shapes of the unitarity checks twistbundle makes, in order."""
+    checks = []
+    real = twistbundle._stack_defect
+
+    def spy(stack):
+        checks.append(stack.shape)
+        return real(stack)
+
+    monkeypatch.setattr(twistbundle, "_stack_defect", spy)
+    return checks
+
+
 def rand_loop(n, band, rng, scale=1.0):
     coeffs = {k: scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
               for k in range(-band, band + 1)}
@@ -97,6 +112,18 @@ class TestEmbedding:
         assert loop_allclose(p, back, tol=1e-9)
         again = section_from_loop(su2_frame, back)
         assert np.allclose(again.samples, sec.samples, atol=1e-12)
+
+    def test_sections_share_the_frames_one_twist(self, stack_checks):
+        frame = parallel_transport(su2sample(), BaseLoop.circle(0.7), N=32)
+        twist = holonomy_twist(frame)
+        assert holonomy_twist(frame) is twist
+        v = np.array([1.0, 0.5j])
+        rng = np.random.default_rng(12)
+        for sec in (j_embed(frame, v),
+                    j_extend(frame, rand_loop(1, 2, rng), v),
+                    section_from_loop(frame, rand_loop(2, 2, rng))):
+            assert sec.twist is twist
+        assert stack_checks == [(32, 2, 2)]
 
 
 class TestValidation:
@@ -145,6 +172,18 @@ class TestValidation:
         with pytest.raises(PeriodicityDefect):
             phi_inverse(nan_frame, sec)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda frame: TwistedSection(np.zeros((1, 2)), identity_twist(2, 1)),
+         "samples must have shape (N + 1, n) with N >= 1"),
+        (lambda frame: j_embed(frame, np.ones(3)),
+         "fiber vector must have shape (2,)"),
+        (lambda frame: section_from_loop(frame, constant_loop([1.0])),
+         "loop dimension 1 != fiber dimension 2"),
+    ], ids=["one-sample", "embed-dimension", "loop-dimension"])
+    def test_refusals(self, su2_frame, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(su2_frame)
+
     def test_grid_mismatch_rejected(self, su2_frame, u1_frame):
         sec = j_embed(u1_frame, np.array([1.0]))
         with pytest.raises(ValueError, match="match"):
@@ -158,7 +197,8 @@ class TestModuleAction:
         v = np.array([1.0, 0.25j])
         a = module_scale(f, j_embed(su2_frame, v))
         b = j_extend(su2_frame, f, v)
-        assert np.allclose(a.samples, b.samples, atol=1e-13)
+        assert np.array_equal(a.samples, b.samples)
+        assert a.twist is b.twist
 
     def test_scale_commutes_with_untwisting(self, su2_frame):
         rng = np.random.default_rng(4)
@@ -255,24 +295,19 @@ class TestRotation:
         rot = rotate(sec, 3)
         assert np.allclose(rot.samples, samples)
 
-    def test_shifted_twist_rolls_without_a_second_check(self, su2_frame,
-                                                        monkeypatch):
-        # the rolled values are the matrices checked when the twist was
-        # built, so neither shifted_twist nor rotate checks them again
-        sec = j_embed(su2_frame, np.array([1.0, 0.5j]))
-        twist = sec.twist
-
-        def refuse(stack):
-            raise AssertionError("a rolled twist was checked again")
-
-        monkeypatch.setattr(twistbundle, "_stack_defect", refuse)
+    def test_shifted_twist_checks_each_roll_once(self, su2_frame,
+                                                 stack_checks):
+        # a rolled twist is built by GaugeTwist, so it passes one
+        # unitarity check, and its values are np.roll's bit for bit
+        twist = j_embed(su2_frame, np.array([1.0, 0.5j])).twist
         for steps in (-N, -5, 0, 3, N):
+            stack_checks.clear()
             rolled = shifted_twist(twist, steps)
+            assert stack_checks == [(N, 2, 2)]
             assert np.array_equal(rolled.values,
                                   np.roll(twist.values, -steps, 0))
             assert not rolled.values.flags.writeable
             assert (rolled.n, rolled.N) == (2, N)
-        assert rotate(sec, 5).twist.values.shape == (N, 2, 2)
 
     def test_step_bound(self, su2_frame):
         sec = j_embed(su2_frame, np.array([1.0, 0.0]))
