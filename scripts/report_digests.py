@@ -10,6 +10,15 @@ when their outputs are equal, so a comparison of two commits is one `diff`:
     PYTHONPATH=<tree B>/src python scripts/report_digests.py DIR > b.txt
     diff a.txt b.txt
 
+`--base REV` does all of that in one command, for the commit REV against
+the working tree of this script's checkout: it exports REV (`git archive`,
+as scripts/bench_pairs.py does), writes the inputs into DIR once with REV's
+own `--write-inputs`, runs REV's script on REV's tree and this script on
+this tree, each in a fresh process, prints the lines that differ as a
+unified diff, and exits 1 on any difference (0 when every line is equal):
+
+    python scripts/report_digests.py DIR --base HEAD~1
+
 The list is the commands of the benchmark's transport and `cold-cli`
 workloads (perfbench/workloads.py), a few transport commands on other
 grids, five transport commands refused as input (exit 2, one `error:`
@@ -30,12 +39,15 @@ runs, and they and each CSV the command writes are removed after it.
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
 import os
 import shutil
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -170,13 +182,52 @@ def run(name, argv, inputs=()):
         csv_path.unlink()
 
 
+def tree_digests(tree, workdir, *options):
+    """The report lines of tree/scripts/report_digests.py run in a fresh
+    process on tree/src, without the digests of the inputs it writes."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(tree / "scripts" / "report_digests.py"),
+         str(workdir), *options], env=env, capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"report_digests.py failed in {tree}:\n"
+                           f"{proc.stderr}")
+    return [line for line in proc.stdout.splitlines()
+            if not line.split("  ", 1)[-1].startswith("input ")]
+
+
+def compare_with(base, workdir):
+    """Print the diff of the report lines of commit `base` and of this tree,
+    on inputs written once by `base`; 1 if any line differs, else 0."""
+    sys.path.insert(0, str(ROOT / "scripts"))
+    from bench_pairs import export_revision
+
+    with tempfile.TemporaryDirectory(prefix="report-digests-") as tmp:
+        tree = Path(tmp)
+        export_revision(base, tree)
+        old = tree_digests(tree, workdir, "--write-inputs")
+    new = tree_digests(ROOT, workdir)
+    diff = list(difflib.unified_diff(old, new, f"base {base}",
+                                     "working tree", lineterm="", n=0))
+    if diff:
+        print("\n".join(diff))
+        return 1
+    print(f"{len(new)} report lines, the same in {base} and the working tree")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("dir", help="directory of the shared reconstruct inputs")
     ap.add_argument("--write-inputs", action="store_true",
                     help="write the inputs into DIR first")
+    ap.add_argument("--base", metavar="REV",
+                    help="compare the commit REV with the working tree; "
+                         "exit 1 on any difference")
     args = ap.parse_args()
+    if args.base is not None:
+        sys.exit(compare_with(args.base, Path(args.dir).resolve()))
     os.makedirs(args.dir, exist_ok=True)
     os.chdir(args.dir)
     sys.path.insert(0, str(ROOT / "perfbench"))

@@ -23,10 +23,12 @@ TWISTCHECK_TOLS).
 
 The first main() of a process fixes glibc's mmap and trim thresholds
 (_steady_heap), so transport's freed stacks stay resident between commands;
-importing the package sets nothing.  Each input file is decoded with the
-cyclic garbage collector paused (_collector_paused): a decoded file is a
-tree without reference cycles, and its thousands of fresh lists would
-otherwise set off collections that walk it and free nothing.
+importing the package sets nothing.  Each command runs, and its report is
+laid out and freed, with the cyclic garbage collector paused
+(_collector_paused), and so is each input file's decode where it is called
+alone: a decoded file and a report are trees without reference cycles, and
+their thousands of fresh lists would otherwise set off collections that
+walk them and free nothing.
 """
 
 import argparse
@@ -120,11 +122,15 @@ def _collector_paused():
     """Automatic garbage collection off for the block; on again after it
     only if it was on when the block was entered.
 
-    For decoding input files only: a decoded file is a tree of fresh lists
-    and dicts with no reference cycle, yet each container counts toward
-    the young generation's threshold (700), so the ~15 000 lists of a
-    benchmark frame set off some 20 collections that walk the live tree
-    and free nothing.
+    For blocks that build trees of fresh lists and dicts with no reference
+    cycle: decoding an input file, and running a command up to its laid
+    out report.  Each container counts toward the young generation's
+    threshold (700), so collections set off inside such a block walk the
+    live tree and free nothing: some 20 for the ~15 000 lists of a
+    benchmark frame, and two for the ~1400 of a subspace-loop element.  A
+    block that frees its tree before it ends leaves the young generation's
+    count where it was, so no collection is due when the collector
+    resumes.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -470,13 +476,23 @@ def cmd_obstruction(args):
     }
     if args.csv:
         s = [j / args.M for j in range(args.M + 1)]
-        hols = transport.holonomy(conn, [family(x) for x in s], args.N)
+        hols = transport.holonomy(conn, transport.family_loops(family, s),
+                                  args.N)
         lines = ["s,re,im"] + [f"{x!r},{h.real!r},{h.imag!r}"
                                for x, h in zip(s, hols[:, 0, 0].tolist())]
         _write_atomic(args.csv, "\n".join(lines) + "\n")
     # the turns the winding was rounded from, and the step h |A| they rest on
     meta = {"winding_turns": turns, "step_resolution": rho}
     return _report(args, "obstruction", payload, meta), EXIT_OK
+
+
+def _random_loop(rng, dim, band):
+    """twistcheck's test loop of `dim` components on frequencies -band ..
+    band, each coefficient re + i im with standard normal parts, from one
+    draw of rng: the stream, frequency by frequency, of the real parts and
+    then the imaginary parts."""
+    z = rng.normal(size=(2 * band + 1, 2, dim))
+    return fourier.TruncatedLoop.from_band(dim, -band, z[:, 0] + 1j * z[:, 1])
 
 
 def _twistcheck_residuals(conn, loop, N, band, seed):
@@ -488,15 +504,9 @@ def _twistcheck_residuals(conn, loop, N, band, seed):
         conn, [loop, loop.rotated(steps / N)], N=N)
     rng = np.random.default_rng(seed)
     n = conn.n
-
-    def rand_loop(dim, scale=1.0):
-        coeffs = {k: scale * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
-                  for k in range(-band, band + 1)}
-        return fourier.TruncatedLoop(dim, coeffs)
-
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    f = rand_loop(1)
-    p = rand_loop(n)
+    f = _random_loop(rng, 1, band)
+    p = _random_loop(rng, n, band)
 
     embed = twistbundle.j_embed(frame, v)
     embed_back = twistbundle.phi_inverse(frame, embed)
@@ -688,8 +698,12 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         _check_options(args)
-        report, code = HANDLERS[args.subcommand](args)
-        text = _dump(report)
+        # the report is built and laid out, and freed, with the collector
+        # paused: a subspace-loop element alone is ~1400 fresh lists
+        with _collector_paused():
+            report, code = HANDLERS[args.subcommand](args)
+            text = _dump(report)
+            del report
         if args.output:
             suffix = ".json" if args.subcommand == "project" else ""
             _write_atomic(args.output + suffix, text)

@@ -15,7 +15,8 @@ Conventions, fixed once for the whole package:
 Loops and forms take arrays: a loop's `fn(t)` maps a float array t to
 positions and velocities of shape t.shape + (d,), and a connection's
 `form(x, v)` maps (..., d) arrays to (..., n, n) matrices.  Transport never
-calls either per point.
+calls either per point, and the loops of a `LoopFamily` (`family_loops`)
+are sampled together, one broadcast call per chunk.
 
 The ODE is linear, so one RK4 step of size h is a matrix P_i applied to
 T(t_i).  Transport runs as one batched pipeline for every fiber dimension n
@@ -95,6 +96,8 @@ __all__ = [
     "transport_reversed",
     "refinement_delta",
     "rotated_twist",
+    "LoopFamily",
+    "family_loops",
     "latitude_loop",
     "latitude_family",
     "chern_winding",
@@ -107,6 +110,18 @@ STEP_RESOLUTION_MAX = math.pi / 2  # chern_winding's largest step h |A|
 WINDING_MARGIN = 0.1  # chern_winding's largest distance of turns from a whole
 TRANSPORT_NODE_BUDGET = 2 ** 14  # half-step nodes of one batched pass
 TRANSPORT_MAX_ENTRIES = 2 ** 21  # n^2 N of one loop's pass, under 0.6 GB
+
+
+def _wrap(t):
+    """t % 1.0, but 1.0 for t = 1.0, for a float array t.
+
+    Written t - floor(t): the same bits as numpy's remainder (NaN and the
+    sign of zero included) at a fraction of its cost.  Both are the exact
+    fraction t - floor(t) rounded once: fmod(t, 1) is exact, and numpy adds
+    1 to it for a negative t, which is the same real number as t + k for
+    k = -floor(t).
+    """
+    return np.where(t == 1.0, 1.0, t - np.floor(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,9 +195,13 @@ class BaseLoop:
         return cls(2, fn)
 
     def xv(self, t):
-        """Positions and velocities at the times t, of shape t.shape + (d,)."""
+        """Positions and velocities at the times t, of shape t.shape + (d,).
+
+        fn sees t wrapped into [0, 1) by `_wrap`, except that t = 1.0 stays
+        1.0, so a spline's last node is its closing row.
+        """
         t = np.asarray(t, dtype=float)
-        x, v = self.fn(np.where(t == 1.0, 1.0, t % 1.0))
+        x, v = self.fn(_wrap(t))
         x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
         expected = t.shape + (self.d,)
         if x.shape != expected or v.shape != expected:
@@ -198,7 +217,8 @@ class BaseLoop:
         base = self.fn
 
         def fn(t):
-            return base((t + s0) % 1.0)
+            t = t + s0
+            return base(t - np.floor(t))
 
         return BaseLoop(self.d, fn)
 
@@ -210,7 +230,10 @@ class ConnectionSpec:
     `form(x, v)` takes positions and velocities as (..., d) arrays and
     returns the (..., n, n) stack of matrices A(x, v).  It must be linear in
     v and anti-Hermitian to 1e-10 at every sampled point; transport verifies
-    the latter sample by sample.
+    the latter sample by sample.  Any (..., n, n) array will do, a view
+    included: the presets `flat` and `su2sample` fill an entry-major
+    (n, n, ...) array and return its (..., n, n) view, which transport
+    reads back in its own entry-major layout without a transposing copy.
     """
 
     n: int
@@ -221,7 +244,8 @@ class ConnectionSpec:
 
 def flat(n=1, d=2):
     def form(x, v):
-        return np.zeros(x.shape[:-1] + (n, n), dtype=complex)
+        A = np.zeros((n, n) + x.shape[:-1], dtype=complex)  # entry-major
+        return np.moveaxis(A, (0, 1), (-2, -1))
 
     return ConnectionSpec(n, d, form, name="flat")
 
@@ -281,16 +305,17 @@ def su2sample():
 
     def form(x, v):
         # A = i (a1 s1 + a2 s2 + a3 s3), entries assembled from the three
-        # Pauli coefficients without a (..., 2, 2) temporary per term
+        # Pauli coefficients without a (..., 2, 2) temporary per term, into
+        # an entry-major (2, 2, ...) array, each entry written contiguously
         x0, x1, v0, v1 = x[..., 0], x[..., 1], v[..., 0], v[..., 1]
         a1 = v0 * 0.3 - v1 * (0.1 * x0)
         a2 = v1 * 0.4
         a3 = v0 * (0.2 * x1) + v1 * 0.15
-        A = np.zeros(np.shape(a1) + (2, 2), dtype=complex)
-        A.imag[..., 0, 0], A.imag[..., 1, 1] = a3, -a3
-        A.imag[..., 0, 1] = A.imag[..., 1, 0] = a1
-        A.real[..., 0, 1], A.real[..., 1, 0] = a2, -a2
-        return A
+        A = np.zeros((2, 2) + np.shape(a1), dtype=complex)
+        A.imag[0, 0], A.imag[1, 1] = a3, -a3
+        A.imag[0, 1] = A.imag[1, 0] = a1
+        A.real[0, 1], A.real[1, 0] = a2, -a2
+        return np.moveaxis(A, (0, 1), (-2, -1))
 
     return ConnectionSpec(2, 2, form, name="su2sample")
 
@@ -403,15 +428,19 @@ def _tree_product(E):
 
 
 def _sample_forms(conn, xvs, ts):
-    """-A at every node t in ts along each loop sampler of xvs, as an
-    entry-major (n, n, B, len(ts)) stack, from one form call on the
-    concatenated B len(ts) nodes.  A loop sample that is not finite is
+    """-A at every node t in ts along the B loops of xvs, as an entry-major
+    (n, n, B, len(ts)) stack, from one form call on the concatenated
+    B len(ts) nodes.  xvs is a list of per-loop samplers xv(ts), whose
+    samples are concatenated, or the loops of a family (`_FamilyLoops`),
+    all sampled by one broadcast call.  A loop sample that is not finite is
     refused with ValueError, and -A is checked for shape and
     anti-Hermiticity; a failure names the least failing t.  The loops and
     the form run with numpy's overflow warnings off: what overflows is
     refused here, as input.
 
-    -A is written once, straight into the entry-major layout, and the
+    -A is written once, straight into the entry-major layout (a form that
+    returns the (..., n, n) view of an entry-major array, as the presets
+    `flat` and `su2sample` do, is read contiguously), and the
     defect ||A + A^H|| is summed over the entries on and above the diagonal
     (the (j, i) entry of A + A^H is the conjugate of the (i, j) entry) in
     real arithmetic, so that no temporary the size of the whole stack is
@@ -420,8 +449,11 @@ def _sample_forms(conn, xvs, ts):
     T = len(ts)
     n, nodes = conn.n, len(xvs) * T
     with np.errstate(over="ignore", invalid="ignore"):
-        x, v = (np.concatenate(parts)
-                for parts in zip(*(xv(ts) for xv in xvs)))
+        if isinstance(xvs, _FamilyLoops):
+            x, v = (a.reshape(nodes, a.shape[-1]) for a in xvs.xv(ts))
+        else:
+            x, v = (np.concatenate(parts)
+                    for parts in zip(*(xv(ts) for xv in xvs)))
         # flat indices of the (B T, d) samples, divided down to their nodes
         bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(v))) // x.shape[-1]
         if bad.size:
@@ -502,12 +534,14 @@ def _step_offsets(conn, xvs, steps, coarse=None):
 
 
 def _batch(conn, loop, N):
-    """(the loops of `loop`, a BaseLoop or a sequence of them, as a list,
-    whether it was one BaseLoop), checked against conn, N >= 1 and
-    n^2 N <= TRANSPORT_MAX_ENTRIES before anything is allocated."""
+    """(the loops of `loop`, a BaseLoop or a sequence of them, as a list or
+    as the `family_loops` batch it was, whether it was one BaseLoop),
+    checked against conn, N >= 1 and n^2 N <= TRANSPORT_MAX_ENTRIES before
+    anything is allocated."""
     single = isinstance(loop, BaseLoop)
-    loops = [loop] if single else list(loop)
-    for one in loops:
+    family = isinstance(loop, _FamilyLoops)
+    loops = loop if family else [loop] if single else list(loop)
+    for one in [loop] if family else loops:  # a family has one d
         if conn.d != one.d:
             raise ValueError(f"chart dimension mismatch: connection "
                              f"d={conn.d}, loop d={one.d}")
@@ -521,11 +555,19 @@ def _batch(conn, loop, N):
     return loops, single
 
 
+def _samplers(chunk):
+    """The xvs of `_sample_forms` for a chunk of loops: a family's loops as
+    they are, else each loop's xv."""
+    return chunk if isinstance(chunk, _FamilyLoops) else [
+        one.xv for one in chunk]
+
+
 def _in_chunks(run, loops, steps):
     """[run(chunk) for each chunk], the loops cut into chunks of
-    TRANSPORT_NODE_BUDGET // (2 steps + 1) loops, at least one.  A chunk of
-    several loops that fails a check runs again loop by loop, so it raises
-    what its first failing loop raises alone."""
+    TRANSPORT_NODE_BUDGET // (2 steps + 1) loops, at least one (a family's
+    loops are sliced).  A chunk of several loops that fails a check runs
+    again loop by loop, each a BaseLoop, so it raises what its first
+    failing loop raises alone."""
     size = max(1, TRANSPORT_NODE_BUDGET // (2 * steps + 1))
     out = []
     for lo in range(0, len(loops), size):
@@ -550,7 +592,7 @@ def parallel_transport(conn, loop, N=2048):
 
     def run(chunk):
         I = np.eye(conn.n, dtype=complex)[:, :, None, None]  # a stack of one
-        D, M = _step_offsets(conn, [one.xv for one in chunk], N)
+        D, M = _step_offsets(conn, _samplers(chunk), N)
         Ts = _polar(I + _prefix_products(_polar(I + D) - I))
         starts = np.broadcast_to(I, Ts.shape[:3] + (1,))
         Ts = _block_major(np.concatenate([starts, Ts], axis=-1))
@@ -583,7 +625,7 @@ def holonomy(conn, loop, N=2048, coarse=None):
         # T(1) alone: the polar of the tree product of the step polar
         # factors; the offsets and samples are dropped before those are made
         I = np.eye(conn.n, dtype=complex)[:, :, None, None]  # a stack of one
-        P = I + _step_offsets(conn, [one.xv for one in chunk], N, ends)[0]
+        P = I + _step_offsets(conn, _samplers(chunk), N, ends)[0]
         return _block_major(_polar(I[..., 0] + _tree_product(_polar(P) - I)))
 
     parts = _in_chunks(run, loops, N)
@@ -643,27 +685,104 @@ def latitude_loop(u):
     return BaseLoop(3, fn)
 
 
+@dataclass(frozen=True, eq=False)
+class LoopFamily:
+    """Loops s -> family(s) in R^d that can be sampled many at once.
+
+    `loop(s)` is the BaseLoop of the parameter s, and family(s) calls it.
+    `fn(s, t)` takes a tuple s of parameters and a 1-d float array t of
+    times in [0, 1] and returns the positions and velocities of every loop
+    at every time, each of shape (len(s), len(t), d), row b bit for bit
+    `loop(s[b]).fn(t)`.  `family_loops` hands a family's loops to transport
+    as one batch that is sampled by one fn call per chunk.
+    """
+
+    d: int
+    loop: object
+    fn: object
+
+    def __call__(self, s):
+        return self.loop(s)
+
+
+@dataclass(frozen=True, eq=False)
+class _FamilyLoops:
+    """The loops family(s) for s in `s` (a tuple), as a sequence: an item
+    is a BaseLoop, a slice is again a _FamilyLoops, and `xv` samples them
+    all."""
+
+    family: LoopFamily
+    s: tuple
+
+    @property
+    def d(self):
+        return self.family.d
+
+    def __len__(self):
+        return len(self.s)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _FamilyLoops(self.family, self.s[i])
+        return self.family(self.s[i])
+
+    def xv(self, t):
+        """Positions and velocities of every loop at the 1-d times t, of
+        shape (len(s), len(t), d), bit for bit each loop's own `xv(t)`."""
+        t = np.asarray(t, dtype=float)
+        x, v = self.family.fn(self.s, _wrap(t))
+        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+        expected = (len(self.s),) + t.shape + (self.d,)
+        if x.shape != expected or v.shape != expected:
+            raise ValueError(f"family samples have shapes {x.shape} and "
+                             f"{v.shape}, expected {expected}")
+        return x, v
+
+
+def family_loops(family, s):
+    """The loops family(x) for x in s, as a batch for `parallel_transport`,
+    `holonomy` and `chern_winding`: a LoopFamily's loops are sampled by one
+    broadcast call per chunk, any other callable's one loop at a time."""
+    if isinstance(family, LoopFamily):
+        return _FamilyLoops(family, tuple(s))
+    return [family(x) for x in s]
+
+
 def latitude_family():
     """Latitude circles on the unit sphere, swept from south pole to north.
 
     family(s) is the counterclockwise latitude circle at polar angle
-    u = pi (1 - s).  family(1) is the constant loop at the north pole;
-    family(0) circles the monopole's Dirac string at radius sin(pi) ~
-    1.2e-16, where its holonomy e^{-2 pi i q} is 1, so a holonomy along
-    the family is a closed path in U(1).  Under the monopole(q) preset the
-    winding of that path is exactly q.
+    u = pi (1 - s), `latitude_loop(u)`.  family(1) is the constant loop at
+    the north pole; family(0) circles the monopole's Dirac string at radius
+    sin(pi) ~ 1.2e-16, where its holonomy e^{-2 pi i q} is 1, so a holonomy
+    along the family is a closed path in U(1).  Under the monopole(q)
+    preset the winding of that path is exactly q.
+
+    The family is a LoopFamily: its broadcast sampler takes sin u and cos u
+    per loop by `math`, as latitude_loop does, and cos and sin of 2 pi t
+    once for all the loops, so each loop's samples are latitude_loop's bit
+    for bit.
     """
+    w = 2.0 * math.pi
 
-    def family(s):
-        return latitude_loop(math.pi * (1.0 - s))
+    def fn(s, t):
+        u = [math.pi * (1.0 - x) for x in s]
+        su = np.array([math.sin(a) for a in u])[:, None]
+        cu = np.array([math.cos(a) for a in u])[:, None]
+        c, sn = np.cos(w * t), np.sin(w * t)
+        x = np.empty(su.shape[:1] + t.shape + (3,))
+        v = np.empty_like(x)
+        x[..., 0], x[..., 1], x[..., 2] = su * c, su * sn, cu
+        v[..., 0], v[..., 1], v[..., 2] = -w * su * sn, w * su * c, 0.0
+        return x, v
 
-    return family
+    return LoopFamily(3, lambda s: latitude_loop(math.pi * (1.0 - s)), fn)
 
 
 def chern_winding(conn, family, N=256):
     """(winding of s -> holonomy(family(s)), turns, rho) for a U(1)
     connection, read from the step offsets of family(0.0) and family(1.0),
-    transported as one batch.
+    transported as one batch (`family_loops`).
 
     A loop's holonomy is e^{i Phi}, Phi the sum of the principal angles of
     its N step propagators: i times the flux of dA it encloses, continuous
@@ -681,10 +800,10 @@ def chern_winding(conn, family, N=256):
     """
     if conn.n != 1:
         raise ValueError("winding needs a U(1) connection (n = 1)")
-    loops, _ = _batch(conn, [family(0.0), family(1.0)], N)
+    loops, _ = _batch(conn, family_loops(family, (0.0, 1.0)), N)
 
     def run(chunk):
-        D, M = _step_offsets(conn, [one.xv for one in chunk], N)
+        D, M = _step_offsets(conn, _samplers(chunk), N)
         return np.angle(1.0 + D[0, 0]).sum(-1), np.abs(M).max()
 
     parts = _in_chunks(run, loops, N)

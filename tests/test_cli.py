@@ -833,6 +833,24 @@ class TestObstruction:
 
 
 class TestTwistcheck:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("band", range(7))
+    def test_test_loop_is_the_per_frequency_draw(self, dim, band):
+        # one draw for the band takes the stream a draw of the real, then
+        # the imaginary parts per frequency took: the same coefficients bit
+        # for bit, and the generator left where it was
+        one, per_key = (np.random.default_rng(10 * band + dim)
+                        for _ in range(2))
+        loop = cli._random_loop(one, dim, band)
+        old = fourier.TruncatedLoop(dim, {
+            k: per_key.normal(size=dim) + 1j * per_key.normal(size=dim)
+            for k in range(-band, band + 1)})
+        assert (loop.n, loop.kmin) == (old.n, old.kmin) == (dim, -band)
+        assert np.array_equal(loop.data.view(np.uint64),
+                              old.data.view(np.uint64))
+        assert np.array_equal(np.array(one.normal()).view(np.uint64),
+                              np.array(per_key.normal()).view(np.uint64))
+
     def test_flat_machine_precision(self, capsys):
         code, rep = run_cli(capsys,
                             ["twistcheck", "--preset", "flat", "--n", "2",
@@ -1498,6 +1516,36 @@ reports = st.recursive(
     lambda inner: (st.lists(inner, max_size=4)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
     max_leaves=30)
+
+
+class TestReportCollection:
+    """A command builds, lays out and frees its report with the collector
+    paused."""
+
+    def test_subspace_loop_report_built_without_collection(self, tmp_path,
+                                                           capsys):
+        # the benchmark's n = 3, depth 8 window of a band-4 loop: its
+        # element alone sets off collections when built with the collector
+        # on, and none while the command runs
+        frame = window_frame(random_loop(3, 4, seed=0), 8)
+        src = write_json(tmp_path / "frame.json",
+                         subspaces.frame_to_dict(frame))
+        assert gc.isenabled()
+        code, collections = collections_during(
+            cli.main, ["subspace-loop", src, "--no-meta"])
+        out = capsys.readouterr().out
+        assert code == 0 and collections == 0
+        assert gc.isenabled()
+        report = json.loads(out)
+        assert out == reference_dump(report)
+        g = loopgroup.element_from_dict(report["element"])
+        assert collections_during(loopgroup.element_to_dict, g)[1] > 0
+
+    def test_collector_restored_on_refusal(self, tmp_path, capsys):
+        src = write_json(tmp_path / "frame.json", {"n": 0, "columns": []})
+        assert cli.main(["subspace-loop", src, "--no-meta"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert gc.isenabled()
 
 
 class TestDump:

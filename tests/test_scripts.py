@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,50 @@ def test_report_digests_cover_every_command(tmp_path):
             assert name.endswith((" (exit 0)", " csv")), name
     assert refusals == 2 * 5
     assert not list(tmp_path.iterdir())  # the CSVs are removed
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=test", "-c",
+                    "user.email=test@example.com", "-c",
+                    "commit.gpgsign=false", *args],
+                   cwd=repo, check=True, capture_output=True)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_report_digests_against_a_base_commit(tmp_path):
+    # a commit of this tree's files against its clean working tree reads
+    # the same; one perturbed constant of su2sample is caught, naming the
+    # reports it changed, with exit 1
+    tree = tmp_path / "tree"
+    skip = shutil.ignore_patterns("__pycache__", "out")
+    for part in ("src", "scripts", "perfbench", "tests/golden"):
+        shutil.copytree(ROOT / part, tree / part, ignore=skip)
+    git(tree, "init", "-q")
+    git(tree, "add", "-A")
+    git(tree, "commit", "-q", "-m", "base")
+    script = [sys.executable, str(tree / "scripts" / "report_digests.py"),
+              str(tmp_path / "inputs"), "--base", "HEAD"]
+    same = subprocess.run(script, capture_output=True, text=True, timeout=300)
+    assert same.returncode == 0, same.stderr
+    # the lines of test_report_digests_cover_every_command, and a
+    # subspace-loop and an audit report per written input seed
+    golden = len(list((ROOT / "tests" / "golden").glob("*.json")))
+    count = 2 * (5 + 1) + 6 + 2 + golden + 1 + 2 * 5 + 2 * 2
+    assert same.stdout.splitlines() == [
+        f"{count} report lines, the same in HEAD and the working tree"]
+    source = tree / "src" / "loopfiber" / "transport.py"
+    text = source.read_text()
+    assert text.count("a2 = v1 * 0.4\n") == 1
+    source.write_text(text.replace("a2 = v1 * 0.4\n",
+                                   "a2 = v1 * 0.4000000000000001\n"))
+    caught = subprocess.run(script, capture_output=True, text=True,
+                            timeout=300)
+    assert caught.returncode == 1, caught.stderr
+    lines = caught.stdout.splitlines()
+    assert lines[:2] == ["--- base HEAD", "+++ working tree"]
+    changed = [line for line in lines[2:] if line[0] in "-+"]
+    assert changed and all("su2sample" in line for line in changed)
+    assert any("holonomy-su2sample-N1000" in line for line in changed)
 
 
 def test_bench_pairs_summary():

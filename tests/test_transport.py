@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from loopfiber import transport
 from loopfiber.errors import NonAntiHermitianSample, PhaseStepTooLarge
@@ -20,12 +22,14 @@ from loopfiber.loopgroup import _block_major, _entry_major, _polar
 from loopfiber.transport import (
     BaseLoop,
     ConnectionSpec,
+    LoopFamily,
     TransportFrame,
     _prefix_products,
     _step_offsets,
     _tree_product,
     abelian2d,
     chern_winding,
+    family_loops,
     flat,
     holonomy,
     latitude_family,
@@ -39,7 +43,8 @@ from loopfiber.transport import (
     transport_reversed,
 )
 
-from util import S1, S2, S3, loop_from_function, su2sample_curvature
+from util import (S1, S2, S3, constant_generator, gauge_transformed,
+                  loop_from_function, pauli_gauge, su2sample_curvature)
 
 
 def u1_distance(h, exact):
@@ -595,17 +600,6 @@ def sequential_transport(conn, loop, N):
     return np.array(Ts), R
 
 
-def constant_generator(K):
-    """The form A = K (x dy - y dx) for a constant anti-Hermitian K."""
-    K = np.asarray(K, dtype=complex)
-
-    def form(x, v):
-        num = x[..., 0] * v[..., 1] - x[..., 1] * v[..., 0]
-        return num[..., None, None] * K
-
-    return ConnectionSpec(len(K), 2, form, name=f"constant-n{len(K)}")
-
-
 def anti_hermitian(n, seed):
     Z = np.random.default_rng(seed).standard_normal((n, 2 * n)).view(complex)
     return 0.5 * (Z - Z.conj().T)
@@ -660,6 +654,38 @@ class TestConstantGenerator:
         assert np.abs(holonomy(conn, loop, N=2048) - exact).max() < 1e-10
         # a coarse grid misses it by RK4's error, so the oracle is not vacuous
         assert np.abs(holonomy(conn, loop, N=16) - exact).max() > 1e-8
+
+
+class TestGaugeCovariance:
+    """A nonabelian closed form: under a gauge g the holonomy from x0 turns
+    into g(x0) Hol g(x0)^-1, checked for the Pauli gauge of tests/util.py,
+    whose transformed form takes noncommuting values along the loop."""
+
+    @staticmethod
+    def cases():
+        K = 1j * (0.3 * S1 - 0.2 * S2 + 0.5 * S3)
+        return {
+            # Hol by its closed form: the loop is an origin-centred circle
+            "constant": (constant_generator(K), BaseLoop.circle(0.7),
+                         constant_generator_holonomy(K, 0.7)),
+            # Hol by transport, on the fine grid
+            "su2sample": (su2sample(),
+                          BaseLoop.circle(1.3, center=(0.2, -0.1)), None),
+        }
+
+    @pytest.mark.parametrize("name", ["constant", "su2sample"])
+    def test_holonomy_conjugated_by_the_gauge_at_the_base_point(self, name):
+        conn, loop, exact = self.cases()[name]
+        g, dg = pauli_gauge()
+        gauged = gauge_transformed(conn, g, dg)
+        A = gauged.form(*loop.xv(np.array([0.1, 0.4])))
+        assert np.abs(A[0] @ A[1] - A[1] @ A[0]).max() > 0.1
+        G0 = g(loop.point(0.0))
+        hol = exact if exact is not None else holonomy(conn, loop, N=8192)
+        expected = G0 @ hol @ G0.conj().T
+        assert np.abs(holonomy(gauged, loop, N=8192) - expected).max() < 1e-12
+        # a coarse grid misses it by RK4's error, so the oracle is not vacuous
+        assert np.abs(holonomy(gauged, loop, N=64) - expected).max() > 1e-7
 
 
 class TestBatchedTransport:
@@ -943,6 +969,137 @@ class TestFamilyBatch:
     def test_empty_batch(self):
         assert parallel_transport(su2sample(), [], N=8) == []
         assert holonomy(su2sample(), [], N=8).shape == (0, 2, 2)
+
+
+def block_major_flat(n):
+    """flat's form as it was written before its entry-major layout."""
+    def form(x, v):
+        return np.zeros(x.shape[:-1] + (n, n), dtype=complex)
+
+    return form
+
+
+def block_major_su2sample(x, v):
+    """su2sample's form as it was written before its entry-major layout."""
+    x0, x1, v0, v1 = x[..., 0], x[..., 1], v[..., 0], v[..., 1]
+    a1 = v0 * 0.3 - v1 * (0.1 * x0)
+    a2 = v1 * 0.4
+    a3 = v0 * (0.2 * x1) + v1 * 0.15
+    A = np.zeros(np.shape(a1) + (2, 2), dtype=complex)
+    A.imag[..., 0, 0], A.imag[..., 1, 1] = a3, -a3
+    A.imag[..., 0, 1] = A.imag[..., 1, 0] = a1
+    A.real[..., 0, 1], A.real[..., 1, 0] = a2, -a2
+    return A
+
+
+def bits(a):
+    """The bit patterns of an array of floats or complex numbers, signs of
+    zero and NaN payloads included."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def remainder_wrap(t):
+    """The wrap BaseLoop.xv took as t % 1.0, with 1.0 kept."""
+    return np.where(t == 1.0, 1.0, t % 1.0)
+
+
+class TestSamplingBits:
+    """Each sampling pass gives the bits of its plain form: the floor wrap
+    those of the remainder, the entry-major preset forms those of their
+    block-major forms, and a family sampled in one broadcast call those of
+    its loops sampled one at a time."""
+
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=32),
+           st.floats(min_value=0.0, max_value=1.0))
+    @example([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324,
+              -5e-324, 2.0 ** 53, -2.0 ** 53, 1.0 - 2.0 ** -53, -1e-20,
+              0.75], 0.25)
+    def test_wrap_is_the_remainder(self, ts, s0):
+        t = np.array(ts)
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(bits(transport._wrap(t)),
+                                  bits(remainder_wrap(t)))
+            # the loop's fn sees the wrapped t; a rotated loop wraps t + s0
+            loop = BaseLoop(1, lambda u: (u[..., None], u[..., None]))
+            assert np.array_equal(bits(loop.xv(t)[0][..., 0]),
+                                  bits(remainder_wrap(t)))
+            rotated = loop.rotated(s0).fn(t)[0][..., 0]
+            assert np.array_equal(bits(rotated), bits((t + s0) % 1.0))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (9,), (3, 5)])
+    @pytest.mark.parametrize("name", ["flat", "su2sample"])
+    def test_preset_form_is_its_block_major_form(self, name, shape):
+        rng = np.random.default_rng(len(shape))
+        x = rng.normal(size=shape + (2,)) * 3.0
+        v = rng.normal(size=shape + (2,)) * 3.0
+        x[..., 0].flat[0] = -0.0  # a signed zero goes through as it is
+        conn, old = {"flat": (flat(n=3), block_major_flat(3)),
+                     "su2sample": (su2sample(), block_major_su2sample)}[name]
+        A = conn.form(x, v)
+        assert A.shape == shape + (conn.n, conn.n) and A.dtype == complex
+        assert np.array_equal(bits(A), bits(old(x, v)))
+        # the view of an entry-major array: transport reads it contiguously
+        assert np.moveaxis(A, (-2, -1), (0, 1)).flags.c_contiguous
+
+    @pytest.mark.parametrize("M", [1, 2, 8, 64])
+    @pytest.mark.parametrize("N", [16, 256])
+    def test_family_samples_are_its_loops_samples(self, M, N):
+        fam = latitude_family()
+        s = [j / M for j in range(M + 1)]
+        loops = family_loops(fam, s)
+        ts = np.linspace(0.0, 1.0, 2 * N + 1)
+        for nodes in (ts, ts[1::2]):  # a run's nodes and a refinement's
+            x, v = loops.xv(nodes)
+            assert x.shape == v.shape == (M + 1, len(nodes), 3)
+            for b, one in enumerate(s):
+                xb, vb = fam(one).xv(nodes)
+                assert np.array_equal(bits(x[b]), bits(xb))
+                assert np.array_equal(bits(v[b]), bits(vb))
+        alone = holonomy(monopole(1), [fam(one) for one in s], N)
+        assert np.array_equal(bits(holonomy(monopole(1), loops, N)),
+                              bits(alone))
+
+    def test_family_sampled_once_per_chunk(self, monkeypatch):
+        # 9 loops of 2 N + 1 = 33 nodes in chunks of 4: one sampler call
+        # and one form call per chunk, and each loop's holonomy its own
+        fam, calls, nodes = latitude_family(), [], []
+
+        def fn(s, t):
+            calls.append((list(s), len(t)))
+            return fam.fn(s, t)
+
+        def form(x, v):
+            nodes.append(len(x))
+            return monopole(2).form(x, v)
+
+        counted = LoopFamily(3, fam.loop, fn)
+        conn = ConnectionSpec(1, 3, form)
+        monkeypatch.setattr(transport, "TRANSPORT_NODE_BUDGET", 4 * 33)
+        s = [j / 8 for j in range(9)]
+        hols = holonomy(conn, family_loops(counted, s), N=16)
+        assert calls == [(s[:4], 33), (s[4:8], 33), (s[8:], 33)]
+        assert nodes == [4 * 33, 4 * 33, 33]
+        for one, hol in zip(s, hols):
+            assert np.array_equal(hol, holonomy(monopole(2), fam(one), N=16))
+        frames = parallel_transport(conn, family_loops(counted, s[:2]), N=16)
+        assert [frame.loop.d for frame in frames] == [3, 3]
+
+    def test_family_sample_shapes_checked(self):
+        def fn(s, t):
+            x = np.zeros((len(s), len(t), 2))
+            return x, x
+
+        family = LoopFamily(3, latitude_family().loop, fn)
+        with pytest.raises(ValueError, match=r"family samples have shapes "
+                           r"\(2, 5, 2\) and \(2, 5, 2\), expected "
+                           r"\(2, 5, 3\)"):
+            family_loops(family, [0.0, 1.0]).xv(np.linspace(0.0, 1.0, 5))
+
+    def test_plain_callable_family_is_a_list(self):
+        fam = latitude_family()
+        loops = family_loops(lambda s: fam(s), [0.0, 0.5])
+        assert isinstance(loops, list) and len(loops) == 2
+        assert all(isinstance(one, BaseLoop) for one in loops)
 
 
 class TestCsv:

@@ -42,7 +42,8 @@ from loopfiber.twistbundle import (
     untwisted_comparison,
 )
 
-from util import loop_allclose
+from util import (S1, S2, S3, constant_generator, gauge_transformed,
+                  loop_allclose, pauli_gauge)
 
 N = 256
 
@@ -342,6 +343,32 @@ class TestComparison:
     def test_identical_frames_give_identity(self, su2_frame):
         H = untwisted_comparison(su2_frame, su2_frame)
         assert np.linalg.norm(H - np.eye(2), axis=(1, 2)).max() < 1e-12
+
+
+class TestGaugeCovariance:
+    """The twist against an independent value: under a gauge g the frame
+    becomes g(x(t)) T(t) g(x(0))^-1, so the twist T Hol T^-1 becomes
+    g tau g^-1 at every grid point."""
+
+    @pytest.mark.parametrize("name", ["constant", "su2sample"])
+    def test_twist_conjugated_pointwise(self, name):
+        conn = {"constant": constant_generator(
+                    1j * (0.3 * S1 - 0.2 * S2 + 0.5 * S3)),
+                "su2sample": su2sample()}[name]
+        loop = BaseLoop.circle(1.3, center=(0.2, -0.1))
+        g, dg = pauli_gauge()
+        G = g(loop.point(np.arange(4096) / 4096))
+        GH = np.conj(np.swapaxes(G, -1, -2))
+        for steps, within in ((4096, lambda err: err < 1e-10),
+                              (256, lambda err: err > 1e-8)):
+            tau = holonomy_twist(parallel_transport(conn, loop, N=steps))
+            gauged = holonomy_twist(parallel_transport(
+                gauge_transformed(conn, g, dg), loop, N=steps))
+            grid = slice(None, None, 4096 // steps)
+            err = np.abs(gauged.values
+                         - G[grid] @ tau.values @ GH[grid]).max()
+            # the coarse grid misses by RK4's error: the check is not vacuous
+            assert within(err), (steps, err)
 
 
 class TestIdentityTwist:
