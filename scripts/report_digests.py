@@ -19,6 +19,16 @@ unified diff, and exits 1 on any difference (0 when every line is equal):
 
     python scripts/report_digests.py DIR --base HEAD~1
 
+A change that alters answers on purpose names the reports it changes:
+with `--expect-changed NAME ...` a differing line of a listed report (the
+name as printed, without its `(exit N)`, `stderr` or `csv` suffix) is
+expected, and the exit is 0 only when every differing line is listed and
+every listed report differs; a listed report that does not change is an
+error too:
+
+    python scripts/report_digests.py DIR --base HEAD~1 \
+        --expect-changed golden-subspace-loop-filtration-n3
+
 The list is the commands of the benchmark's transport and `cold-cli`
 workloads (perfbench/workloads.py), a few transport commands on other
 grids, five transport commands refused as input (exit 2, one `error:`
@@ -196,9 +206,18 @@ def tree_digests(tree, workdir, *options):
             if not line.split("  ", 1)[-1].startswith("input ")]
 
 
-def compare_with(base, workdir):
+def report_name(line):
+    """The command name of a digest line, without its suffix."""
+    name = line.split("  ", 1)[-1]
+    for suffix in (" stderr", " csv"):
+        name = name.removesuffix(suffix)
+    return name.split(" (exit ", 1)[0]
+
+
+def compare_with(base, workdir, expected=()):
     """Print the diff of the report lines of commit `base` and of this tree,
-    on inputs written once by `base`; 1 if any line differs, else 0."""
+    on inputs written once by `base`; 1 unless the reports that differ are
+    exactly the `expected` names, else 0."""
     sys.path.insert(0, str(ROOT / "scripts"))
     from bench_pairs import export_revision
 
@@ -211,8 +230,24 @@ def compare_with(base, workdir):
                                      "working tree", lineterm="", n=0))
     if diff:
         print("\n".join(diff))
+    changed = {report_name(line[1:]) for line in diff[2:]
+               if line.startswith(("-", "+"))}
+    unexpected = sorted(changed - set(expected))
+    unchanged = sorted(set(expected) - changed)
+    for name in unexpected:
+        print(f"error: {name} changed, and --expect-changed does not name "
+              f"it", file=sys.stderr)
+    for name in unchanged:
+        print(f"error: {name} is named by --expect-changed but did not "
+              f"change", file=sys.stderr)
+    if unexpected or unchanged:
         return 1
-    print(f"{len(new)} report lines, the same in {base} and the working tree")
+    if changed:
+        print(f"{len(changed)} reports changed, each named by "
+              f"--expect-changed")
+    else:
+        print(f"{len(new)} report lines, the same in {base} and the "
+              f"working tree")
     return 0
 
 
@@ -225,9 +260,15 @@ def main():
     ap.add_argument("--base", metavar="REV",
                     help="compare the commit REV with the working tree; "
                          "exit 1 on any difference")
+    ap.add_argument("--expect-changed", metavar="NAME", nargs="+",
+                    default=(), help="with --base: the reports that must "
+                                     "differ, and the only ones that may")
     args = ap.parse_args()
+    if args.expect_changed and args.base is None:
+        ap.error("--expect-changed needs --base")
     if args.base is not None:
-        sys.exit(compare_with(args.base, Path(args.dir).resolve()))
+        sys.exit(compare_with(args.base, Path(args.dir).resolve(),
+                              args.expect_changed))
     os.makedirs(args.dir, exist_ok=True)
     os.chdir(args.dir)
     sys.path.insert(0, str(ROOT / "perfbench"))

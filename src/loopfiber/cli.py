@@ -591,6 +591,10 @@ def cmd_audit(args):
                 "variation": exc.variation,
                 "winding_sum": exc.winding_sum,
             }
+            if exc.uncarried is not None:
+                edge, residual = exc.uncarried
+                payload["reduction"].update(uncarried_edge=list(edge),
+                                            carry_residual=residual)
             code = EXIT_AUDIT
         else:
             payload["reduction"] = cert.to_dict()

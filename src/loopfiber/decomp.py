@@ -22,15 +22,17 @@ certificate takes its module constant as its tolerance.
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import orjson
 
 from .errors import (
     IntersectionDimension,
     NonConstantReducedTransition,
     UnitarityViolation,
 )
-from .fourier import _integer, _to_pairs, basis_loop
+from .fourier import _convolve, _integer, _to_pairs, basis_loop
 from .loopgroup import (
     UNITARITY_TOL,
+    _block_major,
     _polar,
     _stack_defect,
     constant_element,
@@ -285,9 +287,11 @@ def reduction_cocycle(audit):
     constant in the loop parameter; the constants form the reduced cocycle.
     A variation above VARIATION_TOL raises NonConstantReducedTransition
     carrying the total determinant winding of the input transitions, the
-    integer obstruction that forbids any such reduction.  A mean with a
-    unitarity defect above 2 var + var^2 + UNITARITY_TOL, more than a
-    unitary loop within var of it allows, raises ValueError.
+    integer obstruction that forbids any such reduction, and the first
+    edge whose transition does not carry its window, if any (_uncarried).
+    A mean with a unitarity defect above 2 var + var^2 + UNITARITY_TOL,
+    more than a unitary loop within var of it allows, raises ValueError.
+    The means of all edges take their polar factors in one call.
 
     The loops' determinant windings, read from their bands (det_winding),
     are taken after every edge has reduced: a loop lent without being
@@ -303,7 +307,7 @@ def reduction_cocycle(audit):
         if not (defect <= UNITARITY_TOL):
             raise ValueError(f"transition {e_idx} on edge {fam.edges[e_idx]} "
                              f"is not unitary: defect {defect:.3e}")
-    constants = []
+    means = []
     variations = []
     for e_idx, (i, j) in enumerate(fam.edges):
         c = fam.transitions[e_idx]
@@ -311,16 +315,40 @@ def reduction_cocycle(audit):
         var, mean = theta_variation(reduced)
         if not (var <= VARIATION_TOL):
             total = sum(det_winding(t) for t in fam.transitions)
-            raise NonConstantReducedTransition((i, j), var, winding_sum=total)
+            raise NonConstantReducedTransition(
+                (i, j), var, winding_sum=total, uncarried=_uncarried(fam))
         defect = _stack_defect(mean[None])[0]
         if not (defect <= 2.0 * var + var * var + UNITARITY_TOL):
             raise ValueError(f"transition {e_idx} on edge {(i, j)} is not "
                              f"unitary: reduced mean defect {defect:.3e}")
-        constants.append(_polar(mean))
+        means.append(mean)
         variations.append(float(var))
-    return ReductionCertificate(fam.edges, tuple(constants),
+    # one polar for every edge: each matrix's factor is its own alone
+    constants = (tuple(_block_major(_polar(np.stack(means, axis=-1))))
+                 if means else ())
+    return ReductionCertificate(fam.edges, constants,
                                 tuple(variations), gammas,
                                 tuple(det_winding(g) for g in gammas))
+
+
+def _uncarried(fam):
+    """(edge, r_e) of the first edge (x, y) whose transition c does not
+    carry window x into window y, or None: r_e is the largest norm, over
+    the depth-P frame columns w of window x, of the part of c w outside
+    window y, and the edge is named when it is above SHIFT_RESIDUAL_TOL.
+    Only a failed reduction asks, so passing runs build no frame."""
+    frames = {}
+    for c, edge in zip(fam.transitions, fam.edges):
+        for x in edge:
+            if x not in frames:
+                frames[x] = expand_filtration(fam.psi[x])
+        W = frames[edge[0]].stack
+        kmin, cw = _convolve(c.kmin, c.data, W.kmin, W.data)
+        r = float(_residual_norms(frames[edge[1]],
+                                  W._replace(kmin=kmin, data=cw)).max())
+        if not (r <= SHIFT_RESIDUAL_TOL):
+            return edge, r
+    return None
 
 
 def build_model_decomposition(U_cocycle, depth=3):
@@ -370,12 +398,36 @@ def family_to_dict(fam):
     }
 
 
+def _windows_from_dicts(dicts):
+    """filtration_from_dict of each entry, each distinct entry read once:
+    an entry with the bytes orjson writes for an earlier one shares that
+    one's window.  Equal bytes give an equal read, and true and 1, -0.0
+    and 0.0 or reordered keys are written apart.  An entry orjson cannot
+    write (a subclass, an int beyond 64 bits) or that holds null, which
+    orjson writes for None, NaN and inf alike, is read on its own."""
+    windows = {}
+    psi = []
+    for f in dicts:
+        try:
+            key = orjson.dumps(f, option=orjson.OPT_PASSTHROUGH_SUBCLASS)
+        except TypeError:  # orjson.JSONEncodeError
+            key = None
+        if key is None or b"null" in key:
+            window = filtration_from_dict(f)
+        elif (window := windows.get(key)) is None:
+            window = windows[key] = filtration_from_dict(f)
+        psi.append(window)
+    return tuple(psi)
+
+
 def family_from_dict(d):
+    """Inverse of family_to_dict; equal windows are read once and shared
+    (_windows_from_dicts)."""
     transitions = d.get("transitions")
     return SubspaceFamily(
         points=tuple(d["points"]),
         edges=tuple(tuple(e) for e in d["edges"]),
-        psi=tuple(filtration_from_dict(f) for f in d["psi"]),
+        psi=_windows_from_dicts(d["psi"]),
         transitions=(None if transitions is None
                      else tuple(element_from_dict(c) for c in transitions)),
     )

@@ -82,13 +82,19 @@ class NonConstantReducedTransition(LoopFiberError):
 
     Carries the offending edge, the measured variation, and the total
     determinant winding of the input transitions, which is the obstruction
-    that forbids a constant reduction.
+    that forbids a constant reduction; and `uncarried`, the (edge,
+    residual) of the first transition that does not carry its window onto
+    the next, when there is one (else None): then no reduction can exist.
     """
 
-    def __init__(self, edge, variation, winding_sum):
+    def __init__(self, edge, variation, winding_sum, uncarried=None):
         self.edge = edge
         self.variation = variation
         self.winding_sum = winding_sum
-        super().__init__(
-            f"reduced transition on edge {edge} varies by {variation:.3e} "
-            f"(total det winding {winding_sum})")
+        self.uncarried = uncarried
+        message = (f"reduced transition on edge {edge} varies by "
+                   f"{variation:.3e} (total det winding {winding_sum})")
+        if uncarried is not None:
+            message += (f"; the transition on edge {uncarried[0]} does not "
+                        f"carry its window: residual {uncarried[1]:.3e}")
+        super().__init__(message)

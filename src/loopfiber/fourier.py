@@ -133,10 +133,16 @@ class _BandedLoop:
 
     def grid_samples(self, N):
         """Exact values at theta_j = 2 pi j / N, shape (N,) + block, by FFT
-        binning: folding frequencies mod N keeps the grid values for any N."""
+        binning: folding frequencies mod N keeps the grid values for any N.
+        A band of at most N frequencies lands in distinct bins, so it is
+        written, not added: c + 0.0 has the bits of np.add.at's 0 + c."""
         bins = np.zeros((N,) + self.data.shape[1:], dtype=complex)
-        ks = self.kmin % N + np.arange(len(self.data))  # kmin may exceed int64
-        np.add.at(bins, ks % N, self.data)
+        # kmin may exceed int64
+        ks = (self.kmin % N + np.arange(len(self.data))) % N
+        if len(self.data) <= N:
+            bins[ks] = self.data + 0.0
+        else:
+            np.add.at(bins, ks, self.data)
         return np.fft.ifft(bins, axis=0) * N
 
 
@@ -205,7 +211,8 @@ class TruncatedLoop(_BandedLoop):
         if other.n != self.n:
             raise ValueError("dimension mismatch")
         both = stack_columns([self, other])
-        return TruncatedLoop.from_band(self.n, both.kmin, both.data.sum(axis=2))
+        return TruncatedLoop.from_band(self.n, both.kmin,
+                                       both.data[..., 0] + both.data[..., 1])
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -384,11 +391,13 @@ def _bands_from_pairs(dicts, n, block_ndim):
         raise ValueError("coefficients are not [re, im] pairs")
     blocks = flat.view(complex).reshape((len(values),) + block)
     column = np.repeat(np.arange(len(dicts)), list(map(len, dicts)))
-    # the last block of each (column, frequency) is the first in reverse
-    _, first = np.unique((column * len(distinct) + rank)[::-1],
-                         return_index=True)
-    kept = np.zeros(len(keys), dtype=bool)
-    kept[len(keys) - 1 - first] = True
+    if len(spellings) == len(distinct):  # one spelling each: no repeats
+        kept = np.ones(len(keys), dtype=bool)
+    else:  # the last block of each (column, frequency) is the first in reverse
+        _, first = np.unique((column * len(distinct) + rank)[::-1],
+                             return_index=True)
+        kept = np.zeros(len(keys), dtype=bool)
+        kept[len(keys) - 1 - first] = True
     live = kept & blocks.any(axis=tuple(range(1, blocks.ndim)))
     if not live.any():
         return 0, np.zeros((0,) + block + (len(dicts),), dtype=complex)

@@ -1107,6 +1107,24 @@ class TestAudit:
         assert red["variation"] > 0.1
         assert "failed" in red
 
+    def test_uncarried_window_named_exit5(self, capsys, tmp_path):
+        # the golden constant family with transition 0 set to diag(z, 1/z):
+        # its reduction varies, and the report names edge (0, 1), whose
+        # transition does not carry window 0 onto window 1
+        fam = golden_family()
+        fam["transitions"][0]["mcoeffs"] = {
+            "1": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            "-1": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+        src = write_json(tmp_path / "fam.json", fam)
+        code, rep = run_cli(capsys, ["audit", src, "--no-meta"])
+        red = rep["reduction"]
+        assert code == 5 and not rep["all_ok"] and rep["audit"]["axioms_ok"]
+        assert red["edge"] == red["uncarried_edge"] == [0, 1]
+        assert 0.5 < red["carry_residual"] < 1.0
+        assert red["failed"].endswith(
+            f"; the transition on edge (0, 1) does not carry its window: "
+            f"residual {red['carry_residual']:.3e}")
+
     @pytest.mark.parametrize("mcoeffs,defect", [
         ({}, "1.414e+00"),                                 # ||0 - I||
         ({"0": [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]}, "4.243e+00"),  # 2 I
@@ -1189,7 +1207,8 @@ class TestAudit:
         code, rep = run_cli(capsys, ["audit", src, "--no-meta"])
         assert code == 5
         assert rep["audit"]["axioms_ok"]
-        assert "failed" in rep["reduction"]
+        assert set(rep["reduction"]) == {"failed", "edge", "variation",
+                                         "winding_sum"}
         assert not rep["all_ok"]
 
     def test_dependent_generators_exit2(self, capsys, tmp_path):

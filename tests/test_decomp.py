@@ -23,6 +23,7 @@ from loopfiber.decomp import (
 from loopfiber.errors import NonConstantReducedTransition
 from loopfiber.fourier import basis_loop, shift, TruncatedLoop
 from loopfiber.loopgroup import (
+    _polar,
     apply,
     constant_element,
     diag_zpowers,
@@ -513,3 +514,260 @@ class TestFamilyStructure:
         back = family_from_dict(json.loads(json.dumps(family_to_dict(fam))))
         assert back.transitions is None
         assert audit_family(back).all_ok
+
+
+def twisted_window(seed, depth=3):
+    g = random_loop(2, band=2, seed=seed)
+    return FiltrationSubspace([g.column(j) for j in range(2)], depth)
+
+
+class TestWindowReads:
+    """family_from_dict reads each distinct window entry once."""
+
+    @staticmethod
+    def family(windows):
+        m = len(windows)
+        return {"points": list(range(m)),
+                "edges": [[i, (i + 1) % m] for i in range(m)],
+                "psi": windows, "transitions": None}
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The window dicts decomp reads, in order."""
+        read = []
+
+        def counted(d):
+            read.append(d)
+            return filtration_from_dict(d)
+        monkeypatch.setattr(decomp, "filtration_from_dict", counted)
+        return read
+
+    def test_equal_entries_share_one_read(self, reads):
+        a, b = (json.loads(json.dumps(filtration_to_dict(
+            twisted_window(seed)))) for seed in (3, 4))
+        fam = family_from_dict(self.family([a, b, json.loads(json.dumps(a)),
+                                            a, b]))
+        assert reads == [a, b]
+        assert fam.psi[0] is fam.psi[2] is fam.psi[3]
+        assert fam.psi[1] is fam.psi[4] and fam.psi[0] is not fam.psi[1]
+        # the same windows as reading each entry on its own
+        for f, d in zip(fam.psi, [a, b, a, a, b]):
+            assert _window_key(f) == _window_key(filtration_from_dict(d))
+
+    def test_signed_zero_and_key_order_read_apart(self, reads):
+        a = filtration_to_dict(TestWindowKey.window(0.0))
+        minus = filtration_to_dict(TestWindowKey.window(-0.0))
+        swapped = {"depth": a["depth"], "generators": a["generators"]}
+        fam = family_from_dict(self.family([a, minus, swapped]))
+        assert reads == [a, minus, swapped]
+        assert _window_key(fam.psi[0]) != _window_key(fam.psi[1])
+        assert _window_key(fam.psi[0]) == _window_key(fam.psi[2])
+        assert fam.psi[0] is not fam.psi[2]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(depth=True),
+         "depth must be an integer, got True"),
+        (lambda d: d["generators"][0]["coeffs"]["0"][0].__setitem__(0, True),
+         "coefficient at k=0 holds a value that is not a number"),
+        (lambda d: d["generators"][0].update(n=True),
+         "n must be an integer, got True"),
+    ], ids=["depth", "leaf", "n"])
+    def test_true_for_one_is_refused_after_a_read_window(self, edit,
+                                                         message):
+        # true == 1 in Python, but the entries' bytes differ, so the
+        # refused entry is read on its own and refused as it always was
+        good = filtration_to_dict(FiltrationSubspace(
+            [basis_loop(1)], 1))
+        bad = json.loads(json.dumps(good))
+        edit(bad)
+        assert good == bad  # equal as Python values
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            filtration_from_dict(bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            family_from_dict(self.family([good, bad]))
+
+    class Int(int):
+        pass
+
+    @staticmethod
+    def spelled_twice(first, last):
+        """A window entry whose frequency 1 is spelled "1", then "01"."""
+        return {"generators": [{"n": 1, "coeffs": {
+            "1": [[first, 0.0]], "01": [[last, 0.0]]}}], "depth": 1}
+
+    @pytest.mark.parametrize("good, bad, key", [
+        ((float("nan"), 1.0), (None, 1.0), "1"),
+        ((0.0, 1), (0.0, Int(1)), "01"),
+    ], ids=["null", "subclass"])
+    def test_same_bytes_refused_after_a_read_window(self, reads, good, bad,
+                                                    key):
+        # orjson writes NaN and None both as null, and an int subclass as
+        # its int; the good entry reads (its NaN block is overridden by
+        # "01"), and the bad one, a None or a subclass leaf, is refused
+        good, bad = self.spelled_twice(*good), self.spelled_twice(*bad)
+        family_from_dict(self.family([good, good]))
+        assert len(reads) == (2 if key == "1" else 1)  # no null is shared
+        with pytest.raises(ValueError, match=f"^coefficient at k={key} holds "
+                                             f"a value that is not a number$"):
+            family_from_dict(self.family([good, bad]))
+
+    def test_unwritable_entries_are_read_alone(self, reads):
+        # a depth beyond 64 bits is no orjson int, and a key that is not a
+        # string no JSON key: each such entry is read on its own
+        wide = filtration_to_dict(FiltrationSubspace([basis_loop(1)], 1))
+        wide["depth"] = 10 ** 30
+        keyed = {"generators": [{"n": 1, "coeffs": {0: [[1.0, 0.0]]}}],
+                 "depth": 1}
+        for d in (wide, keyed):
+            fam = family_from_dict(self.family([d, d]))
+            assert reads[-2:] == [d, d]
+            assert fam.psi[0] is not fam.psi[1]
+
+
+class TestReducedConstants:
+    """The constants of every edge take their polar factors in one call,
+    and each is the single matrix's own factor bit for bit."""
+
+    @staticmethod
+    def per_edge_constants(audit):
+        fam, gammas = audit.family, audit.gammas
+        out = []
+        for c, (i, j) in zip(fam.transitions, fam.edges):
+            reduced = multiply(loopgroup.inverse(gammas[j]),
+                               multiply(c, gammas[i]))
+            out.append(_polar(loopgroup.theta_variation(reduced)[1]))
+        return out
+
+    @pytest.mark.parametrize("n, m, seed", [(1, 3, 0), (2, 4, 1), (3, 5, 2),
+                                            (2, 1, 3)])
+    def test_batched_constants_match_per_edge_polar(self, monkeypatch, n, m,
+                                                    seed):
+        rng = np.random.default_rng(seed)
+        g = random_loop(n, band=2, seed=seed)
+        window = FiltrationSubspace([g.column(j) for j in range(n)], 3)
+        transitions = tuple(
+            multiply(g, multiply(constant_element(haar_unitary(n, rng)),
+                                 loopgroup.inverse(g))) for _ in range(m))
+        audit = audit_family(SubspaceFamily(
+            tuple(range(m)), tuple((i, (i + 1) % m) for i in range(m)),
+            (window,) * m, transitions))
+        stacks = []
+
+        def recorded(S):
+            stacks.append(np.shape(S))
+            return _polar(S)
+        monkeypatch.setattr(decomp, "_polar", recorded)
+        cert = reduction_cocycle(audit)
+        assert stacks == [(n, n, m)]
+        for got, want in zip(cert.constants, self.per_edge_constants(audit),
+                             strict=True):
+            assert got.shape == (n, n) and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_no_edges_no_constants(self):
+        fam = SubspaceFamily((0,), (), (plus_window(2),), ())
+        cert = reduction_cocycle(audit_family(fam))
+        assert cert.constants == () and cert.max_variation == 0.0
+
+    @staticmethod
+    def lent(first, second):
+        # loops lent as 2 I make a constant transition's mean 4 times it:
+        # a mean defect; a winding transition still varies
+        window = plus_window(2)
+        fam = SubspaceFamily(
+            points=(0, 1), edges=((0, 1), (1, 0)), psi=(window, window),
+            transitions=(first, second))
+        return replace(audit_family(fam),
+                       gammas=(constant_element(2.0 * np.eye(2)),) * 2)
+
+    def test_mean_defect_at_edge_0_wins_over_variation_at_edge_1(self):
+        audit = self.lent(identity_element(2), diag_zpowers([1, -1]))
+        with pytest.raises(ValueError, match=r"^transition 0 on edge \(0, 1\) "
+                           r"is not unitary: reduced mean defect 2\.121e\+01$"):
+            reduction_cocycle(audit)
+
+    def test_variation_at_edge_0_wins_over_mean_defect_at_edge_1(self):
+        audit = self.lent(diag_zpowers([1, -1]), identity_element(2))
+        with pytest.raises(NonConstantReducedTransition) as info:
+            reduction_cocycle(audit)
+        assert info.value.edge == (0, 1)
+
+
+class TestUncarriedEdge:
+    """A failed reduction names the first transition that does not carry
+    its window onto the next one."""
+
+    @staticmethod
+    def model_with(index, transition, m=3):
+        rng = np.random.default_rng(5)
+        fam = build_model_decomposition(
+            [haar_unitary(2, rng) for _ in range(m)])
+        transitions = list(fam.transitions)
+        transitions[index] = transition
+        return SubspaceFamily(fam.points, fam.edges, fam.psi,
+                              tuple(transitions))
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_oracle_residual_is_one(self, index):
+        # diag(z, 1/z) maps z^P e_1 to z^(P+1) e_1, wholly outside the
+        # standard window span{z^p e_j : p <= P}, and keeps the rest inside
+        fam = self.model_with(index, diag_zpowers([1, -1]))
+        with pytest.raises(NonConstantReducedTransition) as info:
+            reduction_cocycle(audit_family(fam))
+        edge = (index, (index + 1) % 3)
+        assert info.value.uncarried == (edge, 1.0)
+        assert info.value.winding_sum == 0
+        assert str(info.value).endswith(
+            f"; the transition on edge {edge} does not carry its window: "
+            f"residual 1.000e+00")
+
+    def test_first_uncarried_edge_is_named(self):
+        # z I moves the top shifts z^P e_j out of the window, at edges 1
+        # and 2: the first of them is named
+        fam = self.model_with(1, diag_zpowers([1, 1]))
+        transitions = list(fam.transitions)
+        transitions[2] = diag_zpowers([-1, 0])
+        fam = SubspaceFamily(fam.points, fam.edges, fam.psi,
+                             tuple(transitions))
+        with pytest.raises(NonConstantReducedTransition) as info:
+            reduction_cocycle(audit_family(fam))
+        assert info.value.edge == (1, 2)
+        assert info.value.uncarried == ((1, 2), 1.0)
+        assert info.value.winding_sum == 1
+
+    def test_carried_windows_name_no_edge(self, monkeypatch):
+        # transitions that carry their windows but vary by roundoff above
+        # a tolerance of 1e-300: the message is the variation's alone
+        window = twisted_window(23)
+        fam = SubspaceFamily((0, 1), ((0, 1), (1, 0)), (window,) * 2,
+                             (identity_element(2),) * 2)
+        monkeypatch.setattr(decomp, "VARIATION_TOL", 1e-300)
+        with pytest.raises(NonConstantReducedTransition) as info:
+            reduction_cocycle(audit_family(fam))
+        assert info.value.uncarried is None
+        assert str(info.value).endswith("(total det winding 0)")
+
+    def test_uncarried_edge_after_the_failing_one(self, monkeypatch):
+        # c = g diag(z, 1/z) g^-1 does not carry g's window, with the
+        # residual of diag(z, 1/z) on the standard window, 1 to roundoff;
+        # under a variation tolerance of 1e-300 the identity on edge 0
+        # already fails, and the scan still reaches edge 1
+        g = random_loop(2, band=2, seed=31)
+        window = FiltrationSubspace([g.column(j) for j in range(2)], 3)
+        bad = multiply(g, multiply(diag_zpowers([1, -1]),
+                                   loopgroup.inverse(g)))
+        fam = SubspaceFamily((0, 1), ((0, 1), (1, 0)), (window,) * 2,
+                             (identity_element(2), bad))
+        monkeypatch.setattr(decomp, "VARIATION_TOL", 1e-300)
+        with pytest.raises(NonConstantReducedTransition) as info:
+            reduction_cocycle(audit_family(fam))
+        assert info.value.edge == (0, 1)
+        edge, residual = info.value.uncarried
+        assert edge == (1, 0) and residual == pytest.approx(1.0, abs=1e-12)
+
+    def test_passing_reduction_builds_no_frame(self, monkeypatch):
+        def refused(fam):
+            raise AssertionError("a passing reduction looked for an edge")
+        monkeypatch.setattr(decomp, "_uncarried", refused)
+        fam = self.model_with(0, identity_element(2))
+        reduction_cocycle(audit_family(fam))

@@ -1,17 +1,20 @@
+import itertools
 import json
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopfiber.fourier import (TruncatedLoop, basis_loop, constant_loop,
-                               evaluate, evaluate_grid, from_grid_samples,
-                               inner_product, loop_from_dict,
-                               loop_to_dict, norm, project_minus,
-                               project_plus, scalar_multiply, shift)
-from loopfiber.loopgroup import LoopGroupElement, apply, multiply
+from loopfiber.fourier import (TruncatedLoop, _bands_from_pairs, basis_loop,
+                               constant_loop, evaluate, evaluate_grid,
+                               from_grid_samples, inner_product,
+                               loop_from_dict, loop_to_dict, norm,
+                               project_minus, project_plus, scalar_multiply,
+                               shift, stack_columns)
+from loopfiber.loopgroup import (LoopGroupElement, apply, element_from_dict,
+                                 multiply)
 from loopfiber.subspaces import cross_gram
 
 from util import is_zero, loop_allclose, zero_loop
@@ -433,3 +436,97 @@ class TestDictReference:
         assert abs(inner_product(A[0], B[0]) - want[0, 0]) <= 1e-12
         assert abs(norm(A[0]) - np.sqrt(
             dict_pairing(A[0].coeffs, A[0].coeffs).real)) <= 1e-12
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@st.composite
+def banded_loops(draw):
+    """A vector or matrix loop of up to 9 blocks whose leaves include
+    signed zeros and subnormals, with kmin near 0 or beyond int64."""
+    cls = draw(st.sampled_from([TruncatedLoop, LoopGroupElement]))
+    n = draw(st.integers(1, 2))
+    width = draw(st.integers(1, 9))
+    kmin = draw(st.one_of(st.integers(-12, 12),
+                          st.integers(-2 ** 70, 2 ** 70)))
+    size = 2 * width * n ** cls._block_ndim
+    leaves = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324]),
+                                     finite), min_size=size, max_size=size))
+    data = np.array(leaves).view(complex).reshape(
+        (width,) + (n,) * cls._block_ndim)
+    return cls.from_band(n, kmin, data)
+
+
+class TestSameBits:
+    """The arithmetic that replaced a more general numpy call keeps its
+    bits: grid binning by assignment, the sum of two loops by one add."""
+
+    @staticmethod
+    def add_at_grid(a, N):
+        """grid_samples as np.add.at binning at every width."""
+        bins = np.zeros((N,) + a.data.shape[1:], dtype=complex)
+        np.add.at(bins, (a.kmin % N + np.arange(len(a.data))) % N, a.data)
+        return np.fft.ifft(bins, axis=0) * N
+
+    @settings(max_examples=300, deadline=None)
+    @given(banded_loops(), st.data())
+    def test_grid_samples_match_add_at(self, a, data):
+        # N = width writes every bin once; N < width folds
+        width = len(a.data)
+        N = data.draw(st.one_of(st.just(max(width, 1)),
+                                st.integers(1, 2 * width + 3)))
+        assert np.array_equal(bits(a.grid_samples(N)),
+                              bits(self.add_at_grid(a, N)))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_grid_bins_take_signed_zeros_as_add_at(self, zero):
+        a = TruncatedLoop.from_band(
+            2, 2 ** 64 + 1, [[1.0, zero], [complex(zero, zero), zero],
+                             [complex(zero, -0.0), 2.0]])
+        for N in (3, 4, 8):
+            assert np.array_equal(bits(a.grid_samples(N)),
+                                  bits(self.add_at_grid(a, N)))
+
+    def test_folding_grid_adds_blocks(self):
+        # 5 frequencies on 2 points: theta = 0 reads 1 + 2 + 3 + 4 + 5 and
+        # theta = pi reads 1 - 2 + 3 - 4 + 5; a bin written, not added,
+        # would keep only its last block
+        a = TruncatedLoop(1, {k: [1.0 + k] for k in range(5)})
+        assert a.grid_samples(2)[:, 0].tolist() == [15.0, 3.0]
+
+    @given(loops(n=2), loops(n=2))
+    def test_sum_is_the_two_column_reduce(self, a, b):
+        both = stack_columns([a, b])
+        want = TruncatedLoop.from_band(2, both.kmin, both.data.sum(axis=2))
+        for got in (a + b, b + a):
+            assert got.kmin == want.kmin
+            assert np.array_equal(bits(got.data), bits(want.data))
+
+    def test_sum_keeps_negative_zero(self):
+        # -0.0 + -0.0 is -0.0, where a sum from +0.0 would give +0.0
+        minus = complex(-0.0, -0.0)
+        a = TruncatedLoop.from_band(1, 0, [[1.0], [minus], [1.0]])
+        b = TruncatedLoop.from_band(1, 1, [[complex(-0.0, 1.0)]])
+        for got, want in ((a + a, [2.0, minus, 2.0]),
+                          (a + b, [1.0, complex(-0.0, 1.0), 1.0])):
+            assert np.array_equal(bits(got.data),
+                                  bits(np.array(want)[:, None]))
+
+    @pytest.mark.parametrize("order",
+                             list(itertools.permutations(["1", "01", "+1"])))
+    def test_three_spellings_keep_the_last_block(self, order):
+        # one frequency spelled three ways, with a frequency of one spelling
+        # beside it: the block read last wins
+        pairs = {k: [[float(i + 1), 0.0]] for i, k in enumerate(order)}
+        a = loop_from_dict({"n": 1, "coeffs": {"0": [[0.5, 0.0]], **pairs}})
+        assert a.data.tolist() == [[0.5], [3.0]]
+        g = element_from_dict({"n": 1, "mcoeffs": {
+            k: [v] for k, v in pairs.items()}})
+        assert (g.kmin, g.data.tolist()) == (1, [[[3.0]]])
+        # a zero block read last leaves its column's band, so the hull is
+        # the other column's
+        pairs[order[-1]] = [[0.0, 0.0]]
+        kmin, data = _bands_from_pairs([{"0": [[0.5, 0.0]]}, pairs], 1, 1)
+        assert (kmin, data.tolist()) == (0, [[[0.5, 0.0]]])

@@ -71,11 +71,9 @@ def git(repo, *args):
                    cwd=repo, check=True, capture_output=True)
 
 
-@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-def test_report_digests_against_a_base_commit(tmp_path):
-    # a commit of this tree's files against its clean working tree reads
-    # the same; one perturbed constant of su2sample is caught, naming the
-    # reports it changed, with exit 1
+def committed_tree(tmp_path):
+    """A git repository in tmp_path/tree holding this tree's files in one
+    commit, and the argv of its report_digests.py --base HEAD."""
     tree = tmp_path / "tree"
     skip = shutil.ignore_patterns("__pycache__", "out")
     for part in ("src", "scripts", "perfbench", "tests/golden"):
@@ -83,8 +81,35 @@ def test_report_digests_against_a_base_commit(tmp_path):
     git(tree, "init", "-q")
     git(tree, "add", "-A")
     git(tree, "commit", "-q", "-m", "base")
-    script = [sys.executable, str(tree / "scripts" / "report_digests.py"),
-              str(tmp_path / "inputs"), "--base", "HEAD"]
+    return tree, [sys.executable, str(tree / "scripts" / "report_digests.py"),
+                  str(tmp_path / "inputs"), "--base", "HEAD"]
+
+
+def perturb_su2sample(tree):
+    """Move one constant of the su2sample form in tree's working copy by
+    one ulp."""
+    source = tree / "src" / "loopfiber" / "transport.py"
+    text = source.read_text()
+    assert text.count("a2 = v1 * 0.4\n") == 1
+    source.write_text(text.replace("a2 = v1 * 0.4\n",
+                                   "a2 = v1 * 0.4000000000000001\n"))
+
+
+# every report that perturb_su2sample changes
+SU2SAMPLE_REPORTS = (
+    *(f"bench-transport-nonabelian-{command}-su2sample-seed{seed}"
+      for seed in (3, 7) for command in ("holonomy", "twistcheck")),
+    "holonomy-su2sample-N1000", "twistcheck-su2sample-N1000",
+    *(f"golden-{command}{loop}-su2sample"
+      for command in ("holonomy", "twistcheck") for loop in ("", "-loop")))
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_report_digests_against_a_base_commit(tmp_path):
+    # a commit of this tree's files against its clean working tree reads
+    # the same; one perturbed constant of su2sample is caught, naming the
+    # reports it changed, with exit 1
+    tree, script = committed_tree(tmp_path)
     same = subprocess.run(script, capture_output=True, text=True, timeout=300)
     assert same.returncode == 0, same.stderr
     # the lines of test_report_digests_cover_every_command, and a
@@ -93,11 +118,7 @@ def test_report_digests_against_a_base_commit(tmp_path):
     count = 2 * (5 + 1) + 6 + 2 + golden + 1 + 2 * 5 + 2 * 2
     assert same.stdout.splitlines() == [
         f"{count} report lines, the same in HEAD and the working tree"]
-    source = tree / "src" / "loopfiber" / "transport.py"
-    text = source.read_text()
-    assert text.count("a2 = v1 * 0.4\n") == 1
-    source.write_text(text.replace("a2 = v1 * 0.4\n",
-                                   "a2 = v1 * 0.4000000000000001\n"))
+    perturb_su2sample(tree)
     caught = subprocess.run(script, capture_output=True, text=True,
                             timeout=300)
     assert caught.returncode == 1, caught.stderr
@@ -106,6 +127,33 @@ def test_report_digests_against_a_base_commit(tmp_path):
     changed = [line for line in lines[2:] if line[0] in "-+"]
     assert changed and all("su2sample" in line for line in changed)
     assert any("holonomy-su2sample-N1000" in line for line in changed)
+    assert caught.stderr.splitlines() == [
+        f"error: {name} changed, and --expect-changed does not name it"
+        for name in sorted(SU2SAMPLE_REPORTS)]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+@pytest.mark.parametrize("unchanged", [(), ("golden-project-loop-n2",)])
+def test_report_digests_expect_changed(tmp_path, unchanged):
+    # naming exactly the reports a perturbed su2sample constant changes
+    # accepts the change; naming one more, which did not change, is an
+    # error that names it
+    tree, script = committed_tree(tmp_path)
+    perturb_su2sample(tree)
+    proc = subprocess.run(
+        [*script, "--expect-changed", *SU2SAMPLE_REPORTS, *unchanged],
+        capture_output=True, text=True, timeout=300)
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["--- base HEAD", "+++ working tree"]
+    assert sum(line.startswith("-") for line in lines[2:]) == 10
+    if unchanged:
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: golden-project-loop-n2 is named by --expect-changed but "
+            "did not change"]
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert lines[-1] == "10 reports changed, each named by --expect-changed"
 
 
 def test_bench_pairs_summary():
