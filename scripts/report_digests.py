@@ -19,6 +19,10 @@ unified diff, and exits 1 on any difference (0 when every line is equal):
 
     python scripts/report_digests.py DIR --base HEAD~1
 
+A command that only the working tree runs is printed as new and is no
+difference, so a change may add commands; a command that REV runs and the
+working tree does not is a difference.
+
 A change that alters answers on purpose names the reports it changes:
 with `--expect-changed NAME ...` a differing line of a listed report (the
 name as printed, without its `(exit N)`, `stderr` or `csv` suffix) is
@@ -87,9 +91,10 @@ def run_benchmark_commands():
 def transport_commands():
     """(name, argv) of transport commands the benchmark does not run:
     `obstruction` without its CSV, the winding alone; N = 1000, not a power
-    of two; a 3 x 3 form on 7 steps; and two sweeps on the family grid
-    M = 2, with their CSVs, whose three samples cannot tell the charge (a
-    phase step of pi at q = 3, all near 1 at q = 6)."""
+    of two; a 3 x 3 form on 7 steps; two sweeps on the family grid M = 2,
+    with their CSVs, whose three samples cannot tell the charge (a phase
+    step of pi at q = 3, all near 1 at q = 6); and `twistcheck` on a
+    latitude loop and its rotation."""
     yield "obstruction-monopole-no-csv", [
         "obstruction", "--preset", "monopole", "--q", "1", "--N", "256",
         "--M", "64", "--no-meta"]
@@ -104,6 +109,9 @@ def transport_commands():
     yield "obstruction-monopole-q6-M2", [
         "obstruction", "--preset", "monopole", "--q", "6", "--M", "2",
         "--N", "256", "--csv", "obstruction-q6.csv", "--no-meta"]
+    yield "twistcheck-monopole-latitude2", [
+        "twistcheck", "--preset", "monopole", "--latitude", "2.0", "--N",
+        "256", "--no-meta"]
 
 
 def refusal_commands():
@@ -216,8 +224,9 @@ def report_name(line):
 
 def compare_with(base, workdir, expected=()):
     """Print the diff of the report lines of commit `base` and of this tree,
-    on inputs written once by `base`; 1 unless the reports that differ are
-    exactly the `expected` names, else 0."""
+    on inputs written once by `base`, and the lines of commands only this
+    tree runs as new; 1 unless the reports that differ are exactly the
+    `expected` names, else 0."""
     sys.path.insert(0, str(ROOT / "scripts"))
     from bench_pairs import export_revision
 
@@ -225,11 +234,16 @@ def compare_with(base, workdir, expected=()):
         tree = Path(tmp)
         export_revision(base, tree)
         old = tree_digests(tree, workdir, "--write-inputs")
-    new = tree_digests(ROOT, workdir)
+    ran = {report_name(line) for line in old}
+    new, added = [], []
+    for line in tree_digests(ROOT, workdir):
+        (new if report_name(line) in ran else added).append(line)
     diff = list(difflib.unified_diff(old, new, f"base {base}",
                                      "working tree", lineterm="", n=0))
     if diff:
         print("\n".join(diff))
+    for line in added:
+        print(f"new: {line}")
     changed = {report_name(line[1:]) for line in diff[2:]
                if line.startswith(("-", "+"))}
     unexpected = sorted(changed - set(expected))

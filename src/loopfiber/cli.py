@@ -23,16 +23,15 @@ TWISTCHECK_TOLS).
 
 The first main() of a process fixes glibc's mmap and trim thresholds
 (_steady_heap), so transport's freed stacks stay resident between commands;
-importing the package sets nothing.  Each command runs, and its report is
-laid out and freed, with the cyclic garbage collector paused
-(_collector_paused), and so is each input file's decode where it is called
-alone: a decoded file and a report are trees without reference cycles, and
-their thousands of fresh lists would otherwise set off collections that
-walk them and free nothing.
+importing the package sets nothing.  main() runs each command, its input
+files' decode included, and lays out and frees its report with the cyclic
+garbage collector paused, and leaves the collector as it found it: a
+decoded file and a report are trees without reference cycles, and their
+thousands of fresh lists would otherwise set off collections that walk
+them and free nothing.
 """
 
 import argparse
-import contextlib
 import ctypes
 import functools
 import gc
@@ -117,33 +116,10 @@ def _check_options(args):
             raise InputError(message)
 
 
-@contextlib.contextmanager
-def _collector_paused():
-    """Automatic garbage collection off for the block; on again after it
-    only if it was on when the block was entered.
-
-    For blocks that build trees of fresh lists and dicts with no reference
-    cycle: decoding an input file, and running a command up to its laid
-    out report.  Each container counts toward the young generation's
-    threshold (700), so collections set off inside such a block walk the
-    live tree and free nothing: some 20 for the ~15 000 lists of a
-    benchmark frame, and two for the ~1400 of a subspace-loop element.  A
-    block that frees its tree before it ends leaves the young generation's
-    count where it was, so no collection is due when the collector
-    resumes.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _load_input(path, parse, what):
-    """(parse(the JSON in path), the wall seconds it took), with the
-    collector paused; InputError naming `what` on any failure.
+    """(parse(the JSON in path), the wall seconds it took); InputError
+    naming `what` on any failure.  main() runs it with the collector
+    paused.
 
     orjson decodes strict JSON only: NaN, Infinity, a literal beyond the
     double range, a byte order mark, bytes that are not UTF-8 and a lone
@@ -154,26 +130,22 @@ def _load_input(path, parse, what):
     tree (a repr in an error message) fails closed on RecursionError.
     """
     start = time.perf_counter()
-    with _collector_paused():
-        try:
-            with open(path, "rb") as fh:
-                data = orjson.loads(fh.read())
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from exc
-        except orjson.JSONDecodeError as exc:
-            raise InputError(f"{path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise InputError(f"not a {what}: expected a JSON object, got "
-                             f"{type(data).__name__}")
-        try:
-            value = parse(data)
-        except KeyError as exc:  # str(exc) is the key's repr
-            raise InputError(f"not a {what}: missing key {exc}") from exc
-        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
-            raise InputError(f"not a {what}: {exc}") from exc
-        # freed while paused, the tree's containers leave the young
-        # generation's count where it was, so none is due on resuming
-        del data
+    try:
+        with open(path, "rb") as fh:
+            data = orjson.loads(fh.read())
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except orjson.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"not a {what}: expected a JSON object, got "
+                         f"{type(data).__name__}")
+    try:
+        value = parse(data)
+    except KeyError as exc:  # str(exc) is the key's repr
+        raise InputError(f"not a {what}: missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise InputError(f"not a {what}: {exc}") from exc
     return value, time.perf_counter() - start
 
 
@@ -353,8 +325,7 @@ _PRESETS = {
 def _base_loop(args, conn):
     if args.input is not None:
         try:
-            with _collector_paused():
-                loop = transport.load_loop_csv(args.input)
+            loop = transport.load_loop_csv(args.input)
         except (OSError, ValueError) as exc:
             raise InputError(
                 f"cannot load loop from {args.input}: {exc}") from exc
@@ -702,12 +673,22 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         _check_options(args)
-        # the report is built and laid out, and freed, with the collector
-        # paused: a subspace-loop element alone is ~1400 fresh lists
-        with _collector_paused():
+        # The command runs, and its report is laid out and freed, with
+        # automatic collection off, and on again after only if it was on:
+        # a decoded file (~15 000 lists for a benchmark frame) and a report
+        # (~1400 for a subspace-loop element) are trees without reference
+        # cycles, so the collections their containers set off would free
+        # nothing.  Freed before the pause ends, they leave the young
+        # generation's count where it was, so none is due on resuming.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
             report, code = HANDLERS[args.subcommand](args)
             text = _dump(report)
             del report
+        finally:
+            if enabled:
+                gc.enable()
         if args.output:
             suffix = ".json" if args.subcommand == "project" else ""
             _write_atomic(args.output + suffix, text)

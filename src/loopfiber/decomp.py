@@ -208,13 +208,6 @@ def _audit_point(x, f):
     ), gamma
 
 
-def _window_key(f):
-    """A key equal for two windows exactly when they have the same depth
-    and bit-identical generator stacks.  Bytes, not ==, so that -0.0 and
-    +0.0 stay apart."""
-    return f.depth, f.stack.kmin, f.stack.data.shape, f.stack.data.tobytes()
-
-
 def audit_family(fam):
     """Check the fiberwise axioms at every base point.
 
@@ -223,13 +216,14 @@ def audit_family(fam):
     plus per-edge continuity cosines between neighbouring generator spans.
     A window with dependent shifted generators raises RankDeficiency.
 
-    Equal windows (same depth, bit-identical generators; a constant-loop
-    reduction has one window everywhere) are audited once, at their first
-    point: the other points share its result and its loop, and each edge
-    takes the principal angles of its pair of windows once.
+    A window object shared by several points (family_from_dict shares
+    equal file entries, and a constant-loop reduction has one window
+    everywhere) is audited once, at its first point: the other points share
+    its result and its loop, and each edge takes the principal angles of
+    its pair of windows once.
     """
-    keys = {}  # window key -> the first point with that window
-    first = [keys.setdefault(_window_key(f), x) for x, f in enumerate(fam.psi)]
+    seen = {}  # window -> the first point with that window
+    first = [seen.setdefault(f, x) for x, f in enumerate(fam.psi)]
     audited = {x: _audit_point(x, fam.psi[x]) for x in dict.fromkeys(first)}
     point_audits = tuple(
         audited[x0][0] if x0 == x else replace(audited[x0][0], point=x)
@@ -378,14 +372,17 @@ def build_model_decomposition(U_cocycle, depth=3):
 
 
 def filtration(fam, k):
-    """The k-th member of the exhausting chain: every window shifted by -k."""
+    """The k-th member of the exhausting chain: every window shifted by -k,
+    each window object once, so points that share a window share its
+    shift."""
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError("k must be a nonnegative integer")
     if k == 0:
         return fam
-    psi = tuple(FiltrationSubspace(f.stack._replace(kmin=f.stack.kmin - k),
-                                   f.depth) for f in fam.psi)
-    return SubspaceFamily(fam.points, fam.edges, psi, fam.transitions)
+    shifted = {f: FiltrationSubspace(f.stack._replace(kmin=f.stack.kmin - k),
+                                     f.depth) for f in dict.fromkeys(fam.psi)}
+    return SubspaceFamily(fam.points, fam.edges,
+                          tuple(shifted[f] for f in fam.psi), fam.transitions)
 
 
 def family_to_dict(fam):

@@ -124,6 +124,16 @@ def _wrap(t):
     return np.where(t == 1.0, 1.0, t - np.floor(t))
 
 
+def _checked(xv, expected, what):
+    """The positions and velocities xv as float arrays; ValueError, naming
+    `what` samples, unless both have the shape `expected`."""
+    x, v = (np.asarray(a, dtype=float) for a in xv)
+    if x.shape != expected or v.shape != expected:
+        raise ValueError(f"{what} samples have shapes {x.shape} and "
+                         f"{v.shape}, expected {expected}")
+    return x, v
+
+
 @dataclass(frozen=True, eq=False)
 class BaseLoop:
     """A closed parametrized curve t -> x(t) in R^d with period 1.
@@ -201,13 +211,7 @@ class BaseLoop:
         1.0, so a spline's last node is its closing row.
         """
         t = np.asarray(t, dtype=float)
-        x, v = self.fn(_wrap(t))
-        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-        expected = t.shape + (self.d,)
-        if x.shape != expected or v.shape != expected:
-            raise ValueError(f"loop samples have shapes {x.shape} and "
-                             f"{v.shape}, expected {expected}")
-        return x, v
+        return _checked(self.fn(_wrap(t)), t.shape + (self.d,), "loop")
 
     def point(self, t):
         return self.xv(t)[0]
@@ -671,38 +675,45 @@ def rotated_twist(frame, t):
     return T @ frame.holonomy @ T.conj().T
 
 
+def _latitudes(su, cu, t):
+    """Positions and velocities at the times t on the counterclockwise
+    latitude circles with sin u = su and cos u = cu on the unit sphere: su
+    and cu are floats, or arrays that broadcast against t, and the samples
+    have their broadcast shape + (3,)."""
+    w = 2.0 * math.pi
+    c, sn = np.cos(w * t), np.sin(w * t)
+    x = np.empty(np.broadcast_shapes(np.shape(su), c.shape) + (3,))
+    v = np.empty_like(x)
+    x[..., 0], x[..., 1], x[..., 2] = su * c, su * sn, cu
+    v[..., 0], v[..., 1], v[..., 2] = -w * su * sn, w * su * c, 0.0
+    return x, v
+
+
 def latitude_loop(u):
     """Counterclockwise latitude circle at polar angle u on the unit sphere."""
     su, cu = math.sin(u), math.cos(u)
-    w = 2.0 * math.pi
-
-    def fn(t):
-        c, sn = np.cos(w * t), np.sin(w * t)
-        x = np.stack([su * c, su * sn, np.full_like(c, cu)], axis=-1)
-        v = np.stack([-w * su * sn, w * su * c, np.zeros_like(c)], axis=-1)
-        return x, v
-
-    return BaseLoop(3, fn)
+    return BaseLoop(3, lambda t: _latitudes(su, cu, t))
 
 
 @dataclass(frozen=True, eq=False)
 class LoopFamily:
     """Loops s -> family(s) in R^d that can be sampled many at once.
 
-    `loop(s)` is the BaseLoop of the parameter s, and family(s) calls it.
-    `fn(s, t)` takes a tuple s of parameters and a 1-d float array t of
-    times in [0, 1] and returns the positions and velocities of every loop
-    at every time, each of shape (len(s), len(t), d), row b bit for bit
-    `loop(s[b]).fn(t)`.  `family_loops` hands a family's loops to transport
-    as one batch that is sampled by one fn call per chunk.
+    `fn(s, t)` takes a tuple s of parameters and a float array t of times
+    in [0, 1], of any shape, and returns the positions and velocities of
+    every loop at every time, each of shape (len(s),) + t.shape + (d,).
+    family(s) is the BaseLoop of row 0 of fn((s,), t), so a family's loops
+    are the rows of its sampler by construction.  `family_loops` hands a
+    family's loops to transport as one batch that is sampled by one fn call
+    per chunk.
     """
 
     d: int
-    loop: object
     fn: object
 
     def __call__(self, s):
-        return self.loop(s)
+        fn = self.fn
+        return BaseLoop(self.d, lambda t: tuple(a[0] for a in fn((s,), t)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -730,13 +741,8 @@ class _FamilyLoops:
         """Positions and velocities of every loop at the 1-d times t, of
         shape (len(s), len(t), d), bit for bit each loop's own `xv(t)`."""
         t = np.asarray(t, dtype=float)
-        x, v = self.family.fn(self.s, _wrap(t))
-        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-        expected = (len(self.s),) + t.shape + (self.d,)
-        if x.shape != expected or v.shape != expected:
-            raise ValueError(f"family samples have shapes {x.shape} and "
-                             f"{v.shape}, expected {expected}")
-        return x, v
+        return _checked(self.family.fn(self.s, _wrap(t)),
+                        (len(self.s),) + t.shape + (self.d,), "family")
 
 
 def family_loops(family, s):
@@ -752,31 +758,25 @@ def latitude_family():
     """Latitude circles on the unit sphere, swept from south pole to north.
 
     family(s) is the counterclockwise latitude circle at polar angle
-    u = pi (1 - s), `latitude_loop(u)`.  family(1) is the constant loop at
-    the north pole; family(0) circles the monopole's Dirac string at radius
-    sin(pi) ~ 1.2e-16, where its holonomy e^{-2 pi i q} is 1, so a holonomy
-    along the family is a closed path in U(1).  Under the monopole(q)
-    preset the winding of that path is exactly q.
+    u = pi (1 - s), sampled as `latitude_loop(u)` is.  family(1) is the
+    constant loop at the north pole; family(0) circles the monopole's Dirac
+    string at radius sin(pi) ~ 1.2e-16, where its holonomy e^{-2 pi i q} is
+    1, so a holonomy along the family is a closed path in U(1).  Under the
+    monopole(q) preset the winding of that path is exactly q.
 
-    The family is a LoopFamily: its broadcast sampler takes sin u and cos u
-    per loop by `math`, as latitude_loop does, and cos and sin of 2 pi t
-    once for all the loops, so each loop's samples are latitude_loop's bit
-    for bit.
+    The family is a LoopFamily: its sampler takes sin u and cos u per loop
+    by `math`, as latitude_loop does, and cos and sin of 2 pi t once for
+    all the loops.
     """
-    w = 2.0 * math.pi
 
     def fn(s, t):
         u = [math.pi * (1.0 - x) for x in s]
-        su = np.array([math.sin(a) for a in u])[:, None]
-        cu = np.array([math.cos(a) for a in u])[:, None]
-        c, sn = np.cos(w * t), np.sin(w * t)
-        x = np.empty(su.shape[:1] + t.shape + (3,))
-        v = np.empty_like(x)
-        x[..., 0], x[..., 1], x[..., 2] = su * c, su * sn, cu
-        v[..., 0], v[..., 1], v[..., 2] = -w * su * sn, w * su * c, 0.0
-        return x, v
+        rows = (-1,) + (1,) * np.ndim(t)  # one row per loop, against t
+        su = np.array([math.sin(a) for a in u]).reshape(rows)
+        cu = np.array([math.cos(a) for a in u]).reshape(rows)
+        return _latitudes(su, cu, t)
 
-    return LoopFamily(3, lambda s: latitude_loop(math.pi * (1.0 - s)), fn)
+    return LoopFamily(3, fn)
 
 
 def chern_winding(conn, family, N=256):

@@ -1430,8 +1430,8 @@ def benchmark_frame_dict(rng, n=3, blocks=140, dim=27):
 
 
 class TestCollectorPause:
-    """Input files decode with automatic garbage collection paused, and the
-    collector is left as the caller had it."""
+    """main() decodes each input file, JSON or CSV, with automatic garbage
+    collection paused, and leaves the collector as the caller had it."""
 
     @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
     def collector(self, request):
@@ -1444,7 +1444,8 @@ class TestCollectorPause:
 
     @pytest.mark.parametrize("case", ["ok", "missing", "invalid", "top-list",
                                       "parse-error", "deep"])
-    def test_collector_state_restored(self, tmp_path, collector, case):
+    def test_collector_state_restored(self, capsys, tmp_path, collector,
+                                      case):
         path = tmp_path / "input.json"
         text = {
             "ok": json.dumps(COMMAND_FILES["project"]),
@@ -1455,49 +1456,52 @@ class TestCollectorPause:
         }.get(case)
         if text is not None:
             path.write_text(text)
+        code = cli.main(["project", str(path), "--no-meta"])
+        captured = capsys.readouterr()
         if case == "ok":
-            loop, load_s = cli._load_input(str(path), fourier.loop_from_dict,
-                                           "coefficient loop file")
-            assert loop.n == 1 and load_s >= 0.0
+            assert code == 0 and json.loads(captured.out)["n"] == 1
         else:
-            with pytest.raises(cli.InputError):
-                cli._load_input(str(path), fourier.loop_from_dict,
-                                "coefficient loop file")
+            assert code == 2 and captured.err.startswith("error: ")
         assert gc.isenabled() is collector
 
-    def test_benchmark_frame_decodes_without_collection(self, tmp_path):
+    def test_benchmark_frame_decodes_without_collection(self, capsys,
+                                                        tmp_path):
         path = tmp_path / "frame.json"
         path.write_text(json.dumps(
             benchmark_frame_dict(np.random.default_rng(0))))
         assert path.stat().st_size > 400_000
         assert gc.isenabled()
-        (frame, _), collections = collections_during(
-            cli._load_input, str(path), subspaces.frame_from_dict,
-            "subspace file")
-        assert frame.n == 3 and frame.dim == 27
-        assert collections == 0
-        assert gc.isenabled()
+        for _ in range(2):
+            code, collections = collections_during(
+                cli.main, ["subspace-loop", str(path), "--no-meta"])
+            report = json.loads(capsys.readouterr().out)
+            assert report["n"] == 3 and report["subspace_dim"] == 27
+            assert code in (0, 3) and collections == 0
+            assert gc.isenabled()
 
-    def test_csv_loop_decodes_without_collection(self, tmp_path, collector):
+    def test_csv_loop_decodes_without_collection(self, capsys, tmp_path,
+                                                 collector):
         path = tmp_path / "loop.csv"
         t = np.arange(4096) / 4096
         path.write_text("t,x,y\n" + "".join(
             f"{s!r},{x!r},{y!r}\n" for s, x, y in zip(
                 t.tolist(), np.cos(2 * np.pi * t).tolist(),
                 np.sin(2 * np.pi * t).tolist())))
-        args = argparse.Namespace(input=str(path), latitude=None)
-        loop, collections = collections_during(
-            cli._base_loop, args, transport.abelian2d(1.0))
-        assert loop.d == 2
+        code, collections = collections_during(cli.main, [
+            "holonomy", "--preset", "abelian2d", "--loop", str(path),
+            "--N", "64", "--no-meta"])
+        assert code == 0 and json.loads(capsys.readouterr().out)["N"] == 64
         assert collections == 0
         assert gc.isenabled() is collector
 
-    def test_refused_csv_restores_collector(self, tmp_path, collector):
+    def test_refused_csv_restores_collector(self, capsys, tmp_path,
+                                            collector):
         path = tmp_path / "loop.csv"
         path.write_text("t,x,y\n0,1,0\n0.5,-1\n")
-        args = argparse.Namespace(input=str(path), latitude=None)
-        with pytest.raises(cli.InputError, match="ragged CSV rows"):
-            cli._base_loop(args, transport.abelian2d(1.0))
+        assert cli.main(["holonomy", "--preset", "abelian2d", "--loop",
+                         str(path), "--no-meta"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "ragged CSV rows" in captured.err
         assert gc.isenabled() is collector
 
 
@@ -1864,14 +1868,33 @@ class TestOptions:
 
 
 class TestEntryPoint:
+    """`python -m loopfiber` runs __main__.py and cli.entrypoint, which no
+    in-process test reaches."""
+
+    @staticmethod
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "loopfiber", *argv],
+                              capture_output=True, text=True, timeout=120)
+
     def test_module_invocation(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "loopfiber", "holonomy", "--preset",
-             "flat", "--N", "8", "--no-meta"],
-            capture_output=True, text=True)
+        proc = self.module("holonomy", "--preset", "flat", "--N", "8",
+                           "--no-meta")
         assert proc.returncode == 0
         rep = json.loads(proc.stdout)
         assert rep["command"] == "holonomy"
+
+    def test_module_report_is_main_report(self, capsys):
+        argv = ["holonomy", "--preset", "flat", "--N", "4", "--no-meta"]
+        proc = self.module(*argv)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert cli.main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_module_refusal_exit2(self):
+        proc = self.module("holonomy", "--preset", "flat", "--N", "0",
+                           "--no-meta")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: N must be a positive integer\n"
 
 
 GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"

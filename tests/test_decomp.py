@@ -8,10 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from loopfiber import decomp, loopgroup
+from loopfiber import cli, decomp, loopgroup
 from loopfiber.decomp import (
     _audit_point,
-    _window_key,
     audit_family,
     build_model_decomposition,
     family_from_dict,
@@ -145,24 +144,29 @@ class TestAudit:
 
     def test_equal_windows_share_the_per_point_audit(self):
         # points 2 and 3 repeat the windows of points 0 and 1 as separate,
-        # bit-identical objects: the report is the one a per-point audit
-        # gives, and equal windows share one loop
+        # bit-identical objects, and point 4 is point 0's window itself:
+        # the report is the one a per-point audit gives, a shared window
+        # shares one loop, and a copy gets its own, equal one
         g = random_loop(2, band=2, seed=41)
         twisted = FiltrationSubspace([g.column(j) for j in range(2)], 3)
         windows = (twisted, plus_window(2))
         psi = windows + tuple(filtration_from_dict(filtration_to_dict(f))
-                              for f in windows)
-        edges = ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 1))
-        report = audit_family(SubspaceFamily(range(4), edges, psi))
+                              for f in windows) + (twisted,)
+        edges = ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 1), (4, 0),
+                 (4, 3))
+        report = audit_family(SubspaceFamily(range(5), edges, psi))
         spans = [orthonormalize(f.generators) for f in psi]
         assert report.point_audits == tuple(_audit_point(x, f)[0]
                                             for x, f in enumerate(psi))
         assert report.edge_cosines == tuple(
             float(principal_angles(spans[i], spans[j]).min())
             for i, j in edges)
-        assert report.gammas[2] is report.gammas[0]
-        assert report.gammas[3] is report.gammas[1]
+        assert report.gammas[4] is report.gammas[0]
         assert report.gammas[0] is not report.gammas[1]
+        for copy, x in ((2, 0), (3, 1)):
+            assert report.gammas[copy] is not report.gammas[x]
+            assert np.array_equal(report.gammas[copy].data,
+                                  report.gammas[x].data)
 
     def test_report_serializes(self):
         report = audit_family(build_model_decomposition([np.eye(1)]))
@@ -429,28 +433,15 @@ class TestFiltration:
                 assert a.data.tobytes() == want.data.tobytes()
 
 
-class TestWindowKey:
-    @staticmethod
-    def window(zero, depth=2, kmin=0):
-        # a generator whose first block holds `zero` beside a nonzero entry
-        return FiltrationSubspace([
-            TruncatedLoop(2, {kmin: [zero, 1.0], kmin + 1: [0.5j, 0.0]}),
-            basis_loop(2, component=1, frequency=kmin - 1)], depth)
+def signed_zero_window(zero):
+    # a generator whose first block holds `zero` beside a nonzero entry
+    return FiltrationSubspace([
+        TruncatedLoop(2, {0: [zero, 1.0], 1: [0.5j, 0.0]}),
+        basis_loop(2, component=1, frequency=-1)], 2)
 
-    def test_equal_for_a_window_and_its_dict_round_trip(self):
-        g = random_loop(2, band=2, seed=44)
-        for f in (self.window(-0.0),
-                  FiltrationSubspace([g.column(j) for j in range(2)], 3)):
-            back = filtration_from_dict(json.loads(json.dumps(
-                filtration_to_dict(f))))
-            assert _window_key(back) == _window_key(f)
 
-    def test_signed_zero_depth_and_band_tell_windows_apart(self):
-        key = _window_key(self.window(0.0))
-        assert _window_key(self.window(0.0)) == key
-        assert _window_key(self.window(-0.0)) != key
-        assert _window_key(self.window(0.0, depth=3)) != key
-        assert _window_key(self.window(0.0, kmin=1)) != key
+def window_bits(f):
+    return f.depth, f.stack.kmin, f.stack.data.tobytes()
 
 
 class TestFamilyStructure:
@@ -552,16 +543,24 @@ class TestWindowReads:
         assert fam.psi[1] is fam.psi[4] and fam.psi[0] is not fam.psi[1]
         # the same windows as reading each entry on its own
         for f, d in zip(fam.psi, [a, b, a, a, b]):
-            assert _window_key(f) == _window_key(filtration_from_dict(d))
+            assert window_bits(f) == window_bits(filtration_from_dict(d))
+
+    def test_dict_round_trip_keeps_the_bits(self):
+        g = random_loop(2, band=2, seed=44)
+        for f in (signed_zero_window(-0.0),
+                  FiltrationSubspace([g.column(j) for j in range(2)], 3)):
+            back = filtration_from_dict(json.loads(json.dumps(
+                filtration_to_dict(f))))
+            assert window_bits(back) == window_bits(f)
 
     def test_signed_zero_and_key_order_read_apart(self, reads):
-        a = filtration_to_dict(TestWindowKey.window(0.0))
-        minus = filtration_to_dict(TestWindowKey.window(-0.0))
+        a = filtration_to_dict(signed_zero_window(0.0))
+        minus = filtration_to_dict(signed_zero_window(-0.0))
         swapped = {"depth": a["depth"], "generators": a["generators"]}
         fam = family_from_dict(self.family([a, minus, swapped]))
         assert reads == [a, minus, swapped]
-        assert _window_key(fam.psi[0]) != _window_key(fam.psi[1])
-        assert _window_key(fam.psi[0]) == _window_key(fam.psi[2])
+        assert window_bits(fam.psi[0]) != window_bits(fam.psi[1])
+        assert window_bits(fam.psi[0]) == window_bits(fam.psi[2])
         assert fam.psi[0] is not fam.psi[2]
 
     @pytest.mark.parametrize("edit, message", [
@@ -622,6 +621,75 @@ class TestWindowReads:
             fam = family_from_dict(self.family([d, d]))
             assert reads[-2:] == [d, d]
             assert fam.psi[0] is not fam.psi[1]
+
+
+class TestSharedAudit:
+    """audit_family audits each window object once, and the windows a
+    family shares are those its reader, builder or filtration shared."""
+
+    @pytest.fixture
+    def audited(self, monkeypatch):
+        """The windows decomp audits, in order."""
+        seen = []
+
+        def counted(x, f):
+            seen.append(f)
+            return _audit_point(x, f)
+        monkeypatch.setattr(decomp, "_audit_point", counted)
+        return seen
+
+    @staticmethod
+    def decoded():
+        a, b = (filtration_to_dict(twisted_window(seed)) for seed in (5, 6))
+        return family_from_dict(TestWindowReads.family(
+            [a, b, json.loads(json.dumps(a)), b, a]))
+
+    @staticmethod
+    def model():
+        rng = np.random.default_rng(9)
+        return build_model_decomposition([haar_unitary(2, rng)
+                                          for _ in range(4)])
+
+    @pytest.mark.parametrize("make", ["decoded", "model"])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_one_audit_per_window_object(self, audited, make, k):
+        fam = filtration(getattr(self, make)(), k)
+        distinct = list(dict.fromkeys(fam.psi))
+        assert len(distinct) == (2 if make == "decoded" else 1)
+        report = audit_family(fam)
+        assert audited == distinct
+        assert report.point_audits == tuple(
+            _audit_point(x, f)[0] for x, f in enumerate(fam.psi))
+
+    @pytest.mark.parametrize("make", ["decoded", "model"])
+    def test_filtration_shifts_each_window_once(self, make):
+        fam = getattr(self, make)()
+        shifted = filtration(fam, 2)
+        for i, f in enumerate(fam.psi):
+            for j, g in enumerate(fam.psi):
+                assert (shifted.psi[i] is shifted.psi[j]) == (f is g)
+            assert shifted.psi[i].stack.kmin == f.stack.kmin - 2
+            assert window_bits(shifted.psi[i])[2] == window_bits(f)[2]
+
+    def test_windows_read_apart_report_the_same(self, audited, capsys,
+                                                tmp_path):
+        # the same family file with the keys of every other window entry
+        # reordered: its windows are read, and audited, apart, and the
+        # audit report is the same bytes
+        shared = family_to_dict(self.model())
+        apart = json.loads(json.dumps(shared))
+        apart["psi"][1::2] = [dict(reversed(d.items()))
+                              for d in apart["psi"][1::2]]
+        reports = []
+        for name, data in (("shared", shared), ("apart", apart)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            audited.clear()
+            assert cli.main(["audit", str(path), "--no-meta"]) == 0
+            reports.append(capsys.readouterr().out.replace(str(path),
+                                                           "FILE"))
+            assert len(audited) == (1 if name == "shared" else 2)
+        assert reports[0] == reports[1]
 
 
 class TestReducedConstants:

@@ -47,7 +47,7 @@ def test_report_digests_cover_every_command(tmp_path):
     # refusal an empty report, exit 2, and its stderr
     lines = run_script("report_digests.py", [str(tmp_path)]).splitlines()
     golden = len(list((ROOT / "tests" / "golden").glob("*.json")))
-    assert len(lines) == 2 * (5 + 1) + 6 + 2 + golden + 1 + 2 * 5
+    assert len(lines) == 2 * (5 + 1) + 7 + 2 + golden + 1 + 2 * 5
     assert sum(line.endswith("-project-seed7 (exit 0)") for line in lines) == 1
     empty = hashlib.sha256(b"").hexdigest()
     refusals = 0
@@ -115,7 +115,7 @@ def test_report_digests_against_a_base_commit(tmp_path):
     # the lines of test_report_digests_cover_every_command, and a
     # subspace-loop and an audit report per written input seed
     golden = len(list((ROOT / "tests" / "golden").glob("*.json")))
-    count = 2 * (5 + 1) + 6 + 2 + golden + 1 + 2 * 5 + 2 * 2
+    count = 2 * (5 + 1) + 7 + 2 + golden + 1 + 2 * 5 + 2 * 2
     assert same.stdout.splitlines() == [
         f"{count} report lines, the same in HEAD and the working tree"]
     perturb_su2sample(tree)
@@ -154,6 +154,64 @@ def test_report_digests_expect_changed(tmp_path, unchanged):
     else:
         assert proc.returncode == 0, proc.stderr
         assert lines[-1] == "10 reports changed, each named by --expect-changed"
+
+
+def edit_transport_commands(tree, change):
+    """Add a command to, or drop the first from, transport_commands() in
+    tree's working copy of report_digests.py."""
+    source = tree / "scripts" / "report_digests.py"
+    text = source.read_text()
+    if change == "added":
+        old = "\n\n\ndef refusal_commands():"
+        new = ('\n    yield "holonomy-flat-N5", ["holonomy", "--preset", '
+               '"flat", "--N", "5", "--no-meta"]' + old)
+    else:
+        old = ('    yield "obstruction-monopole-no-csv", [\n'
+               '        "obstruction", "--preset", "monopole", "--q", "1", '
+               '"--N", "256",\n        "--M", "64", "--no-meta"]\n')
+        new = ""
+    assert text.count(old) == 1
+    source.write_text(text.replace(old, new))
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+@pytest.mark.parametrize("change, expect", [
+    ("added", ()), ("dropped", ()),
+    ("dropped", ("obstruction-monopole-no-csv",))])
+def test_report_digests_added_and_dropped_commands(tmp_path, change,
+                                                   expect):
+    # a command only the working tree runs is printed as new and passes; a
+    # command the base ran and the working tree drops fails, unless
+    # --expect-changed names it
+    tree, script = committed_tree(tmp_path)
+    edit_transport_commands(tree, change)
+    if expect:
+        script = [*script, "--expect-changed", *expect]
+    proc = subprocess.run(script, capture_output=True, text=True,
+                          timeout=300)
+    lines = proc.stdout.splitlines()
+    golden = len(list((ROOT / "tests" / "golden").glob("*.json")))
+    count = 2 * (5 + 1) + 7 + 2 + golden + 1 + 2 * 5 + 2 * 2
+    if change == "added":
+        assert proc.returncode == 0, proc.stderr
+        assert len(lines) == 2 and lines[0].startswith("new: ")
+        assert lines[0].endswith("  holonomy-flat-N5 (exit 0)")
+        assert lines[1] == (f"{count} report lines, the same in HEAD and "
+                            "the working tree")
+        return
+    assert lines[:2] == ["--- base HEAD", "+++ working tree"]
+    assert lines[3].startswith("-")
+    assert lines[3].endswith("  obstruction-monopole-no-csv (exit 0)")
+    if expect:
+        assert proc.returncode == 0, proc.stderr
+        assert lines[4:] == [
+            "1 reports changed, each named by --expect-changed"]
+    else:
+        assert len(lines) == 4
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: obstruction-monopole-no-csv changed, and "
+            "--expect-changed does not name it"]
 
 
 def test_bench_pairs_summary():

@@ -43,8 +43,9 @@ from loopfiber.transport import (
     transport_reversed,
 )
 
-from util import (S1, S2, S3, constant_generator, gauge_transformed,
-                  loop_from_function, pauli_gauge, su2sample_curvature)
+from util import (S1, S2, S3, constant_generator, exp_gauge,
+                  gauge_transformed, loop_from_function, pauli_gauge,
+                  su2sample_curvature)
 
 
 def u1_distance(h, exact):
@@ -658,25 +659,33 @@ class TestConstantGenerator:
 
 class TestGaugeCovariance:
     """A nonabelian closed form: under a gauge g the holonomy from x0 turns
-    into g(x0) Hol g(x0)^-1, checked for the Pauli gauge of tests/util.py,
-    whose transformed form takes noncommuting values along the loop."""
+    into g(x0) Hol g(x0)^-1, checked for the Pauli gauge of tests/util.py
+    at n = 2 and its U(n) gauge exp(x0 X) at n = 3 and 5, each of whose
+    transformed forms takes noncommuting values along the loop."""
 
     @staticmethod
     def cases():
         K = 1j * (0.3 * S1 - 0.2 * S2 + 0.5 * S3)
-        return {
+        cases = {
             # Hol by its closed form: the loop is an origin-centred circle
             "constant": (constant_generator(K), BaseLoop.circle(0.7),
-                         constant_generator_holonomy(K, 0.7)),
+                         constant_generator_holonomy(K, 0.7), pauli_gauge()),
             # Hol by transport, on the fine grid
             "su2sample": (su2sample(),
-                          BaseLoop.circle(1.3, center=(0.2, -0.1)), None),
+                          BaseLoop.circle(1.3, center=(0.2, -0.1)), None,
+                          pauli_gauge()),
         }
+        for name, (conn, loop) in CONSTANT_CASES.items():
+            K = conn.form(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+            r = float(np.linalg.norm(loop.point(0.0)))
+            cases[name] = (conn, loop, constant_generator_holonomy(K, r),
+                           exp_gauge(anti_hermitian(conn.n, 10 + conn.n)))
+        return cases
 
-    @pytest.mark.parametrize("name", ["constant", "su2sample"])
+    @pytest.mark.parametrize("name", ["constant", "su2sample",
+                                      *sorted(CONSTANT_CASES)])
     def test_holonomy_conjugated_by_the_gauge_at_the_base_point(self, name):
-        conn, loop, exact = self.cases()[name]
-        g, dg = pauli_gauge()
+        conn, loop, exact, (g, dg) = self.cases()[name]
         gauged = gauge_transformed(conn, g, dg)
         A = gauged.form(*loop.xv(np.array([0.1, 0.4])))
         assert np.abs(A[0] @ A[1] - A[1] @ A[0]).max() > 0.1
@@ -1041,6 +1050,38 @@ class TestSamplingBits:
         # the view of an entry-major array: transport reads it contiguously
         assert np.moveaxis(A, (-2, -1), (0, 1)).flags.c_contiguous
 
+    @pytest.mark.parametrize("u", [1e-300, 0.1, 0.7, 1.0, math.pi / 2, 2.0,
+                                   3.0, math.pi - 1e-9])
+    def test_latitude_samples_are_the_stacked_construction(self, u):
+        # latitude_loop against this module's np.stack construction, for
+        # scalar, 1-d and 2-d times, ends and out-of-range times included
+        rng = np.random.default_rng(17)
+        for t in (np.array(0.3), np.array(1.0), np.linspace(0.0, 1.0, 9),
+                  np.linspace(0.0, 1.0, 513)[1::2],
+                  np.array([-0.0, 0.0, 1.0, 1.0 - 2.0 ** -53, 2.5, -0.25]),
+                  rng.uniform(-3.0, 3.0, (4, 5)), rng.uniform(0.0, 1.0, 100)):
+            for got, want in zip(transport.latitude_loop(u).xv(t),
+                                 latitude_loop(u).xv(t), strict=True):
+                assert got.shape == t.shape + (3,)
+                assert np.array_equal(bits(got), bits(want))
+
+    def test_latitude_family_samples_are_the_stacked_construction(self):
+        # a family's loop, and a batch of M = 64 loops, against the same
+        # construction at u = pi (1 - s)
+        fam = latitude_family()
+        t = np.linspace(0.0, 1.0, 257)
+        for s in (0.0, 0.25, 1.0 / 3.0, 0.5, 1.0):
+            for got, want in zip(fam(s).xv(t),
+                                 latitude_loop(math.pi * (1.0 - s)).xv(t),
+                                 strict=True):
+                assert np.array_equal(bits(got), bits(want))
+        s = [j / 64 for j in range(65)]
+        for nodes in (t, t[1::2]):
+            want = [latitude_loop(math.pi * (1.0 - x)).xv(nodes) for x in s]
+            for got, part in zip(family_loops(fam, s).xv(nodes), zip(*want),
+                                 strict=True):
+                assert np.array_equal(bits(got), bits(np.stack(part)))
+
     @pytest.mark.parametrize("M", [1, 2, 8, 64])
     @pytest.mark.parametrize("N", [16, 256])
     def test_family_samples_are_its_loops_samples(self, M, N):
@@ -1072,7 +1113,7 @@ class TestSamplingBits:
             nodes.append(len(x))
             return monopole(2).form(x, v)
 
-        counted = LoopFamily(3, fam.loop, fn)
+        counted = LoopFamily(3, fn)
         conn = ConnectionSpec(1, 3, form)
         monkeypatch.setattr(transport, "TRANSPORT_NODE_BUDGET", 4 * 33)
         s = [j / 8 for j in range(9)]
@@ -1089,11 +1130,15 @@ class TestSamplingBits:
             x = np.zeros((len(s), len(t), 2))
             return x, x
 
-        family = LoopFamily(3, latitude_family().loop, fn)
+        family = LoopFamily(3, fn)
         with pytest.raises(ValueError, match=r"family samples have shapes "
                            r"\(2, 5, 2\) and \(2, 5, 2\), expected "
                            r"\(2, 5, 3\)"):
             family_loops(family, [0.0, 1.0]).xv(np.linspace(0.0, 1.0, 5))
+        # a family's loop is its sampler's row, checked as a loop
+        with pytest.raises(ValueError, match=r"loop samples have shapes "
+                           r"\(5, 2\) and \(5, 2\), expected \(5, 3\)"):
+            family(0.0).xv(np.linspace(0.0, 1.0, 5))
 
     def test_plain_callable_family_is_a_list(self):
         fam = latitude_family()

@@ -111,3 +111,20 @@ def pauli_gauge(a=0.8, b=1.3):
                 - (1j * b * v[..., 1])[..., None, None] * (E1 @ S2 @ E2))
 
     return g, dg
+
+
+def exp_gauge(X):
+    """(g, dg) of the U(n) gauge g(x) = exp(x0 X) for a constant
+    anti-Hermitian X: with i X = V diag(lam) V^H by eigh,
+    g(x) = V diag(exp(-i x0 lam)) V^H, and dg(x, v) = v0 X g(x)."""
+    X = np.asarray(X, dtype=complex)
+    lam, V = np.linalg.eigh(1j * X)
+
+    def g(x):
+        phases = np.exp(-1j * x[..., 0, None] * lam)  # (..., n)
+        return (V * phases[..., None, :]) @ V.conj().T
+
+    def dg(x, v):
+        return v[..., 0, None, None] * (X @ g(x))
+
+    return g, dg
